@@ -9,15 +9,12 @@ with deterministic 17-digit formatting; each output file gets a
 seed and library version.
 
 Exit codes: 0 success, 2 validation error, 3 ingestion error,
-4 numerical failure (overflow / root finding).  ``PRODFADE_THREADS``
-caps the number of worker threads used for grid sweeps.
+4 numerical failure (overflow / root finding).
 """
 
 import argparse
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,35 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INGESTION = 3
 EXIT_NUMERICAL = 4
-
-
-def _thread_count():
-    raw = os.environ.get("PRODFADE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("PRODFADE_THREADS must be an integer, got %r" % (raw,))
-    return max(1, n)
-
-
-_SWEEP_BLOCK = 64
-
-
-def _sweep(fn, x):
-    """Apply a vectorized grid function, blocked across worker threads.
-
-    The block boundaries are fixed (not derived from the thread count),
-    so the same grid produces byte-identical output whatever
-    ``PRODFADE_THREADS`` says.
-    """
-    threads = _thread_count()
-    blocks = [x[i:i + _SWEEP_BLOCK] for i in range(0, x.size, _SWEEP_BLOCK)]
-    if threads == 1 or len(blocks) == 1:
-        parts = [fn(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, blocks))
-    return np.concatenate(parts)
 
 
 def _jsonable(obj):
@@ -111,14 +79,14 @@ def cmd_eval(args):
     if np.any(grid <= 0.0):
         raise ValueError("eval grid must be strictly positive")
     if args.dist == "kms":
-        pdf = _sweep(lambda x: pdf_single(params, x), grid)
-        cdf = _sweep(lambda x: cdf_single(params, x), grid)
+        pdf = pdf_single(params, grid)
+        cdf = cdf_single(params, grid)
     elif args.dist == "gg":
-        pdf = _sweep(lambda x: gg_pdf(params, x), grid)
-        cdf = _sweep(lambda x: gg_cdf(params, x), grid)
+        pdf = gg_pdf(params, grid)
+        cdf = gg_cdf(params, grid)
     else:
-        pdf = _sweep(params.pdf, grid)
-        cdf = _sweep(params.cdf, grid)
+        pdf = params.pdf(grid)
+        cdf = params.cdf(grid)
     pio.write_csv(args.out, ["x", "pdf", "cdf"], [grid, pdf, cdf])
     pio.write_manifest(args.out, "eval", {
         "dist": args.dist, "params": _model_dict(params), "grid": args.grid,
@@ -215,8 +183,7 @@ def cmd_fit_pdf(args):
 def cmd_wpc(args):
     cfg = pio.read_wpc_json(args.config)
     grid = pio.parse_grid(args.grid)
-    outage = _sweep(lambda g: wpc_sweep(cfg, g)[1], grid)
-    throughput = (1.0 - outage) * cfg.rate * (1.0 - cfg.harvest_fraction)
+    _, outage, throughput = wpc_sweep(cfg, grid)
     pio.write_csv(args.out, ["p_over_n0_db", "outage", "throughput"],
                   [grid, outage, throughput])
     pio.write_manifest(args.out, "wpc", {"config": _jsonable(cfg), "grid": args.grid})
@@ -226,7 +193,7 @@ def cmd_wpc(args):
 def cmd_backscatter(args):
     cfg = pio.read_backscatter_json(args.config)
     grid = pio.parse_grid(args.grid)
-    cdf = _sweep(lambda g: backscatter_sweep(cfg, g)[1], grid)
+    _, cdf = backscatter_sweep(cfg, grid)
     pio.write_csv(args.out, ["power_db", "cdf"], [grid, cdf])
     pio.write_manifest(args.out, "backscatter",
                       {"config": _jsonable(cfg), "grid": args.grid})

@@ -358,6 +358,64 @@ def _minimize_cell(objective, starts, bounds, kappa_tol):
     return best
 
 
+def _search_cells(config, make_objective, level_name, level, tail=None):
+    """Grid search shared by both fits; returns the search trace.
+
+    Every integer cell of ``config.resolved_grids()`` gets a bounded
+    Nelder-Mead run from each kappa start.  The search vector is
+    ``(kappa, kappa_hat, t)``: ``kappa_hat`` is dropped when the links
+    are tied, and the trailing ``t`` is there only when ``tail`` gives
+    its ``(start, bounds)``.  ``level(t)`` (``level(None)`` without a
+    tail) is the scale the fit reports under ``level_name``.
+
+    ``make_objective(mu, mu_hat, m, m_hat)`` returns the cell's
+    ``score(kappa, kappa_hat, level)``.  A candidate whose model raises
+    a numerical or validation error, or whose score is not finite,
+    scores ``_OBJ_FAILURE``.
+
+    Raises
+    ------
+    ArithmeticError
+        If no candidate of any cell could be scored.
+    """
+    bounds = [config.kappa_range] if config.tie_links else [config.kappa_range] * 2
+    starts = []
+    for k0 in config.kappa_starts():
+        theta0 = [k0] if config.tie_links else [k0, k0]
+        if tail is not None:
+            theta0.append(tail[0])
+        starts.append(theta0)
+    if tail is not None:
+        bounds.append(tail[1])
+
+    def unpack(theta):
+        kap = theta[0]
+        kaph = kap if config.tie_links else theta[1]
+        return kap, kaph, level(theta[-1] if tail is not None else None)
+
+    trace = []
+    for mu, mu_hat, m, m_hat in iter_product(*config.resolved_grids()):
+        score = make_objective(mu, mu_hat, m, m_hat)
+
+        def objective(theta):
+            try:
+                value = score(*unpack(theta))
+            except (ArithmeticError, OverflowError, ValueError):
+                return _OBJ_FAILURE
+            return value if math.isfinite(value) else _OBJ_FAILURE
+
+        theta, value, ok = _minimize_cell(objective, starts, bounds, config.kappa_tol)
+        kap, kaph, lev = unpack([float(t) for t in theta])
+        trace.append({
+            "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
+            "kappa": kap, "kappa_hat": kaph, level_name: lev,
+            "objective": value, "converged": ok,
+        })
+    if all(entry["objective"] >= _OBJ_FAILURE for entry in trace):
+        raise ArithmeticError("no candidate model of any integer cell could be evaluated")
+    return trace
+
+
 def _select_winner(trace, tie_tol=0.0, field="objective"):
     """Least complex cell among those within ``tie_tol`` of the best objective.
 
@@ -416,52 +474,21 @@ def fit_cdf(empirical, config=None):
     if not np.isfinite(scale0) or scale0 <= 0.0:
         raise ValueError("model scale must be finite and > 0, got %r" % (scale0,))
 
-    mu_g, muh_g, m_g, mh_g = config.resolved_grids()
-    kappa_lo, kappa_hi = config.kappa_range
-    starts1 = config.kappa_starts()
-
-    def cell_objective(mu, mu_hat, m, m_hat):
-        def objective(theta):
-            kap = theta[0]
-            kaph = kap if config.tie_links else theta[1]
-            scale = scale0 * math.exp(theta[-1]) if config.fit_scale else scale0
-            try:
-                model = ProductModel(
-                    ShadowedParams(scale, kap, mu, m),
-                    ShadowedParams(1.0, kaph, mu_hat, m_hat),
-                )
-                f_mod = np.maximum(model.cdf(x_eval), _TINY_CDF)
-            except (ArithmeticError, OverflowError, ValueError):
-                return _OBJ_FAILURE
+    def make_objective(mu, mu_hat, m, m_hat):
+        def score(kap, kaph, scale):
+            model = ProductModel(
+                ShadowedParams(scale, kap, mu, m),
+                ShadowedParams(1.0, kaph, mu_hat, m_hat),
+            )
+            f_mod = np.maximum(model.cdf(x_eval), _TINY_CDF)
             return float(np.max(np.abs(np.log10(f_mod) - logf_emp)))
-        return objective
+        return score
 
-    bounds = [(kappa_lo, kappa_hi)]
-    if not config.tie_links:
-        bounds.append((kappa_lo, kappa_hi))
-    if config.fit_scale:
-        bounds.append((-10.0, 10.0))
+    def level(t):
+        return scale0 if t is None else scale0 * math.exp(t)
 
-    trace = []
-    for mu, mu_hat, m, m_hat in iter_product(mu_g, muh_g, m_g, mh_g):
-        starts = []
-        for k0 in starts1:
-            theta0 = [k0] if config.tie_links else [k0, k0]
-            if config.fit_scale:
-                theta0.append(0.0)
-            starts.append(theta0)
-        theta, value, ok = _minimize_cell(
-            cell_objective(mu, mu_hat, m, m_hat), starts, bounds, config.kappa_tol
-        )
-        kap = float(theta[0])
-        kaph = kap if config.tie_links else float(theta[1])
-        scale = scale0 * math.exp(float(theta[-1])) if config.fit_scale else scale0
-        trace.append({
-            "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
-            "kappa": kap, "kappa_hat": kaph, "total_scale": scale,
-            "objective": value, "converged": ok,
-        })
-
+    tail = (0.0, (-10.0, 10.0)) if config.fit_scale else None
+    trace = _search_cells(config, make_objective, "total_scale", level, tail)
     best = _select_winner(trace, config.tie_tol)
     model = ProductModel(
         ShadowedParams(best["total_scale"], best["kappa"], best["mu"], best["m"]),
@@ -506,55 +533,24 @@ def fit_pdf_mse(empirical, config=None):
         s_lo, s_hi = r_mean / 5.0, r_mean * 5.0
     if not 0.0 < s_lo < s_hi:
         raise ValueError("envelope_scale_range must satisfy 0 < lo < hi")
-
-    mu_g, muh_g, m_g, mh_g = config.resolved_grids()
-    kappa_lo, kappa_hi = config.kappa_range
-    starts1 = config.kappa_starts()
     msq_emp = float(np.mean(f_emp**2))
 
-    def cell_objective(mu, mu_hat, m, m_hat):
-        def objective(theta):
-            kap = theta[0]
-            kaph = kap if config.tie_links else theta[1]
-            scale = theta[-1]
-            try:
-                model = EnvelopeModel(
-                    ProductModel(
-                        ShadowedParams(1.0, kap, mu, m),
-                        ShadowedParams(1.0, kaph, mu_hat, m_hat),
-                    ),
-                    scale,
-                )
-                f_mod = model.pdf(r)
-            except (ArithmeticError, OverflowError, ValueError):
-                return _OBJ_FAILURE
-            return float(np.mean((f_mod - f_emp) ** 2))
-        return objective
+    def make_objective(mu, mu_hat, m, m_hat):
+        def score(kap, kaph, scale):
+            model = EnvelopeModel(
+                ProductModel(
+                    ShadowedParams(1.0, kap, mu, m),
+                    ShadowedParams(1.0, kaph, mu_hat, m_hat),
+                ),
+                scale,
+            )
+            return float(np.mean((model.pdf(r) - f_emp) ** 2))
+        return score
 
-    bounds = [(kappa_lo, kappa_hi)]
-    if not config.tie_links:
-        bounds.append((kappa_lo, kappa_hi))
-    bounds.append((s_lo, s_hi))
-    r_start = min(max(r_mean, s_lo), s_hi)
-
-    trace = []
-    for mu, mu_hat, m, m_hat in iter_product(mu_g, muh_g, m_g, mh_g):
-        starts = []
-        for k0 in starts1:
-            theta0 = [k0] if config.tie_links else [k0, k0]
-            theta0.append(r_start)
-            starts.append(theta0)
-        theta, value, ok = _minimize_cell(
-            cell_objective(mu, mu_hat, m, m_hat), starts, bounds, config.kappa_tol
-        )
-        kap = float(theta[0])
-        kaph = kap if config.tie_links else float(theta[1])
-        trace.append({
-            "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
-            "kappa": kap, "kappa_hat": kaph, "envelope_scale": float(theta[-1]),
-            "objective": value, "mse_percent": 100.0 * value / msq_emp,
-            "converged": ok,
-        })
+    tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
+    trace = _search_cells(config, make_objective, "envelope_scale", lambda t: t, tail)
+    for entry in trace:
+        entry["mse_percent"] = 100.0 * entry["objective"] / msq_emp
 
     best = _select_winner(trace, config.tie_tol, field="mse_percent")
     model = ProductModel(

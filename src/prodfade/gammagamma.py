@@ -85,14 +85,15 @@ def _harvest_plan(order, pair_idx):
     return plan
 
 
-def _eval_blocks(weights, log_coef, expo, order, pair_idx, log_scales, x):
+def _eval_blocks(weights, log_coef, expo, order, pair_idx, log_scales, x, shift=None):
     """``sum_r w_r coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))``.
 
     Shared engine for the pdf and cdf sums.  All rows of a kernel share
     the same Bessel argument, so one log-space recurrence climb over
     the (pairs x points) argument matrix serves every order at once;
-    rows harvest their rung as the ladder passes it.  Chunked over
-    ``x`` so rows * points stays within the block budget.
+    rows harvest their rung as the ladder passes it.  ``shift``, when
+    given, is a per-row log factor subtracted after the other terms.
+    Chunked over ``x`` so rows * points stays within the block budget.
     """
     wt = weights[pair_idx]
     nrows = wt.size
@@ -111,6 +112,8 @@ def _eval_blocks(weights, log_coef, expo, order, pair_idx, log_scales, x):
                 rows, pairs = hit
                 logk[rows] = lk[pairs]
         lt = log_coef[:, None] + expo[:, None] * lu[pair_idx] + logk
+        if shift is not None:
+            lt -= shift[:, None]
         # einsum keeps a fixed per-element accumulation order, so results
         # do not depend on how callers batch their x grids (BLAS gemv
         # re-blocks the reduction with matrix size and breaks that).
@@ -147,10 +150,11 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
 def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     """Signed-weighted product-kernel density at ``x > 0``.
 
-    One Bessel term per kernel, evaluated in log space; the
-    ``expo * lu - ln x`` exponent reproduces ``x^(expo-1) / theta^expo``
-    without forming either power.  May dip a few ulp below zero where
-    signed kernels cancel; returned as computed.
+    One Bessel term per kernel, evaluated in log space; the exponent
+    ``expo - 1`` and the trailing ``- ln theta`` reproduce
+    ``x^(expo-1) / theta^expo`` without forming either power.  May dip
+    a few ulp below zero where signed kernels cancel; returned as
+    computed.
     """
     weights = np.asarray(weights, dtype=float)
     ma = np.asarray(shapes_a, dtype=float)
@@ -158,30 +162,11 @@ def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     log_scales = np.asarray(log_scales, dtype=float)
     x = np.asarray(x, dtype=float)
 
-    npairs = weights.size
-    pair_idx = np.arange(npairs)
     log_coef = _LN2 - special.gammaln(ma) - special.gammaln(mb)
-    expo = 0.5 * (ma + mb)
+    expo = 0.5 * (ma + mb) - 1.0
     order = np.abs(ma - mb).astype(np.int64)
-
-    block = max(1, _BLOCK_BUDGET // max(1, npairs))
-    total = np.empty_like(x)
-    max_order = int(order.max()) if npairs else 0
-    plan = _harvest_plan(order, pair_idx)
-    for start in range(0, x.size, block):
-        xb = x[start:start + block]
-        lu = np.log(xb)[None, :] - log_scales[:, None]
-        arg = 2.0 * np.exp(0.5 * lu)
-        logk = np.empty((npairs, xb.size))
-        for nu, lk in log_bessel_k_ladder(arg, max_order):
-            hit = plan.get(nu)
-            if hit is not None:
-                rows, pairs = hit
-                logk[rows] = lk[pairs]
-        lt = log_coef[:, None] + (expo[:, None] - 1.0) * lu + logk - log_scales[:, None]
-        # fixed accumulation order; see the matching note in _eval_blocks
-        total[start:start + block] = np.einsum("r,rb->b", weights, np.exp(lt))
-    return total
+    return _eval_blocks(weights, log_coef, expo, order, np.arange(weights.size),
+                        log_scales, x, shift=log_scales)
 
 
 def gg_pdf(params, x):
@@ -222,7 +207,8 @@ def gg_cdf(params, x):
             np.array([params.log_scale]),
             x[pos],
         )
-        if np.any(raw < -1e-10) or np.any(raw > 1.0 + 1e-10):
+        # written so that NaN fails the check too
+        if not np.all((raw >= -1e-10) & (raw <= 1.0 + 1e-10)):
             raise ArithmeticError("gg_cdf left [0, 1] beyond tolerance")
         out[pos] = np.clip(raw, 0.0, 1.0)
     return float(out[0]) if scalar else out

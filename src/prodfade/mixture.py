@@ -32,7 +32,6 @@ __all__ = [
     "WEIGHT_SUM_TOL",
     "ShadowedParams",
     "GammaMixture",
-    "table_terms",
     "expand",
     "pdf_single",
     "cdf_single",
@@ -177,18 +176,6 @@ def _table_terms_ld(params):
     return weights, shapes, scales
 
 
-def table_terms(params):
-    """Expansion triples ``(weight, shape, scale)`` in table order.
-
-    Zero-weight rows are retained, so the list length is ``m - mu + 1``
-    when ``mu <= m`` and ``mu + 1`` otherwise.  Mainly useful for
-    auditing; evaluation goes through :func:`expand`, which prunes and
-    reorders.
-    """
-    w, k, s = _table_terms_ld(params)
-    return [(float(wi), int(ki), float(si)) for wi, ki, si in zip(w, k, s)]
-
-
 class GammaMixture:
     """A finite signed mixture of Gamma distributions.
 
@@ -295,7 +282,8 @@ class GammaMixture:
         # fixed accumulation order keeps the signed sum bit-stable
         # under any caller-side chunking of x
         raw = np.einsum("r,rb->b", self.weights, per)
-        if np.any(raw < -WEIGHT_SUM_TOL) or np.any(raw > 1.0 + WEIGHT_SUM_TOL):
+        # written so that NaN fails the check too
+        if not np.all((raw >= -WEIGHT_SUM_TOL) & (raw <= 1.0 + WEIGHT_SUM_TOL)):
             raise ArithmeticError(
                 "mixture cdf left [0, 1] beyond tolerance; worst value %r"
                 % (raw[np.argmax(np.abs(raw - 0.5))],)

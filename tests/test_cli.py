@@ -233,6 +233,21 @@ def test_fit_cdf_cli_roundtrip(tmp_path, capsys):
     assert manifest["config"]["search"]["tie_links"] is True
 
 
+def test_fit_cdf_all_candidates_fail_exit_code(tmp_path, monkeypatch, capsys):
+    # Every candidate of every cell fails to evaluate: a numerical
+    # failure with its exit code, not a crash inside the search.
+    draws = np.random.default_rng(3).exponential(size=500)
+    data = tmp_path / "samples.csv"
+    pio.write_csv(data, ["sample"], [draws])
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum",
+                        lambda *args: np.full(np.shape(args[4]), np.nan))
+    rc = main(["fit-cdf", "--data", str(data), "--out", str(tmp_path / "fit.json"),
+               "--mu", "1", "--m", "1,2", "--tie-links", "--starts", "1"])
+    assert rc == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_fit_kind_mismatch_exit_codes(tmp_path):
     xs = np.linspace(0.1, 3.0, 20)
     pdf_file = tmp_path / "pdf.csv"
@@ -315,22 +330,6 @@ def test_backscatter_cli(tmp_path):
     np.testing.assert_allclose(
         body[:, 1], 1.0 - 2.0 * np.sqrt(z) * kv(1, 2.0 * np.sqrt(z)), rtol=1e-12
     )
-
-
-def test_thread_env_equivalence(tmp_path, monkeypatch):
-    params = dump(tmp_path / "p.json", KMS)
-    single = tmp_path / "single.csv"
-    # 150 points spans three sweep blocks, so the pool really engages
-    assert main(["eval", "--dist", "kms", "--params", params,
-                 "--grid", "0.1:8:150", "--out", str(single)]) == 0
-    monkeypatch.setenv("PRODFADE_THREADS", "3")
-    threaded = tmp_path / "threaded.csv"
-    assert main(["eval", "--dist", "kms", "--params", params,
-                 "--grid", "0.1:8:150", "--out", str(threaded)]) == 0
-    assert single.read_bytes() == threaded.read_bytes()
-    monkeypatch.setenv("PRODFADE_THREADS", "many")
-    assert main(["eval", "--dist", "kms", "--params", params,
-                 "--grid", "0.1:8:150", "--out", str(threaded)]) == 2
 
 
 def test_version_flag(capsys):

@@ -202,3 +202,10 @@ def test_large_shape_tail_is_finite_and_monotone():
     assert np.all(np.diff(f) >= -1e-12)
     d = gg_pdf(p, x)
     assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
+
+
+def test_cdf_rejects_nan_kernel_sum(monkeypatch):
+    monkeypatch.setattr("prodfade.gammagamma.weighted_cdf_sum",
+                        lambda *args: np.full(np.shape(args[4]), np.nan))
+    with pytest.raises(ArithmeticError):
+        gg_cdf(GammaGammaParams(2, 3, 1.0, 1.0), [0.1, 1.0])

@@ -14,7 +14,6 @@ from prodfade.mixture import (
     expand,
     pdf_single,
     sample_single,
-    table_terms,
 )
 
 PARAM_GRID = [
@@ -47,36 +46,34 @@ def closed_form_pdf(p, x):
 
 def test_table_terms_mu_below_m_hand_example():
     # mean 1, kappa 1, mu 1, m 2: base = 2/3, dom = 1/3, boosted scale
-    # (mu kappa + m)/m * mean/(mu (1+kappa)) = 3/4.
-    terms = table_terms(ShadowedParams(1.0, 1.0, 1, 2))
-    assert len(terms) == 2
-    w, k, s = terms[0]
-    assert w == pytest.approx(1.0 / 3.0)
-    assert k == 2
-    assert s == pytest.approx(0.75)
-    w, k, s = terms[1]
-    assert w == pytest.approx(2.0 / 3.0)
-    assert k == 1
-    assert s == pytest.approx(0.75)
+    # (mu kappa + m)/m * mean/(mu (1+kappa)) = 3/4.  expand lists the
+    # terms by descending |weight|.
+    mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
+    assert len(mix) == 2
+    assert mix.weights[0] == pytest.approx(2.0 / 3.0)
+    assert mix.shapes[0] == 1
+    assert mix.scales[0] == pytest.approx(0.75)
+    assert mix.weights[1] == pytest.approx(1.0 / 3.0)
+    assert mix.shapes[1] == 2
+    assert mix.scales[1] == pytest.approx(0.75)
 
 
 def test_table_terms_mu_above_m_hand_example():
-    # mean 1, kappa 1, mu 2, m 1: zero-weight leading row retained.
-    terms = table_terms(ShadowedParams(1.0, 1.0, 2, 1))
-    assert len(terms) == 3
-    assert terms[0][0] == 0.0
-    assert terms[0][1] == 2
-    assert terms[0][2] == pytest.approx(0.25)
-    assert terms[1][0] == pytest.approx(-0.5)
-    assert terms[1][1] == 1
-    assert terms[1][2] == pytest.approx(0.25)
-    assert terms[2][0] == pytest.approx(1.5)
-    assert terms[2][1] == 1
-    assert terms[2][2] == pytest.approx(0.75)
+    # mean 1, kappa 1, mu 2, m 1: the zero-weight leading table row is
+    # pruned, the two signed terms remain.
+    mix = expand(ShadowedParams(1.0, 1.0, 2, 1))
+    assert len(mix) == 2
+    assert mix.weights[0] == pytest.approx(1.5)
+    assert mix.shapes[0] == 1
+    assert mix.scales[0] == pytest.approx(0.75)
+    assert mix.weights[1] == pytest.approx(-0.5)
+    assert mix.shapes[1] == 1
+    assert mix.scales[1] == pytest.approx(0.25)
 
 
 def test_table_terms_zero_kappa_single_gamma():
-    terms = table_terms(ShadowedParams(1.0, 0.0, 3, 5))
+    mix = expand(ShadowedParams(1.0, 0.0, 3, 5))
+    terms = list(zip(mix.weights.tolist(), mix.shapes.tolist(), mix.scales.tolist()))
     assert terms == [(1.0, 3, pytest.approx(1.0 / 3.0))]
 
 
@@ -276,3 +273,10 @@ def test_expand_is_cached():
     a = expand(ShadowedParams(1.0, 1.0, 1, 2))
     b = expand(ShadowedParams(1.0, 1.0, 1, 2))
     assert a is b
+
+
+def test_cdf_rejects_nan(monkeypatch):
+    monkeypatch.setattr("prodfade.mixture.special.gammainc",
+                        lambda a, x: np.full(np.broadcast(a, x).shape, np.nan))
+    with pytest.raises(ArithmeticError):
+        cdf_single(ShadowedParams(1.0, 1.0, 1, 2), [0.1, 1.0])

@@ -186,6 +186,29 @@ def test_cdf_range_and_monotone():
     assert isinstance(p.cdf(1.0), float)
 
 
+def test_cdf_rejects_nan_kernel_sum(monkeypatch):
+    # NaN fails every ordered comparison, so a range check written with
+    # < and > alone would pass it on to the clip.
+    p = make(LINK_AA, LINK_AA)
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum",
+                        lambda *args: np.full(np.shape(args[4]), np.nan))
+    with pytest.raises(ArithmeticError):
+        p.cdf([0.1, 1.0])
+
+
+def test_whole_grid_matches_pieces():
+    # CLI data files stay byte-identical only if a whole grid evaluates
+    # to the same bits as the same grid in pieces.  L's cdf has more
+    # kernel rows than fit 1000 points in the engine's block budget, so
+    # its whole-grid call is split internally as well.
+    z = np.geomspace(1e-7, 20.0, 1000)
+    for link in (ShadowedParams(1.0, 2.6, 1, 30), ShadowedParams(1.0, 1.0, 6, 2)):
+        p = ProductModel(link, link)
+        for fn in (p.cdf, p.pdf):
+            pieces = np.concatenate([fn(z[i:i + 64]) for i in range(0, z.size, 64)])
+            assert np.array_equal(fn(z), pieces)
+
+
 def test_envelope_mean_and_normalization():
     e = EnvelopeModel(make(LINK_AA, LINK_S2), 2.0)
     assert e.mean == 2.0
