@@ -183,6 +183,8 @@ def gg_pdf(params, x):
         np.array([params.log_scale]),
         x,
     )
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError("gg_pdf is not finite")
     return float(out[0]) if scalar else out
 
 

@@ -236,7 +236,8 @@ class GammaMixture:
         Individual terms are formed as ``exp(log term)`` so that large
         shapes and tiny scales cannot overflow; the signed sum itself
         may come out a hair below zero in cancellation-heavy corners,
-        on the order of 1e-16, and is returned as computed.
+        on the order of 1e-16, and is returned as computed.  A
+        non-finite sum raises ArithmeticError.
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -262,6 +263,8 @@ class GammaMixture:
         if np.any(~pos):
             unit = self.shapes == 1
             out[~pos] = float(np.sum(self.weights[unit] / self.scales[unit]))
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError("mixture pdf is not finite")
         return float(out[0]) if scalar else out
 
     def cdf(self, x):

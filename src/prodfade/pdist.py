@@ -105,7 +105,8 @@ class ProductModel:
 
         The signed sum can undershoot zero by a few parts in 1e16 of
         the local scale where kernels cancel; values are returned as
-        computed rather than clipped.
+        computed rather than clipped.  A non-finite sum raises
+        ArithmeticError.
         """
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
@@ -113,6 +114,10 @@ class ProductModel:
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
             raise ValueError("pdf requires finite z > 0")
         out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z)
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError(
+                "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
+            )
         return float(out[0]) if scalar else out
 
     def cdf(self, z):

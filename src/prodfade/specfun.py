@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 __all__ = [
     "MAX_BESSEL_ORDER",
@@ -35,11 +34,16 @@ __all__ = [
 MAX_BESSEL_ORDER = 256
 
 # Below this argument U(a, b, x) goes through the ascending series;
-# above it, through the large-argument expansion or the Laplace
-# integral.  The library hyperu is not used at all: it returns NaN for
-# small x with integer b >= 2 and silently wrong values for first
-# parameters beyond ~10 at moderate arguments.
+# from it on, through one exp-sinh rule on the Laplace integral.  The
+# library hyperu is not used at all: it returns NaN for small x with
+# integer b >= 2 and silently wrong values for first parameters beyond
+# ~10 at moderate arguments.
 _U_SMALL_X_CUTOFF = 0.25
+# Exp-sinh rule (Takahasi-Mori) above the cutoff: t = -5 .. 5 in steps
+# of 0.05, nodes s = (pi/2) sinh t, weights 0.05 (pi/2) cosh t.
+_DE_T = 0.05 * np.arange(-100, 101)
+_DE_S = 0.5 * math.pi * np.sinh(_DE_T)
+_DE_W = 0.05 * 0.5 * math.pi * np.cosh(_DE_T)
 _EULER_GAMMA_LD = np.longdouble("0.57721566490153286060651209008240243104")
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
@@ -173,84 +177,40 @@ def _u_small_x_int(a, b, x, power=0):
         return out.astype(float)
 
 
-def _log_u_quad(a, b, x):
-    """``ln U(a, b, x)`` by quadrature of the integral representation.
+def _u_laplace_times_xa(a, b, x):
+    """``x^a U(a, b, x)`` above the ascending cutoff, by the exp-sinh rule.
 
     Substituting ``u = x t`` in
     ``U = (1/Gamma(a)) int_0^inf e^{-xt} t^(a-1) (1+t)^(b-a-1) dt``
-    gives an integrand peaked near ``u* = O(a)`` regardless of ``x``;
-    the peak value is factored out so the quadrature sees a bounded
-    function.  Slow but dependable; used only where the library routine
-    fails (large ``a`` at moderate argument).
+    gives ``x^a U = (1/Gamma(a)) int_0^inf e^{g(u)} du`` with
+    ``g(u) = -u + (b-a-1) ln(1 + u/x) + (a-1) ln u``, peaked near
+    ``u* = O(a)`` whatever ``x``.  The nodes ``u = c e^{sigma s}`` sit
+    on the peak, whose width in ``ln u`` shrinks like ``1/sqrt(a)``,
+    and ``e^{g(c)}`` is factored out of the sum.  Any integer ``b`` is
+    taken directly, so no reflection is needed.
     """
-    c = b - a - 1.0
+    d = b - a - 1.0
 
-    def log_integrand(u):
-        val = -u + c * math.log1p(u / x)
-        if a > 1:
-            val += (a - 1.0) * math.log(u)
-        return val
+    def g(u):
+        return -u + d * np.log1p(u / x) + (a - 1.0) * np.log(u)
 
-    # Stationary point of the exponent: u^2 + (x - b + 2) u = (a-1) x.
+    # Stationary point of g: u^2 + (x - b + 2) u = (a-1) x.
     q = x - b + 2.0
-    root = math.hypot(q, 2.0 * math.sqrt(max(a - 1.0, 0.0) * x))
-    if q > 0.0:
-        # Cancellation-free form of (-q + root) / 2.
-        ustar = 2.0 * (a - 1.0) * x / (q + root)
-    else:
-        ustar = 0.5 * (root - q)
-    if not np.isfinite(ustar) or ustar <= 0.0:
-        ustar = max(a - 1.0, 1e-8)
-    peak = log_integrand(ustar)
-
-    def f(u):
-        return math.exp(log_integrand(u) - peak)
-
-    left, _ = quad(f, 0.0, ustar, limit=200)
-    right, _ = quad(f, ustar, np.inf, limit=200)
-    return peak + math.log(left + right) - ln_gamma_int(a) - a * math.log(x)
-
-
-def _log_u_large(a, b, x):
-    """``ln U(a, b, x)`` for a single ``x`` above the ascending cutoff.
-
-    Far out, where the terms of the large-argument expansion decay from
-    the start, the expansion is used; otherwise the Laplace integral.
-    Both accept any integer ``b`` directly, so no reflection is needed.
-    """
-    if x > 10.0 * a * (abs(a - b + 1.0) + 1.0):
-        try:
-            tail = _u_series_times_xa(a, b, np.asarray([x]))[0]
-            return math.log(tail) - a * math.log(x)
-        except ArithmeticError:
-            pass
-    return _log_u_quad(a, b, x)
-
-
-def _u_series_times_xa(a, b, x):
-    """Asymptotic series for ``x^a U(a, b, x)``, truncated at the smallest term.
-
-    Valid once the terms decrease from the outset, i.e. roughly
-    ``x >> a * |a - b + 1|``; the caller only reaches this branch when
-    the direct product has underflowed, which implies x is enormous.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    prev_mag = np.full_like(x, np.inf)
-    for k in range(200):
-        term = term * ((a + k) * (a - b + 1 + k)) / (-(k + 1.0) * x)
-        mag = np.abs(term)
-        if np.any(mag >= prev_mag):
-            raise ArithmeticError(
-                "asymptotic series for x^a U(a,b,x) does not converge at "
-                "a=%d, b=%d, min(x)=%g" % (a, b, float(x.min()))
-            )
-        total = total + term
-        if np.all(mag <= 1e-17 * np.abs(total)):
-            break
-        prev_mag = mag
-    return total
+    root = np.hypot(q, 2.0 * np.sqrt((a - 1.0) * x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Cancellation-free form of (-q + root) / 2 where q > 0.
+        ustar = np.where(q > 0.0, 2.0 * (a - 1.0) * x / (q + root), 0.5 * (root - q))
+    # At a = 1 the peak sits at u = 0; the floor keeps the centre on
+    # the scale where the (1 + u/x) factor turns over.
+    c = np.maximum(ustar, x / (x + abs(d)))
+    sigma = min(1.0, 2.0 / math.sqrt(a))
+    u = c * np.exp(sigma * _DE_S)[:, None]
+    gc = g(c)
+    terms = np.exp(g(u) - gc) * u
+    # einsum: fixed accumulation order, as in the kernel-sum engine
+    total = np.einsum("k,kp->p", _DE_W, terms)
+    with np.errstate(over="ignore"):
+        return np.exp(gc - ln_gamma_int(a)) * sigma * total
 
 
 def tricomi_u_times_xa(a, b, x):
@@ -259,10 +219,13 @@ def tricomi_u_times_xa(a, b, x):
     This combination is bounded (it tends to 1 as ``x -> inf``) even
     when the two factors separately leave the double range, which is
     exactly the situation in Laplace-transform evaluations near
-    ``s -> 0``.  Small arguments fold ``x^a`` into the ascending
-    series term by term (after the Kummer reflection
-    ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` when ``b < 1``); large
-    arguments combine ``a ln x`` with ``ln U`` in log space.
+    ``s -> 0``.  Two branches:
+
+    * ``x < 0.25``: the ascending series with ``x^a`` folded in term by
+      term (after the Kummer reflection
+      ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` when ``b < 1``);
+    * ``x >= 0.25``: a fixed-node exp-sinh rule on the peak-factored
+      Laplace integral, all points at once.
 
     Parameters
     ----------
@@ -286,25 +249,20 @@ def tricomi_u_times_xa(a, b, x):
     if not np.all(x > 0.0):
         raise ValueError("tricomi_u_times_xa requires x > 0")
 
-    out = np.empty_like(x)
-    small = x < _U_SMALL_X_CUTOFF
-    if np.any(small):
-        # Fold x^a into the ascending series: the balanced combination
-        # stays in range even where U alone would overflow.
-        xs = x[small]
-        if b == a + 1:
-            out[small] = 1.0
-        elif b < 1:
-            out[small] = _u_small_x_int(a - b + 1, 2 - b, xs, power=a + 1 - b)
-        else:
-            out[small] = _u_small_x_int(a, b, xs, power=a)
-    if np.any(~small):
-        xl = x[~small]
-        # exp(a ln x + ln U) keeps the balanced combination in range
-        # even where the factors separately leave the double range.
-        logs = np.array([_log_u_large(a, b, xi) for xi in xl])
-        with np.errstate(over="ignore"):
-            out[~small] = np.exp(a * np.log(xl) + logs)
+    if b == a + 1:
+        out = np.ones_like(x)  # U(a, a+1, x) = x^-a exactly
+    else:
+        out = np.empty_like(x)
+        small = x < _U_SMALL_X_CUTOFF
+        if np.any(small):
+            # Fold x^a into the ascending series: the balanced combination
+            # stays in range even where U alone would overflow.
+            if b < 1:
+                out[small] = _u_small_x_int(a - b + 1, 2 - b, x[small], power=a + 1 - b)
+            else:
+                out[small] = _u_small_x_int(a, b, x[small], power=a)
+        if np.any(~small):
+            out[~small] = _u_laplace_times_xa(a, b, x[~small])
     return float(out[0]) if scalar else out
 
 

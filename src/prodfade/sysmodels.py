@@ -23,7 +23,7 @@ worth reproducing.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .mixture import RICIAN_PROXY_M, ShadowedParams
 from .pdist import ProductModel
@@ -228,14 +228,18 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
     x = np.atleast_1d(x)
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise ValueError("x must be finite and >= 0")
-    ga = stats.gamma(shape_a, scale=scale_a)
-    gb = stats.gamma(shape_b, scale=scale_b)
+    ln_gamma_a = special.gammaln(shape_a)
+
+    def pdf_a(w):
+        t = w / scale_a
+        return np.exp(special.xlogy(shape_a - 1.0, t) - t - ln_gamma_a) / scale_a
+
     out = np.zeros(x.shape)
     for i, xi in enumerate(x):
         if xi == 0.0:
             continue
         val, _ = integrate.quad(
-            lambda w: ga.pdf(w) * gb.cdf(xi / w),
+            lambda w: pdf_a(w) * special.gammainc(shape_b, (xi / w) / scale_b),
             0.0, np.inf, limit=200,
         )
         out[i] = min(val, 1.0)

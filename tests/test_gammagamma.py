@@ -209,3 +209,10 @@ def test_cdf_rejects_nan_kernel_sum(monkeypatch):
                         lambda *args: np.full(np.shape(args[4]), np.nan))
     with pytest.raises(ArithmeticError):
         gg_cdf(GammaGammaParams(2, 3, 1.0, 1.0), [0.1, 1.0])
+
+
+def test_pdf_rejects_nan_kernel_sum(monkeypatch):
+    monkeypatch.setattr("prodfade.gammagamma.weighted_pdf_sum",
+                        lambda *args: np.full(np.shape(args[4]), np.nan))
+    with pytest.raises(ArithmeticError):
+        gg_pdf(GammaGammaParams(2, 3, 1.0, 1.0), [0.1, 1.0])

@@ -280,3 +280,11 @@ def test_cdf_rejects_nan(monkeypatch):
                         lambda a, x: np.full(np.broadcast(a, x).shape, np.nan))
     with pytest.raises(ArithmeticError):
         cdf_single(ShadowedParams(1.0, 1.0, 1, 2), [0.1, 1.0])
+
+
+def test_pdf_rejects_nan(monkeypatch):
+    mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
+    monkeypatch.setattr("prodfade.mixture.special.gammaln",
+                        lambda a: np.full(np.shape(a), np.nan))
+    with pytest.raises(ArithmeticError):
+        mix.pdf([0.1, 1.0])

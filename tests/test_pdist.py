@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -136,6 +137,25 @@ def test_mgf_limit_and_validation():
             p.mgf(bad)
 
 
+def test_mgf_signed_model_matches_mpmath_pair_sum():
+    # mu > m on both links: the signed pair terms cancel (their absolute
+    # sum is 3.6e4 times the result at s = -30), so an error in any
+    # pair's U is amplified in the mgf.
+    p = make((1.0, 1.0, 6, 2), (1.0, 1.0, 6, 2))
+    s = np.array([-1.0, -3.0, -10.0, -30.0])
+    expected = []
+    for sj in s:
+        acc = mpmath.mpf(0)
+        with mpmath.workdps(50):
+            for w, ma, mb, lth in zip(p._w, p._ka, p._kb, p._lth):
+                y = -mpmath.exp(-mpmath.mpf(lth)) / mpmath.mpf(sj)
+                with mpmath.workdps(30):
+                    u = y ** int(ma) * mpmath.hyperu(int(ma), 1 + int(ma) - int(mb), y)
+                acc += mpmath.mpf(w) * u
+        expected.append(float(acc))
+    np.testing.assert_allclose(p.mgf(s), expected, rtol=1e-12)
+
+
 @pytest.mark.parametrize("pa,pb", [(LINK_AA, LINK_AA), (LINK_S1, LINK_S2)])
 def test_moments_match_quadrature(pa, pb):
     p = make(pa, pb)
@@ -194,6 +214,17 @@ def test_cdf_rejects_nan_kernel_sum(monkeypatch):
                         lambda *args: np.full(np.shape(args[4]), np.nan))
     with pytest.raises(ArithmeticError):
         p.cdf([0.1, 1.0])
+
+
+def test_pdf_rejects_nan_kernel_sum(monkeypatch):
+    p = make(LINK_AA, LINK_AA)
+    env = EnvelopeModel(p, 1.0)
+    monkeypatch.setattr("prodfade.pdist.weighted_pdf_sum",
+                        lambda *args: np.full(np.shape(args[4]), np.nan))
+    with pytest.raises(ArithmeticError):
+        p.pdf([0.1, 1.0])
+    with pytest.raises(ArithmeticError):
+        env.pdf([0.1, 1.0])
 
 
 def test_whole_grid_matches_pieces():

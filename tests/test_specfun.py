@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from prodfade.specfun import (
     MAX_BESSEL_ORDER,
-    _u_series_times_xa,
     ln_gamma_int,
     log_bessel_k_ladder,
     tricomi_u_times_xa,
@@ -50,7 +49,8 @@ def tricomi_u(a, b, x):
 
 
 def mpmath_u_times_xa(a, b, x):
-    return float(mpmath.mpf(x) ** a * mpmath.hyperu(a, b, x))
+    with mpmath.workdps(30):
+        return float(mpmath.mpf(x) ** a * mpmath.hyperu(a, b, x))
 
 
 @pytest.mark.parametrize("n,x,expected", BESSEL_K_REFERENCE)
@@ -167,17 +167,20 @@ def test_tricomi_u_times_xa_huge_argument_limit():
 
 def test_u_series_reference_values():
     # mpmath: 50^2 U(2,1,50) and 60^3 U(3,2,60).
-    np.testing.assert_allclose(
-        _u_series_times_xa(2, 1, np.array([50.0]))[0], 0.92651608964597158, rtol=1e-13
-    )
-    np.testing.assert_allclose(
-        _u_series_times_xa(3, 2, np.array([60.0]))[0], 0.90901092045668407, rtol=1e-13
-    )
+    np.testing.assert_allclose(tricomi_u_times_xa(2, 1, 50.0), 0.92651608964597158, rtol=1e-13)
+    np.testing.assert_allclose(tricomi_u_times_xa(3, 2, 60.0), 0.90901092045668407, rtol=1e-13)
 
 
-def test_u_series_signals_nonconvergence():
-    with pytest.raises(ArithmeticError):
-        _u_series_times_xa(5, -3, np.array([2.0]))
+@pytest.mark.parametrize("a", [1, 3, 9, 21, 30, 100, 150])
+def test_tricomi_u_times_xa_grid_against_mpmath(a):
+    # Above the ascending cutoff, across the first parameters the
+    # transforms generate and second parameters on both sides of 1.
+    x = np.array([0.25, 0.3, 1.0, 7.0, 100.0, 1e5, 1e12, 1e160])
+    for b in sorted({a, a - 1, 1, 0, 2 - a}):
+        got = tricomi_u_times_xa(a, b, x)
+        expected = np.array([mpmath_u_times_xa(a, b, xi) for xi in x])
+        keep = expected >= 1e-300
+        np.testing.assert_allclose(got[keep], expected[keep], rtol=1e-12, err_msg="b=%d" % b)
 
 
 def test_ln_gamma_int_exact_small_and_large():
