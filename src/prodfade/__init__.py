@@ -33,7 +33,6 @@ from .fit import (
     ks_error,
     thin_empirical,
 )
-from .gammagamma import GammaGammaParams, gg_cdf, gg_mgf, gg_moment, gg_pdf
 from .mixture import (
     GammaMixture,
     ShadowedParams,
@@ -59,7 +58,6 @@ __all__ = [
     "__version__",
     "ShadowedParams", "GammaMixture", "expand",
     "pdf_single", "cdf_single", "sample_single",
-    "GammaGammaParams", "gg_pdf", "gg_cdf", "gg_mgf", "gg_moment",
     "ProductModel", "EnvelopeModel",
     "tail_offset", "tail_offset_kappa_mu", "asym_cdf", "asym_cdf_kappa_mu",
     "match_kappa",

@@ -22,8 +22,7 @@ from . import __version__
 from .asym import match_kappa
 from .errors import IngestionError
 from .fit import SearchConfig, fit_cdf, fit_pdf_mse
-from .gammagamma import GammaGammaParams, gg_cdf, gg_pdf
-from .mixture import ShadowedParams, cdf_single, pdf_single, sample_single
+from .mixture import cdf_single, pdf_single, sample_single
 from .pdist import ProductModel
 from .sysmodels import backscatter_sweep, wpc_sweep
 from . import io as pio
@@ -81,9 +80,6 @@ def cmd_eval(args):
     if args.dist == "kms":
         pdf = pdf_single(params, grid)
         cdf = cdf_single(params, grid)
-    elif args.dist == "gg":
-        pdf = gg_pdf(params, grid)
-        cdf = gg_cdf(params, grid)
     else:
         pdf = params.pdf(grid)
         cdf = params.cdf(grid)
@@ -101,12 +97,6 @@ def cmd_sample(args):
     rng = np.random.default_rng(args.seed)
     if args.dist == "kms":
         draws = sample_single(params, rng, args.n)
-    elif args.dist == "gg":
-        rng_a, rng_b = rng.spawn(2)
-        draws = (
-            rng_a.gamma(params.m, params.omega, size=args.n)
-            * rng_b.gamma(params.m_hat, params.omega_hat, size=args.n)
-        )
     else:
         draws = params.sample(rng, args.n)
     pio.write_csv(args.out, ["sample"], [draws])

@@ -9,9 +9,10 @@ library version; the manifest carries the only timestamp, keeping the
 data file itself reproducible.
 
 Error discipline: a file that cannot be read or does not parse raises
-:class:`~prodfade.errors.IngestionError` (missing fields included);
-values that parse but violate a domain constraint raise ``ValueError``
-from the owning type.
+:class:`~prodfade.errors.IngestionError` (missing fields, and fields
+that are not JSON numbers where a number goes, included); values that
+parse but violate a domain constraint raise ``ValueError`` from the
+owning type.
 """
 
 import csv
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import IngestionError
 from .fit import EmpiricalDistribution, empirical_from_samples
-from .gammagamma import GammaGammaParams
 from .mixture import ShadowedParams
 from .pdist import ProductModel
 from .sysmodels import BackscatterConfig, WpcConfig
@@ -187,30 +187,47 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _number(value, key, path):
+    """``value`` if it is a JSON number; anything else in a numeric field
+    (list, object, string, boolean, null) is a schema error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IngestionError("%s: field %r must be a number, got %s"
+                             % (path, key, json.dumps(value)))
+    return value
+
+
+def _require_number(obj, key, path):
+    return _number(_require(obj, key, path), key, path)
+
+
 def _shadowed_from(obj, path, context):
     if not isinstance(obj, dict):
         raise IngestionError("%s: %s must be an object" % (path, context))
     missing = [k for k in ("kappa", "mu", "m") if k not in obj]
     if missing:
         raise IngestionError("%s: %s missing field(s) %s" % (path, context, missing))
-    return ShadowedParams(
-        obj.get("mean_power", 1.0), obj["kappa"], obj["mu"], obj["m"]
-    )
+    return ShadowedParams(*(
+        _number(obj.get(k, 1.0), k, path) for k in ("mean_power", "kappa", "mu", "m")
+    ))
 
 
 def read_params_json(path, dist):
     """Distribution parameters for the ``eval``/``sample`` commands.
 
-    ``dist`` selects the schema: ``kms`` (single channel), ``gg``
-    (Gamma product kernel) or ``prod`` (two-link product model).
+    ``dist`` selects the schema: ``kms`` (single channel, returns
+    ShadowedParams), ``gg`` (``Gamma(m, omega) * Gamma(m_hat,
+    omega_hat)``, the kappa = 0 product model) or ``prod`` (two-link
+    product model).
     """
     obj = _load_json(path)
     if dist == "kms":
         return _shadowed_from(obj, path, "parameters")
     if dist == "gg":
-        for k in ("m", "m_hat", "omega", "omega_hat"):
-            _require(obj, k, path)
-        return GammaGammaParams(obj["m"], obj["m_hat"], obj["omega"], obj["omega_hat"])
+        m, m_hat, omega, omega_hat = (
+            _require_number(obj, k, path) for k in ("m", "m_hat", "omega", "omega_hat")
+        )
+        return ProductModel(ShadowedParams.nakagami(m, m * omega),
+                            ShadowedParams.nakagami(m_hat, m_hat * omega_hat))
     if dist == "prod":
         return ProductModel(
             _shadowed_from(_require(obj, "link_a", path), path, "link_a"),
@@ -223,16 +240,15 @@ def read_wpc_json(path):
     """WpcConfig from JSON; see the sysmodels documentation for fields."""
     obj = _load_json(path)
     kwargs = {
-        "tx_power_over_noise": _require(obj, "tx_power_over_noise", path),
-        "pb_antennas": _require(obj, "pb_antennas", path),
-        "rician_k": _require(obj, "rician_k", path),
+        key: _require_number(obj, key, path)
+        for key in ("tx_power_over_noise", "pb_antennas", "rician_k")
     }
     sd = obj.get("s_d_model", "rayleigh")
     if isinstance(sd, dict):
         kind = _require(sd, "kind", path)
         if kind == "rician":
             kwargs["s_d_model"] = "rician"
-            kwargs["s_d_rician_k"] = _require(sd, "k_factor", path)
+            kwargs["s_d_rician_k"] = _require_number(sd, "k_factor", path)
         elif kind == "shadowed":
             kwargs["s_d_model"] = _shadowed_from(sd, path, "s_d_model")
         else:
@@ -242,7 +258,7 @@ def read_wpc_json(path):
     for key in ("harvest_fraction", "efficiency", "path_loss_exponent",
                 "d1", "d2", "rate", "m_proxy"):
         if key in obj:
-            kwargs[key] = obj[key]
+            kwargs[key] = _number(obj[key], key, path)
     return WpcConfig(**kwargs)
 
 
@@ -250,7 +266,7 @@ def read_backscatter_json(path):
     """BackscatterConfig from JSON: mean_rx_power plus two links."""
     obj = _load_json(path)
     return BackscatterConfig(
-        mean_rx_power=_require(obj, "mean_rx_power", path),
+        mean_rx_power=_require_number(obj, "mean_rx_power", path),
         forward=_shadowed_from(_require(obj, "forward", path), path, "forward"),
         reverse=_shadowed_from(_require(obj, "reverse", path), path, "reverse"),
     )

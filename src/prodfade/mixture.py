@@ -313,9 +313,6 @@ class GammaMixture:
             raise OverflowError("mixture moment of order %g overflows" % (order,))
         return math.fsum((self.weights * np.exp(lt)).tolist())
 
-    def mean(self):
-        return self.moment(1.0)
-
 
 @lru_cache(maxsize=4096)
 def expand(params):

@@ -21,7 +21,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .gammagamma import weighted_cdf_sum, weighted_pdf_sum
 from .mixture import ShadowedParams, expand, sample_single
@@ -165,19 +164,18 @@ class ProductModel:
     def moment(self, n):
         """Integer moment ``E[Z^n]`` in closed form.
 
-        Raises OverflowError if any pair contribution leaves the double
-        range (heavy-tailed products overflow quickly in ``n``).
+        Per pair, ``theta^n (ka)_n (kb)_n`` with the rising factorials
+        taken as exact integer products, summed in log space.  Raises
+        OverflowError if any pair contribution leaves the double range
+        (heavy-tailed products overflow quickly in ``n``).
         """
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
         n = int(n)
-        lt = (
-            n * self._lth
-            + special.gammaln(self._ka + float(n))
-            + special.gammaln(self._kb + float(n))
-            - special.gammaln(self._ka.astype(float))
-            - special.gammaln(self._kb.astype(float))
-        )
+        log_rising = np.zeros(self._w.size)
+        for j in range(n):
+            log_rising += np.log((self._ka + j) * (self._kb + j))
+        lt = n * self._lth + log_rising
         if np.any(lt > _LOG_DBL_MAX):
             raise OverflowError("moment of order %d overflows double precision" % (n,))
         return math.fsum((self._w * np.exp(lt)).tolist())
@@ -220,16 +218,6 @@ class EnvelopeModel:
         self.product = product
         self.envelope_scale = envelope_scale
         self._c = envelope_scale / product.sqrt_mean
-
-    @classmethod
-    def from_link_statistics(cls, product):
-        """Envelope scale taken from the second factor's own half moment.
-
-        Ties the reference level to the model instead of leaving it
-        free; the default constructor treats it as an independent
-        datum.
-        """
-        return cls(product, product.mixture_b.moment(0.5))
 
     @property
     def mean(self):

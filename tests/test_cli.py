@@ -10,7 +10,7 @@ from scipy.special import kv
 import prodfade
 from prodfade import io as pio
 from prodfade.cli import main
-from prodfade.gammagamma import GammaGammaParams, gg_cdf, gg_pdf
+from prodfade.errors import IngestionError
 from prodfade.mixture import ShadowedParams, cdf_single, pdf_single, sample_single
 from prodfade.pdist import ProductModel
 from prodfade.sysmodels import WpcConfig, wpc_sweep
@@ -20,6 +20,7 @@ PROD = {
     "link_a": {"kappa": 1.0, "mu": 1, "m": 2},
     "link_b": {"kappa": 3.0, "mu": 2, "m": 5, "mean_power": 2.0},
 }
+GG = {"m": 2, "m_hat": 3, "omega": 0.7, "omega_hat": 1.1}
 MANIFEST_KEYS = {"command", "config", "seed", "version", "created_utc", "output"}
 
 
@@ -84,8 +85,42 @@ def test_eval_gg_rayleigh_product_point(tmp_path):
     assert rc == 0
     _, body = read_csv(out)
     np.testing.assert_allclose(body[0, 2], 1.0 - 2.0 * kv(1, 2.0), rtol=1e-12)
-    gp = GammaGammaParams(1, 1, 1.0, 1.0)
-    np.testing.assert_allclose(body[0, 1], gg_pdf(gp, 1.0), rtol=1e-15)
+    gp = ProductModel(ShadowedParams.nakagami(1, 1.0), ShadowedParams.nakagami(1, 1.0))
+    np.testing.assert_allclose(body[0, 1], gp.pdf(1.0), rtol=1e-15)
+
+
+def test_gg_is_the_one_pair_product_model(tmp_path):
+    params = dump(tmp_path / "p.json", GG)
+    model = ProductModel(ShadowedParams.nakagami(2, 2 * 0.7),
+                         ShadowedParams.nakagami(3, 3 * 1.1))
+    assert model.pair_count == 1
+    out = tmp_path / "gg.csv"
+    assert main(["eval", "--dist", "gg", "--params", params,
+                 "--grid", "0.01:20:40:log", "--out", str(out)]) == 0
+    _, body = read_csv(out)
+    np.testing.assert_array_equal(body[:, 1], model.pdf(body[:, 0]))
+    np.testing.assert_array_equal(body[:, 2], model.cdf(body[:, 0]))
+    assert main(["sample", "--dist", "gg", "--params", params,
+                 "--n", "32", "--seed", "11", "--out", str(out)]) == 0
+    _, body = read_csv(out)
+    np.testing.assert_array_equal(body[:, 0], model.sample(np.random.default_rng(11), 32))
+
+
+@pytest.mark.parametrize("field,value,code", [
+    ("omega_hat", None, 3),     # missing
+    ("m", 1.5, 2),
+    ("omega", 0.0, 2),
+    ("omega", [1.0], 3),
+])
+def test_gg_bad_params_exit_codes(tmp_path, field, value, code):
+    bad = dict(GG)
+    if value is None:
+        del bad[field]
+    else:
+        bad[field] = value
+    for command in (["eval", "--grid", "1:2:2"], ["sample", "--n", "4"]):
+        assert main(command + ["--dist", "gg", "--params", dump(tmp_path / "p.json", bad),
+                               "--out", str(tmp_path / "o.csv")]) == code
 
 
 def test_eval_prod(tmp_path):
@@ -123,6 +158,19 @@ def test_eval_error_exit_codes(tmp_path):
     neg = dump(tmp_path / "neg.json", {"kappa": -1.0, "mu": 1, "m": 1})
     assert main(["eval", "--dist", "kms", "--params", neg,
                  "--grid", "1:2:2", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("dist,obj", [
+    ("kms", dict(KMS, kappa=[1])),
+    ("kms", dict(KMS, mean_power=None)),
+    ("gg", dict(GG, omega={"a": 1})),
+    ("prod", dict(PROD, link_b=dict(PROD["link_b"], mu="2"))),
+])
+def test_params_json_wrong_type_is_ingestion_error(tmp_path, dist, obj):
+    with pytest.raises(IngestionError):
+        pio.read_params_json(dump(tmp_path / "p.json", obj), dist)
+    assert main(["eval", "--dist", dist, "--params", str(tmp_path / "p.json"),
+                 "--grid", "1:2:2", "--out", str(tmp_path / "o.csv")]) == 3
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -315,6 +363,34 @@ def test_wpc_cli(tmp_path):
     bad_tau = dict(cfg_obj, harvest_fraction=1.5)
     assert main(["wpc", "--config", dump(tmp_path / "c5.json", bad_tau),
                  "--grid", "60:70:3", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("patch", [
+    {"pb_antennas": [3]},
+    {"rician_k": None},
+    {"d1": {"m": 8.0}},
+    {"s_d_model": {"kind": "rician", "k_factor": True}},
+])
+def test_wpc_json_wrong_type_is_ingestion_error(tmp_path, patch):
+    cfg = dict({"tx_power_over_noise": 1e5, "pb_antennas": 1, "rician_k": 0.0}, **patch)
+    with pytest.raises(IngestionError):
+        pio.read_wpc_json(dump(tmp_path / "c.json", cfg))
+    assert main(["wpc", "--config", str(tmp_path / "c.json"),
+                 "--grid", "60:70:3", "--out", str(tmp_path / "o.csv")]) == 3
+
+
+@pytest.mark.parametrize("patch", [
+    {"mean_rx_power": [2.0]},
+    {"forward": {"kappa": 0.0, "mu": 1, "m": None}},
+])
+def test_backscatter_json_wrong_type_is_ingestion_error(tmp_path, patch):
+    cfg = dict({"mean_rx_power": 2.0,
+                "forward": {"kappa": 0.0, "mu": 1, "m": 1},
+                "reverse": {"kappa": 0.0, "mu": 1, "m": 1}}, **patch)
+    with pytest.raises(IngestionError):
+        pio.read_backscatter_json(dump(tmp_path / "c.json", cfg))
+    assert main(["backscatter", "--config", str(tmp_path / "c.json"),
+                 "--grid=-10:10:3", "--out", str(tmp_path / "o.csv")]) == 3
 
 
 def test_backscatter_cli(tmp_path):

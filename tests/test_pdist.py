@@ -251,12 +251,6 @@ def test_envelope_mean_and_normalization():
     np.testing.assert_allclose(e.cdf(1.5), cum, rtol=1e-8)
 
 
-def test_envelope_from_link_statistics():
-    p = make(LINK_AA, LINK_S2)
-    e = EnvelopeModel.from_link_statistics(p)
-    np.testing.assert_allclose(e.envelope_scale, p.mixture_b.moment(0.5), rtol=1e-15)
-
-
 def test_envelope_sample_matches_cdf():
     e = EnvelopeModel(make(LINK_AA, LINK_S2), 2.0)
     n = 100_000

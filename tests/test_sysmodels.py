@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from prodfade.gammagamma import GammaGammaParams, gg_cdf
 from prodfade.mixture import RICIAN_PROXY_M, ShadowedParams
+from prodfade.pdist import ProductModel
 from prodfade.sysmodels import (
     NAKAGAMI_COMPARATOR_METHOD,
     BackscatterConfig,
@@ -102,10 +102,11 @@ def test_nakagami_shape_values():
 
 
 def test_gamma_product_cdf_matches_pair_kernel():
-    p = GammaGammaParams(2, 3, 0.7, 1.1)
+    p = ProductModel(ShadowedParams.nakagami(2, 2 * 0.7),
+                     ShadowedParams.nakagami(3, 3 * 1.1))
     for x in (0.5, 2.0, 8.0):
         np.testing.assert_allclose(
-            gamma_product_cdf(2, 0.7, 3, 1.1, x), gg_cdf(p, x), rtol=1e-8
+            gamma_product_cdf(2, 0.7, 3, 1.1, x), p.cdf(x), rtol=1e-8
         )
     assert gamma_product_cdf(2, 0.7, 3, 1.1, 0.0) == 0.0
 
