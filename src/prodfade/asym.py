@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoRootError
-from .mixture import ShadowedParams
+from .mixture import ShadowedParams, _as_int
 from .specfun import ln_gamma_int
 
 __all__ = [
@@ -64,9 +64,7 @@ def tail_offset_kappa_mu(k_factor, mu):
     k_factor = float(k_factor)
     if not np.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError("k_factor must be finite and >= 0")
-    mu = int(mu)
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    mu = _as_int("mu", mu)
     return math.exp(
         mu * math.log(mu)
         + mu * math.log1p(k_factor)
@@ -132,10 +130,8 @@ def match_kappa(k_factor, mu, m, infinite_m=False):
     k_factor = float(k_factor)
     if not np.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError("k_factor must be finite and >= 0")
-    mu = int(mu)
-    m = int(m)
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
+    mu = _as_int("mu", mu)
+    m = _as_int("m", m)
     if m <= mu:
         raise ValueError(
             "matching requires m > mu (no finite root otherwise); got m=%d, mu=%d"

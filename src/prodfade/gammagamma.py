@@ -14,9 +14,20 @@ The weighted-sum evaluators accept whole arrays of kernels at once and
 work in log space throughout, so large shape parameters and scales
 spanning many decades cannot overflow.  Only the scale *product*
 ``theta = Omega * Omegahat`` ever enters; it is carried as a log.
+
+Each distinct kernel is evaluated once.  A link has one scale when
+``mu <= m`` and two when ``mu > m``, so a product has at most four
+distinct ``theta`` however many pairs it has, and many of its rows are
+the same kernel.  A row plan, built from the integer shapes and the
+pair-to-``theta`` index alone, merges such rows into one row whose
+weight is the sum of theirs, and the Bessel ladder climbs once per
+distinct ``theta``.  Plans are cached, so a fit that revisits an
+integer cell at many ``kappa`` plans it once.
 """
 
 import math
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -31,45 +42,106 @@ _LN2 = math.log(2.0)
 # are chunked over the evaluation grid to bound peak memory.
 _BLOCK_BUDGET = 2_000_000
 
+# Row plans kept per sum kind, one per distinct integer layout.  The
+# 576 cells mu, m <= 12 at four kappa make 439 layouts of each kind,
+# about 5 MB of plans in all.
+_PLAN_CACHE = 1024
 
-def _harvest_plan(order, pair_idx):
-    """Precompute, per Bessel order, which rows want it and their pairs."""
-    plan = {}
+# Merged kernel rows of one sum.  ``np.bincount(merge, weights[source])``
+# gives the row weights; row ``r`` is the kernel with log scale
+# ``theta[r]`` (an index into the distinct log scales), coefficient
+# ``log_coef[r]`` and exponent ``expo[r]``; ``harvest`` maps each Bessel
+# order to the rows that take it and their theta.
+_RowPlan = namedtuple("_RowPlan", "source merge theta log_coef expo harvest")
+
+
+def _row_plan(source, theta, a, b, log_coef, expo, order):
+    """Merge rows that are the same kernel ``(theta, a, b)``.
+
+    The other arguments give each unmerged row's source pair, log
+    coefficient, exponent and Bessel order.  Merged rows keep the order
+    in which each kernel first appears, so callers listing pairs by
+    descending |weight| get roughly dominant-first accumulation.
+    """
+    span_a, span_b = int(a.max()) + 1, int(b.max()) + 1
+    keys = (theta * span_a + a) * span_b + b
+    _, first, merge = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    first = first[by_first]
+    theta, order = theta[first], order[first]
+    harvest = {}
     for nu in np.unique(order):
         rows = np.nonzero(order == nu)[0]
-        plan[int(nu)] = (rows, pair_idx[rows])
-    return plan
+        harvest[int(nu)] = (rows, theta[rows])
+    return _RowPlan(source, rank[merge], theta, log_coef[first], expo[first], harvest)
 
 
-def _eval_blocks(weights, log_coef, expo, order, pair_idx, log_scales, x, shift=None):
+@lru_cache(maxsize=_PLAN_CACHE)
+def _cdf_plan(shapes_a, shapes_b, theta_of_pair):
+    """Plan of the cdf sum: pair ``p`` gives rows ``k = 0 .. shapes_a[p]-1``
+    of kernel ``(theta, k, shapes_b[p])``.  Arguments are int64 bytes."""
+    counts = np.frombuffer(shapes_a, dtype=np.int64)
+    pair = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mh = np.frombuffer(shapes_b, dtype=np.int64)[pair]
+    theta = np.frombuffer(theta_of_pair, dtype=np.int64)[pair]
+    log_coef = _LN2 - special.gammaln(k + 1.0) - special.gammaln(mh.astype(float))
+    return _row_plan(pair, theta, k, mh, log_coef, 0.5 * (k + mh), np.abs(mh - k))
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _pdf_plan(shapes_a, shapes_b, theta_of_pair):
+    """Plan of the pdf sum: one row of kernel ``(theta, ma, mb)`` per pair."""
+    ma = np.frombuffer(shapes_a, dtype=np.int64)
+    mb = np.frombuffer(shapes_b, dtype=np.int64)
+    theta = np.frombuffer(theta_of_pair, dtype=np.int64)
+    log_coef = _LN2 - special.gammaln(ma.astype(float)) - special.gammaln(mb.astype(float))
+    return _row_plan(np.arange(ma.size), theta, ma, mb,
+                     log_coef, 0.5 * (ma + mb) - 1.0, np.abs(ma - mb))
+
+
+def _plan_of(shapes_a, shapes_b, log_scales, build):
+    """Distinct log scales, and the cached plan of the pairs' integer layout."""
+    log_thetas, theta_of_pair = np.unique(
+        np.asarray(log_scales, dtype=float), return_inverse=True)
+    key = (np.asarray(shapes_a, dtype=np.int64).tobytes(),
+           np.asarray(shapes_b, dtype=np.int64).tobytes(),
+           theta_of_pair.astype(np.int64).tobytes())
+    return log_thetas, build(*key)
+
+
+def _eval_blocks(plan, weights, log_thetas, x, shift=False):
     """``sum_r w_r coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))``.
 
-    Shared engine for the pdf and cdf sums.  All rows of a kernel share
-    the same Bessel argument, so one log-space recurrence climb over
-    the (pairs x points) argument matrix serves every order at once;
-    rows harvest their rung as the ladder passes it.  ``shift``, when
-    given, is a per-row log factor subtracted after the other terms.
-    Chunked over ``x`` so rows * points stays within the block budget.
+    Shared engine for the pdf and cdf sums, over the plan's merged rows.
+    Every row of one ``theta`` shares the Bessel argument, so one
+    log-space recurrence climb over the (distinct theta x points)
+    argument matrix serves every row and order at once; rows harvest
+    their rung as the ladder passes it.  With ``shift``, each row's
+    ``ln theta`` is subtracted after the other terms.  Chunked over
+    ``x`` so rows * points stays within the block budget.
     """
-    wt = weights[pair_idx]
+    wt = np.bincount(plan.merge, weights=np.asarray(weights, dtype=float)[plan.source],
+                     minlength=plan.theta.size)
     nrows = wt.size
-    max_order = int(order.max()) if nrows else 0
-    plan = _harvest_plan(order, pair_idx)
-    block = max(1, _BLOCK_BUDGET // max(1, nrows))
+    max_order = max(plan.harvest)
+    block = max(1, _BLOCK_BUDGET // nrows)
     total = np.empty_like(x)
     for start in range(0, x.size, block):
         xb = x[start:start + block]
-        lu = np.log(xb)[None, :] - log_scales[:, None]   # (pairs, block)
+        lu = np.log(xb)[None, :] - log_thetas[:, None]   # (distinct theta, block)
         arg = 2.0 * np.exp(0.5 * lu)
         logk = np.empty((nrows, xb.size))
         for nu, lk in log_bessel_k_ladder(arg, max_order):
-            hit = plan.get(nu)
+            hit = plan.harvest.get(nu)
             if hit is not None:
-                rows, pairs = hit
-                logk[rows] = lk[pairs]
-        lt = log_coef[:, None] + expo[:, None] * lu[pair_idx] + logk
-        if shift is not None:
-            lt -= shift[:, None]
+                rows, thetas = hit
+                logk[rows] = lk[thetas]
+        lt = plan.log_coef[:, None] + plan.expo[:, None] * lu[plan.theta] + logk
+        if shift:
+            lt -= log_thetas[plan.theta][:, None]
         # einsum keeps a fixed per-element accumulation order, so results
         # do not depend on how callers batch their x grids (BLAS gemv
         # re-blocks the reduction with matrix size and breaks that).
@@ -83,24 +155,13 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     Computes ``1 - sum_p w_p S_p(x)`` where ``S_p`` is the finite
     Bessel series of kernel ``p`` (``shapes_a[p]`` terms, truncation
     indices ``k = 0 .. shapes_a[p]-1``).  The ``1 - ...`` form is exact
-    because the weights sum to one.  Row order follows the pair order
-    of the inputs, so callers passing pairs sorted by descending
-    |weight| get dominant-first accumulation.  Returns the raw signed
-    result; the caller decides how to range-check it.
+    because the weights sum to one.  Series terms that are the same
+    kernel ``(theta, k, shapes_b)`` are summed once, with their pair
+    weights added.  Returns the raw signed result; the caller decides
+    how to range-check it.
     """
-    weights = np.asarray(weights, dtype=float)
-    counts = np.asarray(shapes_a, dtype=np.int64)
-    shapes_b = np.asarray(shapes_b, dtype=np.int64)
-    log_scales = np.asarray(log_scales, dtype=float)
-    x = np.asarray(x, dtype=float)
-
-    pair_idx = np.repeat(np.arange(counts.size), counts)
-    kk = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    mh = shapes_b[pair_idx]
-    log_coef = _LN2 - special.gammaln(kk + 1.0) - special.gammaln(mh.astype(float))
-    expo = 0.5 * (kk + mh)
-    order = np.abs(mh - kk).astype(np.int64)
-    return 1.0 - _eval_blocks(weights, log_coef, expo, order, pair_idx, log_scales, x)
+    log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _cdf_plan)
+    return 1.0 - _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float))
 
 
 def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):
@@ -112,14 +173,5 @@ def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     a few ulp below zero where signed kernels cancel; returned as
     computed.
     """
-    weights = np.asarray(weights, dtype=float)
-    ma = np.asarray(shapes_a, dtype=float)
-    mb = np.asarray(shapes_b, dtype=float)
-    log_scales = np.asarray(log_scales, dtype=float)
-    x = np.asarray(x, dtype=float)
-
-    log_coef = _LN2 - special.gammaln(ma) - special.gammaln(mb)
-    expo = 0.5 * (ma + mb) - 1.0
-    order = np.abs(ma - mb).astype(np.int64)
-    return _eval_blocks(weights, log_coef, expo, order, np.arange(weights.size),
-                        log_scales, x, shift=log_scales)
+    log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _pdf_plan)
+    return _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float), shift=True)

@@ -12,7 +12,8 @@ Error discipline: a file that cannot be read or does not parse raises
 :class:`~prodfade.errors.IngestionError` (missing fields, and fields
 that are not JSON numbers where a number goes, included); values that
 parse but violate a domain constraint raise ``ValueError`` from the
-owning type.
+owning type, or from the reader where a file's fields are not the
+owning type's (the ``gg`` schema).
 """
 
 import csv
@@ -23,9 +24,9 @@ import numpy as np
 
 from .errors import IngestionError
 from .fit import EmpiricalDistribution, empirical_from_samples
-from .mixture import ShadowedParams
+from .mixture import ShadowedParams, _as_int
 from .pdist import ProductModel
-from .sysmodels import BackscatterConfig, WpcConfig
+from .sysmodels import BackscatterConfig, WpcConfig, _positive
 
 __all__ = [
     "format_float",
@@ -226,6 +227,9 @@ def read_params_json(path, dist):
         m, m_hat, omega, omega_hat = (
             _require_number(obj, k, path) for k in ("m", "m_hat", "omega", "omega_hat")
         )
+        # validated as the file's fields, before they become link parameters
+        m, m_hat = _as_int("m", m), _as_int("m_hat", m_hat)
+        omega, omega_hat = _positive("omega", omega), _positive("omega_hat", omega_hat)
         return ProductModel(ShadowedParams.nakagami(m, m * omega),
                             ShadowedParams.nakagami(m_hat, m_hat * omega_hat))
     if dist == "prod":

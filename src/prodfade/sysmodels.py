@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .mixture import RICIAN_PROXY_M, ShadowedParams
+from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int
 from .pdist import ProductModel
 
 __all__ = [
@@ -102,10 +102,7 @@ class WpcConfig:
     def __post_init__(self):
         object.__setattr__(self, "tx_power_over_noise",
                            _positive("tx_power_over_noise", self.tx_power_over_noise))
-        n = int(self.pb_antennas)
-        if n < 1:
-            raise ValueError("pb_antennas must be >= 1, got %r" % (self.pb_antennas,))
-        object.__setattr__(self, "pb_antennas", n)
+        object.__setattr__(self, "pb_antennas", _as_int("pb_antennas", self.pb_antennas))
         k = float(self.rician_k)
         if not np.isfinite(k) or k < 0.0:
             raise ValueError("rician_k must be finite and >= 0")
@@ -117,10 +114,7 @@ class WpcConfig:
             object.__setattr__(self, name, v)
         for name in ("path_loss_exponent", "d1", "d2", "rate"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
-        mp = int(self.m_proxy)
-        if mp < 1:
-            raise ValueError("m_proxy must be >= 1")
-        object.__setattr__(self, "m_proxy", mp)
+        object.__setattr__(self, "m_proxy", _as_int("m_proxy", self.m_proxy))
         # resolve the S-D choice eagerly so bad configs fail at build time
         object.__setattr__(self, "s_d_model", self._resolve_sd(self.s_d_model))
 

@@ -120,6 +120,21 @@ def test_validation_errors():
         asym_cdf_kappa_mu(1.0, 2, 0.0, 1e-4)
 
 
+def test_match_kappa_rejects_non_integer_orders():
+    # int() used to truncate these, silently matching at mu = 1 or m = 15
+    with pytest.raises(ValueError, match="mu must be an integer"):
+        match_kappa(10.0, 1.5, 15)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        match_kappa(10.0, 1, 15.5)
+    assert match_kappa(10.0, 1.0, 15.0) == match_kappa(10.0, 1, 15)
+
+
+def test_tail_offset_kappa_mu_rejects_non_integer_mu():
+    with pytest.raises(ValueError, match="mu must be an integer"):
+        tail_offset_kappa_mu(2.0, 1.7)
+    assert tail_offset_kappa_mu(2.0, 2.0) == tail_offset_kappa_mu(2.0, 2)
+
+
 def test_no_root_error_carries_bracket():
     err = NoRootError("no sign change", lo=0.5, hi=32.0)
     assert isinstance(err, ArithmeticError)

@@ -111,8 +111,11 @@ def test_gg_is_the_one_pair_product_model(tmp_path):
     ("m", 1.5, 2),
     ("omega", 0.0, 2),
     ("omega", [1.0], 3),
+    ("m", 0, 2),
+    ("m_hat", 2.5, 2),
+    ("omega_hat", float("inf"), 2),
 ])
-def test_gg_bad_params_exit_codes(tmp_path, field, value, code):
+def test_gg_bad_params_exit_codes(tmp_path, capsys, field, value, code):
     bad = dict(GG)
     if value is None:
         del bad[field]
@@ -121,6 +124,9 @@ def test_gg_bad_params_exit_codes(tmp_path, field, value, code):
     for command in (["eval", "--grid", "1:2:2"], ["sample", "--n", "4"]):
         assert main(command + ["--dist", "gg", "--params", dump(tmp_path / "p.json", bad),
                                "--out", str(tmp_path / "o.csv")]) == code
+        # the message names the file's field, not the link parameter it feeds
+        err = capsys.readouterr().err
+        assert field + " must" in err or repr(field) in err
 
 
 def test_eval_prod(tmp_path):
@@ -363,6 +369,14 @@ def test_wpc_cli(tmp_path):
     bad_tau = dict(cfg_obj, harvest_fraction=1.5)
     assert main(["wpc", "--config", dump(tmp_path / "c5.json", bad_tau),
                  "--grid", "60:70:3", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("pb_antennas", 2.5), ("m_proxy", 3.7)])
+def test_wpc_cli_non_integer_count_is_validation_error(tmp_path, capsys, field, value):
+    cfg = {"tx_power_over_noise": 1e5, "pb_antennas": 2, "rician_k": 0.0, field: value}
+    assert main(["wpc", "--config", dump(tmp_path / "c.json", cfg),
+                 "--grid", "60:70:3", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "%s must be an integer" % field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("patch", [

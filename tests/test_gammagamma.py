@@ -240,3 +240,69 @@ def test_pdf_rejects_nan_kernel_sum(monkeypatch):
                         lambda *args: np.full(np.shape(args[4]), np.nan))
     with pytest.raises(ArithmeticError):
         p.pdf([0.1, 1.0])
+
+
+def _pair_by_pair(model, z):
+    """Unmerged kernel sums, pair by pair, from ``scipy.special.kve``.
+
+    Returns the cdf, the pdf and the sum of the pdf terms' magnitudes,
+    the scale of the pdf's cancellation error.
+    """
+    cdf_sum = np.zeros_like(z)
+    pdf = np.zeros_like(z)
+    pdf_abs = np.zeros_like(z)
+    for w, ka, kb, lth in zip(model._w, model._ka, model._kb, model._lth):
+        u = z / math.exp(lth)
+        arg = 2.0 * np.sqrt(u)
+        for k in range(ka):
+            cdf_sum += w * np.exp(math.log(2.0) - special.gammaln(k + 1.0) - special.gammaln(kb)
+                                  + 0.5 * (k + kb) * np.log(u)
+                                  + np.log(special.kve(abs(int(kb) - k), arg)) - arg)
+        term = w * np.exp(math.log(2.0) - special.gammaln(ka) - special.gammaln(kb)
+                          + (0.5 * (ka + kb) - 1.0) * np.log(u) - lth
+                          + np.log(special.kve(abs(int(ka) - int(kb)), arg)) - arg)
+        pdf += term
+        pdf_abs += np.abs(term)
+    return 1.0 - cdf_sum, pdf, pdf_abs
+
+
+def test_merged_rows_match_pair_by_pair_sum():
+    # Four distinct scale products, and rows of equal kernels merged
+    # into one: the sums must still be the plain pair-by-pair sums.
+    signed = ShadowedParams(1.0, 1.0, 6, 2)
+    model = ProductModel(signed, ShadowedParams(1.0, 0.5, 4, 1))
+    assert np.unique(model._lth).size == 4
+    z = np.geomspace(1e-6, 20.0, 60)
+    cdf, pdf, pdf_abs = _pair_by_pair(model, z)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    np.testing.assert_allclose(raw, cdf, rtol=0, atol=5e-14)
+    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    assert np.all(np.abs(got - pdf) <= 3e-14 * pdf_abs)
+
+
+@pytest.mark.parametrize("mu,m,kappa", [(6, 1, 0.1), (3, 2, 0.1)])
+def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
+    # Signed sweep cells with large cancellation (abs_weight_sum up to
+    # ~5e4): the merged cdf stays within the conditioning bound of a
+    # 40-digit pair sum over the same float weights.
+    import mpmath
+
+    link = ShadowedParams(1.0, kappa, mu, m)
+    model = ProductModel(link, link)
+    z = np.geomspace(1e-4, 10.0, 8)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    tol = 1e-15 * model.abs_weight_sum + 2e-14
+    with mpmath.workdps(40):
+        for zi, got in zip(z, raw):
+            bessel = {}     # (ln theta, order) -> u, K_order(2 sqrt(u))
+            total = mpmath.mpf(0)
+            for w, ka, kb, lth in zip(model._w, model._ka, model._kb, model._lth):
+                for k in range(int(ka)):
+                    key = (float(lth), abs(int(kb) - k))
+                    if key not in bessel:
+                        u = mpmath.mpf(float(zi)) / mpmath.exp(mpmath.mpf(key[0]))
+                        bessel[key] = u, mpmath.besselk(key[1], 2 * mpmath.sqrt(u))
+                    u, bk = bessel[key]
+                    total += (mpmath.mpf(float(w)) * 2 * u ** (mpmath.mpf(k + int(kb)) / 2) * bk
+                              / (mpmath.factorial(k) * mpmath.factorial(int(kb) - 1)))
+            assert abs(got - float(1 - total)) <= tol

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from prodfade import gammagamma
 from prodfade.mixture import ShadowedParams, expand
 from prodfade.pdist import ProductModel, EnvelopeModel
 
@@ -227,17 +228,30 @@ def test_pdf_rejects_nan_kernel_sum(monkeypatch):
         env.pdf([0.1, 1.0])
 
 
-def test_whole_grid_matches_pieces():
+def test_whole_grid_matches_pieces(monkeypatch):
     # CLI data files stay byte-identical only if a whole grid evaluates
-    # to the same bits as the same grid in pieces.  L's cdf has more
-    # kernel rows than fit 1000 points in the engine's block budget, so
-    # its whole-grid call is split internally as well.
-    z = np.geomspace(1e-7, 20.0, 1000)
-    for link in (ShadowedParams(1.0, 2.6, 1, 30), ShadowedParams(1.0, 1.0, 6, 2)):
+    # to the same bits as the same grid in pieces.  L's cdf and pdf have
+    # more kernel rows than fit 5000 points in the engine's block
+    # budget, so their whole-grid calls are split internally as well:
+    # the engine climbs the Bessel ladder once per block.
+    climbs = []
+    ladder = gammagamma.log_bessel_k_ladder
+
+    def counting(x, max_order):
+        climbs.append(np.shape(x))
+        return ladder(x, max_order)
+
+    monkeypatch.setattr(gammagamma, "log_bessel_k_ladder", counting)
+    z = np.geomspace(1e-7, 20.0, 5000)
+    large, signed = ShadowedParams(1.0, 2.6, 1, 30), ShadowedParams(1.0, 1.0, 6, 2)
+    for link, blocks in ((large, 2), (signed, 1)):
         p = ProductModel(link, link)
         for fn in (p.cdf, p.pdf):
+            climbs.clear()
+            whole = fn(z)
+            assert len(climbs) >= blocks
             pieces = np.concatenate([fn(z[i:i + 64]) for i in range(0, z.size, 64)])
-            assert np.array_equal(fn(z), pieces)
+            assert np.array_equal(whole, pieces)
 
 
 def test_envelope_mean_and_normalization():

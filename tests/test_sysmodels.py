@@ -162,6 +162,16 @@ def test_wpc_config_validation():
         wpc_outage(paper_cfg(), -5.0)
 
 
+def test_wpc_config_rejects_non_integer_counts():
+    # int() used to truncate these: 2.5 antennas ran an N = 2 beacon
+    for name, value in (("pb_antennas", 2.5), ("m_proxy", 3.7)):
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            paper_cfg(**{name: value})
+    cfg = paper_cfg(pb_antennas=2.0, m_proxy=7.0)
+    assert (cfg.pb_antennas, cfg.m_proxy) == (2, 7)
+    assert isinstance(cfg.pb_antennas, int) and isinstance(cfg.m_proxy, int)
+
+
 def test_backscatter_rayleigh_closed_form():
     cfg = BackscatterConfig(
         2.0, ShadowedParams.rayleigh(), ShadowedParams.rayleigh()
