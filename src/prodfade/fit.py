@@ -373,6 +373,11 @@ def _search_cells(config, make_objective, level_name, level, tail=None):
     a numerical or validation error, or whose score is not finite,
     scores ``_OBJ_FAILURE``.
 
+    In a symmetric cell (``mu == mu_hat``, ``m == m_hat``, links not
+    tied) swapping ``kappa`` and ``kappa_hat`` gives the same law, since
+    only the product of the two scales is identifiable; the trace
+    reports such a cell in the canonical order ``kappa >= kappa_hat``.
+
     Raises
     ------
     ArithmeticError
@@ -406,6 +411,8 @@ def _search_cells(config, make_objective, level_name, level, tail=None):
 
         theta, value, ok = _minimize_cell(objective, starts, bounds, config.kappa_tol)
         kap, kaph, lev = unpack([float(t) for t in theta])
+        if (mu, m) == (mu_hat, m_hat) and kap < kaph:
+            kap, kaph = kaph, kap
         trace.append({
             "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
             "kappa": kap, "kappa_hat": kaph, level_name: lev,

@@ -21,8 +21,9 @@ distinct ``theta`` however many pairs it has, and many of its rows are
 the same kernel.  A row plan, built from the integer shapes and the
 pair-to-``theta`` index alone, merges such rows into one row whose
 weight is the sum of theirs, and the Bessel ladder climbs once per
-distinct ``theta``.  Plans are cached, so a fit that revisits an
-integer cell at many ``kappa`` plans it once.
+distinct ``theta``.  The density kernel is symmetric in its two shapes,
+so its rows merge on the unordered pair.  Plans are cached, so a fit
+that revisits an integer cell at many ``kappa`` plans it once.
 """
 
 import math
@@ -93,12 +94,16 @@ def _cdf_plan(shapes_a, shapes_b, theta_of_pair):
 
 @lru_cache(maxsize=_PLAN_CACHE)
 def _pdf_plan(shapes_a, shapes_b, theta_of_pair):
-    """Plan of the pdf sum: one row of kernel ``(theta, ma, mb)`` per pair."""
+    """Plan of the pdf sum: one row of kernel ``(theta, ma, mb)`` per pair.
+
+    The kernel is symmetric in its shapes (``K_{-nu} = K_nu``), so rows
+    are merged on the unordered pair ``{ma, mb}``.
+    """
     ma = np.frombuffer(shapes_a, dtype=np.int64)
     mb = np.frombuffer(shapes_b, dtype=np.int64)
     theta = np.frombuffer(theta_of_pair, dtype=np.int64)
     log_coef = _LN2 - special.gammaln(ma.astype(float)) - special.gammaln(mb.astype(float))
-    return _row_plan(np.arange(ma.size), theta, ma, mb,
+    return _row_plan(np.arange(ma.size), theta, np.minimum(ma, mb), np.maximum(ma, mb),
                      log_coef, 0.5 * (ma + mb) - 1.0, np.abs(ma - mb))
 
 

@@ -147,7 +147,10 @@ class ProductModel:
     def mgf(self, s):
         """``E[exp(s Z)]`` on the strictly negative axis.
 
-        Per-pair Tricomi-U closed form; elementwise over ``s``.
+        Per-pair Tricomi-U closed form; elementwise over ``s``.  Near
+        ``s = 0`` the argument ``-1/(s theta)`` may overflow to inf,
+        where ``x^a U`` takes its limit 1.  A non-finite sum raises
+        ArithmeticError.
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -155,10 +158,15 @@ class ProductModel:
         if not np.all(np.isfinite(s)) or np.any(s >= 0.0):
             raise ValueError("mgf requires finite s < 0")
         acc = np.zeros(s.shape)
-        y_base = -1.0 / s
-        for wp, ma, mb, lth in zip(self._w, self._ka, self._kb, self._lth):
-            y = y_base * math.exp(-lth)
-            acc += wp * tricomi_u_times_xa(int(ma), 1 + int(ma) - int(mb), y)
+        with np.errstate(over="ignore"):
+            y_base = -1.0 / s
+            for wp, ma, mb, lth in zip(self._w, self._ka, self._kb, self._lth):
+                y = y_base * math.exp(-lth)
+                acc += wp * tricomi_u_times_xa(int(ma), 1 + int(ma) - int(mb), y)
+        if not np.all(np.isfinite(acc)):
+            raise ArithmeticError(
+                "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
+            )
         return float(acc[0]) if scalar else acc
 
     def moment(self, n):

@@ -13,9 +13,15 @@ underflow even for orders of a few hundred and arguments spanning
 ``[1e-8, 700]``.  Accuracy targets (relative): 1e-10 typical, 1e-8
 guaranteed on that domain; the test suite pins both against
 integral-representation quadrature oracles.
+
+``x^a U(a, b, x)`` is one exp-sinh rule on the Laplace integral at
+every argument.  It is within 1e-13 relative of 30-digit mpmath on the
+tested grid: ``a`` up to 150, integer ``b`` on both sides of 1, ``x``
+from 1e-300 to 1e160 wherever the value is above 1e-300.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -32,19 +38,6 @@ __all__ = [
 #: certified (against quadrature) up to this bound, which is far beyond
 #: anything the mixture expansions generate.
 MAX_BESSEL_ORDER = 256
-
-# Below this argument U(a, b, x) goes through the ascending series;
-# from it on, through one exp-sinh rule on the Laplace integral.  The
-# library hyperu is not used at all: it returns NaN for small x with
-# integer b >= 2 and silently wrong values for first parameters beyond
-# ~10 at moderate arguments.
-_U_SMALL_X_CUTOFF = 0.25
-# Exp-sinh rule (Takahasi-Mori) above the cutoff: t = -5 .. 5 in steps
-# of 0.05, nodes s = (pi/2) sinh t, weights 0.05 (pi/2) cosh t.
-_DE_T = 0.05 * np.arange(-100, 101)
-_DE_S = 0.5 * math.pi * np.sinh(_DE_T)
-_DE_W = 0.05 * 0.5 * math.pi * np.cosh(_DE_T)
-_EULER_GAMMA_LD = np.longdouble("0.57721566490153286060651209008240243104")
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
 # factorial; (171-1)! is the last factorial representable as a double.
@@ -102,115 +95,60 @@ def log_bessel_k_ladder(x, max_order):
         yield k + 1, lcur
 
 
-def _u_small_x_int(a, b, x, power=0):
-    """Ascending series for ``x^power U(a, b, x)`` at small ``x``.
+@lru_cache(maxsize=None)
+def _exp_sinh_table(refine):
+    """Nodes ``s = (pi/2) sinh t`` and weights ``step (pi/2) cosh t``.
 
-    Integer parameters, ``a >= 1``, ``b >= 1``.  Integer second
-    parameter is the logarithmic case: with ``n = b - 1``,
-
-        U(a, n+1, z) = (-1)^(n+1) / (n! (a-n-1)!)
-                       * sum_k (a)_k / ((n+1)_k k!) z^k
-                         * (ln z + psi(a+k) - psi(1+k) - psi(n+1+k))
-                       + (n-1)! / (a-1)!
-                       * sum_{k<n} (a-n)_k / ((1-n)_k k!) z^(k-n),
-
-    where the first sum drops out when ``a <= n`` (its ``1/Gamma(a-n)``
-    prefactor vanishes) and the second when ``n == 0``.  Accumulated in
-    extended precision because the ascending terms alternate once
-    ``a x`` is of order one.  ``power`` is folded into the powers of
-    ``z`` so that balanced combinations like ``x^a U`` never overflow
-    on the way out.
+    Takahasi-Mori rule with ``t = -T .. T`` in steps of
+    ``0.025 / refine``; ``refine = 1`` is the 401-node table on
+    ``t = -5 .. 5``.  At distance ``D`` from the centre the nodes are
+    about ``step D`` apart; a refined table keeps that at most 0.275
+    (errors below 1e-13) out to ``D = 11 refine``, and reaches 40 beyond.
     """
-    n = b - 1
-    z = x.astype(np.longdouble)
-    out = np.zeros_like(z)
-
-    if n >= 1:
-        # Gamma(n)/Gamma(a) sum_{k=0}^{n-1} (a-n)_k / ((1-n)_k k!) z^(k-n)
-        coef = np.longdouble(math.factorial(n - 1)) / np.longdouble(math.factorial(a - 1))
-        acc = np.zeros_like(z)
-        zk = z ** np.longdouble(power - n)
-        c = np.longdouble(1.0)
-        for k in range(n):
-            if k > 0:
-                # (a-n)_k grows by (a-n+k-1); (1-n)_k k! by (k-n) k.
-                c = c * np.longdouble(a - n + k - 1) / np.longdouble((k - n) * k)
-                zk = zk * z
-                if a - n + k - 1 == 0:
-                    break  # (a-n)_k vanished; later terms are all zero
-            acc = acc + c * zk
-        out = out + coef * acc
-
-    if a - n >= 1:
-        sign = np.longdouble(-1.0 if n % 2 == 0 else 1.0)
-        pref = sign / (
-            np.longdouble(math.factorial(n)) * np.longdouble(math.factorial(a - n - 1))
-        )
-        lnz = np.log(z)
-        # psi at integer arguments via harmonic numbers, tracked
-        # incrementally: psi(j+1) = psi(j) + 1/j.
-        psi_a = -_EULER_GAMMA_LD + sum(
-            np.longdouble(1.0) / np.longdouble(i) for i in range(1, a)
-        )
-        psi_1 = -_EULER_GAMMA_LD
-        psi_n1 = -_EULER_GAMMA_LD + sum(
-            np.longdouble(1.0) / np.longdouble(i) for i in range(1, n + 1)
-        )
-        ck = np.longdouble(1.0)
-        zk = z ** np.longdouble(power)
-        acc = zk * (lnz + (psi_a - psi_1 - psi_n1))
-        for k in range(1, 400):
-            ck = ck * np.longdouble(a + k - 1) / np.longdouble((n + k) * k)
-            zk = zk * z
-            psi_a = psi_a + np.longdouble(1.0) / np.longdouble(a + k - 1)
-            psi_1 = psi_1 + np.longdouble(1.0) / np.longdouble(k)
-            psi_n1 = psi_n1 + np.longdouble(1.0) / np.longdouble(n + k)
-            contrib = ck * zk * (lnz + (psi_a - psi_1 - psi_n1))
-            acc = acc + contrib
-            if np.all(np.abs(contrib) <= np.finfo(np.longdouble).eps * np.abs(acc)):
-                break
-        out = out + pref * acc
-
-    # Values beyond double range cast to inf; that is an honest
-    # overflow of U itself, not an artifact of the evaluation.
-    with np.errstate(over="ignore"):
-        return out.astype(float)
+    step = 0.025 / refine
+    t_max = max(5.0, math.asinh((11.0 * refine + 40.0) / math.pi))
+    n = math.ceil(t_max / step)
+    t = step * np.arange(-n, n + 1)
+    return 0.5 * math.pi * np.sinh(t), step * 0.5 * math.pi * np.cosh(t)
 
 
-def _u_laplace_times_xa(a, b, x):
-    """``x^a U(a, b, x)`` above the ascending cutoff, by the exp-sinh rule.
+def _u_laplace_times_xa(a, b, x, refine):
+    """``x^a U(a, b, x)`` for ``b >= 1`` and finite ``x > 0``, by the exp-sinh rule.
 
     Substituting ``u = x t`` in
     ``U = (1/Gamma(a)) int_0^inf e^{-xt} t^(a-1) (1+t)^(b-a-1) dt``
-    gives ``x^a U = (1/Gamma(a)) int_0^inf e^{g(u)} du`` with
-    ``g(u) = -u + (b-a-1) ln(1 + u/x) + (a-1) ln u``, peaked near
-    ``u* = O(a)`` whatever ``x``.  The nodes ``u = c e^{sigma s}`` sit
-    on the peak, whose width in ``ln u`` shrinks like ``1/sqrt(a)``,
-    and ``e^{g(c)}`` is factored out of the sum.  Any integer ``b`` is
-    taken directly, so no reflection is needed.
+    and then ``u = e^v`` gives ``x^a U = (1/Gamma(a)) int e^{h(v)} dv``
+    with ``h(v) = -u + (b-a-1) ln(1 + u/x) + a ln u``, a single peak at
+    ``u = c``, the positive root of ``u^2 + (x - b + 1) u = a x``.  The
+    nodes ``v = ln c + sigma s`` sit on the peak with ``sigma`` the
+    peak's width ``1 / sqrt(-h''(ln c))`` (at most 2), and ``e^{h(c)}``
+    is factored out of the sum.  ``ln(1 + u/x)`` is taken as
+    ``logaddexp(0, v - ln x)``, which keeps full relative accuracy
+    however small ``x`` is.
     """
     d = b - a - 1.0
+    lx = np.log(x)
 
-    def g(u):
-        return -u + d * np.log1p(u / x) + (a - 1.0) * np.log(u)
+    def h(v):
+        return -np.exp(v) + d * np.logaddexp(0.0, v - lx) + a * v
 
-    # Stationary point of g: u^2 + (x - b + 2) u = (a-1) x.
-    q = x - b + 2.0
-    root = np.hypot(q, 2.0 * np.sqrt((a - 1.0) * x))
+    # Positive root; where q > 0, the cancellation-free form of
+    # (root - q) / 2, written so that no intermediate overflows.
+    q = x - (b - 1.0)
+    root = np.hypot(q, 2.0 * math.sqrt(a) * np.sqrt(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Cancellation-free form of (-q + root) / 2 where q > 0.
-        ustar = np.where(q > 0.0, 2.0 * (a - 1.0) * x / (q + root), 0.5 * (root - q))
-    # At a = 1 the peak sits at u = 0; the floor keeps the centre on
-    # the scale where the (1 + u/x) factor turns over.
-    c = np.maximum(ustar, x / (x + abs(d)))
-    sigma = min(1.0, 2.0 / math.sqrt(a))
-    u = c * np.exp(sigma * _DE_S)[:, None]
-    gc = g(c)
-    terms = np.exp(g(u) - gc) * u
+        c = np.where(q > 0.0, a * (x / (0.5 * q + 0.5 * root)), 0.5 * (root - q))
+    # -h'' at the peak, with x c / (x + c)^2 taken as two ratios
+    curv = c - d * (x / (x + c)) * (c / (x + c))
+    sigma = np.minimum(2.0, 1.0 / np.sqrt(curv))
+    vc = np.log(c)
+    hc = h(vc)
+    nodes, weights = _exp_sinh_table(refine)
+    terms = np.exp(h(vc + sigma * nodes[:, None]) - hc)
     # einsum: fixed accumulation order, as in the kernel-sum engine
-    total = np.einsum("k,kp->p", _DE_W, terms)
+    total = np.einsum("k,kp->p", weights, terms)
     with np.errstate(over="ignore"):
-        return np.exp(gc - ln_gamma_int(a)) * sigma * total
+        return np.exp(hc - ln_gamma_int(a)) * sigma * total
 
 
 def tricomi_u_times_xa(a, b, x):
@@ -219,13 +157,13 @@ def tricomi_u_times_xa(a, b, x):
     This combination is bounded (it tends to 1 as ``x -> inf``) even
     when the two factors separately leave the double range, which is
     exactly the situation in Laplace-transform evaluations near
-    ``s -> 0``.  Two branches:
-
-    * ``x < 0.25``: the ascending series with ``x^a`` folded in term by
-      term (after the Kummer reflection
-      ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` when ``b < 1``);
-    * ``x >= 0.25``: a fixed-node exp-sinh rule on the peak-factored
-      Laplace integral, all points at once.
+    ``s -> 0``.  ``b = a + 1`` is exact (``U = x^-a``), and ``x = inf``
+    gives the limit 1; every other point goes through one exp-sinh rule
+    on the Laplace integral, all points at once, after Kummer's
+    relation ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` has mapped
+    ``b < 1`` to ``b >= 2``.  The library ``hyperu`` is not used: it
+    returns NaN for small ``x`` with integer ``b >= 2`` and silently
+    wrong values for first parameters beyond ~10 at moderate arguments.
 
     Parameters
     ----------
@@ -248,21 +186,21 @@ def tricomi_u_times_xa(a, b, x):
     x = np.atleast_1d(x)
     if not np.all(x > 0.0):
         raise ValueError("tricomi_u_times_xa requires x > 0")
+    if b < 1:
+        # x^a U(a, b, x) = x^(a+1-b) U(a+1-b, 2-b, x)
+        a, b = a + 1 - b, 2 - b
 
-    if b == a + 1:
-        out = np.ones_like(x)  # U(a, a+1, x) = x^-a exactly
-    else:
-        out = np.empty_like(x)
-        small = x < _U_SMALL_X_CUTOFF
-        if np.any(small):
-            # Fold x^a into the ascending series: the balanced combination
-            # stays in range even where U alone would overflow.
-            if b < 1:
-                out[small] = _u_small_x_int(a - b + 1, 2 - b, x[small], power=a + 1 - b)
-            else:
-                out[small] = _u_small_x_int(a, b, x[small], power=a)
-        if np.any(~small):
-            out[~small] = _u_laplace_times_xa(a, b, x[~small])
+    out = np.ones_like(x)  # U(a, a+1, x) = x^-a exactly; the limit at inf
+    if b != a + 1:
+        refine = np.ones(x.shape)
+        if b == 1:
+            # h is flat in v from ln x to ln a; the table must resolve
+            # that stretch's ends at half its length from the centre.
+            refine = np.maximum(1.0, np.ceil(0.5 * (math.log(a) - np.log(x)) / 11.0))
+        finite = np.isfinite(x)
+        for r in np.unique(refine[finite]):
+            pick = finite & (refine == r)
+            out[pick] = _u_laplace_times_xa(a, b, x[pick], int(r))
     return float(out[0]) if scalar else out
 
 

@@ -240,3 +240,18 @@ def test_fit_pdf_mse_requires_pdf_kind():
     emp = curve_from_model(make_product(1.0, 1, 2), x)
     with pytest.raises(ValueError):
         fit_pdf_mse(emp, SearchConfig(max_m=1))
+
+
+@pytest.mark.parametrize("kappas", [(1.0, 3.0), (3.0, 1.0)])
+def test_symmetric_cell_reports_canonical_kappa_order(kappas):
+    # With mu == mu_hat and m == m_hat the two link orders are the same
+    # law, so either generating order is reported as kappa >= kappa_hat.
+    env = EnvelopeModel(make_product(kappas[0], 1, 2, kappa_b=kappas[1]), 1.2)
+    r = np.linspace(0.02, 4.0, 160)
+    emp = EmpiricalDistribution("pdf", r, env.pdf(r))
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=3, kappa_tol=1e-7)
+    res = fit_pdf_mse(emp, cfg)
+    (entry,) = res.search_trace
+    assert entry["kappa"] >= entry["kappa_hat"]
+    np.testing.assert_allclose([res.model.link_a.kappa, res.model.link_b.kappa],
+                               [3.0, 1.0], atol=1e-3)

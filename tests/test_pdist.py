@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -136,6 +137,19 @@ def test_mgf_limit_and_validation():
     for bad in (0.0, 0.5, np.nan, np.array([-1.0, 0.0])):
         with pytest.raises(ValueError):
             p.mgf(bad)
+
+
+def test_mgf_near_zero_takes_the_limit(monkeypatch):
+    # -1/s overflows for |s| below 1/DBL_MAX; every x^a U is then at its
+    # limit 1 and the mgf is the weight sum.
+    p = make((1.0, 2.6, 1, 4), (1.0, 2.6, 1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p.mgf(-5e-324) == 1.0
+        assert p.mgf(-1e-310) == 1.0
+    monkeypatch.setattr("prodfade.pdist.tricomi_u_times_xa", lambda a, b, y: np.nan * y)
+    with pytest.raises(ArithmeticError):
+        p.mgf(-1.0)
 
 
 def test_mgf_signed_model_matches_mpmath_pair_sum():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -173,14 +174,32 @@ def test_u_series_reference_values():
 
 @pytest.mark.parametrize("a", [1, 3, 9, 21, 30, 100, 150])
 def test_tricomi_u_times_xa_grid_against_mpmath(a):
-    # Above the ascending cutoff, across the first parameters the
-    # transforms generate and second parameters on both sides of 1.
-    x = np.array([0.25, 0.3, 1.0, 7.0, 100.0, 1e5, 1e12, 1e160])
-    for b in sorted({a, a - 1, 1, 0, 2 - a}):
-        got = tricomi_u_times_xa(a, b, x)
+    # The module's 1e-13 contract across the first parameters the
+    # transforms generate and second parameters on both sides of 1
+    # (b <= 0 through the Kummer reflection), with no intermediate
+    # overflow.  At b = 1 the integrand is flat in ln u from ln x to
+    # ln a, a stretch of 690 at x = 1e-300 that only the refined node
+    # tables resolve.
+    x = np.array([1e-300, 1e-100, 1e-30, 1e-10, 1e-6, 1e-3, 0.1, 0.25, 0.3,
+                  1.0, 7.0, 100.0, 1e5, 1e12, 1e160])
+    for b in sorted({a, a - 1, 1, 2, 0, 2 - a}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tricomi_u_times_xa(a, b, x)
         expected = np.array([mpmath_u_times_xa(a, b, xi) for xi in x])
         keep = expected >= 1e-300
-        np.testing.assert_allclose(got[keep], expected[keep], rtol=1e-12, err_msg="b=%d" % b)
+        np.testing.assert_allclose(got[keep], expected[keep], rtol=1e-13, err_msg="b=%d" % b)
+
+
+def test_tricomi_u_times_xa_limit_at_overflowing_argument():
+    # The peak centre must not overflow at x near the double maximum,
+    # and x = inf takes the limit x^a U -> 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tricomi_u_times_xa(2, 1, [1e308, np.inf])
+        assert out[0] == pytest.approx(1.0, rel=1e-15) and out[1] == 1.0
+        assert tricomi_u_times_xa(3, -2, np.inf) == 1.0
+        assert tricomi_u_times_xa(5, 2, 1.7e308) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_ln_gamma_int_exact_small_and_large():

@@ -85,3 +85,12 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
     assert len(res.search_trace) == 1
     assert len(calls) >= 40
     assert 1 <= builds <= len(calls) // 5
+
+
+def test_pdf_rows_merge_on_unordered_shape_pair():
+    # The density kernel is symmetric in (m, m_hat): L's 900 pairs of
+    # shapes 1..30 on one theta are 30 * 31 / 2 distinct kernels.
+    model = ProductModel(*MODELS["L"])
+    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._pdf_plan)
+    assert model.pair_count == 900
+    assert plan.theta.size == 465
