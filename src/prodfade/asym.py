@@ -21,7 +21,6 @@ compensated by a stronger dominant component.
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoRootError
 from .mixture import ShadowedParams, _as_int
@@ -38,6 +37,30 @@ __all__ = [
 #: Required accuracy, in absolute terms, of the matching identity at the
 #: returned root.
 MATCH_RESIDUAL_TOL = 1e-12
+
+#: Below this K the matched kappa is K sqrt(m / (m - mu)) to the last bit.
+_SMALL_K = 1e-40
+
+#: Newton stops once a step moves the root by less than this, relatively.
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _log1p_minus_x(x):
+    """``ln(1 + x) - x`` for ``x >= 0``, accurate where the two cancel.
+
+    Below ``x = 0.25`` it sums the series ``-x^2/2 + x^3/3 - ...``,
+    whose terms fall by at least four times each.
+    """
+    if x > 0.25:
+        return math.log1p(x) - x
+    total, power, n = 0.0, -x * x, 2
+    while True:
+        term = power / n
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+        power *= -x
+        n += 1
 
 
 def tail_offset(params):
@@ -124,8 +147,10 @@ def match_kappa(k_factor, mu, m, infinite_m=False):
     Raises
     ------
     NoRootError
-        If bracket expansion fails to straddle the root (defensive;
-        not reachable for valid inputs).
+        If bracket expansion fails to straddle the root, which happens
+        when the root lies beyond about 1e120: large ``K`` with ``m``
+        close to ``mu`` (``K = 15, mu = 30, m = 31`` has its root near
+        6e159).
     """
     k_factor = float(k_factor)
     if not np.isfinite(k_factor) or k_factor < 0.0:
@@ -140,23 +165,61 @@ def match_kappa(k_factor, mu, m, infinite_m=False):
     if infinite_m or k_factor == 0.0:
         return k_factor
 
-    # In logs: g(kappa) = ln(1+kappa) + (m/mu) ln(m/(mu kappa + m))
-    #                     - [ln(1+K) - K];  g(K) > 0, g decreasing.
-    rhs = math.log1p(k_factor) - k_factor
+    # In logs the identity is g(kappa) = 0 for
+    #   g(kappa) = ln(1+kappa) - (m/mu) ln(1 + mu kappa/m) - phi(K),
+    # phi(x) = ln(1+x) - x; g(K) > 0 and g is decreasing.  Up to
+    # kappa = 1 the first two terms are summed as
+    # phi(kappa) - (m/mu) phi(mu kappa/m), whose linear terms cancel
+    # exactly: in logs they would cancel in rounding and leave an error
+    # of order kappa where g is of order kappa^2.
+    #
+    # Near 0, g = (K^2 - (1 - mu/m) kappa^2) / 2 + O(kappa^3): to leading
+    # order the root is K sqrt(m / (m - mu)).
+    leading = k_factor * math.sqrt(m / (m - mu))
+    if k_factor < _SMALL_K:
+        # exact to double precision here; further down g's kappa^2
+        # underflows and g cannot place the root
+        return leading
+    ratio = m / mu
+    phi_k = _log1p_minus_x(k_factor)
 
     def g(kap):
-        return math.log1p(kap) + (m / mu) * (math.log(m) - math.log(mu * kap + m)) - rhs
+        if kap <= 1.0:
+            head = _log1p_minus_x(kap) - ratio * _log1p_minus_x(kap / ratio)
+        else:
+            head = math.log1p(kap) - ratio * math.log1p(kap / ratio)
+        return head - phi_k
+
+    def slope(kap):
+        # 1/(1+kappa) - m/(mu kappa + m), over one denominator
+        return kap * (mu - m) / ((1.0 + kap) * (mu * kap + m))
 
     lo = k_factor
     hi = max(2.0 * k_factor, 1.0)
     for _ in range(200):
         if g(hi) < 0.0:
             break
+        lo = hi
         hi *= 4.0
     else:
         raise NoRootError("bracket expansion exhausted", lo=lo, hi=hi)
 
-    root = brentq(g, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
+    # Newton from the small-K root, kept inside the shrinking bracket
+    # [lo, hi]; a step that would leave it bisects instead.
+    root = min(max(leading, lo), hi)
+    for _ in range(200):
+        value = g(root)
+        if value > 0.0:
+            lo = root
+        elif value < 0.0:
+            hi = root
+        if value == 0.0 or hi - lo <= _NEWTON_RTOL * hi:
+            break
+        step = root - value / slope(root)
+        if abs(step - root) <= _NEWTON_RTOL * root:
+            root = step
+            break
+        root = step if lo < step < hi else 0.5 * (lo + hi)
 
     lhs = (1.0 + k_factor) * math.exp(-k_factor)
     val = (1.0 + root) * math.exp((m / mu) * (math.log(m) - math.log(mu * root + m)))

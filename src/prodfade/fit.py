@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .mixture import ShadowedParams
 from .pdist import EnvelopeModel, ProductModel
@@ -342,6 +341,19 @@ class FitResult:
         if self.envelope_scale is not None:
             out["envelope_scale"] = self.envelope_scale
         return out
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Only the fits use ``scipy.optimize``, and its import is a large
+    share of a CLI command's start-up, so commands that fit nothing
+    never load it.  ``_minimize_cell`` looks this name
+    up in the module on each call, so it stays the one to patch.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _minimize_cell(objective, starts, bounds, kappa_tol):

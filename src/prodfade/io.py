@@ -83,10 +83,13 @@ def write_csv(path, header, columns):
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
+    # "%.17g" gives the bytes of format_float for every double (and
+    # np.float64 is a float).  Rows are streamed one at a time: a join
+    # would hold every row string at once, a tolist() every value.
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(c[i]) for c in columns) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def write_json(path, payload):

@@ -23,7 +23,7 @@ worth reproducing.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int
 from .pdist import ProductModel
@@ -212,8 +212,12 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
 
     Conditioning on the first factor gives a one-dimensional integral
     of a Gamma density against a Gamma CDF, evaluated by adaptive
-    quadrature.  Slow but shape-exact; used only by the comparator.
+    quadrature.  Slow but shape-exact; used only by the comparator,
+    which is why ``scipy.integrate`` is imported here and not with the
+    module.
     """
+    from scipy import integrate
+
     for name, v in (("shape_a", shape_a), ("scale_a", scale_a),
                     ("shape_b", shape_b), ("scale_b", scale_b)):
         _positive(name, v)

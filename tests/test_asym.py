@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,3 +140,51 @@ def test_no_root_error_carries_bracket():
     err = NoRootError("no sign change", lo=0.5, hi=32.0)
     assert isinstance(err, ArithmeticError)
     assert err.lo == 0.5 and err.hi == 32.0
+
+
+def _mpmath_matched_kappa(k, mu, m):
+    """Root of the log identity at 60 digits, bracketed as match_kappa does."""
+    with mpmath.workdps(60):
+        big_k = mpmath.mpf(k)
+        rhs = mpmath.log1p(big_k) - big_k
+
+        def g(kap):
+            return mpmath.log1p(kap) - mpmath.mpf(m) / mu * mpmath.log1p(mu * kap / m) - rhs
+
+        lo, hi = big_k, max(2 * big_k, mpmath.mpf(1))
+        while g(hi) >= 0:
+            lo, hi = hi, 4 * hi
+        return float(mpmath.findroot(g, (lo, hi), solver="anderson"))
+
+
+@pytest.mark.parametrize("mu,m", [(1, 30), (1, 15), (2, 3), (1, 2), (3, 20), (2, 25)])
+def test_match_kappa_against_mpmath(mu, m):
+    # The residual's log terms cancel to order kappa^2 at small K; in
+    # the plain log form the root lost up to all its digits below 1e-4.
+    for k in np.geomspace(1e-9, 60.0, 12):
+        np.testing.assert_allclose(match_kappa(k, mu, m), _mpmath_matched_kappa(k, mu, m),
+                                   rtol=1e-13, err_msg="K=%r" % k)
+
+
+def test_match_kappa_small_k_never_raises():
+    # In the plain log form g(K) > 0 rounded to <= 0 in about a fifth of
+    # these cells, and the root finder raised ValueError on valid input.
+    rng = np.random.default_rng(7)
+    for k in 10.0 ** rng.uniform(-9.0, -4.0, 1200):
+        mu = int(rng.integers(1, 6))
+        m = mu + int(rng.integers(1, 31))
+        kap = match_kappa(k, mu, m)
+        # near the leading-order root K sqrt(m / (m - mu)) for K <= 1e-4
+        assert kap >= k
+        np.testing.assert_allclose(kap, k * math.sqrt(m / (m - mu)), rtol=1e-3)
+
+
+def test_match_kappa_tiny_k_is_the_leading_order_root():
+    # kappa = K sqrt(m / (m - mu)) (1 + O(K)); far enough down, kappa^2
+    # underflows in the residual, which then cannot place the root.
+    rng = np.random.default_rng(8)
+    for k in np.concatenate([[5e-324], 10.0 ** rng.uniform(-320.0, -20.0, 300)]):
+        mu = int(rng.integers(1, 6))
+        m = mu + int(rng.integers(1, 31))
+        np.testing.assert_allclose(match_kappa(k, mu, m), k * math.sqrt(m / (m - mu)),
+                                   rtol=1e-15, err_msg="K=%r mu=%d m=%d" % (k, mu, m))

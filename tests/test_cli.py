@@ -52,6 +52,17 @@ def test_format_float_roundtrips():
         assert float(pio.format_float(v)) == v
 
 
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_write_csv_bytes_match_format_float(tmp_path, ncols):
+    values = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0])
+    columns = [np.roll(values, j) for j in range(ncols)]
+    header = ["c%d" % j for j in range(ncols)]
+    pio.write_csv(tmp_path / "a.csv", header, columns)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(pio.format_float(c[i]) for c in columns) + "\n" for i in range(values.size))
+    assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+
+
 def test_write_csv_validation(tmp_path):
     with pytest.raises(ValueError):
         pio.write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
@@ -442,3 +453,60 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _fresh_interpreter(code, cwd=None):
+    """stdout of ``code`` run by a new interpreter that imports this prodfade."""
+    src = os.path.dirname(os.path.dirname(prodfade.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=cwd,
+                          capture_output=True, text=True).stdout
+
+
+LAZY_SCIPY = ("scipy.optimize", "scipy.integrate")
+
+
+@pytest.mark.parametrize("module", ["prodfade", "prodfade.cli"])
+def test_import_leaves_lazy_scipy_out(module):
+    code = "import sys, %s; print(sorted(m for m in %r if m in sys.modules))" % (
+        module, LAZY_SCIPY + ("scipy.stats",))
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_non_fit_commands_leave_lazy_scipy_out(tmp_path):
+    # One interpreter runs the five commands in turn and reports, after
+    # each, which of the lazily imported modules are loaded.
+    dump(tmp_path / "p.json", PROD)
+    dump(tmp_path / "w.json", {"tx_power_over_noise": 1e5, "pb_antennas": 2,
+                               "rician_k": 5.0})
+    dump(tmp_path / "b.json", {"mean_rx_power": 1e-3, "forward": PROD["link_a"],
+                               "reverse": PROD["link_a"]})
+    commands = [
+        ["eval", "--dist", "prod", "--params", "p.json", "--grid", "0.01:2:5",
+         "--out", "e.csv"],
+        ["sample", "--dist", "prod", "--params", "p.json", "--n", "50", "--seed", "1",
+         "--out", "s.csv"],
+        ["wpc", "--config", "w.json", "--grid", "40:60:3", "--out", "w.csv"],
+        ["backscatter", "--config", "b.json", "--grid=-60:-40:3", "--out", "b.csv"],
+        ["match-kappa", "--K", "1e-6", "--mu", "1", "--m", "15"],
+    ]
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "for args in %r:\n"
+            "    assert main(args) == 0, args\n"
+            "    print('after', args[0], sorted(m for m in %r if m in sys.modules))\n"
+            % (commands, LAZY_SCIPY))
+    report = [line for line in _fresh_interpreter(code, cwd=tmp_path).splitlines()
+              if line.startswith("after ")]
+    assert report == ["after %s []" % args[0] for args in commands]
+
+
+def test_fit_cdf_loads_scipy_optimize(tmp_path):
+    link = ShadowedParams(1.0, 1.0, 1, 2)
+    draws = ProductModel(link, link).sample(np.random.default_rng(5), 300)
+    pio.write_csv(tmp_path / "d.csv", ["sample"], [draws])
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "assert main(['fit-cdf', '--data', 'd.csv', '--out', 'f.json', '--mu', '1',"
+            " '--m', '2', '--m-hat', '2', '--starts', '1', '--max-points', '40']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    assert _fresh_interpreter(code, cwd=tmp_path).splitlines()[-1] == "True"

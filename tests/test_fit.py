@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import prodfade.fit
 from prodfade.fit import (
     EmpiricalDistribution,
     SearchConfig,
@@ -203,6 +204,25 @@ def test_fit_cdf_requires_scale_source():
     res = fit_cdf(emp, SearchConfig(max_m=2, m_grid=(2,), total_scale=1.0,
                                     n_starts=3, tie_links=True))
     assert res.objective_value < 0.01
+
+
+def test_fit_looks_up_minimize_in_the_fit_module(monkeypatch):
+    # prodfade.fit.minimize imports scipy.optimize on its first call;
+    # it must stay the name the search calls, so that wrapping it (as
+    # the benchmark tracer does) sees every Nelder-Mead run.
+    calls = []
+    minimize = prodfade.fit.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(prodfade.fit, "minimize", counting)
+    x = np.geomspace(0.01, 5.0, 40)
+    emp = curve_from_model(make_product(1.0, 1, 2), x)
+    fit_cdf(emp, SearchConfig(mu_grid=(1,), m_grid=(2,), total_scale=1.0,
+                              n_starts=2, tie_links=True))
+    assert len(calls) == 2
 
 
 def test_fit_pdf_mse_self_fit_is_exact():
