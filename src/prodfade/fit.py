@@ -28,7 +28,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .mixture import ShadowedParams
+from .mixture import ShadowedParams, _as_int
 from .pdist import EnvelopeModel, ProductModel
 
 __all__ = [
@@ -93,7 +93,7 @@ class EmpiricalDistribution:
             if np.any(values < 0.0):
                 raise ValueError("pdf values must be non-negative")
         if sample_count is not None:
-            sample_count = int(sample_count)
+            sample_count = _as_int("sample_count", sample_count)
             if sample_count < 2:
                 raise ValueError("sample_count must be >= 2 when given")
         if mean is not None:
@@ -276,24 +276,20 @@ class SearchConfig:
     tie_tol: float = 1e-3
 
     def __post_init__(self):
-        if int(self.max_m) < 1:
-            raise ValueError("max_m must be >= 1")
-        object.__setattr__(self, "max_m", int(self.max_m))
+        object.__setattr__(self, "max_m", _as_int("max_m", self.max_m))
         lo, hi = (float(v) for v in self.kappa_range)
         if not 0.0 <= lo < hi:
             raise ValueError("kappa_range must satisfy 0 <= lo < hi")
         object.__setattr__(self, "kappa_range", (lo, hi))
-        if int(self.n_starts) < 1:
-            raise ValueError("n_starts must be >= 1")
-        object.__setattr__(self, "n_starts", int(self.n_starts))
+        object.__setattr__(self, "n_starts", _as_int("n_starts", self.n_starts))
         if not float(self.tie_tol) >= 0.0:
             raise ValueError("tie_tol must be >= 0")
         object.__setattr__(self, "tie_tol", float(self.tie_tol))
         for name in ("mu_grid", "mu_hat_grid", "m_grid", "m_hat_grid"):
             grid = getattr(self, name)
             if grid is not None:
-                grid = tuple(int(v) for v in grid)
-                if len(grid) == 0 or any(v < 1 for v in grid):
+                grid = tuple(_as_int(name, v) for v in grid)
+                if len(grid) == 0:
                     raise ValueError("%s must be a non-empty tuple of ints >= 1" % name)
                 object.__setattr__(self, name, grid)
 
@@ -499,8 +495,10 @@ def fit_cdf(empirical, config=None):
                 ShadowedParams(scale, kap, mu, m),
                 ShadowedParams(1.0, kaph, mu_hat, m_hat),
             )
-            f_mod = np.maximum(model.cdf(x_eval), _TINY_CDF)
-            return float(np.max(np.abs(np.log10(f_mod) - logf_emp)))
+            err = np.maximum(model.cdf(x_eval), _TINY_CDF)
+            np.log10(err, out=err)
+            err -= logf_emp
+            return float(np.abs(err, out=err).max())
         return score
 
     def level(t):
@@ -563,7 +561,10 @@ def fit_pdf_mse(empirical, config=None):
                 ),
                 scale,
             )
-            return float(np.mean((model.pdf(r) - f_emp) ** 2))
+            err = model.pdf(r) - f_emp
+            err *= err
+            # the sum and division of np.mean, without its dispatch
+            return float(err.sum() / err.size)
         return score
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))

@@ -22,8 +22,10 @@ the same kernel.  A row plan, built from the integer shapes and the
 pair-to-``theta`` index alone, merges such rows into one row whose
 weight is the sum of theirs, and the Bessel ladder climbs once per
 distinct ``theta``.  The density kernel is symmetric in its two shapes,
-so its rows merge on the unordered pair.  Plans are cached, so a fit
-that revisits an integer cell at many ``kappa`` plans it once.
+so its rows merge on the unordered pair.  Plans depend on the integer
+layout alone and are cached, so a fit that revisits an integer cell at
+many ``kappa`` plans it once; what each call still pays is the kernel
+math (the ladder's ``K_0``/``K_1`` seeds above all) and the sum.
 """
 
 import math
@@ -39,8 +41,9 @@ __all__ = ["weighted_pdf_sum", "weighted_cdf_sum"]
 
 _LN2 = math.log(2.0)
 
-# Cap on rows*points handled in one vectorized block; larger requests
-# are chunked over the evaluation grid to bound peak memory.
+# Cap on rows*points, and on kept ladder rungs*points, handled in one
+# vectorized block; larger requests are chunked over the evaluation grid
+# to bound peak memory.
 _BLOCK_BUDGET = 2_000_000
 
 # Row plans kept per sum kind, one per distinct integer layout.  The
@@ -50,10 +53,10 @@ _PLAN_CACHE = 1024
 
 # Merged kernel rows of one sum.  ``np.bincount(merge, weights[source])``
 # gives the row weights; row ``r`` is the kernel with log scale
-# ``theta[r]`` (an index into the distinct log scales), coefficient
-# ``log_coef[r]`` and exponent ``expo[r]``; ``harvest`` maps each Bessel
-# order to the rows that take it and their theta.
-_RowPlan = namedtuple("_RowPlan", "source merge theta log_coef expo harvest")
+# ``theta[r]`` (an index into the distinct log scales), Bessel order
+# ``order[r]``, coefficient ``log_coef[r]`` and exponent ``expo[r]`` (the
+# last two as columns); ``max_order`` is the highest order of any row.
+_RowPlan = namedtuple("_RowPlan", "source merge theta order log_coef expo max_order")
 
 
 def _row_plan(source, theta, a, b, log_coef, expo, order):
@@ -71,12 +74,8 @@ def _row_plan(source, theta, a, b, log_coef, expo, order):
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
     first = first[by_first]
-    theta, order = theta[first], order[first]
-    harvest = {}
-    for nu in np.unique(order):
-        rows = np.nonzero(order == nu)[0]
-        harvest[int(nu)] = (rows, theta[rows])
-    return _RowPlan(source, rank[merge], theta, log_coef[first], expo[first], harvest)
+    return _RowPlan(source, rank[merge], theta[first], order[first],
+                    log_coef[first, None], expo[first, None], int(order.max()))
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
@@ -108,12 +107,23 @@ def _pdf_plan(shapes_a, shapes_b, theta_of_pair):
 
 
 def _plan_of(shapes_a, shapes_b, log_scales, build):
-    """Distinct log scales, and the cached plan of the pairs' integer layout."""
-    log_thetas, theta_of_pair = np.unique(
-        np.asarray(log_scales, dtype=float), return_inverse=True)
+    """Distinct log scales, and the cached plan of the pairs' integer layout.
+
+    The distinct scales are those of ``np.unique``, found by a sort and
+    a search: ``np.unique`` costs several times more on the few pairs of
+    a fit's model.
+    """
+    log_scales = np.asarray(log_scales, dtype=float)
+    ordered = log_scales.copy()
+    ordered.sort()
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    log_thetas = ordered[first]
+    theta_of_pair = log_thetas.searchsorted(log_scales)
     key = (np.asarray(shapes_a, dtype=np.int64).tobytes(),
            np.asarray(shapes_b, dtype=np.int64).tobytes(),
-           theta_of_pair.astype(np.int64).tobytes())
+           theta_of_pair.astype(np.int64, copy=False).tobytes())
     return log_thetas, build(*key)
 
 
@@ -121,37 +131,48 @@ def _eval_blocks(plan, weights, log_thetas, x, shift=False):
     """``sum_r w_r coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))``.
 
     Shared engine for the pdf and cdf sums, over the plan's merged rows.
-    Every row of one ``theta`` shares the Bessel argument, so one
-    log-space recurrence climb over the (distinct theta x points)
-    argument matrix serves every row and order at once; rows harvest
-    their rung as the ladder passes it.  With ``shift``, each row's
-    ``ln theta`` is subtracted after the other terms.  Chunked over
-    ``x`` so rows * points stays within the block budget.
+    With ``shift``, each row's ``ln theta`` is subtracted after the other
+    terms.  Chunked over ``x`` so that neither the rows nor the kept
+    ladder rungs exceed the block budget.
     """
     wt = np.bincount(plan.merge, weights=np.asarray(weights, dtype=float)[plan.source],
                      minlength=plan.theta.size)
-    nrows = wt.size
-    max_order = max(plan.harvest)
-    block = max(1, _BLOCK_BUDGET // nrows)
-    total = np.empty_like(x)
-    for start in range(0, x.size, block):
-        xb = x[start:start + block]
-        lu = np.log(xb)[None, :] - log_thetas[:, None]   # (distinct theta, block)
-        arg = 2.0 * np.exp(0.5 * lu)
-        logk = np.empty((nrows, xb.size))
-        for nu, lk in log_bessel_k_ladder(arg, max_order):
-            hit = plan.harvest.get(nu)
-            if hit is not None:
-                rows, thetas = hit
-                logk[rows] = lk[thetas]
-        lt = plan.log_coef[:, None] + plan.expo[:, None] * lu[plan.theta] + logk
-        if shift:
-            lt -= log_thetas[plan.theta][:, None]
-        # einsum keeps a fixed per-element accumulation order, so results
-        # do not depend on how callers batch their x grids (BLAS gemv
-        # re-blocks the reduction with matrix size and breaks that).
-        total[start:start + block] = np.einsum("r,rb->b", wt, np.exp(lt))
-    return total
+    rungs_per_point = (plan.max_order + 1) * log_thetas.size
+    block = max(1, _BLOCK_BUDGET // max(wt.size, rungs_per_point))
+    if x.size <= block:
+        return _eval_block(plan, wt, log_thetas, x, shift)
+    return np.concatenate([_eval_block(plan, wt, log_thetas, x[start:start + block], shift)
+                           for start in range(0, x.size, block)])
+
+
+def _eval_block(plan, wt, log_thetas, x, shift):
+    """One block of :func:`_eval_blocks`, with the merged row weights ``wt``.
+
+    Every row of one ``theta`` shares the Bessel argument, so one
+    log-space recurrence climb over the (distinct theta x points)
+    argument matrix serves every row and order at once; each rung is
+    kept, and every row then gathers its own.
+    """
+    lu = np.log(x) - log_thetas[:, None]   # (distinct theta, points)
+    arg = np.multiply(lu, 0.5)
+    np.exp(arg, out=arg)
+    arg *= 2.0
+    rungs = np.empty((plan.max_order + 1,) + arg.shape)
+    for nu, lk in log_bessel_k_ladder(arg, plan.max_order):
+        rungs[nu] = lk
+    lt = lu[plan.theta]
+    lt *= plan.expo
+    lt += plan.log_coef
+    lt += rungs[plan.order, plan.theta]
+    if shift:
+        lt -= log_thetas[plan.theta, None]
+    np.exp(lt, out=lt)
+    # einsum, not BLAS gemv, which re-blocks the reduction with matrix
+    # size.  einsum's order is fixed for a given block width, so one grid
+    # gives the same bits on every run; a point's last bit can still
+    # differ between grids of different length, because a block's SIMD
+    # lanes and its tail round differently.
+    return np.einsum("r,rb->b", wt, lt)
 
 
 def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
@@ -166,7 +187,8 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     how to range-check it.
     """
     log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _cdf_plan)
-    return 1.0 - _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float))
+    total = _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float))
+    return np.subtract(1.0, total, out=total)
 
 
 def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):

@@ -114,12 +114,22 @@ def write_manifest(data_path, command, config, seed=None):
     return manifest_path
 
 
-def _read_rows(path):
+def _data_rows(reader):
+    """Rows of ``reader`` with a non-blank field.
+
+    Empty and whitespace-only rows are skipped.  The first field settles
+    almost every row, so the scan of the others runs only when it is
+    blank.
+    """
+    return (row for row in reader if row and (row[0].strip() or any(f.strip() for f in row)))
+
+
+def _float_column(fields):
+    """``fields`` parsed as floats into an array; None if one is not a number."""
     try:
-        with open(path, newline="") as fh:
-            return list(csv.reader(fh))
-    except OSError as exc:
-        raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
+        return np.fromiter(map(float, fields), dtype=float)
+    except ValueError:
+        return None
 
 
 def _parse_float(path, line_no, field, text):
@@ -131,42 +141,75 @@ def _parse_float(path, line_no, field, text):
         ) from None
 
 
+def _raise_first_bad_row(path, names, exact):
+    """Read ``path`` again and raise the IngestionError of its first bad data row.
+
+    The fields of each data row are parsed in order as ``names``; with
+    ``exact``, a row must also have exactly ``len(names)`` fields.  Line
+    numbers are those of the file, blank lines included.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = _data_rows(reader)
+        next(rows)
+        for row in rows:
+            if exact and len(row) != len(names):
+                raise IngestionError("%s line %d: expected %d fields, got %d"
+                                     % (path, reader.line_num, len(names), len(row)))
+            for name, text in zip(names, row):
+                _parse_float(path, reader.line_num, name, text)
+    raise IngestionError("%s: a data row that did not parse parsed when read again" % (path,))
+
+
 def read_empirical_csv(path):
     """Empirical data from CSV.
 
     Accepted layouts (chosen by the header row):
 
     * ``sample`` -- one positive draw per line, converted to a step CDF;
+      fields after the first are ignored;
     * ``x,cdf`` -- distribution-function points;
     * ``x,pdf`` -- density points.
+
+    Blank and whitespace-only rows are skipped.  The rows are streamed
+    once and parsed whole; only when a field does not parse is the file
+    read again, to name the line.
     """
-    rows = [r for r in _read_rows(path) if r and any(f.strip() for f in r)]
-    if not rows:
+    try:
+        with open(path, newline="") as fh:
+            return _read_empirical(path, _data_rows(csv.reader(fh)))
+    except OSError as exc:
+        raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def _read_empirical(path, rows):
+    header = [h.strip().lower() for h in next(rows, ())]
+    if not header:
         raise IngestionError("%s: empty file" % (path,))
-    header = [h.strip().lower() for h in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise IngestionError("%s: no data rows" % (path,))
 
     if header == ["sample"]:
-        samples = [
-            _parse_float(path, i + 2, "sample", row[0])
-            for i, row in enumerate(body)
-        ]
-        return empirical_from_samples(np.asarray(samples))
+        samples = _float_column(row[0] for row in rows)
+        if samples is None:
+            _raise_first_bad_row(path, ("sample",), exact=False)
+        if samples.size == 0:
+            raise IngestionError("%s: no data rows" % (path,))
+        return empirical_from_samples(samples)
 
     if header in (["x", "cdf"], ["x", "pdf"]):
         kind = header[1]
-        xs, vals = [], []
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                raise IngestionError(
-                    "%s line %d: expected 2 fields, got %d" % (path, i + 2, len(row))
-                )
-            xs.append(_parse_float(path, i + 2, "x", row[0]))
-            vals.append(_parse_float(path, i + 2, kind, row[1]))
-        return EmpiricalDistribution(kind, np.asarray(xs), np.asarray(vals))
+        body = list(rows)
+        if not body:
+            raise IngestionError("%s: no data rows" % (path,))
+        xs = vals = None
+        if all(len(row) == 2 for row in body):
+            xs = _float_column(row[0] for row in body)
+            vals = _float_column(row[1] for row in body)
+        if xs is None or vals is None:
+            _raise_first_bad_row(path, ("x", kind), exact=True)
+        return EmpiricalDistribution(kind, xs, vals)
 
+    if next(rows, None) is None:
+        raise IngestionError("%s: no data rows" % (path,))
     raise IngestionError(
         "%s: unrecognized header %r; expected 'sample', 'x,cdf' or 'x,pdf'"
         % (path, ",".join(header))

@@ -14,9 +14,17 @@ weighted sum.
 Weights are generated in extended precision and rounded once at the
 end; the rounded sum stays within 1e-12 of one across the supported
 parameter range, which downstream summations rely on.
+
+Two caches serve fits, which revisit an integer ``(mu, m)`` at many
+``kappa``: a kappa-free layout per ``(mu, m)`` (the signed integer
+coefficient, the powers of ``base`` and ``dom``, the shape and the scale
+choice of each term), from which one vectorized long-double expression
+gives the weights at a new ``kappa``; and :func:`expand`'s cache of
+finished mixtures per parameter set.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import index as _as_index
@@ -48,6 +56,15 @@ RICIAN_PROXY_M = 20
 
 #: Tolerance on |sum of weights - 1| after rounding to double.
 WEIGHT_SUM_TOL = 1e-12
+
+
+def _span(v):
+    """``(min, max)`` of the array ``v``, ``(inf, -inf)`` when empty.
+
+    Both are NaN when any element is NaN, so a range check written as
+    ``lo >= a and hi <= b`` fails on NaN too.
+    """
+    return v.min(initial=math.inf), v.max(initial=-math.inf)
 
 
 def _as_int(name, value):
@@ -82,10 +99,10 @@ class ShadowedParams:
 
     def __post_init__(self):
         mp = float(self.mean_power)
-        if not np.isfinite(mp) or mp <= 0.0:
+        if not math.isfinite(mp) or mp <= 0.0:
             raise ValueError("mean_power must be finite and > 0, got %r" % (self.mean_power,))
         kap = float(self.kappa)
-        if not np.isfinite(kap) or kap < 0.0:
+        if not math.isfinite(kap) or kap < 0.0:
             raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
         object.__setattr__(self, "mean_power", mp)
         object.__setattr__(self, "kappa", kap)
@@ -112,68 +129,37 @@ class ShadowedParams:
         return cls(mean_power, k_factor, 1, m)
 
 
-def _table_terms_ld(params):
-    """Expansion triples in extended precision, in canonical table order.
+# Kappa-free part of the expansion of one integer (mu, m): per term, the
+# signed integer coefficient, the powers of ``base`` and ``dom``, the
+# Gamma shape, and whether the term takes the boosted scale (else the
+# unit one).  The weight of a term is ``coef * base**base_pow *
+# dom**dom_pow``.
+_Layout = namedtuple("_Layout", "coef base_pow dom_pow shapes boosted")
 
-    Returns (weights, shapes, scales) with weights/scales as longdouble.
-    The leading weight of the mu > m branch is an exact zero; it is kept
-    here so the indexing stays auditable, and pruned by :func:`expand`.
+
+@lru_cache(maxsize=1024)
+def _layout(mu, m):
+    """Term layout of the expansion of an integer ``(mu, m)`` link.
+
+    The mu > m table's leading term has an exact zero weight; it is left
+    out here, as :func:`expand` would prune it.
     """
-    gbar = np.longdouble(params.mean_power)
-    kap = np.longdouble(params.kappa)
-    mu = params.mu
-    m = params.m
-
-    if params.kappa <= KAPPA_ZERO_TOL:
-        return (
-            np.array([np.longdouble(1.0)]),
-            np.array([mu], dtype=np.int64),
-            np.array([gbar / mu]),
-        )
-
-    mk = mu * kap
-    base = np.longdouble(m) / (mk + m)  # m / (mu kappa + m)
-    dom = mk / (mk + m)                 # mu kappa / (mu kappa + m)
-    unit = gbar / (mu * (np.longdouble(1.0) + kap))
-    boosted = unit / base               # (mu kappa + m) / m * unit
-
     if mu <= m:
-        n_terms = m - mu + 1
-        weights = np.empty(n_terms, dtype=np.longdouble)
-        shapes = np.empty(n_terms, dtype=np.int64)
-        scales = np.full(n_terms, boosted, dtype=np.longdouble)
-        for i in range(n_terms):
-            weights[i] = special.comb(m - mu, i, exact=True) * base**i * dom ** (m - mu - i)
-            shapes[i] = m - i
-        return weights, shapes, scales
-
-    n_terms = mu + 1
-    weights = np.empty(n_terms, dtype=np.longdouble)
-    shapes = np.empty(n_terms, dtype=np.int64)
-    scales = np.empty(n_terms, dtype=np.longdouble)
-    weights[0] = 0.0
-    shapes[0] = mu - m + 1
-    scales[0] = unit
-    for i in range(1, n_terms):
-        if i <= mu - m:
-            weights[i] = (
-                (-1) ** m
-                * special.comb(m + i - 2, i - 1, exact=True)
-                * base**m
-                * dom ** (-m - i + 1)
-            )
-            shapes[i] = mu - m - i + 1
-            scales[i] = unit
-        else:
-            weights[i] = (
-                (-1) ** (i - mu + m - 1)
-                * special.comb(i - 2, i - mu + m - 1, exact=True)
-                * base ** (i - mu + m - 1)
-                * dom ** (-i + 1)
-            )
-            shapes[i] = mu - i + 1
-            scales[i] = boosted
-    return weights, shapes, scales
+        rows = [(math.comb(m - mu, i), i, m - mu - i, m - i, True)
+                for i in range(m - mu + 1)]
+    else:
+        rows = [((-1) ** m * math.comb(m + i - 2, i - 1), m, -m - i + 1, mu - m - i + 1, False)
+                for i in range(1, mu - m + 1)]
+        rows += [((-1) ** (i - mu + m - 1) * math.comb(i - 2, i - mu + m - 1),
+                  i - mu + m - 1, -i + 1, mu - i + 1, True)
+                 for i in range(mu - m + 1, mu + 1)]
+    coef, base_pow, dom_pow, shapes, boosted = zip(*rows)
+    layout = _Layout(np.array(coef, dtype=np.longdouble), np.array(base_pow, dtype=np.int64),
+                     np.array(dom_pow, dtype=np.int64), np.array(shapes, dtype=np.int64),
+                     np.array(boosted, dtype=np.intp))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 class GammaMixture:
@@ -200,9 +186,10 @@ class GammaMixture:
             raise ValueError("weights, shapes, scales must be 1-d arrays of equal length")
         if weights.size == 0:
             raise ValueError("mixture must have at least one component")
-        if np.any(shapes < 1):
+        if shapes.min() < 1:
             raise ValueError("all shapes must be >= 1")
-        if not np.all(scales > 0.0):
+        # written so that NaN fails the check too
+        if not scales.min() > 0.0:
             raise ValueError("all scales must be > 0")
         dev = abs(math.fsum(weights.tolist()) - 1.0)
         if dev > WEIGHT_SUM_TOL:
@@ -242,7 +229,8 @@ class GammaMixture:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        lo, hi = _span(x)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError("pdf requires finite x >= 0")
         out = np.zeros(x.shape)
         pos = x > 0.0
@@ -263,7 +251,8 @@ class GammaMixture:
         if np.any(~pos):
             unit = self.shapes == 1
             out[~pos] = float(np.sum(self.weights[unit] / self.scales[unit]))
-        if not np.all(np.isfinite(out)):
+        lo, hi = _span(out)
+        if not (lo > -math.inf and hi < math.inf):
             raise ArithmeticError("mixture pdf is not finite")
         return float(out[0]) if scalar else out
 
@@ -279,14 +268,15 @@ class GammaMixture:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        lo, hi = _span(x)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError("cdf requires finite x >= 0")
         per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
         # fixed accumulation order keeps the signed sum bit-stable
         # under any caller-side chunking of x
         raw = np.einsum("r,rb->b", self.weights, per)
-        # written so that NaN fails the check too
-        if not np.all((raw >= -WEIGHT_SUM_TOL) & (raw <= 1.0 + WEIGHT_SUM_TOL)):
+        lo, hi = _span(raw)
+        if not (lo >= -WEIGHT_SUM_TOL and hi <= 1.0 + WEIGHT_SUM_TOL):
             raise ArithmeticError(
                 "mixture cdf left [0, 1] beyond tolerance; worst value %r"
                 % (raw[np.argmax(np.abs(raw - 0.5))],)
@@ -309,7 +299,7 @@ class GammaMixture:
             + special.gammaln(self.shapes + order)
             - special.gammaln(self.shapes)
         )
-        if np.any(lt > _LOG_DBL_MAX):
+        if lt.max() > _LOG_DBL_MAX:
             raise OverflowError("mixture moment of order %g overflows" % (order,))
         return math.fsum((self.weights * np.exp(lt)).tolist())
 
@@ -318,9 +308,11 @@ class GammaMixture:
 def expand(params):
     """Finite Gamma-mixture of a squared kappa-mu shadowed channel.
 
-    Builds the canonical term table in extended precision, drops exact
-    zero weights, orders by descending |weight| and rounds to double.
-    Cached: parameter sets are revisited heavily during grid fits.
+    Forms the weights in extended precision from the cached kappa-free
+    layout of the link's ``(mu, m)``, drops exact zero weights, orders by
+    descending |weight| and rounds to double once.  Both levels are
+    cached: parameter sets are revisited during grid fits, and a fit
+    that moves ``kappa`` within one integer cell builds its layout once.
 
     Parameters
     ----------
@@ -332,13 +324,26 @@ def expand(params):
     """
     if not isinstance(params, ShadowedParams):
         raise TypeError("expand expects ShadowedParams, got %r" % type(params).__name__)
-    w, k, s = _table_terms_ld(params)
-    keep = w != 0.0
-    w, k, s = w[keep], k[keep], s[keep]
-    order = np.argsort(-np.abs(w), kind="stable")
-    return GammaMixture(
-        w[order].astype(float), k[order], s[order].astype(float)
-    )
+    gbar = np.longdouble(params.mean_power)
+    mu, m = params.mu, params.m
+    if params.kappa <= KAPPA_ZERO_TOL:
+        return GammaMixture([1.0], [mu], [float(gbar / mu)])
+
+    kap = np.longdouble(params.kappa)
+    mk = mu * kap
+    base = np.longdouble(m) / (mk + m)  # m / (mu kappa + m)
+    dom = mk / (mk + m)                 # mu kappa / (mu kappa + m)
+    unit = gbar / (mu * (np.longdouble(1.0) + kap))
+    boosted = unit / base               # (mu kappa + m) / m * unit
+    layout = _layout(mu, m)
+    w = layout.coef * base ** layout.base_pow * dom ** layout.dom_pow
+    shapes, which = layout.shapes, layout.boosted
+    if np.count_nonzero(w) < w.size:
+        keep = w != 0.0
+        w, shapes, which = w[keep], shapes[keep], which[keep]
+    order = (-np.abs(w)).argsort(kind="stable")
+    scales = np.array([unit, boosted], dtype=float)
+    return GammaMixture(w[order].astype(float), shapes[order], scales[which[order]])
 
 
 def pdf_single(params, x):

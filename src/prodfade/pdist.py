@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .gammagamma import weighted_cdf_sum, weighted_pdf_sum
-from .mixture import ShadowedParams, expand, sample_single
+from .mixture import ShadowedParams, _span, expand, sample_single
 from .specfun import tricomi_u_times_xa
 
 __all__ = ["ProductModel", "EnvelopeModel"]
@@ -59,15 +59,15 @@ class ProductModel:
         self.mixture_a = expand(link_a)
         self.mixture_b = expand(link_b)
 
-        wa, wb = self.mixture_a.weights, self.mixture_b.weights
-        ka, kb = self.mixture_a.shapes, self.mixture_b.shapes
-        sa, sb = self.mixture_a.scales, self.mixture_b.scales
-        w = np.multiply.outer(wa, wb).ravel()
-        order = np.argsort(-np.abs(w), kind="stable")
+        mix_a, mix_b = self.mixture_a, self.mixture_b
+        w = np.multiply.outer(mix_a.weights, mix_b.weights).ravel()
+        order = (-np.abs(w)).argsort(kind="stable")
+        # pair p is term p // len(b) of link a and term p % len(b) of link b
+        ia, ib = order // mix_b.weights.size, order % mix_b.weights.size
         self._w = w[order]
-        self._ka = np.multiply.outer(ka, np.ones_like(kb)).ravel()[order].astype(np.int64)
-        self._kb = np.multiply.outer(np.ones_like(ka), kb).ravel()[order].astype(np.int64)
-        self._lth = np.add.outer(np.log(sa), np.log(sb)).ravel()[order]
+        self._ka = mix_a.shapes[ia]
+        self._kb = mix_b.shapes[ib]
+        self._lth = np.log(mix_a.scales)[ia] + np.log(mix_b.scales)[ib]
 
         mean = self.moment(1)
         target = self.mean_power
@@ -110,10 +110,12 @@ class ProductModel:
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
+        lo, hi = _span(z)
+        if not (lo > 0.0 and hi < math.inf):
             raise ValueError("pdf requires finite z > 0")
         out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z)
-        if not np.all(np.isfinite(out)):
+        lo, hi = _span(out)
+        if not (lo > -math.inf and hi < math.inf):
             raise ArithmeticError(
                 "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
             )
@@ -128,21 +130,29 @@ class ProductModel:
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        if not np.all(np.isfinite(z)) or np.any(z < 0.0):
+        lo, hi = _span(z)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError("cdf requires finite z >= 0")
-        out = np.zeros(z.shape)
-        pos = z > 0.0
-        if np.any(pos):
-            raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z[pos])
-            # written so that NaN fails the check too
-            if not np.all((raw >= -CDF_RANGE_TOL) & (raw <= 1.0 + CDF_RANGE_TOL)):
-                worst = raw[np.argmax(np.abs(raw - 0.5))]
-                raise ArithmeticError(
-                    "product cdf left [0, 1] beyond %g (worst %r); "
-                    "abs_weight_sum=%.3g" % (CDF_RANGE_TOL, worst, self.abs_weight_sum)
-                )
-            out[pos] = np.clip(raw, 0.0, 1.0)
+        if lo > 0.0:
+            out = self._positive_cdf(z)
+        else:
+            out = np.zeros(z.shape)
+            pos = z > 0.0
+            if np.any(pos):
+                out[pos] = self._positive_cdf(z[pos])
         return float(out[0]) if scalar else out
+
+    def _positive_cdf(self, z):
+        """Range-checked and clipped cdf at points ``z > 0``."""
+        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z)
+        lo, hi = _span(raw)
+        if not (lo >= -CDF_RANGE_TOL and hi <= 1.0 + CDF_RANGE_TOL):
+            worst = raw[np.argmax(np.abs(raw - 0.5))]
+            raise ArithmeticError(
+                "product cdf left [0, 1] beyond %g (worst %r); "
+                "abs_weight_sum=%.3g" % (CDF_RANGE_TOL, worst, self.abs_weight_sum)
+            )
+        return raw if (lo >= 0.0 and hi <= 1.0) else np.clip(raw, 0.0, 1.0)
 
     def mgf(self, s):
         """``E[exp(s Z)]`` on the strictly negative axis.
@@ -155,7 +165,8 @@ class ProductModel:
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        if not np.all(np.isfinite(s)) or np.any(s >= 0.0):
+        lo, hi = _span(s)
+        if not (lo > -math.inf and hi < 0.0):
             raise ValueError("mgf requires finite s < 0")
         acc = np.zeros(s.shape)
         with np.errstate(over="ignore"):
@@ -163,7 +174,8 @@ class ProductModel:
             for wp, ma, mb, lth in zip(self._w, self._ka, self._kb, self._lth):
                 y = y_base * math.exp(-lth)
                 acc += wp * tricomi_u_times_xa(int(ma), 1 + int(ma) - int(mb), y)
-        if not np.all(np.isfinite(acc)):
+        lo, hi = _span(acc)
+        if not (lo > -math.inf and hi < math.inf):
             raise ArithmeticError(
                 "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
             )
@@ -180,11 +192,11 @@ class ProductModel:
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
         n = int(n)
-        log_rising = np.zeros(self._w.size)
-        for j in range(n):
+        log_rising = np.log(self._ka * self._kb)
+        for j in range(1, n):
             log_rising += np.log((self._ka + j) * (self._kb + j))
         lt = n * self._lth + log_rising
-        if np.any(lt > _LOG_DBL_MAX):
+        if lt.max() > _LOG_DBL_MAX:
             raise OverflowError("moment of order %d overflows double precision" % (n,))
         return math.fsum((self._w * np.exp(lt)).tolist())
 
@@ -221,7 +233,7 @@ class EnvelopeModel:
         if not isinstance(product, ProductModel):
             raise TypeError("EnvelopeModel expects a ProductModel")
         envelope_scale = float(envelope_scale)
-        if not np.isfinite(envelope_scale) or envelope_scale <= 0.0:
+        if not math.isfinite(envelope_scale) or envelope_scale <= 0.0:
             raise ValueError("envelope_scale must be finite and > 0")
         self.product = product
         self.envelope_scale = envelope_scale
@@ -237,7 +249,8 @@ class EnvelopeModel:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        lo, hi = _span(r)
+        if not (lo > 0.0 and hi < math.inf):
             raise ValueError("envelope pdf requires finite r > 0")
         c2 = self._c * self._c
         out = (2.0 * r / c2) * self.product.pdf(r * r / c2)
@@ -248,7 +261,8 @@ class EnvelopeModel:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if not np.all(np.isfinite(r)) or np.any(r < 0.0):
+        lo, hi = _span(r)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError("envelope cdf requires finite r >= 0")
         c2 = self._c * self._c
         out = self.product.cdf(r * r / c2)

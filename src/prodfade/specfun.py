@@ -66,8 +66,8 @@ def log_bessel_k_ladder(x, max_order):
     Yielding every rung lets sum evaluators harvest a whole family of
     orders for the cost of the highest one.
 
-    The yielded arrays are reused between iterations; callers must
-    copy (or consume immediately) rather than hold references.
+    Each rung is yielded as a new array of the shape of ``x``, and
+    ``x`` itself is not written.
 
     Parameters
     ----------
@@ -78,19 +78,30 @@ def log_bessel_k_ladder(x, max_order):
     """
     max_order = _check_order(max_order)
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
+    # written so that NaN fails the check too
+    if not x.min(initial=math.inf) > 0.0:
         raise ValueError("Bessel argument must be strictly positive")
 
     # ln K_0, ln K_1 from the exponentially scaled forms: no underflow
     # at large x, no special-casing at small x.
-    lprev = np.log(special.k0e(x)) - x
+    lprev = special.k0e(x, out=np.empty_like(x))
+    np.log(lprev, out=lprev)
+    lprev -= x
     yield 0, lprev
     if max_order == 0:
         return
-    lcur = np.log(special.k1e(x)) - x
+    lcur = special.k1e(x, out=np.empty_like(x))
+    np.log(lcur, out=lcur)
+    lcur -= x
     yield 1, lcur
+    step = np.empty_like(x)
     for k in range(1, max_order):
-        lnext = lcur + np.log((2.0 * k) / x + np.exp(lprev - lcur))
+        # ln K_{k+1} = ln K_k + ln(2k/x + exp(ln K_{k-1} - ln K_k))
+        lnext = np.subtract(lprev, lcur, out=np.empty_like(x))
+        np.exp(lnext, out=lnext)
+        lnext += np.divide(2.0 * k, x, out=step)
+        np.log(lnext, out=lnext)
+        lnext += lcur
         lprev, lcur = lcur, lnext
         yield k + 1, lcur
 

@@ -11,6 +11,7 @@ import prodfade
 from prodfade import io as pio
 from prodfade.cli import main
 from prodfade.errors import IngestionError
+from prodfade.fit import empirical_from_samples
 from prodfade.mixture import ShadowedParams, cdf_single, pdf_single, sample_single
 from prodfade.pdist import ProductModel
 from prodfade.sysmodels import WpcConfig, wpc_sweep
@@ -68,6 +69,53 @@ def test_write_csv_validation(tmp_path):
         pio.write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError):
         pio.write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def test_read_sample_csv_skips_blank_rows_and_unquotes(tmp_path):
+    draws = [0.5, 2.0, 1.25, 2.0, 0.125]
+    text = ('sample\n\n"0.5"\n   \n2.0,extra,fields\n , \n1.25\n"2.0",\n\t\n 0.125 \n\n')
+    emp = pio.read_empirical_csv(write_text(tmp_path / "s.csv", text))
+    ref = empirical_from_samples(np.array(draws))
+    assert emp.sample_count == 5 and emp.mean == ref.mean
+    np.testing.assert_array_equal(emp.x, ref.x)
+    np.testing.assert_array_equal(emp.values, ref.values)
+
+
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind):
+    text = 'X,%s\n\n"0.5",0.25\n  ,  \n1.0,"0.75"\n' % kind.upper()
+    emp = pio.read_empirical_csv(write_text(tmp_path / "c.csv", text))
+    assert emp.kind == kind
+    np.testing.assert_array_equal(emp.x, [0.5, 1.0])
+    np.testing.assert_array_equal(emp.values, [0.25, 0.75])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("sample\n1.0\n\n2.0\nabc\n3.0\n", "line 5: field 'sample' is not a number: 'abc'"),
+    ("sample\n1.0\n,2.0\n", "line 3: field 'sample' is not a number: ''"),
+    ("x,cdf\n0.5,0.25\n\n  \n1.0,0.5,9\n2.0,x\n", "line 5: expected 2 fields, got 3"),
+    ("x,cdf\n0.5,0.25\n\n2.0,x\n", "line 4: field 'cdf' is not a number: 'x'"),
+    ("x,pdf\n0.5,0.25\none,0.5\n", "line 3: field 'x' is not a number: 'one'"),
+    ("", "empty file"),
+    ("\n \n", "empty file"),
+    ("sample\n\n", "no data rows"),
+    ("x,cdf\n", "no data rows"),
+    ("x,y\n", "no data rows"),
+    ("x,y\n1,2\n", "unrecognized header 'x,y'"),
+])
+def test_read_empirical_csv_errors_name_the_line(tmp_path, text, message):
+    with pytest.raises(IngestionError, match=message):
+        pio.read_empirical_csv(write_text(tmp_path / "bad.csv", text))
+
+
+def test_read_empirical_csv_missing_file(tmp_path):
+    with pytest.raises(IngestionError, match="cannot read"):
+        pio.read_empirical_csv(str(tmp_path / "absent.csv"))
 
 
 def test_eval_kms(tmp_path):

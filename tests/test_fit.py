@@ -147,6 +147,31 @@ def test_search_config_validation_and_grids():
             SearchConfig(**bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_m", 3.5),
+    ("n_starts", 2.7),
+    ("mu_grid", (1.5,)),
+    ("mu_hat_grid", (1, 2.5)),
+    ("m_grid", (2.9,)),
+    ("m_hat_grid", (float("nan"),)),
+])
+def test_search_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_integral_floats():
+    cfg = SearchConfig(max_m=3.0, n_starts=2.0, mu_grid=(1.0,), m_grid=(np.int64(2),))
+    assert (cfg.max_m, cfg.n_starts, cfg.mu_grid, cfg.m_grid) == (3, 2, (1,), (2,))
+    assert all(type(v) is int for v in (cfg.max_m, cfg.n_starts) + cfg.mu_grid + cfg.m_grid)
+
+
+def test_empirical_sample_count_rejects_non_integers():
+    with pytest.raises(ValueError, match="sample_count must be an integer"):
+        EmpiricalDistribution("cdf", [1.0, 2.0], [0.2, 0.5], sample_count=2.5)
+    assert EmpiricalDistribution("cdf", [1.0, 2.0], [0.2, 0.5], sample_count=4.0).sample_count == 4
+
+
 def _trace_entry(m, m_hat, mu, mu_hat, objective):
     return {"m": m, "m_hat": m_hat, "mu": mu, "mu_hat": mu_hat,
             "objective": objective, "mse_percent": objective}

@@ -280,6 +280,22 @@ def test_merged_rows_match_pair_by_pair_sum():
     assert np.all(np.abs(got - pdf) <= 3e-14 * pdf_abs)
 
 
+@pytest.mark.parametrize("budget", [1, 40, 300])
+def test_chunked_sums_match_whole_grid(monkeypatch, budget):
+    # A block budget below rows * points, or below the kept ladder rungs
+    # per point, splits the grid into blocks.  The sums agree with the
+    # whole-grid ones to rounding: einsum's accumulation differs in the
+    # last bits between a block's SIMD lanes and its tail.
+    model = ProductModel(ShadowedParams(1.0, 1.0, 6, 2), ShadowedParams(1.0, 0.5, 4, 1))
+    z = np.geomspace(1e-6, 20.0, 61)
+    cdf, pdf = model.cdf(z), model.pdf(z)
+    pdf_abs = _pair_by_pair(model, z)[2]
+    monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(model.cdf(z), cdf, rtol=0, atol=8 * eps * model.abs_weight_sum)
+    assert np.all(np.abs(model.pdf(z) - pdf) <= 8 * eps * pdf_abs)
+
+
 @pytest.mark.parametrize("mu,m,kappa", [(6, 1, 0.1), (3, 2, 0.1)])
 def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
     # Signed sweep cells with large cancellation (abs_weight_sum up to

@@ -77,6 +77,69 @@ def test_table_terms_zero_kappa_single_gamma():
     assert terms == [(1.0, 3, pytest.approx(1.0 / 3.0))]
 
 
+def reference_table(params):
+    """The expansion's term table, one term at a time in extended precision.
+
+    Returns (weights, shapes, scales) in canonical table order; the mu > m
+    table's leading term has an exact zero weight.
+    """
+    gbar = np.longdouble(params.mean_power)
+    kap = np.longdouble(params.kappa)
+    mu, m = params.mu, params.m
+    if params.kappa <= KAPPA_ZERO_TOL:
+        return np.array([np.longdouble(1.0)]), np.array([mu]), np.array([gbar / mu])
+    mk = mu * kap
+    base = np.longdouble(m) / (mk + m)
+    dom = mk / (mk + m)
+    unit = gbar / (mu * (np.longdouble(1.0) + kap))
+    boosted = unit / base
+    terms = []
+    if mu <= m:
+        for i in range(m - mu + 1):
+            terms.append((special.comb(m - mu, i, exact=True) * base**i * dom ** (m - mu - i),
+                          m - i, boosted))
+    else:
+        terms.append((np.longdouble(0.0), mu - m + 1, unit))
+        for i in range(1, mu + 1):
+            if i <= mu - m:
+                terms.append(((-1) ** m * special.comb(m + i - 2, i - 1, exact=True)
+                              * base**m * dom ** (-m - i + 1), mu - m - i + 1, unit))
+            else:
+                terms.append(((-1) ** (i - mu + m - 1)
+                              * special.comb(i - 2, i - mu + m - 1, exact=True)
+                              * base ** (i - mu + m - 1) * dom ** (-i + 1), mu - i + 1, boosted))
+    w, k, s = zip(*terms)
+    return np.array(w, dtype=np.longdouble), np.array(k), np.array(s, dtype=np.longdouble)
+
+
+def reference_expand(params):
+    """``expand`` from the per-term table: prune zeros, sort by |weight|, round."""
+    w, k, s = reference_table(params)
+    keep = w != 0.0
+    w, k, s = w[keep], k[keep], s[keep]
+    order = np.argsort(-np.abs(w), kind="stable")
+    return GammaMixture(w[order].astype(float), k[order], s[order].astype(float))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-13, 1e-9, 1e-3, 0.1, 1.0, 50.0])
+def test_expand_matches_the_per_term_table(kappa):
+    # The weights come from a cached kappa-free layout per (mu, m); they
+    # are the table's to the last bit, refusals included.
+    for mean_power in (1.0, 0.37):
+        for mu in range(1, 17):
+            for m in range(1, 17):
+                p = ShadowedParams(mean_power, kappa, mu, m)
+                try:
+                    ref = reference_expand(p)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc).split(" (")[0]):
+                        expand(p)
+                    continue
+                mix = expand(p)
+                for name in ("weights", "shapes", "scales"):
+                    assert np.array_equal(getattr(mix, name), getattr(ref, name)), (p, name)
+
+
 def test_expand_prunes_zero_weights_and_sorts():
     mix = expand(ShadowedParams(1.0, 1.0, 2, 1))
     assert mix.weights.size == 2

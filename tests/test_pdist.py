@@ -242,6 +242,46 @@ def test_pdf_rejects_nan_kernel_sum(monkeypatch):
         env.pdf([0.1, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, [0.5, np.nan, 2.0], [np.nan, 0.5],
+                                 [0.5, np.inf], [-np.inf, 0.5]])
+def test_domain_checks_refuse_nan_and_inf_anywhere(bad):
+    # The checks are min/max reductions; NaN anywhere makes both NaN,
+    # which every comparison fails.
+    p = make(LINK_AA, LINK_SGN)
+    env = EnvelopeModel(p, 1.0)
+    for fn in (p.cdf, p.pdf, env.cdf, env.pdf, p.mixture_b.cdf, p.mixture_b.pdf):
+        with pytest.raises(ValueError):
+            fn(bad)
+    with pytest.raises(ValueError):
+        p.mgf(-np.abs(np.asarray(bad)))
+
+
+def test_empty_grids_give_empty_results():
+    p = make(LINK_AA, LINK_SGN)
+    env = EnvelopeModel(p, 1.0)
+    for fn in (p.cdf, p.pdf, env.cdf, env.pdf):
+        assert fn(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("value,clipped", [
+    (0.5, 0.5), (-5e-11, 0.0), (1.0 + 5e-11, 1.0), (np.nan, None), (-2e-10, None),
+    (1.0 + 2e-10, None),
+])
+def test_cdf_range_check_sees_one_bad_point(monkeypatch, value, clipped):
+    # One point beyond CDF_RANGE_TOL (or NaN) among good ones fails the
+    # check; smaller excursions are clipped.
+    p = make(LINK_AA, LINK_AA)
+    raw = np.array([0.0, 0.25, value, 1.0])
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", lambda *args: raw.copy())
+    z = [0.1, 0.2, 0.3, 0.4]
+    if clipped is None:
+        with pytest.raises(ArithmeticError):
+            p.cdf(z)
+    else:
+        assert np.array_equal(p.cdf(z), [0.0, 0.25, clipped, 1.0])
+        assert np.array_equal(p.cdf([0.0] + z), [0.0, 0.0, 0.25, clipped, 1.0])
+
+
 def test_whole_grid_matches_pieces(monkeypatch):
     # CLI data files stay byte-identical only if a whole grid evaluates
     # to the same bits as the same grid in pieces.  L's cdf and pdf have

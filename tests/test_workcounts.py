@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from prodfade import gammagamma
+from prodfade import gammagamma, mixture
 from prodfade.fit import SearchConfig, empirical_from_samples, fit_cdf
-from prodfade.mixture import ShadowedParams as SP
+from prodfade.mixture import ShadowedParams as SP, expand
 from prodfade.pdist import ProductModel
 
 K_REF = 3.0 + math.sqrt(12.0)
@@ -85,6 +85,23 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
     assert len(res.search_trace) == 1
     assert len(calls) >= 40
     assert 1 <= builds <= len(calls) // 5
+
+
+def test_link_layout_is_built_once_per_integer_pair_in_a_fit():
+    # kappa is continuous, so almost every Nelder-Mead step misses the
+    # expand cache; the kappa-free layout of a link depends on (mu, m)
+    # alone, so the 16 cells over links (mu, m) in {1, 2} x {1, 3} build
+    # four layouts, one of them (2, 1) of the signed mu > m form.
+    gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
+    emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
+    cfg = SearchConfig(mu_grid=(1, 2), m_grid=(1, 3), n_starts=1, max_points=40,
+                       min_cdf=1e-3)
+    mixture._layout.cache_clear()
+    expand.cache_clear()
+    res = fit_cdf(emp, cfg)
+    assert len(res.search_trace) == 16
+    assert mixture._layout.cache_info().misses == 4
+    assert expand.cache_info().misses >= 100 * 4
 
 
 def test_pdf_rows_merge_on_unordered_shape_pair():
