@@ -141,6 +141,7 @@ def _write_fit(args, result):
         "objective": result.objective,
         "objective_value": result.objective_value,
         "trace_length": len(result.search_trace),
+        "objective_evals": sum(entry["nfev"] for entry in result.search_trace),
         "seed": args.seed,
     }
     pio.write_json(args.out, payload)

@@ -245,9 +245,20 @@ class SearchConfig:
     links; pass explicit tuples to widen them.  ``m_hat_grid`` and
     ``mu_hat_grid`` default to mirroring their unhatted counterparts.
 
-    ``tie_links`` constrains both links to identical parameters (the
-    symmetric-link special case); ``fit_scale`` frees the overall power
-    scale instead of pinning it to the empirical mean.
+    ``tie_links`` constrains both links to one kappa (the symmetric-link
+    special case); ``fit_scale`` frees the overall power scale instead
+    of pinning it to the empirical mean.
+
+    A link with ``mu == m`` is Gamma(m, mean/m) at every kappa, so its
+    kappa is not identifiable; the search holds it at 0 and reports it
+    as 0, whatever ``kappa_range`` (tied links share one kappa, held at
+    0 only when both links have ``mu == m``).  When the hatted grids
+    hold the same values as the unhatted ones, each mirror pair of
+    cells, one law with the links swapped, is fitted once.
+
+    ``kappa_range`` is finite, ``kappa_tol`` finite and > 0,
+    ``max_points`` an integer >= 2 and ``min_cdf``, when given, in
+    (0, 1]; anything else raises ``ValueError`` here.
 
     ``tie_tol`` declares two integer cells equal in fit quality when
     their objectives differ by less than this amount; the winner among
@@ -278,10 +289,23 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_m", _as_int("max_m", self.max_m))
         lo, hi = (float(v) for v in self.kappa_range)
-        if not 0.0 <= lo < hi:
-            raise ValueError("kappa_range must satisfy 0 <= lo < hi")
+        if not (0.0 <= lo < hi and math.isfinite(hi)):
+            raise ValueError("kappa_range must satisfy 0 <= lo < hi < inf")
         object.__setattr__(self, "kappa_range", (lo, hi))
         object.__setattr__(self, "n_starts", _as_int("n_starts", self.n_starts))
+        kappa_tol = float(self.kappa_tol)
+        if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
+            raise ValueError("kappa_tol must be finite and > 0, got %r" % (self.kappa_tol,))
+        object.__setattr__(self, "kappa_tol", kappa_tol)
+        max_points = _as_int("max_points", self.max_points)
+        if max_points < 2:
+            raise ValueError("max_points must be >= 2, got %d" % max_points)
+        object.__setattr__(self, "max_points", max_points)
+        if self.min_cdf is not None:
+            min_cdf = float(self.min_cdf)
+            if not 0.0 < min_cdf <= 1.0:
+                raise ValueError("min_cdf must lie in (0, 1], got %r" % (self.min_cdf,))
+            object.__setattr__(self, "min_cdf", min_cdf)
         if not float(self.tie_tol) >= 0.0:
             raise ValueError("tie_tol must be >= 0")
         object.__setattr__(self, "tie_tol", float(self.tie_tol))
@@ -312,10 +336,13 @@ class SearchConfig:
 class FitResult:
     """Outcome of a grid-plus-local search.
 
-    ``search_trace`` holds one entry per integer cell: the cell, the
-    best continuous parameters found in it, its objective value and
-    whether the local search converged.  The entries appear in visit
-    order regardless of which cell won.
+    ``search_trace`` holds one entry per visited integer cell: the cell,
+    the best continuous parameters found in it, its objective value,
+    whether the local search converged and ``nfev``, the objective
+    calls made in it.  The entries appear in visit order regardless of
+    which cell won.  With equal grids only one cell of each mirror pair
+    is visited, and the kappa of an untied link with ``mu == m`` is 0
+    (see :class:`SearchConfig`).
     """
 
     model: ProductModel
@@ -353,62 +380,87 @@ def minimize(*args, **kwargs):
 
 
 def _minimize_cell(objective, starts, bounds, kappa_tol):
-    """Best of several bounded Nelder-Mead runs; returns (theta, value, ok)."""
+    """Best of several bounded Nelder-Mead runs.
+
+    Returns ``(theta, value, ok, nfev)``, ``nfev`` summed over the starts.
+    """
     best = (None, math.inf, False)
+    nfev = 0
     for theta0 in starts:
         res = minimize(
             objective, np.asarray(theta0, dtype=float),
             method="Nelder-Mead", bounds=bounds,
             options={"xatol": kappa_tol, "fatol": 1e-7, "maxfev": 600},
         )
+        nfev += int(res.nfev)
         if res.fun < best[1]:
             best = (np.asarray(res.x, dtype=float), float(res.fun), bool(res.success))
-    return best
+    return best + (nfev,)
+
+
+def _visited_cells(config):
+    """Integer cells ``(mu, mu_hat, m, m_hat)`` the search visits, in order.
+
+    A cell and its mirror ``(mu_hat, mu, m_hat, m)`` define the same
+    product law with the kappas swapped, since only the product of the
+    two scales is identifiable.  When the hatted grids hold the same
+    values as the unhatted ones, every mirror is in the grid, so only
+    the cell with ``(m, mu) <= (m_hat, mu_hat)`` of each pair is visited:
+    the one ``_select_winner``'s last tie-break prefers.
+    """
+    mu, mu_hat, m, m_hat = grids = config.resolved_grids()
+    cells = iter_product(*grids)
+    if set(mu) == set(mu_hat) and set(m) == set(m_hat):
+        return [c for c in cells if (c[2], c[0]) <= (c[3], c[1])]
+    return list(cells)
 
 
 def _search_cells(config, make_objective, level_name, level, tail=None):
     """Grid search shared by both fits; returns the search trace.
 
-    Every integer cell of ``config.resolved_grids()`` gets a bounded
-    Nelder-Mead run from each kappa start.  The search vector is
-    ``(kappa, kappa_hat, t)``: ``kappa_hat`` is dropped when the links
-    are tied, and the trailing ``t`` is there only when ``tail`` gives
-    its ``(start, bounds)``.  ``level(t)`` (``level(None)`` without a
-    tail) is the scale the fit reports under ``level_name``.
+    Every integer cell of ``_visited_cells(config)`` gets a bounded
+    Nelder-Mead run from each kappa start, over the kappas its law
+    depends on and, when ``tail`` gives its ``(start, bounds)``, a
+    trailing ``t``.  ``level(t)`` (``level(None)`` without a tail) is
+    the scale the fit reports under ``level_name``.
+
+    A link with ``mu == m`` is Gamma(m, mean/m) at every kappa, so its
+    kappa is not identifiable: it is held at 0.0, built, traced and
+    reported as such.  Tied links share one kappa, searched unless both
+    links have ``mu == m``.  A cell left with no coordinate is scored
+    by one direct call to its objective and marked converged.
 
     ``make_objective(mu, mu_hat, m, m_hat)`` returns the cell's
     ``score(kappa, kappa_hat, level)``.  A candidate whose model raises
     a numerical or validation error, or whose score is not finite,
-    scores ``_OBJ_FAILURE``.
+    scores ``_OBJ_FAILURE``.  Each trace entry records ``nfev``, the
+    objective calls made in the cell.
 
     In a symmetric cell (``mu == mu_hat``, ``m == m_hat``, links not
-    tied) swapping ``kappa`` and ``kappa_hat`` gives the same law, since
-    only the product of the two scales is identifiable; the trace
-    reports such a cell in the canonical order ``kappa >= kappa_hat``.
+    tied) swapping ``kappa`` and ``kappa_hat`` gives the same law; the
+    trace reports such a cell in the canonical order ``kappa >= kappa_hat``.
 
     Raises
     ------
     ArithmeticError
         If no candidate of any cell could be scored.
     """
-    bounds = [config.kappa_range] if config.tie_links else [config.kappa_range] * 2
-    starts = []
-    for k0 in config.kappa_starts():
-        theta0 = [k0] if config.tie_links else [k0, k0]
-        if tail is not None:
-            theta0.append(tail[0])
-        starts.append(theta0)
-    if tail is not None:
-        bounds.append(tail[1])
-
-    def unpack(theta):
-        kap = theta[0]
-        kaph = kap if config.tie_links else theta[1]
-        return kap, kaph, level(theta[-1] if tail is not None else None)
-
+    tail_start, tail_bounds = ([], []) if tail is None else ([tail[0]], [tail[1]])
     trace = []
-    for mu, mu_hat, m, m_hat in iter_product(*config.resolved_grids()):
+    for mu, mu_hat, m, m_hat in _visited_cells(config):
+        free_a, free_b = mu != m, mu_hat != m_hat
+        # positions of kappa and kappa_hat in the search vector, or None
+        if config.tie_links:
+            ia = ib = 0 if free_a or free_b else None
+        else:
+            ia = 0 if free_a else None
+            ib = int(free_a) if free_b else None
+        n_kappa = len({ia, ib} - {None})
         score = make_objective(mu, mu_hat, m, m_hat)
+
+        def unpack(theta):
+            return (0.0 if ia is None else theta[ia], 0.0 if ib is None else theta[ib],
+                    level(theta[-1] if tail is not None else None))
 
         def objective(theta):
             try:
@@ -417,14 +469,21 @@ def _search_cells(config, make_objective, level_name, level, tail=None):
                 return _OBJ_FAILURE
             return value if math.isfinite(value) else _OBJ_FAILURE
 
-        theta, value, ok = _minimize_cell(objective, starts, bounds, config.kappa_tol)
+        if n_kappa == 0 and tail is None:
+            theta, value, ok, nfev = (), objective(()), True, 1
+        else:
+            # without a free kappa every start is the tail start: run it once
+            starts = dict.fromkeys(tuple([k0] * n_kappa + tail_start)
+                                   for k0 in config.kappa_starts())
+            bounds = [config.kappa_range] * n_kappa + tail_bounds
+            theta, value, ok, nfev = _minimize_cell(objective, starts, bounds, config.kappa_tol)
         kap, kaph, lev = unpack([float(t) for t in theta])
         if (mu, m) == (mu_hat, m_hat) and kap < kaph:
             kap, kaph = kaph, kap
         trace.append({
             "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
             "kappa": kap, "kappa_hat": kaph, level_name: lev,
-            "objective": value, "converged": ok,
+            "objective": value, "converged": ok, "nfev": nfev,
         })
     if all(entry["objective"] >= _OBJ_FAILURE for entry in trace):
         raise ArithmeticError("no candidate model of any integer cell could be evaluated")

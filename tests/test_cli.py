@@ -326,7 +326,8 @@ def test_fit_cdf_cli_roundtrip(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["objective"] == "ks_error"
     assert payload["seed"] == 9
-    assert payload["trace_length"] >= 4
+    # m_grid == m_hat_grid: (1, 1, 3, 1) is the mirror of (1, 1, 1, 3)
+    assert payload["trace_length"] == 3
     # the command line is a thin shell over the library search
     from prodfade.fit import SearchConfig, fit_cdf
 
@@ -337,6 +338,7 @@ def test_fit_cdf_cli_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(
         payload["objective_value"], expected.objective_value, rtol=1e-12
     )
+    assert payload["objective_evals"] == sum(e["nfev"] for e in expected.search_trace)
     pars = payload["parameters"]
     assert pars["link_a"]["mu"] == 1
     assert pars["link_a"]["m"] == expected.model.link_a.m

@@ -13,7 +13,7 @@ from prodfade.fit import (
     ks_error,
     thin_empirical,
 )
-from prodfade.mixture import ShadowedParams
+from prodfade.mixture import ShadowedParams, expand
 from prodfade.pdist import EnvelopeModel, ProductModel
 
 
@@ -142,9 +142,29 @@ def test_search_config_validation_and_grids():
         dict(tie_tol=-0.1),
         dict(mu_grid=()),
         dict(m_grid=(0, 2)),
+        # an infinite bound used to give infinite starts and then the
+        # misleading "no candidate model ... could be evaluated"
+        dict(kappa_range=(0.0, float("inf"))),
+        dict(kappa_range=(0.0, float("nan"))),
+        dict(kappa_tol=-1.0),
+        dict(kappa_tol=0.0),
+        dict(kappa_tol=float("nan")),
+        dict(kappa_tol=float("inf")),
+        dict(max_points=1),
+        dict(max_points=2.5),
+        dict(min_cdf=0.0),
+        dict(min_cdf=1.5),
+        dict(min_cdf=float("nan")),
     ):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
+
+
+def test_search_config_accepts_edge_settings():
+    cfg = SearchConfig(kappa_range=(0, 1), kappa_tol=1e-12, max_points=2.0, min_cdf=1)
+    assert cfg.kappa_range == (0.0, 1.0) and cfg.kappa_tol == 1e-12
+    assert cfg.max_points == 2 and type(cfg.max_points) is int
+    assert cfg.min_cdf == 1.0 and type(cfg.min_cdf) is float
 
 
 @pytest.mark.parametrize("field,value", [
@@ -210,7 +230,8 @@ def test_fit_cdf_recovers_mu_cell():
     assert res.objective == "ks_error"
     assert res.model.link_a.mu == 1 and res.model.link_b.mu == 1
     assert res.objective_value <= 2.0 * floor
-    assert len(res.search_trace) == 16
+    # equal grids: each of the six mirror pairs is fitted once
+    assert len(res.search_trace) == 10
     # tie_links propagates into the winning model
     assert res.model.link_a.kappa == res.model.link_b.kappa
     # the second link always carries unit mean power
@@ -300,3 +321,52 @@ def test_symmetric_cell_reports_canonical_kappa_order(kappas):
     assert entry["kappa"] >= entry["kappa_hat"]
     np.testing.assert_allclose([res.model.link_a.kappa, res.model.link_b.kappa],
                                [3.0, 1.0], atol=1e-3)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_link_with_mu_equal_m_is_gamma_at_every_kappa(m):
+    # A kappa-mu shadowed link with mu == m is Gamma(m, mean/m) whatever
+    # its kappa, which is why the fits hold that kappa at 0.
+    other = ShadowedParams(1.0, 0.7, 1, 3)
+    x = np.geomspace(1e-6, 30.0, 60)
+    for mean in (1.0, 2.7, 0.013):
+        at_zero = ProductModel(ShadowedParams(mean, 0.0, m, m), other).cdf(x)
+        for kappa in (0.0, 1e-9, 0.3, 7.0, 50.0):
+            mix = expand(ShadowedParams(mean, kappa, m, m))
+            assert mix.weights.tolist() == [1.0] and mix.shapes.tolist() == [m]
+            assert abs(mix.scales[0] - mean / m) <= 4 * np.spacing(mean / m)
+            cdf = ProductModel(ShadowedParams(mean, kappa, m, m), other).cdf(x)
+            np.testing.assert_allclose(cdf, at_zero, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_fit_reports_kappa_zero_for_mu_equal_m_links():
+    x = np.geomspace(0.01, 5.0, 40)
+    emp = curve_from_model(make_product(1.0, 1, 1, kappa_b=2.0, m_b=3), x)
+    res = fit_cdf(emp, SearchConfig(mu_grid=(1,), m_grid=(1,), m_hat_grid=(1, 3),
+                                    total_scale=1.0, n_starts=2))
+    free_b, held = res.search_trace[1], res.search_trace[0]
+    assert (held["m"], held["m_hat"]) == (1, 1)
+    assert (held["kappa"], held["kappa_hat"], held["nfev"], held["converged"]) == (0.0, 0.0, 1, True)
+    assert held["objective"] == ks_error(emp, make_product(0.0, 1, 1))
+    assert free_b["kappa"] == 0.0 and free_b["kappa_hat"] > 0.0 and free_b["nfev"] > 2
+    assert res.model.link_a.kappa == 0.0
+    np.testing.assert_allclose(res.model.link_b.kappa, 2.0, atol=1e-3)
+
+
+def test_equal_grids_fit_each_mirror_pair_once():
+    # (mu, mu_hat, m, m_hat) and (mu_hat, mu, m_hat, m) are one law, so
+    # with equal grids only the cell with (m, mu) <= (m_hat, mu_hat) is
+    # fitted; a mirror fitted alone reaches the same objective.
+    gen = make_product(2.0, 1, 3, kappa_b=0.5, m_b=2)
+    emp = empirical_from_samples(gen.sample(np.random.default_rng(5), 4000))
+    cfg = dict(mu_grid=(1,), n_starts=2, max_points=40, min_cdf=1e-3)
+    res = fit_cdf(emp, SearchConfig(m_grid=(2, 3), **cfg))
+    assert [(t["m"], t["m_hat"]) for t in res.search_trace] == [(2, 2), (2, 3), (3, 3)]
+    (mirror,) = fit_cdf(emp, SearchConfig(m_grid=(3,), m_hat_grid=(2,), **cfg)).search_trace
+    visited = res.search_trace[1]
+    assert abs(mirror["objective"] - visited["objective"]) < 1e-6
+    np.testing.assert_allclose([mirror["kappa_hat"], mirror["kappa"]],
+                               [visited["kappa"], visited["kappa_hat"]], rtol=1e-2)
+    # unequal grids visit every cell
+    full = fit_cdf(emp, SearchConfig(m_grid=(2, 3), m_hat_grid=(2, 3, 4), **cfg))
+    assert len(full.search_trace) == 6

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import prodfade.fit
 from prodfade import gammagamma, mixture
 from prodfade.fit import SearchConfig, empirical_from_samples, fit_cdf
 from prodfade.mixture import ShadowedParams as SP, expand
@@ -88,10 +89,11 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
 
 
 def test_link_layout_is_built_once_per_integer_pair_in_a_fit():
-    # kappa is continuous, so almost every Nelder-Mead step misses the
-    # expand cache; the kappa-free layout of a link depends on (mu, m)
-    # alone, so the 16 cells over links (mu, m) in {1, 2} x {1, 3} build
-    # four layouts, one of them (2, 1) of the signed mu > m form.
+    # kappa is continuous, so most Nelder-Mead steps miss the expand
+    # cache; the kappa-free layout of a link depends on (mu, m) alone, so
+    # the 10 cells visited over links (mu, m) in {1, 2} x {1, 3} build
+    # three layouts, one of them (2, 1) of the signed mu > m form.  The
+    # (1, 1) link is held at kappa = 0, which expand forms without one.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(mu_grid=(1, 2), m_grid=(1, 3), n_starts=1, max_points=40,
@@ -99,9 +101,83 @@ def test_link_layout_is_built_once_per_integer_pair_in_a_fit():
     mixture._layout.cache_clear()
     expand.cache_clear()
     res = fit_cdf(emp, cfg)
-    assert len(res.search_trace) == 16
-    assert mixture._layout.cache_info().misses == 4
-    assert expand.cache_info().misses >= 100 * 4
+    assert len(res.search_trace) == 10
+    assert mixture._layout.cache_info().misses == 3
+    assert expand.cache_info().misses >= 50 * 3
+
+
+@pytest.fixture
+def x0s(monkeypatch):
+    """Shapes of the starting vectors of every Nelder-Mead run made in
+    the test; ``x0s.evals`` counts the objective calls the runs make."""
+
+    class Record(list):
+        evals = 0
+
+    record = Record()
+    minimize = prodfade.fit.minimize
+
+    def recording(objective, x0, *args, **kwargs):
+        record.append(np.shape(x0))
+
+        def counted(theta):
+            record.evals += 1
+            return objective(theta)
+
+        return minimize(counted, x0, *args, **kwargs)
+
+    monkeypatch.setattr(prodfade.fit, "minimize", recording)
+    return record
+
+
+@pytest.fixture(scope="module")
+def small_fit_data():
+    gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
+    return empirical_from_samples(gen.sample(np.random.default_rng(7), 2000))
+
+
+def _small_config(**grids):
+    return SearchConfig(n_starts=2, max_points=30, min_cdf=1e-3, **grids)
+
+
+@pytest.mark.parametrize("grids", [
+    dict(mu_grid=(2,), m_grid=(2,)),
+    dict(mu_grid=(1,), mu_hat_grid=(3,), m_grid=(1,), m_hat_grid=(3,), tie_links=True),
+])
+def test_kappa_free_cell_makes_no_minimize_call(x0s, small_fit_data, grids):
+    # Both links have mu == m: the law does not depend on kappa, so the
+    # cell is scored by one direct objective call.
+    (entry,) = fit_cdf(small_fit_data, _small_config(**grids)).search_trace
+    assert x0s == []
+    assert (entry["kappa"], entry["kappa_hat"], entry["nfev"], entry["converged"]) == (0.0, 0.0, 1, True)
+
+
+@pytest.mark.parametrize("grids,size,runs", [
+    (dict(mu_grid=(1,), m_grid=(1,), m_hat_grid=(3,)), 1, 2),
+    (dict(mu_grid=(1,), m_grid=(3,), m_hat_grid=(1,)), 1, 2),
+    (dict(mu_grid=(1,), m_grid=(1,), m_hat_grid=(3,), tie_links=True), 1, 2),
+    (dict(mu_grid=(1,), m_grid=(1,), m_hat_grid=(3,), fit_scale=True), 2, 2),
+    # no free kappa: every start is the tail start, run once
+    (dict(mu_grid=(1,), m_grid=(1,), fit_scale=True), 1, 1),
+    (dict(mu_grid=(1,), m_grid=(3,)), 2, 2),
+])
+def test_search_vector_holds_only_free_coordinates(x0s, small_fit_data, grids, size, runs):
+    (entry,) = fit_cdf(small_fit_data, _small_config(**grids)).search_trace
+    assert x0s == [(size,)] * runs
+    assert entry["nfev"] > runs
+
+
+def test_equal_grids_visit_one_cell_per_mirror_pair(x0s, small_fit_data):
+    res = fit_cdf(small_fit_data, _small_config(mu_grid=(1, 2), m_grid=(1, 2)))
+    cells = [(t["mu"], t["mu_hat"], t["m"], t["m_hat"]) for t in res.search_trace]
+    assert len(cells) == 10
+    assert all((m, mu) <= (mh, muh) for mu, muh, m, mh in cells)
+    # (1, 1, 1, 1), (1, 2, 1, 2) and (2, 2, 2, 2) have mu == m on both
+    # links and are scored directly; the other seven run both starts
+    assert [c for c, t in zip(cells, res.search_trace) if t["nfev"] == 1] == [
+        (1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 2, 2)]
+    assert len(x0s) == 7 * 2
+    assert sum(t["nfev"] for t in res.search_trace) == x0s.evals + 3
 
 
 def test_pdf_rows_merge_on_unordered_shape_pair():
