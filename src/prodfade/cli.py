@@ -219,7 +219,9 @@ def _add_fit_flags(sub, pdf_mode=False):
     sub.add_argument("--kappa-max", type=float, default=50.0, dest="kappa_max",
                      help="upper bound of the kappa search range (default 50)")
     sub.add_argument("--tie-links", action="store_true", dest="tie_links",
-                     help="force identical parameters on both links")
+                     help="give both links one shared kappa; mu and m still range "
+                          "over each link's own grid, so the links may differ in "
+                          "mu and m")
     sub.add_argument("--starts", type=int, default=5,
                      help="local-search starts per integer cell (default 5)")
     sub.add_argument("--max-points", type=int, default=200, dest="max_points",

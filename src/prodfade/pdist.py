@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gammagamma import weighted_cdf_sum, weighted_pdf_sum
+from .gammagamma import weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import ShadowedParams, _span, expand, sample_single
 from .specfun import tricomi_u_times_xa
 
@@ -157,10 +157,11 @@ class ProductModel:
     def mgf(self, s):
         """``E[exp(s Z)]`` on the strictly negative axis.
 
-        Per-pair Tricomi-U closed form; elementwise over ``s``.  Near
-        ``s = 0`` the argument ``-1/(s theta)`` may overflow to inf,
-        where ``x^a U`` takes its limit 1.  A non-finite sum raises
-        ArithmeticError.
+        Tricomi-U closed form, elementwise over ``s``: pairs that are the
+        same kernel are merged into one row, and each distinct scale
+        product takes one row-batched U call.  Near ``s = 0`` the
+        argument ``-1/(s theta)`` may overflow to inf, where ``x^a U``
+        takes its limit 1.  A non-finite sum raises ArithmeticError.
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -168,18 +169,13 @@ class ProductModel:
         lo, hi = _span(s)
         if not (lo > -math.inf and hi < 0.0):
             raise ValueError("mgf requires finite s < 0")
-        acc = np.zeros(s.shape)
-        with np.errstate(over="ignore"):
-            y_base = -1.0 / s
-            for wp, ma, mb, lth in zip(self._w, self._ka, self._kb, self._lth):
-                y = y_base * math.exp(-lth)
-                acc += wp * tricomi_u_times_xa(int(ma), 1 + int(ma) - int(mb), y)
-        lo, hi = _span(acc)
+        out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa)
+        lo, hi = _span(out)
         if not (lo > -math.inf and hi < math.inf):
             raise ArithmeticError(
                 "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
             )
-        return float(acc[0]) if scalar else acc
+        return float(out[0]) if scalar else out
 
     def moment(self, n):
         """Integer moment ``E[Z^n]`` in closed form.

@@ -493,6 +493,18 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == prodfade.__version__
 
 
+@pytest.mark.parametrize("command", ["fit-cdf", "fit-pdf"])
+def test_tie_links_help_says_it_ties_kappa_only(capsys, command):
+    # The fit ties kappa alone: with mu or m grids of several values it
+    # visits cells whose links differ in mu and m.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--tie-links give both links one shared kappa; mu and m still range over "
+            "each link's own grid, so the links may differ in mu and m") in text
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # In a fresh interpreter: this test process has scipy.stats loaded
     # already through other test modules.

@@ -296,6 +296,24 @@ def test_chunked_sums_match_whole_grid(monkeypatch, budget):
     assert np.all(np.abs(model.pdf(z) - pdf) <= 8 * eps * pdf_abs)
 
 
+@pytest.mark.parametrize("budget", [1, 401, 5000])
+def test_chunked_mgf_matches_whole_grid(monkeypatch, budget):
+    # A U budget below nodes * cells splits the exp-sinh sums into chunks
+    # of cells, down to one cell per chunk at budget 1.  Each cell's node
+    # sum is one contiguous reduction, so its bits do not depend on the
+    # chunk: the bound is zero.  A block budget below rows * points
+    # splits the grid as for the cdf, and the long double row sums then
+    # differ from the whole grid's by less than the cdf's bound.
+    model = ProductModel(ShadowedParams(1.0, 1.0, 6, 2), ShadowedParams(1.0, 0.5, 4, 1))
+    s = -np.geomspace(1e-3, 1e3, 61)
+    whole = model.mgf(s)
+    monkeypatch.setattr("prodfade.specfun._U_BLOCK_BUDGET", budget)
+    assert np.array_equal(model.mgf(s), whole)
+    monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(model.mgf(s), whole, rtol=0, atol=8 * eps * model.abs_weight_sum)
+
+
 @pytest.mark.parametrize("mu,m,kappa", [(6, 1, 0.1), (3, 2, 0.1)])
 def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
     # Signed sweep cells with large cancellation (abs_weight_sum up to

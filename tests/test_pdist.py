@@ -147,7 +147,8 @@ def test_mgf_near_zero_takes_the_limit(monkeypatch):
         warnings.simplefilter("error")
         assert p.mgf(-5e-324) == 1.0
         assert p.mgf(-1e-310) == 1.0
-    monkeypatch.setattr("prodfade.pdist.tricomi_u_times_xa", lambda a, b, y: np.nan * y)
+    monkeypatch.setattr("prodfade.pdist.tricomi_u_times_xa",
+                        lambda a, b, y: np.full((np.size(a), np.size(y)), np.nan))
     with pytest.raises(ArithmeticError):
         p.mgf(-1.0)
 
@@ -169,6 +170,38 @@ def test_mgf_signed_model_matches_mpmath_pair_sum():
                 acc += mpmath.mpf(w) * u
         expected.append(float(acc))
     np.testing.assert_allclose(p.mgf(s), expected, rtol=1e-12)
+
+
+K_REF = 3.0 + math.sqrt(12.0)
+# W: 260 pairs, 182 distinct kernels; L: 900 pairs, 465 distinct kernels.
+POSITIVE_MODELS = {
+    "W": lambda: ProductModel(ShadowedParams(8.0, K_REF, 8, 20), ShadowedParams.rician(K_REF)),
+    "L": lambda: ProductModel(ShadowedParams(1.0, 2.6, 1, 30), ShadowedParams(1.0, 2.6, 1, 30)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_MODELS))
+def test_mgf_of_positive_models_matches_mpmath_pair_sum(name):
+    # All pair weights are positive, so the mgf is accurate in relative
+    # terms from s -> 0 to the far tail.  Each pair's kernel comes from
+    # 30-digit mpmath, once per unordered shape pair (Kummer's symmetry,
+    # pinned in test_specfun).
+    p = POSITIVE_MODELS[name]()
+    assert np.all(p._w > 0.0)
+    s = np.array([-1e-3, -1.0, -1e3])
+    expected = []
+    with mpmath.workdps(30):
+        for sj in s:
+            kernels = {}
+            acc = mpmath.mpf(0)
+            for w, ma, mb, lth in zip(p._w, p._ka, p._kb, p._lth):
+                a, b = max(int(ma), int(mb)), 1 + abs(int(ma) - int(mb))
+                if (lth, a, b) not in kernels:
+                    y = -mpmath.exp(-mpmath.mpf(lth)) / mpmath.mpf(sj)
+                    kernels[lth, a, b] = y ** a * mpmath.hyperu(a, b, y)
+                acc += mpmath.mpf(w) * kernels[lth, a, b]
+            expected.append(float(acc))
+    np.testing.assert_allclose(p.mgf(s), expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize("pa,pb", [(LINK_AA, LINK_AA), (LINK_S1, LINK_S2)])

@@ -202,6 +202,43 @@ def test_tricomi_u_times_xa_limit_at_overflowing_argument():
         assert tricomi_u_times_xa(5, 2, 1.7e308) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_row_batched_u_equals_per_row_scalar_u():
+    # Rows of every (a, b) the transforms generate and more, with points
+    # that take the exact b = a + 1 form, refined tables (b = 1 at tiny x)
+    # and the limit at inf: a batched call gives each cell the bits of
+    # a call for that row alone.
+    rows = [(a, b) for a in range(1, 31) for b in range(2 - a, a + 2)]
+    a, b = (np.array(col) for col in zip(*rows))
+    x = np.concatenate([np.geomspace(1e-300, 1e160, 23), [np.inf]])
+    batched = tricomi_u_times_xa(a, b, x)
+    assert batched.shape == (len(rows), x.size) and batched.dtype == np.longdouble
+    assert np.array_equal(batched, [tricomi_u_times_xa(ai, bi, x) for ai, bi in rows])
+    assert np.array_equal(batched[:, 5], [tricomi_u_times_xa(ai, bi, x[5]) for ai, bi in rows])
+    assert tricomi_u_times_xa(a, b, 0.5).shape == (len(rows),)
+    assert tricomi_u_times_xa(a[:0], b[:0], x).shape == (0, x.size)
+    with pytest.raises(ValueError):
+        tricomi_u_times_xa(a, b[:-1], x)
+    with pytest.raises(ValueError):
+        tricomi_u_times_xa(np.array([1, 0]), np.array([1, 1]), x)
+
+
+def test_kummer_symmetry_of_the_mgf_kernel():
+    # y^a U(a, 1+a-b, y) = y^b U(b, 1+b-a, y) (DLMF 13.2.40): the pair
+    # kernel of the mgf is symmetric in its two shapes, which lets the
+    # mgf merge a pair with its mirror.  Checked in mpmath, then for U.
+    for a, b, y in [(1, 4, 0.3), (7, 2, 5.0), (3, 30, 0.01)]:
+        with mpmath.workdps(30):
+            y = mpmath.mpf(y)
+            lhs = y ** a * mpmath.hyperu(a, 1 + a - b, y)
+            rhs = y ** b * mpmath.hyperu(b, 1 + b - a, y)
+            assert abs(lhs / rhs - 1) < mpmath.mpf(10) ** -25
+    shapes = np.arange(1, 31)
+    a, b = (v.ravel() for v in np.meshgrid(shapes, shapes))
+    y = np.array([1e-6, 0.02, 0.7, 3.0, 40.0, 1e4])
+    np.testing.assert_allclose(tricomi_u_times_xa(a, 1 + a - b, y),
+                               tricomi_u_times_xa(b, 1 + b - a, y), rtol=1e-13)
+
+
 def test_ln_gamma_int_exact_small_and_large():
     for n in (1, 2, 3, 10, 171):
         assert ln_gamma_int(n) == pytest.approx(math.log(math.factorial(n - 1)), rel=1e-15)

@@ -1,9 +1,11 @@
 """Deterministic work counters of the kernel-sum engine.
 
 The counters depend only on the inputs, never on timing, so a claimed
-reduction in kernel work can be pinned here.  A recording wrapper
-replaces ``log_bessel_k_ladder`` where ``gammagamma`` looks it up and
-notes, per climb, the number of argument rows and the rungs climbed.
+reduction in kernel work can be pinned here.  Recording wrappers
+replace ``log_bessel_k_ladder`` where ``gammagamma`` looks it up, noting
+per climb the number of argument rows and the rungs climbed, and
+``tricomi_u_times_xa`` where ``pdist`` looks it up, noting per call the
+rows and points.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import prodfade.fit
+import prodfade.pdist
 from prodfade import gammagamma, mixture
 from prodfade.fit import SearchConfig, empirical_from_samples, fit_cdf
 from prodfade.mixture import ShadowedParams as SP, expand
@@ -62,6 +65,43 @@ def test_one_argument_row_per_distinct_theta(climbs, name, kind):
     assert [rows for rows, _ in climbs] == [DISTINCT_THETA[name]]
     if (name, kind) in RUNGS:
         assert climbs[0][1] == RUNGS[name, kind]
+
+
+@pytest.fixture
+def u_calls(monkeypatch):
+    """``[(rows, points), ...]`` for every Tricomi U call ``mgf`` makes."""
+    record = []
+    u = prodfade.pdist.tricomi_u_times_xa
+
+    def recording(a, b, x):
+        record.append((np.size(a), np.size(x)))
+        return u(a, b, x)
+
+    monkeypatch.setattr(prodfade.pdist, "tricomi_u_times_xa", recording)
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("points", [1, 5, 20])
+def test_one_u_call_per_distinct_theta(u_calls, name, points):
+    # Every row of one theta shares y = -1/(s theta): one row-batched call
+    # per distinct theta, each with the whole grid, covering every merged
+    # row once.
+    model = ProductModel(*MODELS[name])
+    model.mgf(-np.geomspace(1e-3, 1e3, points))
+    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._mgf_plan)
+    assert len(u_calls) == DISTINCT_THETA[name]
+    assert [p for _, p in u_calls] == [points] * DISTINCT_THETA[name]
+    assert sum(r for r, _ in u_calls) == plan.theta.size
+
+
+def test_mgf_rows_merge_on_unordered_shape_pair():
+    # Kummer's transformation makes the mgf kernel symmetric too: L's 900
+    # pairs are 465 rows, as for the pdf.
+    model = ProductModel(*MODELS["L"])
+    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._mgf_plan)
+    assert plan.theta.size == 465
+    assert np.all(plan.b >= 1) and np.all(plan.b <= plan.a)
 
 
 def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
