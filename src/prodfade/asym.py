@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import NoRootError
-from .mixture import ShadowedParams, _as_int
+from .mixture import ShadowedParams, _as_int, _non_negative, _points, _positive
 from .specfun import ln_gamma_int
 
 __all__ = [
@@ -84,9 +84,7 @@ def tail_offset(params):
 
 def tail_offset_kappa_mu(k_factor, mu):
     """Same offset for the unshadowed kappa-mu law (m -> infinity)."""
-    k_factor = float(k_factor)
-    if not np.isfinite(k_factor) or k_factor < 0.0:
-        raise ValueError("k_factor must be finite and >= 0")
+    k_factor = _non_negative("k_factor", k_factor)
     mu = _as_int("mu", mu)
     return math.exp(
         mu * math.log(mu)
@@ -97,20 +95,15 @@ def tail_offset_kappa_mu(k_factor, mu):
 
 
 def _power_law(offset, slope_plus_one, mean_power, x):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("asymptote requires finite x > 0")
-    out = (offset / slope_plus_one) * (x / mean_power) ** slope_plus_one
-    return float(out[0]) if scalar else out
+    x, _, shaped = _points(x, "> 0", "asymptote requires finite x > 0")
+    return shaped((offset / slope_plus_one) * (x / mean_power) ** slope_plus_one)
 
 
 def asym_cdf(params, x):
     """First-order small-argument approximation of the shadowed cdf.
 
-    ``F(x) ~ offset/(t+1) * (x/xbar)^(t+1)`` with ``t + 1 = mu``;
-    elementwise over ``x > 0``.  Only meaningful for ``x << xbar``.
+    ``F(x) ~ offset/(t+1) * (x/xbar)^(t+1)`` with ``t + 1 = mu``, over
+    ``x > 0``.  Only meaningful for ``x << xbar``.
     """
     if not isinstance(params, ShadowedParams):
         params = ShadowedParams(*params)
@@ -118,10 +111,8 @@ def asym_cdf(params, x):
 
 
 def asym_cdf_kappa_mu(k_factor, mu, mean_power, x):
-    """Small-argument cdf approximation of the unshadowed kappa-mu law."""
-    mean_power = float(mean_power)
-    if not np.isfinite(mean_power) or mean_power <= 0.0:
-        raise ValueError("mean_power must be finite and > 0")
+    """Small-argument cdf approximation of the unshadowed kappa-mu law, over ``x > 0``."""
+    mean_power = _positive("mean_power", mean_power)
     return _power_law(tail_offset_kappa_mu(k_factor, mu), int(mu), mean_power, x)
 
 
@@ -152,9 +143,7 @@ def match_kappa(k_factor, mu, m, infinite_m=False):
         close to ``mu`` (``K = 15, mu = 30, m = 31`` has its root near
         6e159).
     """
-    k_factor = float(k_factor)
-    if not np.isfinite(k_factor) or k_factor < 0.0:
-        raise ValueError("k_factor must be finite and >= 0")
+    k_factor = _non_negative("k_factor", k_factor)
     mu = _as_int("mu", mu)
     m = _as_int("m", m)
     if m <= mu:

@@ -92,8 +92,6 @@ def cmd_eval(args):
 
 def cmd_sample(args):
     params = pio.read_params_json(args.params, args.dist)
-    if args.n < 1:
-        raise ValueError("sample count must be >= 1, got %d" % (args.n,))
     rng = np.random.default_rng(args.seed)
     if args.dist == "kms":
         draws = sample_single(params, rng, args.n)

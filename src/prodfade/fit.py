@@ -28,7 +28,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .mixture import ShadowedParams, _as_int
+from .mixture import ShadowedParams, _as_int, _positive, _span
 from .pdist import EnvelopeModel, ProductModel
 
 __all__ = [
@@ -97,9 +97,7 @@ class EmpiricalDistribution:
             if sample_count < 2:
                 raise ValueError("sample_count must be >= 2 when given")
         if mean is not None:
-            mean = float(mean)
-            if not np.isfinite(mean) or mean <= 0.0:
-                raise ValueError("mean must be finite and > 0 when given")
+            mean = _positive("mean", mean)
         x.setflags(write=False)
         values.setflags(write=False)
         self.kind = kind
@@ -118,6 +116,17 @@ class EmpiricalDistribution:
         )
 
 
+def _sample_array(samples):
+    """``samples`` as a 1-d float array of at least two finite positive draws."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or samples.size < 2:
+        raise ValueError("need at least two samples, got %d" % (samples.size,))
+    lo, hi = _span(samples)
+    if not (lo > 0.0 and hi < math.inf):
+        raise ValueError("samples must be finite and strictly positive")
+    return samples
+
+
 def empirical_from_samples(samples):
     """Step-function empirical CDF from raw positive samples.
 
@@ -132,11 +141,7 @@ def empirical_from_samples(samples):
         Fewer than two samples, non-positive samples, or a degenerate
         all-equal sample (a one-point CDF cannot be fitted).
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need at least two samples, got %d" % (samples.size,))
-    if not np.all(np.isfinite(samples)) or np.any(samples <= 0.0):
-        raise ValueError("samples must be finite and strictly positive")
+    samples = _sample_array(samples)
     n = samples.size
     uniq, counts = np.unique(samples, return_counts=True)
     if uniq.size < 2:
@@ -153,11 +158,7 @@ def histogram_pdf_from_samples(samples, bins="auto"):
     The numpy bin-count rule used is recorded in ``meta['bins']``.
     Empty bins are kept (zero density is a legitimate observation).
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need at least two samples")
-    if not np.all(np.isfinite(samples)) or np.any(samples <= 0.0):
-        raise ValueError("samples must be finite and strictly positive")
+    samples = _sample_array(samples)
     density, edges = np.histogram(samples, bins=bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return EmpiricalDistribution(

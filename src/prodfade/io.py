@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import IngestionError
 from .fit import EmpiricalDistribution, empirical_from_samples
-from .mixture import ShadowedParams, _as_int
+from .mixture import ShadowedParams, _as_int, _positive
 from .pdist import ProductModel
-from .sysmodels import BackscatterConfig, WpcConfig, _positive
+from .sysmodels import BackscatterConfig, WpcConfig
 
 __all__ = [
     "format_float",

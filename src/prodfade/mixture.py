@@ -67,12 +67,68 @@ def _span(v):
     return v.min(initial=math.inf), v.max(initial=-math.inf)
 
 
+#: Domain checks of :func:`_points`, on the ``(min, max)`` of the points.
+_DOMAINS = {
+    ">= 0": lambda lo, hi: lo >= 0.0 and hi < math.inf,
+    "> 0": lambda lo, hi: lo > 0.0 and hi < math.inf,
+    "< 0": lambda lo, hi: lo > -math.inf and hi < 0.0,
+}
+
+
+def _points(x, domain, message):
+    """The array contract of every elementwise evaluator.
+
+    ``x`` becomes a flat float array, and one ``(min, max)`` reduction
+    checks that every point is finite and lies in ``domain``: ``">= 0"``,
+    ``"> 0"`` or ``"< 0"``.  NaN anywhere fails the check, which raises
+    ``ValueError(message)``.
+
+    Returns ``(flat, lo, shaped)``: the flat points, their minimum, and a
+    function that gives a flat result the form of ``x``, a Python float
+    for a 0-d ``x`` and otherwise an array of ``x``'s shape (empty shapes
+    included).  A result that must be finite is checked with
+    :func:`_all_finite`, whose failure the caller raises as
+    ``ArithmeticError``.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    flat = x.ravel()
+    lo, hi = _span(flat)
+    if not _DOMAINS[domain](lo, hi):
+        raise ValueError(message)
+
+    def shaped(out):
+        return out.reshape(shape) if shape else float(out[0])
+
+    return flat, lo, shaped
+
+
+def _all_finite(v):
+    """Whether every element of the array ``v`` is finite, by one reduction."""
+    lo, hi = _span(v)
+    return lo > -math.inf and hi < math.inf
+
+
 def _as_int(name, value):
     if not float(value).is_integer():
         raise ValueError("%s must be an integer, got %r" % (name, value))
     value = int(value)
     if value < 1:
         raise ValueError("%s must be >= 1, got %d" % (name, value))
+    return value
+
+
+def _positive(name, value):
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+    return value
+
+
+def _non_negative(name, value):
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
     return value
 
 
@@ -98,14 +154,8 @@ class ShadowedParams:
     m: int
 
     def __post_init__(self):
-        mp = float(self.mean_power)
-        if not math.isfinite(mp) or mp <= 0.0:
-            raise ValueError("mean_power must be finite and > 0, got %r" % (self.mean_power,))
-        kap = float(self.kappa)
-        if not math.isfinite(kap) or kap < 0.0:
-            raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
-        object.__setattr__(self, "mean_power", mp)
-        object.__setattr__(self, "kappa", kap)
+        object.__setattr__(self, "mean_power", _positive("mean_power", self.mean_power))
+        object.__setattr__(self, "kappa", _non_negative("kappa", self.kappa))
         object.__setattr__(self, "mu", _as_int("mu", self.mu))
         object.__setattr__(self, "m", _as_int("m", self.m))
 
@@ -218,20 +268,14 @@ class GammaMixture:
         return float(np.sum(np.abs(self.weights)))
 
     def pdf(self, x):
-        """Mixture density, elementwise over ``x >= 0`` (log-space terms).
+        """Mixture density over ``x >= 0`` (log-space terms).
 
         Individual terms are formed as ``exp(log term)`` so that large
         shapes and tiny scales cannot overflow; the signed sum itself
         may come out a hair below zero in cancellation-heavy corners,
-        on the order of 1e-16, and is returned as computed.  A
-        non-finite sum raises ArithmeticError.
+        on the order of 1e-16, and is returned as computed.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        lo, hi = _span(x)
-        if not (lo >= 0.0 and hi < math.inf):
-            raise ValueError("pdf requires finite x >= 0")
+        x, _, shaped = _points(x, ">= 0", "pdf requires finite x >= 0")
         out = np.zeros(x.shape)
         pos = x > 0.0
         if np.any(pos):
@@ -251,13 +295,12 @@ class GammaMixture:
         if np.any(~pos):
             unit = self.shapes == 1
             out[~pos] = float(np.sum(self.weights[unit] / self.scales[unit]))
-        lo, hi = _span(out)
-        if not (lo > -math.inf and hi < math.inf):
+        if not _all_finite(out):
             raise ArithmeticError("mixture pdf is not finite")
-        return float(out[0]) if scalar else out
+        return shaped(out)
 
     def cdf(self, x):
-        """Mixture distribution function, elementwise over ``x >= 0``.
+        """Mixture distribution function over ``x >= 0``.
 
         Uses the lower regularized incomplete gamma per component.  The
         signed sum telescopes to the complementary (upper) form because
@@ -265,12 +308,7 @@ class GammaMixture:
         conditioned of the two near the origin, where the deep-tail
         diversity behaviour is read off.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        lo, hi = _span(x)
-        if not (lo >= 0.0 and hi < math.inf):
-            raise ValueError("cdf requires finite x >= 0")
+        x, _, shaped = _points(x, ">= 0", "cdf requires finite x >= 0")
         per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
         # fixed accumulation order keeps the signed sum bit-stable
         # under any caller-side chunking of x
@@ -281,8 +319,7 @@ class GammaMixture:
                 "mixture cdf left [0, 1] beyond tolerance; worst value %r"
                 % (raw[np.argmax(np.abs(raw - 0.5))],)
             )
-        out = np.clip(raw, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return shaped(np.clip(raw, 0.0, 1.0))
 
     def moment(self, order):
         """Fractional moment ``E[X^order]`` in closed form.
@@ -347,12 +384,12 @@ def expand(params):
 
 
 def pdf_single(params, x):
-    """Density of one squared kappa-mu shadowed channel at ``x``."""
+    """Density of one squared kappa-mu shadowed channel over ``x >= 0``."""
     return expand(params).pdf(x)
 
 
 def cdf_single(params, x):
-    """Distribution function of one squared kappa-mu shadowed channel."""
+    """Distribution function of one squared kappa-mu shadowed channel over ``x >= 0``."""
     return expand(params).cdf(x)
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .gammagamma import weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
-from .mixture import ShadowedParams, _span, expand, sample_single
+from .mixture import ShadowedParams, _all_finite, _points, _positive, _span, expand, sample_single
 from .specfun import tricomi_u_times_xa
 
 __all__ = ["ProductModel", "EnvelopeModel"]
@@ -100,39 +100,27 @@ class ProductModel:
         return "ProductModel(%r, %r)" % (self.link_a, self.link_b)
 
     def pdf(self, z):
-        """Density of the product, elementwise over ``z > 0``.
+        """Density of the product over ``z > 0``.
 
         The signed sum can undershoot zero by a few parts in 1e16 of
         the local scale where kernels cancel; values are returned as
-        computed rather than clipped.  A non-finite sum raises
-        ArithmeticError.
+        computed rather than clipped.
         """
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        lo, hi = _span(z)
-        if not (lo > 0.0 and hi < math.inf):
-            raise ValueError("pdf requires finite z > 0")
+        z, _, shaped = _points(z, "> 0", "pdf requires finite z > 0")
         out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z)
-        lo, hi = _span(out)
-        if not (lo > -math.inf and hi < math.inf):
+        if not _all_finite(out):
             raise ArithmeticError(
                 "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
             )
-        return float(out[0]) if scalar else out
+        return shaped(out)
 
     def cdf(self, z):
-        """Distribution function of the product, elementwise over ``z >= 0``.
+        """Distribution function of the product over ``z >= 0``.
 
         Finite Bessel series per kernel pair; raw values are verified
         to lie in [0, 1] within ``CDF_RANGE_TOL`` and then clipped.
         """
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        lo, hi = _span(z)
-        if not (lo >= 0.0 and hi < math.inf):
-            raise ValueError("cdf requires finite z >= 0")
+        z, lo, shaped = _points(z, ">= 0", "cdf requires finite z >= 0")
         if lo > 0.0:
             out = self._positive_cdf(z)
         else:
@@ -140,7 +128,7 @@ class ProductModel:
             pos = z > 0.0
             if np.any(pos):
                 out[pos] = self._positive_cdf(z[pos])
-        return float(out[0]) if scalar else out
+        return shaped(out)
 
     def _positive_cdf(self, z):
         """Range-checked and clipped cdf at points ``z > 0``."""
@@ -155,27 +143,20 @@ class ProductModel:
         return raw if (lo >= 0.0 and hi <= 1.0) else np.clip(raw, 0.0, 1.0)
 
     def mgf(self, s):
-        """``E[exp(s Z)]`` on the strictly negative axis.
+        """``E[exp(s Z)]`` over ``s < 0``.
 
-        Tricomi-U closed form, elementwise over ``s``: pairs that are the
-        same kernel are merged into one row, and each distinct scale
-        product takes one row-batched U call.  Near ``s = 0`` the
-        argument ``-1/(s theta)`` may overflow to inf, where ``x^a U``
-        takes its limit 1.  A non-finite sum raises ArithmeticError.
+        Tricomi-U closed form: pairs that are the same kernel are merged
+        into one row, and each distinct scale product takes one
+        row-batched U call.  Near ``s = 0`` the argument ``-1/(s theta)``
+        may overflow to inf, where ``x^a U`` takes its limit 1.
         """
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        lo, hi = _span(s)
-        if not (lo > -math.inf and hi < 0.0):
-            raise ValueError("mgf requires finite s < 0")
+        s, _, shaped = _points(s, "< 0", "mgf requires finite s < 0")
         out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa)
-        lo, hi = _span(out)
-        if not (lo > -math.inf and hi < math.inf):
+        if not _all_finite(out):
             raise ArithmeticError(
                 "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
             )
-        return float(out[0]) if scalar else out
+        return shaped(out)
 
     def moment(self, n):
         """Integer moment ``E[Z^n]`` in closed form.
@@ -228,9 +209,7 @@ class EnvelopeModel:
     def __init__(self, product, envelope_scale):
         if not isinstance(product, ProductModel):
             raise TypeError("EnvelopeModel expects a ProductModel")
-        envelope_scale = float(envelope_scale)
-        if not math.isfinite(envelope_scale) or envelope_scale <= 0.0:
-            raise ValueError("envelope_scale must be finite and > 0")
+        envelope_scale = _positive("envelope_scale", envelope_scale)
         self.product = product
         self.envelope_scale = envelope_scale
         self._c = envelope_scale / product.sqrt_mean
@@ -241,28 +220,16 @@ class EnvelopeModel:
         return self.envelope_scale
 
     def pdf(self, r):
-        """Envelope density ``f_R(r) = (2 r / c^2) f_Z(r^2 / c^2)``, r > 0."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        lo, hi = _span(r)
-        if not (lo > 0.0 and hi < math.inf):
-            raise ValueError("envelope pdf requires finite r > 0")
+        """Envelope density ``f_R(r) = (2 r / c^2) f_Z(r^2 / c^2)`` over ``r > 0``."""
+        r, _, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
         c2 = self._c * self._c
-        out = (2.0 * r / c2) * self.product.pdf(r * r / c2)
-        return float(out[0]) if scalar else out
+        return shaped((2.0 * r / c2) * self.product.pdf(r * r / c2))
 
     def cdf(self, r):
-        """Envelope distribution function ``F_Z(r^2 / c^2)``, r >= 0."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        lo, hi = _span(r)
-        if not (lo >= 0.0 and hi < math.inf):
-            raise ValueError("envelope cdf requires finite r >= 0")
+        """Envelope distribution function ``F_Z(r^2 / c^2)`` over ``r >= 0``."""
+        r, _, shaped = _points(r, ">= 0", "envelope cdf requires finite r >= 0")
         c2 = self._c * self._c
-        out = self.product.cdf(r * r / c2)
-        return float(out[0]) if scalar else out
+        return shaped(self.product.cdf(r * r / c2))
 
     def sample(self, rng, n):
         """Draw ``n`` envelope variates."""

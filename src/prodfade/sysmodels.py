@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int
+from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int, _non_negative, _points, _positive
 from .pdist import ProductModel
 
 __all__ = [
@@ -47,13 +47,6 @@ __all__ = [
 #: How the real-shape Nakagami comparator is computed; recorded in
 #: output metadata wherever comparator values are emitted.
 NAKAGAMI_COMPARATOR_METHOD = "gamma-product-quadrature"
-
-
-def _positive(name, value):
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-    return value
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,7 @@ class WpcConfig:
         object.__setattr__(self, "tx_power_over_noise",
                            _positive("tx_power_over_noise", self.tx_power_over_noise))
         object.__setattr__(self, "pb_antennas", _as_int("pb_antennas", self.pb_antennas))
-        k = float(self.rician_k)
-        if not np.isfinite(k) or k < 0.0:
-            raise ValueError("rician_k must be finite and >= 0")
-        object.__setattr__(self, "rician_k", k)
+        object.__setattr__(self, "rician_k", _non_negative("rician_k", self.rician_k))
         for name in ("harvest_fraction", "efficiency"):
             v = float(getattr(self, name))
             if not 0.0 < v < 1.0:
@@ -167,17 +157,15 @@ def wpc_product(cfg):
 
 
 def wpc_outage(cfg, p_over_n0=None):
-    """Outage probability, elementwise over ``p_over_n0`` (linear).
+    """Outage probability over linear ``p_over_n0 > 0``.
 
     Defaults to the configured operating point when no sweep values
     are passed.
     """
     if p_over_n0 is None:
         p_over_n0 = cfg.tx_power_over_noise
-    p = np.asarray(p_over_n0, dtype=float)
-    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-        raise ValueError("p_over_n0 must be finite and > 0")
-    return wpc_product(cfg).cdf(cfg.threshold_scale() / p)
+    p, _, shaped = _points(p_over_n0, "> 0", "p_over_n0 must be finite and > 0")
+    return shaped(wpc_product(cfg).cdf(cfg.threshold_scale() / p))
 
 
 def wpc_throughput(cfg, p_over_n0=None):
@@ -201,14 +189,12 @@ def wpc_sweep(cfg, p_over_n0_db):
 
 def nakagami_shape(k_factor):
     """Real Nakagami shape matching a Rician K: (1+K)^2 / (1+2K)."""
-    k_factor = float(k_factor)
-    if not np.isfinite(k_factor) or k_factor < 0.0:
-        raise ValueError("k_factor must be finite and >= 0")
+    k_factor = _non_negative("k_factor", k_factor)
     return (1.0 + k_factor) ** 2 / (1.0 + 2.0 * k_factor)
 
 
 def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
-    """CDF of a product of two independent Gammas with *real* shapes.
+    """CDF of a product of two independent Gammas with *real* shapes, over ``x >= 0``.
 
     Conditioning on the first factor gives a one-dimensional integral
     of a Gamma density against a Gamma CDF, evaluated by adaptive
@@ -221,11 +207,7 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
     for name, v in (("shape_a", shape_a), ("scale_a", scale_a),
                     ("shape_b", shape_b), ("scale_b", scale_b)):
         _positive(name, v)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ValueError("x must be finite and >= 0")
+    x, _, shaped = _points(x, ">= 0", "x must be finite and >= 0")
     ln_gamma_a = special.gammaln(shape_a)
 
     def pdf_a(w):
@@ -241,7 +223,7 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
             0.0, np.inf, limit=200,
         )
         out[i] = min(val, 1.0)
-    return float(out[0]) if scalar else out
+    return shaped(out)
 
 
 def nakagami_wpc_outage(cfg, p_over_n0=None):
@@ -255,11 +237,7 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
     """
     if p_over_n0 is None:
         p_over_n0 = cfg.tx_power_over_noise
-    p = np.asarray(p_over_n0, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-        raise ValueError("p_over_n0 must be finite and > 0")
+    p, _, shaped = _points(p_over_n0, "> 0", "p_over_n0 must be finite and > 0")
 
     n = cfg.pb_antennas
     shape_a = nakagami_shape(cfg.rician_k) * n
@@ -273,10 +251,7 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
         shape_b = nakagami_shape(sd.kappa)
     scale_b = 1.0 / shape_b
 
-    arg = cfg.threshold_scale() / p
-    out = gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, arg)
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
+    return shaped(gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, cfg.threshold_scale() / p))
 
 
 @dataclass(frozen=True)
@@ -311,11 +286,9 @@ def backscatter_model(cfg):
 
 
 def backscatter_power_cdf(cfg, power):
-    """P(received power <= power), elementwise over ``power > 0``."""
-    p = np.asarray(power, dtype=float)
-    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
-        raise ValueError("power must be finite and > 0")
-    return backscatter_model(cfg).cdf(p / cfg.mean_rx_power)
+    """P(received power <= power) over ``power > 0``."""
+    p, _, shaped = _points(power, "> 0", "power must be finite and > 0")
+    return shaped(backscatter_model(cfg).cdf(p / cfg.mean_rx_power))
 
 
 def backscatter_sweep(cfg, power_db):

@@ -1,9 +1,21 @@
 import importlib
+import inspect
 import pkgutil
+from functools import partial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prodfade
+from prodfade import mixture
+from prodfade.asym import asym_cdf, asym_cdf_kappa_mu
+from prodfade.mixture import ShadowedParams, cdf_single, expand, pdf_single
+from prodfade.pdist import EnvelopeModel, ProductModel
+from prodfade.sysmodels import (
+    BackscatterConfig, WpcConfig, backscatter_power_cdf, gamma_product_cdf,
+    nakagami_wpc_outage, wpc_outage, wpc_throughput,
+)
 
 MODULES = ["prodfade"] + [
     "prodfade." + info.name for info in pkgutil.iter_modules(prodfade.__path__)
@@ -18,3 +30,64 @@ def test_export_list_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing
+
+
+LINK = ShadowedParams(1.0, 2.0, 3, 5)
+SIGNED = ShadowedParams(1.0, 1.0, 2, 1)  # mu > m: signed expansion
+WPC = WpcConfig(1e6, 2, 3.0)
+BACKSCATTER = BackscatterConfig(0.5, LINK, SIGNED)
+POS = np.array([[0.05, 0.3, 1.0], [2.0, 0.7, 0.01]])
+NONNEG = np.array([[0.0, 0.3, 1.0], [2.0, 0.0, 0.01]])
+
+
+def _evaluators():
+    """Every public elementwise evaluator, with a (2, 3) grid in its domain."""
+    out = {
+        "GammaMixture.pdf": (expand(SIGNED).pdf, NONNEG),
+        "GammaMixture.cdf": (expand(SIGNED).cdf, NONNEG),
+        "pdf_single": (partial(pdf_single, LINK), NONNEG),
+        "cdf_single": (partial(cdf_single, LINK), NONNEG),
+        "asym_cdf": (partial(asym_cdf, LINK), POS),
+        "asym_cdf_kappa_mu": (partial(asym_cdf_kappa_mu, 2.0, 3, 1.5), POS),
+        "wpc_outage": (partial(wpc_outage, WPC), 1e6 * POS),
+        "wpc_throughput": (partial(wpc_throughput, WPC), 1e6 * POS),
+        "nakagami_wpc_outage": (partial(nakagami_wpc_outage, WPC), 1e6 * POS),
+        "gamma_product_cdf": (partial(gamma_product_cdf, 1.5, 0.5, 2.5, 0.3), NONNEG),
+        "backscatter_power_cdf": (partial(backscatter_power_cdf, BACKSCATTER), POS),
+    }
+    for kind, model in (("positive", ProductModel(LINK, LINK)),
+                        ("signed", ProductModel(LINK, SIGNED))):
+        env = EnvelopeModel(model, 1.3)
+        out.update({
+            kind + " ProductModel.pdf": (model.pdf, POS),
+            kind + " ProductModel.cdf": (model.cdf, NONNEG),
+            kind + " ProductModel.mgf": (model.mgf, -10.0 * POS),
+            kind + " EnvelopeModel.pdf": (env.pdf, POS),
+            kind + " EnvelopeModel.cdf": (env.cdf, NONNEG),
+        })
+    return out
+
+
+EVALUATORS = _evaluators()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluators_keep_the_input_shape(name):
+    # An n-D grid is evaluated as the flat grid, then given its shape
+    # back; a 0-d input gives a float, an empty grid an empty result.
+    fn, x = EVALUATORS[name]
+    out = fn(x)
+    assert out.shape == x.shape
+    assert np.array_equal(out, fn(x.ravel()).reshape(x.shape))
+    assert type(fn(np.array(x[0, 1]))) is float
+    assert fn(np.empty((2, 0))).shape == (2, 0)
+
+
+def test_only_the_helper_shapes_evaluator_results():
+    # The array contract is written once, in mixture._points; the copies
+    # it replaced had drifted apart on n-D input.
+    helper = inspect.getsource(mixture._points)
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        text = path.read_text().replace(helper, "")
+        for phrase in ("ndim == 0", "if scalar else"):
+            assert phrase not in text, "%s: %r" % (path.name, phrase)

@@ -287,9 +287,11 @@ def test_sample_matches_library_draws(tmp_path):
 
 
 def test_sample_count_validation(tmp_path):
-    rc = main(["sample", "--dist", "kms", "--params", dump(tmp_path / "p.json", KMS),
-               "--n", "0", "--seed", "1", "--out", str(tmp_path / "s.csv")])
-    assert rc == 2
+    for dist, params in (("kms", KMS), ("prod", PROD)):
+        rc = main(["sample", "--dist", dist, "--params", dump(tmp_path / "p.json", params),
+                   "--n", "0", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_match_kappa_stdout_and_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prodfade import gammagamma
+from prodfade import asym, gammagamma, sysmodels
 from prodfade.mixture import ShadowedParams, expand
 from prodfade.pdist import ProductModel, EnvelopeModel
 
@@ -275,24 +275,40 @@ def test_pdf_rejects_nan_kernel_sum(monkeypatch):
         env.pdf([0.1, 1.0])
 
 
+def _evaluators():
+    """Elementwise evaluators over a non-negative or positive axis."""
+    p = make(LINK_AA, LINK_SGN)
+    env = EnvelopeModel(p, 1.0)
+    link = ShadowedParams(*LINK_S2)
+    wpc = sysmodels.WpcConfig(1e6, 2, 3.0)
+    backscatter = sysmodels.BackscatterConfig(0.5, ShadowedParams(*LINK_AA),
+                                              ShadowedParams(*LINK_SGN))
+    return (
+        p.cdf, p.pdf, env.cdf, env.pdf, p.mixture_b.cdf, p.mixture_b.pdf,
+        lambda x: asym.asym_cdf(link, x),
+        lambda x: asym.asym_cdf_kappa_mu(2.0, 2, 1.5, x),
+        lambda x: sysmodels.wpc_outage(wpc, x),
+        lambda x: sysmodels.nakagami_wpc_outage(wpc, x),
+        lambda x: sysmodels.gamma_product_cdf(1.5, 0.5, 2.5, 0.3, x),
+        lambda x: sysmodels.backscatter_power_cdf(backscatter, x),
+    )
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, [0.5, np.nan, 2.0], [np.nan, 0.5],
                                  [0.5, np.inf], [-np.inf, 0.5]])
 def test_domain_checks_refuse_nan_and_inf_anywhere(bad):
     # The checks are min/max reductions; NaN anywhere makes both NaN,
     # which every comparison fails.
-    p = make(LINK_AA, LINK_SGN)
-    env = EnvelopeModel(p, 1.0)
-    for fn in (p.cdf, p.pdf, env.cdf, env.pdf, p.mixture_b.cdf, p.mixture_b.pdf):
+    for fn in _evaluators():
         with pytest.raises(ValueError):
             fn(bad)
+    p = make(LINK_AA, LINK_SGN)
     with pytest.raises(ValueError):
         p.mgf(-np.abs(np.asarray(bad)))
 
 
 def test_empty_grids_give_empty_results():
-    p = make(LINK_AA, LINK_SGN)
-    env = EnvelopeModel(p, 1.0)
-    for fn in (p.cdf, p.pdf, env.cdf, env.pdf):
+    for fn in _evaluators():
         assert fn(np.array([])).shape == (0,)
 
 
