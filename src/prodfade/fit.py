@@ -1,8 +1,9 @@
 """Fitting product-channel models to measured or simulated data.
 
-Two estimation procedures are provided, both built around an exhaustive
-search over the integer shape parameters with a derivative-free
-continuous search inside each integer cell:
+Two estimation procedures are provided, both built on one exhaustive
+search over the integer shape parameters with a bounded continuous
+search inside each integer cell.  Each fit hands the search its vector
+of model-minus-data residuals; the search minimizes a norm of it:
 
 * :func:`fit_cdf` minimizes the modified Kolmogorov-Smirnov error
 
@@ -11,11 +12,14 @@ continuous search inside each integer cell:
   the natural metric when distribution functions are compared on a
   log scale, as outage curves are.  Points where the empirical CDF is
   zero (or below a configurable floor) carry no information about the
-  log tail and are excluded from the admissible set.
+  log tail and are excluded from the admissible set.  A max of
+  residuals has kinks, so the search is derivative-free (Nelder-Mead).
 
 * :func:`fit_pdf_mse` minimizes the mean squared difference between an
   empirical envelope density and the model envelope density, reporting
-  the result in percent of the mean squared empirical density.
+  the result in percent of the mean squared empirical density.  A sum
+  of squares is smooth, so the search is bounded nonlinear least
+  squares (trust-region reflective, finite-difference Jacobian).
 
 Both searches are deterministic: integer cells are visited in a fixed
 order and the multi-start pattern inside each cell is a fixed spread
@@ -78,20 +82,21 @@ class EmpiricalDistribution:
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or x.size == 0:
             raise ValueError("x and values must be equal-length 1-d arrays")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        lo, hi = _span(x)
+        if not (lo > 0.0 and hi < math.inf):
             raise ValueError("x must be finite and strictly positive")
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("x must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        lo, hi = _span(values)
+        if not (lo > -math.inf and hi < math.inf):
             raise ValueError("values must be finite")
         if kind == "cdf":
-            if np.any(values < 0.0) or np.any(values > 1.0):
+            if not (lo >= 0.0 and hi <= 1.0):
                 raise ValueError("cdf values must lie in [0, 1]")
             if np.any(np.diff(values) < 0.0):
                 raise ValueError("cdf values must be non-decreasing")
-        else:
-            if np.any(values < 0.0):
-                raise ValueError("pdf values must be non-negative")
+        elif not lo >= 0.0:
+            raise ValueError("pdf values must be non-negative")
         if sample_count is not None:
             sample_count = _as_int("sample_count", sample_count)
             if sample_count < 2:
@@ -257,6 +262,11 @@ class SearchConfig:
     hold the same values as the unhatted ones, each mirror pair of
     cells, one law with the links swapped, is fitted once.
 
+    ``kappa_tol`` is the step below which a local search stops: the
+    absolute spread of the Nelder-Mead simplex in :func:`fit_cdf`, and
+    in :func:`fit_pdf_mse` the step length relative to the parameter
+    norm (``xtol`` of ``scipy.optimize.least_squares``).
+
     ``kappa_range`` is finite, ``kappa_tol`` finite and > 0,
     ``max_points`` an integer >= 2 and ``min_cdf``, when given, in
     (0, 1]; anything else raises ``ValueError`` here.
@@ -339,8 +349,12 @@ class FitResult:
 
     ``search_trace`` holds one entry per visited integer cell: the cell,
     the best continuous parameters found in it, its objective value,
-    whether the local search converged and ``nfev``, the objective
-    calls made in it.  The entries appear in visit order regardless of
+    ``converged``, whether the local search behind that value stopped on
+    its tolerances (Nelder-Mead in :func:`fit_cdf`, least squares in
+    :func:`fit_pdf_mse`), and ``nfev``, the residual calls made in the
+    cell, finite-difference Jacobian steps included.  A cell none of
+    whose candidates could be evaluated has objective ``1e9``.  The
+    entries appear in visit order regardless of
     which cell won.  With equal grids only one cell of each mirror pair
     is visited, and the kappa of an untied link with ``mu == m`` is 0
     (see :class:`SearchConfig`).
@@ -372,7 +386,7 @@ def minimize(*args, **kwargs):
 
     Only the fits use ``scipy.optimize``, and its import is a large
     share of a CLI command's start-up, so commands that fit nothing
-    never load it.  ``_minimize_cell`` looks this name
+    never load it.  ``_nelder_mead_cell`` looks this name
     up in the module on each call, so it stays the one to patch.
     """
     from scipy.optimize import minimize as scipy_minimize
@@ -380,23 +394,69 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _minimize_cell(objective, starts, bounds, kappa_tol):
-    """Best of several bounded Nelder-Mead runs.
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call.
 
-    Returns ``(theta, value, ok, nfev)``, ``nfev`` summed over the starts.
+    Lazy for the same reason as :func:`minimize`;
+    ``_least_squares_cell`` looks this name up in the module on each
+    call, so it stays the one to patch.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
+
+
+def _max_abs(r):
+    """``max |r_i|``, the cdf fit's objective; overwrites ``r``."""
+    return float(np.abs(r, out=r).max())
+
+
+def _sum_squares(r):
+    """``sum r_i**2``, the pdf fit's objective."""
+    return float(r @ r)
+
+
+def _nelder_mead_cell(evaluate, starts, bounds, kappa_tol):
+    """Best of bounded Nelder-Mead runs on the objective ``evaluate(theta)[1]``.
+
+    Returns ``(theta, value, converged)``.
     """
     best = (None, math.inf, False)
-    nfev = 0
     for theta0 in starts:
         res = minimize(
-            objective, np.asarray(theta0, dtype=float),
+            lambda theta: evaluate(theta)[1], np.asarray(theta0, dtype=float),
             method="Nelder-Mead", bounds=bounds,
             options={"xatol": kappa_tol, "fatol": 1e-7, "maxfev": 600},
         )
-        nfev += int(res.nfev)
         if res.fun < best[1]:
             best = (np.asarray(res.x, dtype=float), float(res.fun), bool(res.success))
-    return best + (nfev,)
+    return best
+
+
+def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
+    """Best of bounded least-squares runs on the residuals ``evaluate(theta)[0]``.
+
+    Trust-region reflective (Branch, Coleman & Li, SIAM J. Sci. Comput.
+    21, 1999) with a forward-difference Jacobian, stopped when a step
+    is below ``kappa_tol`` relative to the parameters.  Returns
+    ``(theta, value, converged)``, ``value`` the sum of squares and
+    ``converged`` whether the solver stopped on a tolerance.
+    """
+    lower, upper = np.array(bounds, dtype=float).T
+    best = (None, math.inf, False)
+    for theta0 in starts:
+        res = least_squares(
+            lambda theta: evaluate(theta)[0], np.asarray(theta0, dtype=float),
+            bounds=(lower, upper), method="trf", x_scale="jac", xtol=kappa_tol,
+        )
+        value = _sum_squares(res.fun)
+        if value < best[1]:
+            best = (np.asarray(res.x, dtype=float), value, bool(res.status > 0))
+    return best
+
+
+#: The local search that minimizes each objective over a cell.
+_LOCAL_SEARCH = {_max_abs: _nelder_mead_cell, _sum_squares: _least_squares_cell}
 
 
 def _visited_cells(config):
@@ -416,26 +476,32 @@ def _visited_cells(config):
     return list(cells)
 
 
-def _search_cells(config, make_objective, level_name, level, tail=None):
+def _search_cells(config, make_residuals, size, norm, level_name, level, tail=None):
     """Grid search shared by both fits; returns the search trace.
 
-    Every integer cell of ``_visited_cells(config)`` gets a bounded
-    Nelder-Mead run from each kappa start, over the kappas its law
-    depends on and, when ``tail`` gives its ``(start, bounds)``, a
-    trailing ``t``.  ``level(t)`` (``level(None)`` without a tail) is
-    the scale the fit reports under ``level_name``.
+    ``make_residuals(mu, mu_hat, m, m_hat)`` returns the cell's
+    ``residuals(kappa, kappa_hat, level)``, a vector of ``size`` model
+    minus data values, and ``norm`` turns one into the objective:
+    ``_max_abs``, searched by bounded Nelder-Mead runs, or
+    ``_sum_squares``, searched by bounded least squares.  Every integer
+    cell of ``_visited_cells(config)`` gets one run from each kappa
+    start, over the kappas its law depends on and, when ``tail`` gives
+    its ``(start, bounds)``, a trailing ``t``.  ``level(t)``
+    (``level(None)`` without a tail) is the scale the fit reports under
+    ``level_name``.
 
     A link with ``mu == m`` is Gamma(m, mean/m) at every kappa, so its
     kappa is not identifiable: it is held at 0.0, built, traced and
     reported as such.  Tied links share one kappa, searched unless both
     links have ``mu == m``.  A cell left with no coordinate is scored
-    by one direct call to its objective and marked converged.
+    by one direct call to its residuals and marked converged.
 
-    ``make_objective(mu, mu_hat, m, m_hat)`` returns the cell's
-    ``score(kappa, kappa_hat, level)``.  A candidate whose model raises
-    a numerical or validation error, or whose score is not finite,
-    scores ``_OBJ_FAILURE``.  Each trace entry records ``nfev``, the
-    objective calls made in the cell.
+    A candidate whose model raises a numerical or validation error, or
+    whose objective is not finite, scores ``_OBJ_FAILURE``, and least
+    squares sees residuals of ``_OBJ_FAILURE`` each there; a cell whose
+    best objective reaches ``_OBJ_FAILURE`` is traced with that value.
+    Each trace entry records ``nfev``, every call made to the cell's
+    residuals (finite-difference Jacobian steps included).
 
     In a symmetric cell (``mu == mu_hat``, ``m == m_hat``, links not
     tied) swapping ``kappa`` and ``kappa_hat`` gives the same law; the
@@ -446,6 +512,7 @@ def _search_cells(config, make_objective, level_name, level, tail=None):
     ArithmeticError
         If no candidate of any cell could be scored.
     """
+    search = _LOCAL_SEARCH[norm]
     tail_start, tail_bounds = ([], []) if tail is None else ([tail[0]], [tail[1]])
     trace = []
     for mu, mu_hat, m, m_hat in _visited_cells(config):
@@ -457,34 +524,42 @@ def _search_cells(config, make_objective, level_name, level, tail=None):
             ia = 0 if free_a else None
             ib = int(free_a) if free_b else None
         n_kappa = len({ia, ib} - {None})
-        score = make_objective(mu, mu_hat, m, m_hat)
+        residuals = make_residuals(mu, mu_hat, m, m_hat)
+        nfev = 0
 
         def unpack(theta):
             return (0.0 if ia is None else theta[ia], 0.0 if ib is None else theta[ib],
                     level(theta[-1] if tail is not None else None))
 
-        def objective(theta):
+        def evaluate(theta):
+            """``(r, norm(r))`` at ``theta`` (``norm`` may overwrite ``r``),
+            or the failure pair."""
+            nonlocal nfev
+            nfev += 1
             try:
-                value = score(*unpack(theta))
+                r = residuals(*unpack(theta))
+                value = norm(r)
             except (ArithmeticError, OverflowError, ValueError):
-                return _OBJ_FAILURE
-            return value if math.isfinite(value) else _OBJ_FAILURE
+                value = math.inf
+            if not math.isfinite(value):
+                return np.full(size, _OBJ_FAILURE), _OBJ_FAILURE
+            return r, value
 
         if n_kappa == 0 and tail is None:
-            theta, value, ok, nfev = (), objective(()), True, 1
+            theta, value, ok = (), evaluate(())[1], True
         else:
             # without a free kappa every start is the tail start: run it once
             starts = dict.fromkeys(tuple([k0] * n_kappa + tail_start)
                                    for k0 in config.kappa_starts())
             bounds = [config.kappa_range] * n_kappa + tail_bounds
-            theta, value, ok, nfev = _minimize_cell(objective, starts, bounds, config.kappa_tol)
+            theta, value, ok = search(evaluate, starts, bounds, config.kappa_tol)
         kap, kaph, lev = unpack([float(t) for t in theta])
         if (mu, m) == (mu_hat, m_hat) and kap < kaph:
             kap, kaph = kaph, kap
         trace.append({
             "mu": mu, "mu_hat": mu_hat, "m": m, "m_hat": m_hat,
             "kappa": kap, "kappa_hat": kaph, level_name: lev,
-            "objective": value, "converged": ok, "nfev": nfev,
+            "objective": min(value, _OBJ_FAILURE), "converged": ok, "nfev": nfev,
         })
     if all(entry["objective"] >= _OBJ_FAILURE for entry in trace):
         raise ArithmeticError("no candidate model of any integer cell could be evaluated")
@@ -536,21 +611,20 @@ def fit_cdf(empirical, config=None):
     logf_emp = np.log10(reduced.values)
 
     if config.total_scale is not None:
-        scale0 = float(config.total_scale)
+        scale0 = config.total_scale
     elif reduced.mean is not None:
         scale0 = reduced.mean
     elif config.fit_scale:
         # crude but deterministic: geometric center of the admissible span
-        scale0 = float(np.exp(np.mean(np.log(x_eval))))
+        scale0 = np.exp(np.mean(np.log(x_eval)))
     else:
         raise ValueError(
             "empirical mean unavailable: pass total_scale or enable fit_scale"
         )
-    if not np.isfinite(scale0) or scale0 <= 0.0:
-        raise ValueError("model scale must be finite and > 0, got %r" % (scale0,))
+    scale0 = _positive("model scale", scale0)
 
-    def make_objective(mu, mu_hat, m, m_hat):
-        def score(kap, kaph, scale):
+    def make_residuals(mu, mu_hat, m, m_hat):
+        def residuals(kap, kaph, scale):
             model = ProductModel(
                 ShadowedParams(scale, kap, mu, m),
                 ShadowedParams(1.0, kaph, mu_hat, m_hat),
@@ -558,14 +632,15 @@ def fit_cdf(empirical, config=None):
             err = np.maximum(model.cdf(x_eval), _TINY_CDF)
             np.log10(err, out=err)
             err -= logf_emp
-            return float(np.abs(err, out=err).max())
-        return score
+            return err
+        return residuals
 
     def level(t):
         return scale0 if t is None else scale0 * math.exp(t)
 
     tail = (0.0, (-10.0, 10.0)) if config.fit_scale else None
-    trace = _search_cells(config, make_objective, "total_scale", level, tail)
+    trace = _search_cells(config, make_residuals, x_eval.size, _max_abs, "total_scale",
+                          level, tail)
     best = _select_winner(trace, config.tie_tol)
     model = ProductModel(
         ShadowedParams(best["total_scale"], best["kappa"], best["mu"], best["m"]),
@@ -583,7 +658,11 @@ def fit_pdf_mse(empirical, config=None):
     Fits ``(kappa, kappa_hat, m, m_hat)`` plus the mean envelope level
     on unit-mean links; the reported objective is the minimized mean
     squared difference in percent of the mean squared empirical
-    density.
+    density.  In each integer cell, bounded least squares (trust-region
+    reflective, finite-difference Jacobian) runs on the residuals
+    ``(pdf - f_emp) / sqrt(n)`` from each kappa start, within
+    ``kappa_range`` and the envelope range (a fifth to five times the
+    data's mean envelope, unless ``envelope_scale_range`` is given).
 
     Returns
     -------
@@ -612,8 +691,10 @@ def fit_pdf_mse(empirical, config=None):
         raise ValueError("envelope_scale_range must satisfy 0 < lo < hi")
     msq_emp = float(np.mean(f_emp**2))
 
-    def make_objective(mu, mu_hat, m, m_hat):
-        def score(kap, kaph, scale):
+    root_n = math.sqrt(r.size)
+
+    def make_residuals(mu, mu_hat, m, m_hat):
+        def residuals(kap, kaph, scale):
             model = EnvelopeModel(
                 ProductModel(
                     ShadowedParams(1.0, kap, mu, m),
@@ -622,13 +703,13 @@ def fit_pdf_mse(empirical, config=None):
                 scale,
             )
             err = model.pdf(r) - f_emp
-            err *= err
-            # the sum and division of np.mean, without its dispatch
-            return float(err.sum() / err.size)
-        return score
+            err /= root_n
+            return err
+        return residuals
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
-    trace = _search_cells(config, make_objective, "envelope_scale", lambda t: t, tail)
+    trace = _search_cells(config, make_residuals, r.size, _sum_squares, "envelope_scale",
+                          lambda t: t, tail)
     for entry in trace:
         entry["mse_percent"] = 100.0 * entry["objective"] / msq_emp
 

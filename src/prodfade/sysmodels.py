@@ -44,6 +44,17 @@ __all__ = [
     "NAKAGAMI_COMPARATOR_METHOD",
 ]
 
+
+def _cdf_argument(num, den):
+    """``num / den`` for a cdf, a quotient past the largest double held there.
+
+    A valid ``den`` near 0 (or a ``num`` near the top of the range) can
+    overflow the quotient; the cdf of the largest double is already 1.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(np.divide(num, den), np.finfo(float).max)
+
+
 #: How the real-shape Nakagami comparator is computed; recorded in
 #: output metadata wherever comparator values are emitted.
 NAKAGAMI_COMPARATOR_METHOD = "gamma-product-quadrature"
@@ -165,7 +176,7 @@ def wpc_outage(cfg, p_over_n0=None):
     if p_over_n0 is None:
         p_over_n0 = cfg.tx_power_over_noise
     p, _, shaped = _points(p_over_n0, "> 0", "p_over_n0 must be finite and > 0")
-    return shaped(wpc_product(cfg).cdf(cfg.threshold_scale() / p))
+    return shaped(wpc_product(cfg).cdf(_cdf_argument(cfg.threshold_scale(), p)))
 
 
 def wpc_throughput(cfg, p_over_n0=None):
@@ -215,14 +226,16 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
         return np.exp(special.xlogy(shape_a - 1.0, t) - t - ln_gamma_a) / scale_a
 
     out = np.zeros(x.shape)
-    for i, xi in enumerate(x):
-        if xi == 0.0:
-            continue
-        val, _ = integrate.quad(
-            lambda w: pdf_a(w) * special.gammainc(shape_b, (xi / w) / scale_b),
-            0.0, np.inf, limit=200,
-        )
-        out[i] = min(val, 1.0)
+    # near w = 0 the quotient xi / w can overflow: gammainc of inf is 1
+    with np.errstate(over="ignore"):
+        for i, xi in enumerate(x):
+            if xi == 0.0:
+                continue
+            val, _ = integrate.quad(
+                lambda w: pdf_a(w) * special.gammainc(shape_b, (xi / w) / scale_b),
+                0.0, np.inf, limit=200,
+            )
+            out[i] = min(val, 1.0)
     return shaped(out)
 
 
@@ -251,7 +264,8 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
         shape_b = nakagami_shape(sd.kappa)
     scale_b = 1.0 / shape_b
 
-    return shaped(gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, cfg.threshold_scale() / p))
+    z = _cdf_argument(cfg.threshold_scale(), p)
+    return shaped(gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, z))
 
 
 @dataclass(frozen=True)
@@ -288,7 +302,7 @@ def backscatter_model(cfg):
 def backscatter_power_cdf(cfg, power):
     """P(received power <= power) over ``power > 0``."""
     p, _, shaped = _points(power, "> 0", "power must be finite and > 0")
-    return shaped(backscatter_model(cfg).cdf(p / cfg.mean_rx_power))
+    return shaped(backscatter_model(cfg).cdf(_cdf_argument(p, cfg.mean_rx_power)))
 
 
 def backscatter_sweep(cfg, power_db):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import kv
 
 import prodfade
+import prodfade.fit
 from prodfade import io as pio
 from prodfade.cli import main
 from prodfade.errors import IngestionError
@@ -405,6 +406,22 @@ def test_fit_pdf_cli(tmp_path, capsys):
     assert payload["objective"] == "mse_percent"
     assert payload["objective_value"] < 1e-4
     np.testing.assert_allclose(payload["parameters"]["envelope_scale"], 1.2, atol=1e-3)
+
+
+def test_fit_pdf_exits_4_when_every_cell_fails(tmp_path, monkeypatch, capsys):
+    def envelope(product, scale):
+        raise ArithmeticError("cannot evaluate")
+
+    monkeypatch.setattr(prodfade.fit, "EnvelopeModel", envelope)
+    r = np.linspace(0.05, 3.5, 40)
+    data = tmp_path / "env.csv"
+    pio.write_csv(data, ["x", "pdf"], [r, np.exp(-r)])
+    out = tmp_path / "fit.json"
+    rc = main(["fit-pdf", "--data", str(data), "--out", str(out),
+               "--mu", "1", "--m", "1,2", "--starts", "2"])
+    assert rc == 4
+    assert "no candidate model" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wpc_cli(tmp_path):

@@ -98,6 +98,20 @@ def test_degenerate_inputs():
         EmpiricalDistribution("cdf", [1.0, 2.0], [0.2, 0.5], sample_count=1)
 
 
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+@pytest.mark.parametrize("x,values,message", [
+    ([1.0, np.nan, 3.0], [0.1, 0.2, 0.3], "x must be finite and strictly positive"),
+    ([1.0, 2.0, np.inf], [0.1, 0.2, 0.3], "x must be finite and strictly positive"),
+    ([0.0, 2.0, 3.0], [0.1, 0.2, 0.3], "x must be finite and strictly positive"),
+    ([1.0, 2.0, 3.0], [0.1, np.nan, 0.3], "values must be finite"),
+    ([1.0, 2.0, 3.0], [np.nan, np.nan, np.nan], "values must be finite"),
+    ([1.0, 2.0, 3.0], [-np.inf, 0.2, 0.3], "values must be finite"),
+])
+def test_empirical_refuses_nan_and_inf_anywhere(kind, x, values, message):
+    with pytest.raises(ValueError, match=message):
+        EmpiricalDistribution(kind, x, values)
+
+
 def test_thinning_keeps_endpoints_and_error():
     model = make_product(2.0, 1, 3)
     x = np.geomspace(1e-4, 20.0, 400)
@@ -269,6 +283,53 @@ def test_fit_looks_up_minimize_in_the_fit_module(monkeypatch):
     fit_cdf(emp, SearchConfig(mu_grid=(1,), m_grid=(2,), total_scale=1.0,
                               n_starts=2, tie_links=True))
     assert len(calls) == 2
+
+
+def test_fit_looks_up_least_squares_in_the_fit_module(monkeypatch):
+    # prodfade.fit.least_squares imports scipy.optimize on its first
+    # call; it must stay the name the pdf search calls, so that
+    # wrapping it sees every least-squares run.
+    calls = []
+    least_squares = prodfade.fit.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(prodfade.fit, "least_squares", counting)
+    env = EnvelopeModel(make_product(1.5, 1, 2), 1.2)
+    r = np.linspace(0.02, 4.0, 60)
+    emp = EmpiricalDistribution("pdf", r, env.pdf(r))
+    fit_pdf_mse(emp, SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=2, tie_links=True))
+    assert len(calls) == 2
+
+
+def _failing_envelope(monkeypatch, fails):
+    """Make ``EnvelopeModel`` raise, as the fit looks it up, for products
+    whose second link has ``m`` in ``fails``."""
+    def envelope(product, scale):
+        if product.link_b.m in fails:
+            raise ArithmeticError("cannot evaluate")
+        return EnvelopeModel(product, scale)
+
+    monkeypatch.setattr(prodfade.fit, "EnvelopeModel", envelope)
+
+
+def test_pdf_cell_whose_every_evaluation_raises_scores_failure(monkeypatch):
+    env = EnvelopeModel(make_product(1.5, 1, 2), 1.2)
+    r = np.linspace(0.02, 4.0, 60)
+    emp = EmpiricalDistribution("pdf", r, env.pdf(r))
+    _failing_envelope(monkeypatch, {3})
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), m_hat_grid=(2, 3), n_starts=2,
+                       tie_links=True)
+    res = fit_pdf_mse(emp, cfg)
+    ok, failed = res.search_trace
+    assert failed["m_hat"] == 3 and failed["objective"] == prodfade.fit._OBJ_FAILURE
+    assert failed["nfev"] >= 2
+    assert ok["objective"] < 1e-10 and res.model.link_b.m == 2
+    _failing_envelope(monkeypatch, {2, 3})
+    with pytest.raises(ArithmeticError, match="no candidate model"):
+        fit_pdf_mse(emp, cfg)
 
 
 def test_fit_pdf_mse_self_fit_is_exact():

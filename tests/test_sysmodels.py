@@ -206,3 +206,19 @@ def test_backscatter_model_and_validation():
 
 def test_comparator_method_constant():
     assert NAKAGAMI_COMPARATOR_METHOD == "gamma-product-quadrature"
+
+
+def test_overflowing_cdf_argument_gives_one():
+    # threshold / p and power / mean_rx_power overflow for these valid
+    # inputs; the outage and cdf there are 1 (the suite turns the
+    # overflow RuntimeWarning into an error).
+    cfg = WpcConfig(1e6, 2, 3.0)
+    assert wpc_outage(cfg, 1e-310) == 1.0
+    np.testing.assert_array_equal(wpc_outage(cfg, [1e-310, 1e-300]), [1.0, 1.0])
+    assert wpc_throughput(cfg, 1e-310) == 0.0
+    np.testing.assert_array_equal(nakagami_wpc_outage(cfg, [1e-310, 1e-300]), [1.0, 1.0])
+    assert gamma_product_cdf(2.0, 0.7, 3.0, 1.1, 1e308) == 1.0
+    back = BackscatterConfig(0.5, ShadowedParams.rician(2.0, m=8), ShadowedParams.rayleigh())
+    assert backscatter_power_cdf(back, 1e308) == 1.0
+    out = backscatter_power_cdf(back, [1e-3, 1e308])
+    assert out[0] == backscatter_power_cdf(back, 1e-3) and out[1] == 1.0

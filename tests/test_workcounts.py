@@ -8,6 +8,7 @@ per climb the number of argument rows and the rungs climbed, and
 rows and points.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ import pytest
 
 import prodfade.fit
 import prodfade.pdist
-from prodfade import gammagamma, mixture
-from prodfade.fit import SearchConfig, empirical_from_samples, fit_cdf
+from prodfade import gammagamma, io, mixture
+from prodfade.cli import main
+from prodfade.fit import (
+    SearchConfig, empirical_from_samples, fit_cdf, fit_pdf_mse, histogram_pdf_from_samples,
+)
 from prodfade.mixture import ShadowedParams as SP, expand
 from prodfade.pdist import ProductModel
 
@@ -218,6 +222,78 @@ def test_equal_grids_visit_one_cell_per_mirror_pair(x0s, small_fit_data):
         (1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 2, 2)]
     assert len(x0s) == 7 * 2
     assert sum(t["nfev"] for t in res.search_trace) == x0s.evals + 3
+
+
+@pytest.fixture
+def lsq_runs(monkeypatch):
+    """One ``(calls, nfev, njev, n, status)`` per least-squares run made
+    in the test: ``calls`` counts every call of the residuals,
+    ``nfev``/``njev``/``status`` are the solver's own, ``n`` the size
+    of the search vector.  ``lsq_runs.options`` is added to each run's
+    keyword arguments."""
+
+    class Record(list):
+        options = {}
+
+    runs = Record()
+    least_squares = prodfade.fit.least_squares
+
+    def recording(fun, x0, *args, **kwargs):
+        calls = []
+
+        def counted(theta):
+            calls.append(1)
+            return fun(theta)
+
+        res = least_squares(counted, x0, *args, **dict(kwargs, **runs.options))
+        runs.append((len(calls), res.nfev, res.njev, np.size(x0), res.status))
+        return res
+
+    monkeypatch.setattr(prodfade.fit, "least_squares", recording)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def small_envelope_data():
+    gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 1.0, 1, 2))
+    return histogram_pdf_from_samples(np.sqrt(gen.sample(np.random.default_rng(7), 5000)),
+                                      bins=30)
+
+
+def test_pdf_trace_counts_every_residual_call(lsq_runs, small_envelope_data):
+    # least_squares' own nfev leaves out the finite-difference Jacobian's
+    # calls, n per Jacobian; the trace counts them, and (1, 1, 1, 1),
+    # free only in its envelope level, runs once.
+    res = fit_pdf_mse(small_envelope_data, SearchConfig(mu_grid=(1,), m_grid=(1, 3),
+                                                        n_starts=2))
+    assert [(t["m"], t["m_hat"]) for t in res.search_trace] == [(1, 1), (1, 3), (3, 3)]
+    assert [n for _, _, _, n, _ in lsq_runs] == [1, 2, 2, 3, 3]
+    assert all(calls == nfev + njev * n > nfev for calls, nfev, njev, n, _ in lsq_runs)
+    assert sum(t["nfev"] for t in res.search_trace) == sum(run[0] for run in lsq_runs)
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_pdf_trace_converged_is_solver_status(lsq_runs, small_envelope_data, budget):
+    # status > 0: stopped on a tolerance; 0: out of evaluations
+    lsq_runs.options = {"max_nfev": budget}
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(1,), m_hat_grid=(3,), n_starts=1)
+    (entry,) = fit_pdf_mse(small_envelope_data, cfg).search_trace
+    ((calls, _, _, _, status),) = lsq_runs
+    assert (status > 0) is (budget is None)
+    assert entry["converged"] is (status > 0) and entry["nfev"] == calls
+
+
+def test_fit_json_objective_evals_sums_residual_calls(lsq_runs, small_envelope_data,
+                                                      tmp_path):
+    data = tmp_path / "env.csv"
+    io.write_csv(data, ["x", "pdf"], [small_envelope_data.x, small_envelope_data.values])
+    out = tmp_path / "fit.json"
+    assert main(["fit-pdf", "--data", str(data), "--out", str(out), "--mu", "1",
+                 "--m", "1,3", "--starts", "2"]) == 0
+    payload = json.loads(out.read_text())
+    # (1, 1, 1, 1) runs once with one start; the other two cells twice
+    assert len(lsq_runs) == 5
+    assert payload["objective_evals"] == sum(run[0] for run in lsq_runs)
 
 
 def test_pdf_rows_merge_on_unordered_shape_pair():
