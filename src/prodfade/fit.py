@@ -13,7 +13,12 @@ of model-minus-data residuals; the search minimizes a norm of it:
   log scale, as outage curves are.  Points where the empirical CDF is
   zero (or below a configurable floor) carry no information about the
   log tail and are excluded from the admissible set.  A max of
-  residuals has kinks, so the search is derivative-free (Nelder-Mead).
+  residuals has kinks, so the search is derivative-free: bounded
+  Nelder-Mead runs (:func:`minimize`, step for step SciPy's), one per
+  start, advanced in lockstep.  Each round scores the pending candidate
+  of every run in one batched call, which weighs the integer cell's
+  cached plan (:func:`prodfade.pdist.product_cdf_rows`) and builds no
+  model object.
 
 * :func:`fit_pdf_mse` minimizes the mean squared difference between an
   empirical envelope density and the model envelope density, reporting
@@ -27,13 +32,14 @@ over the kappa range, so repeated runs return identical results.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
 from .mixture import ShadowedParams, _as_int, _positive, _span
-from .pdist import EnvelopeModel, ProductModel
+from .pdist import EnvelopeModel, ProductModel, product_cdf_rows
 
 __all__ = [
     "EmpiricalDistribution",
@@ -178,7 +184,9 @@ def _admissible(empirical, min_cdf):
     """Admissible (x, F) points for log-domain comparison.
 
     The floor defaults to 1/n for sample-derived curves and to the
-    smallest positive recorded value otherwise.
+    smallest positive recorded value otherwise.  cdf values are
+    non-decreasing, so the admissible points are a suffix of the curve,
+    returned as views of its arrays.
     """
     if empirical.kind != "cdf":
         raise ValueError("KS error requires a cdf-kind empirical distribution")
@@ -190,16 +198,16 @@ def _admissible(empirical, min_cdf):
     elif empirical.sample_count is not None:
         floor = 1.0 / empirical.sample_count
     else:
-        positive = values[values > 0.0]
-        if positive.size == 0:
+        first_positive = values.searchsorted(0.0, side="right")
+        if first_positive == values.size:
             raise ValueError("empirical cdf has no positive values")
-        floor = float(positive[0])
-    keep = values >= floor
-    if not np.any(keep):
+        floor = float(values[first_positive])
+    start = values.searchsorted(floor)
+    if start == values.size:
         raise ValueError(
             "no admissible points: all empirical cdf values below %g" % (floor,)
         )
-    return empirical.x[keep], values[keep]
+    return empirical.x[start:], values[start:]
 
 
 def ks_error(empirical, model, min_cdf=None):
@@ -381,25 +389,150 @@ class FitResult:
         return out
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+#: What :func:`minimize` returns per start: the best vertex, its value,
+#: the objective calls made, and whether the run stopped on its
+#: tolerances (not on ``maxfev``).
+NelderMeadResult = namedtuple("NelderMeadResult", "x fun nfev success")
 
-    Only the fits use ``scipy.optimize``, and its import is a large
-    share of a CLI command's start-up, so commands that fit nothing
-    never load it.  ``_nelder_mead_cell`` looks this name
-    up in the module on each call, so it stays the one to patch.
+
+def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
+    """One bounded Nelder-Mead run, as a generator of objective calls.
+
+    Each ``yield`` is a point (a list of floats) at which the run needs
+    the objective, and the value is sent back; the run returns a
+    :data:`NelderMeadResult`.  The steps are those of
+    ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)`` with
+    its default, non-adaptive coefficients (reflection 1, expansion 2,
+    contraction 1/2, shrink 1/2): the start is clipped into the bounds,
+    the initial simplex steps each coordinate by 5% (or to 0.00025 from
+    zero) and is reflected into the bounds and clipped, every trial
+    point is clipped, the run stops when the simplex is within
+    ``xatol`` and its values within ``fatol`` of the best vertex, and a
+    call past ``maxfev`` is refused, abandoning the step that asked for
+    it.  Vertices are ordered with ``np.argsort``, as scipy does, so
+    ties fall the same way.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    n = len(x0)
+    bounds = list(zip(lower, upper))
 
-    return scipy_minimize(*args, **kwargs)
+    def clip(point):
+        return [min(max(v, lo), hi) for v, (lo, hi) in zip(point, bounds)]
+
+    x0 = clip(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(p, bounds)]) for p in sim]
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def ordered():
+        order = np.argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    for k in range(n + 1):
+        if nfev >= maxfev:
+            break
+        nfev += 1
+        fsim[k] = yield sim[k]
+    for _ in range(2):   # scipy sorts twice here, and np.argsort breaks ties unstably
+        sim, fsim = ordered()
+    while nfev < maxfev:
+        best = sim[0]
+        if (all(abs(p[i] - best[i]) <= xatol for p in sim[1:] for i in range(n))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
+            break
+        worst = sim[-1]
+        # the centroid's sums accumulate vertex after vertex, as numpy's
+        # do (not by sum(), which compensates from Python 3.12 on)
+        xbar = list(best)
+        for p in sim[1:-1]:
+            xbar = [c + v for c, v in zip(xbar, p)]
+        xbar = [c / n for c in xbar]
+        xr = clip([2 * b - w for b, w in zip(xbar, worst)])
+        nfev += 1
+        fxr = yield xr
+        if fxr < fsim[0]:
+            if nfev >= maxfev:
+                sim, fsim = ordered()
+                break
+            xe = clip([3 * b - 2 * w for b, w in zip(xbar, worst)])
+            nfev += 1
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:   # outside contraction
+                xc = clip([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)])
+                accept = lambda fxc: fxc <= fxr  # noqa: E731
+            else:                # inside contraction
+                xc = clip([0.5 * b + 0.5 * w for b, w in zip(xbar, worst)])
+                accept = lambda fxc: fxc < fsim[-1]  # noqa: E731
+            if nfev >= maxfev:
+                sim, fsim = ordered()
+                break
+            nfev += 1
+            fxc = yield xc
+            if accept(fxc):
+                sim[-1], fsim[-1] = xc, fxc
+            else:                # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])])
+                    if nfev >= maxfev:
+                        break
+                    nfev += 1
+                    fsim[j] = yield sim[j]
+        sim, fsim = ordered()
+    return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), nfev, nfev < maxfev)
+
+
+def minimize(fun, x0s, bounds, xatol, fatol=1e-7, maxfev=600):
+    """Bounded Nelder-Mead runs from every start of ``x0s``, in lockstep.
+
+    Each run is :func:`_nelder_mead`, step for step the bounded
+    Nelder-Mead of ``scipy.optimize.minimize``.  The runs advance in
+    rounds: a round collects the pending point of every live run and
+    scores them all in one call, ``fun(points)``, with ``points`` a
+    (runs x coordinates) array, which returns one value per point.  A
+    run's result does not depend on the runs beside it.  Returns one
+    :data:`NelderMeadResult` per start.
+
+    The fits look this name up in the module on each search, so it
+    stays the one to patch: a wrapper of ``fun`` sees one call per
+    round.
+    """
+    lower, upper = (list(map(float, b)) for b in zip(*bounds))
+    runs = [_nelder_mead([float(v) for v in x0], lower, upper, xatol, fatol, maxfev)
+            for x0 in x0s]
+    results = [None] * len(runs)
+    pending = {}
+
+    def advance(i, value):
+        try:
+            pending[i] = runs[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        live = list(pending)
+        values = fun(np.array([pending.pop(i) for i in live], dtype=float))
+        for i, value in zip(live, values):
+            advance(i, float(value))
+    return results
 
 
 def least_squares(*args, **kwargs):
     """``scipy.optimize.least_squares``, imported on the first call.
 
-    Lazy for the same reason as :func:`minimize`;
-    ``_least_squares_cell`` looks this name up in the module on each
-    call, so it stays the one to patch.
+    Only the pdf fit uses ``scipy.optimize``, and its import is a large
+    share of a CLI command's start-up, so commands that fit no pdf
+    never load it.  ``_least_squares_cell`` looks this name up in the
+    module on each call, so it stays the one to patch.
     """
     from scipy.optimize import least_squares as scipy_least_squares
 
@@ -407,34 +540,32 @@ def least_squares(*args, **kwargs):
 
 
 def _max_abs(r):
-    """``max |r_i|``, the cdf fit's objective; overwrites ``r``."""
-    return float(np.abs(r, out=r).max())
+    """``max |r_i|`` of each row of ``r``, the cdf fit's objective; overwrites ``r``."""
+    return np.abs(r, out=r).max(axis=1, initial=-math.inf)
 
 
 def _sum_squares(r):
-    """``sum r_i**2``, the pdf fit's objective."""
-    return float(r @ r)
+    """``sum r_i**2`` of each row of ``r``, the pdf fit's objective."""
+    return np.array([row @ row for row in r])
 
 
 def _nelder_mead_cell(evaluate, starts, bounds, kappa_tol):
-    """Best of bounded Nelder-Mead runs on the objective ``evaluate(theta)[1]``.
+    """Best of bounded Nelder-Mead runs on the objective ``evaluate(thetas)[1]``.
 
-    Returns ``(theta, value, converged)``.
+    The runs from all starts advance in lockstep (:func:`minimize`), so
+    each round scores its candidates in one batched call.  Returns
+    ``(theta, value, converged)``.
     """
     best = (None, math.inf, False)
-    for theta0 in starts:
-        res = minimize(
-            lambda theta: evaluate(theta)[1], np.asarray(theta0, dtype=float),
-            method="Nelder-Mead", bounds=bounds,
-            options={"xatol": kappa_tol, "fatol": 1e-7, "maxfev": 600},
-        )
+    for res in minimize(lambda thetas: evaluate(thetas)[1], starts, bounds,
+                        xatol=kappa_tol, fatol=1e-7, maxfev=600):
         if res.fun < best[1]:
-            best = (np.asarray(res.x, dtype=float), float(res.fun), bool(res.success))
+            best = (res.x, res.fun, res.success)
     return best
 
 
 def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
-    """Best of bounded least-squares runs on the residuals ``evaluate(theta)[0]``.
+    """Best of bounded least-squares runs on the residuals ``evaluate(thetas)[0]``.
 
     Trust-region reflective (Branch, Coleman & Li, SIAM J. Sci. Comput.
     21, 1999) with a forward-difference Jacobian, stopped when a step
@@ -446,13 +577,30 @@ def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
     best = (None, math.inf, False)
     for theta0 in starts:
         res = least_squares(
-            lambda theta: evaluate(theta)[0], np.asarray(theta0, dtype=float),
+            lambda theta: evaluate(theta[None])[0][0], np.asarray(theta0, dtype=float),
             bounds=(lower, upper), method="trf", x_scale="jac", xtol=kappa_tol,
         )
-        value = _sum_squares(res.fun)
+        value = float(_sum_squares(res.fun[None])[0])
         if value < best[1]:
             best = (np.asarray(res.x, dtype=float), value, bool(res.status > 0))
     return best
+
+
+def _one_by_one(residuals, size):
+    """Batched form of ``residuals(kappa, kappa_hat, level)``, which takes
+    one candidate, returns its ``size`` residuals and raises on one it
+    cannot evaluate: see :func:`_search_cells`."""
+    def batched(kappas, kappa_hats, levels):
+        r = np.zeros((kappas.size, size))
+        ok = np.zeros(kappas.size, dtype=bool)
+        for i, args in enumerate(zip(kappas, kappa_hats, levels)):
+            try:
+                r[i] = residuals(*args)
+                ok[i] = True
+            except (ArithmeticError, ValueError):
+                pass
+        return r, ok
+    return batched
 
 
 #: The local search that minimizes each objective over a cell.
@@ -476,19 +624,20 @@ def _visited_cells(config):
     return list(cells)
 
 
-def _search_cells(config, make_residuals, size, norm, level_name, level, tail=None):
+def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
     """Grid search shared by both fits; returns the search trace.
 
-    ``make_residuals(mu, mu_hat, m, m_hat)`` returns the cell's
-    ``residuals(kappa, kappa_hat, level)``, a vector of ``size`` model
-    minus data values, and ``norm`` turns one into the objective:
-    ``_max_abs``, searched by bounded Nelder-Mead runs, or
-    ``_sum_squares``, searched by bounded least squares.  Every integer
-    cell of ``_visited_cells(config)`` gets one run from each kappa
-    start, over the kappas its law depends on and, when ``tail`` gives
-    its ``(start, bounds)``, a trailing ``t``.  ``level(t)``
-    (``level(None)`` without a tail) is the scale the fit reports under
-    ``level_name``.
+    ``make_residuals(mu, mu_hat, m, m_hat)`` returns the cell's batched
+    ``residuals(kappas, kappa_hats, levels)``: given arrays of one value
+    per candidate, a (candidates x residuals) array of model minus data
+    values, and per candidate whether it could be evaluated.  ``norm``
+    turns each row into the objective: ``_max_abs``, searched by
+    bounded Nelder-Mead runs in lockstep, or ``_sum_squares``, searched
+    by bounded least squares.  Every integer cell of
+    ``_visited_cells(config)`` gets one run from each kappa start, over
+    the kappas its law depends on and, when ``tail`` gives its
+    ``(start, bounds)``, a trailing ``t``.  ``level(t)`` (``level(None)``
+    without a tail) is the scale the fit reports under ``level_name``.
 
     A link with ``mu == m`` is Gamma(m, mean/m) at every kappa, so its
     kappa is not identifiable: it is held at 0.0, built, traced and
@@ -496,12 +645,12 @@ def _search_cells(config, make_residuals, size, norm, level_name, level, tail=No
     links have ``mu == m``.  A cell left with no coordinate is scored
     by one direct call to its residuals and marked converged.
 
-    A candidate whose model raises a numerical or validation error, or
-    whose objective is not finite, scores ``_OBJ_FAILURE``, and least
-    squares sees residuals of ``_OBJ_FAILURE`` each there; a cell whose
-    best objective reaches ``_OBJ_FAILURE`` is traced with that value.
-    Each trace entry records ``nfev``, every call made to the cell's
-    residuals (finite-difference Jacobian steps included).
+    A candidate that cannot be evaluated, or whose objective is not
+    finite, scores ``_OBJ_FAILURE`` alone, and least squares sees
+    residuals of ``_OBJ_FAILURE`` each there; a cell whose best
+    objective reaches ``_OBJ_FAILURE`` is traced with that value.  Each
+    trace entry records ``nfev``, the candidates scored in the cell
+    (finite-difference Jacobian steps included).
 
     In a symmetric cell (``mu == mu_hat``, ``m == m_hat``, links not
     tied) swapping ``kappa`` and ``kappa_hat`` gives the same law; the
@@ -527,33 +676,33 @@ def _search_cells(config, make_residuals, size, norm, level_name, level, tail=No
         residuals = make_residuals(mu, mu_hat, m, m_hat)
         nfev = 0
 
-        def unpack(theta):
-            return (0.0 if ia is None else theta[ia], 0.0 if ib is None else theta[ib],
-                    level(theta[-1] if tail is not None else None))
+        def unpack(thetas):
+            """Kappas and levels, one array each, of the rows of ``thetas``."""
+            held = np.zeros(len(thetas))
+            return (held if ia is None else thetas[:, ia], held if ib is None else thetas[:, ib],
+                    np.array([level(t) for t in (thetas[:, -1] if tail is not None
+                                                 else [None] * len(thetas))]))
 
-        def evaluate(theta):
-            """``(r, norm(r))`` at ``theta`` (``norm`` may overwrite ``r``),
-            or the failure pair."""
+        def evaluate(thetas):
+            """``(r, norm(r))`` at the rows of ``thetas`` (``norm`` may
+            overwrite ``r``), failed rows set to ``_OBJ_FAILURE``."""
             nonlocal nfev
-            nfev += 1
-            try:
-                r = residuals(*unpack(theta))
-                value = norm(r)
-            except (ArithmeticError, OverflowError, ValueError):
-                value = math.inf
-            if not math.isfinite(value):
-                return np.full(size, _OBJ_FAILURE), _OBJ_FAILURE
-            return r, value
+            nfev += len(thetas)
+            r, ok = residuals(*unpack(thetas))
+            values = norm(r)
+            failed = ~(ok & np.isfinite(values))
+            r[failed] = values[failed] = _OBJ_FAILURE
+            return r, values
 
         if n_kappa == 0 and tail is None:
-            theta, value, ok = (), evaluate(())[1], True
+            theta, value, ok = (), float(evaluate(np.empty((1, 0)))[1][0]), True
         else:
             # without a free kappa every start is the tail start: run it once
             starts = dict.fromkeys(tuple([k0] * n_kappa + tail_start)
                                    for k0 in config.kappa_starts())
             bounds = [config.kappa_range] * n_kappa + tail_bounds
             theta, value, ok = search(evaluate, starts, bounds, config.kappa_tol)
-        kap, kaph, lev = unpack([float(t) for t in theta])
+        kap, kaph, lev = (float(v[0]) for v in unpack(np.array([theta], dtype=float)))
         if (mu, m) == (mu_hat, m_hat) and kap < kaph:
             kap, kaph = kaph, kap
         trace.append({
@@ -624,23 +773,20 @@ def fit_cdf(empirical, config=None):
     scale0 = _positive("model scale", scale0)
 
     def make_residuals(mu, mu_hat, m, m_hat):
-        def residuals(kap, kaph, scale):
-            model = ProductModel(
-                ShadowedParams(scale, kap, mu, m),
-                ShadowedParams(1.0, kaph, mu_hat, m_hat),
-            )
-            err = np.maximum(model.cdf(x_eval), _TINY_CDF)
+        def residuals(kappas, kappa_hats, scales):
+            err, ok = product_cdf_rows((mu, m, mu_hat, m_hat), scales, kappas,
+                                       np.ones(scales.size), kappa_hats, x_eval)
+            np.maximum(err, _TINY_CDF, out=err)
             np.log10(err, out=err)
             err -= logf_emp
-            return err
+            return err, ok
         return residuals
 
     def level(t):
         return scale0 if t is None else scale0 * math.exp(t)
 
     tail = (0.0, (-10.0, 10.0)) if config.fit_scale else None
-    trace = _search_cells(config, make_residuals, x_eval.size, _max_abs, "total_scale",
-                          level, tail)
+    trace = _search_cells(config, make_residuals, _max_abs, "total_scale", level, tail)
     best = _select_winner(trace, config.tie_tol)
     model = ProductModel(
         ShadowedParams(best["total_scale"], best["kappa"], best["mu"], best["m"]),
@@ -705,10 +851,10 @@ def fit_pdf_mse(empirical, config=None):
             err = model.pdf(r) - f_emp
             err /= root_n
             return err
-        return residuals
+        return _one_by_one(residuals, r.size)
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
-    trace = _search_cells(config, make_residuals, r.size, _sum_squares, "envelope_scale",
+    trace = _search_cells(config, make_residuals, _sum_squares, "envelope_scale",
                           lambda t: t, tail)
     for entry in trace:
         entry["mse_percent"] = 100.0 * entry["objective"] / msq_emp

@@ -29,6 +29,14 @@ unordered pair.  Plans depend on the integer layout alone and are
 cached, so a fit that revisits an integer cell at many ``kappa`` plans
 it once; what each call still pays is the kernel math (the ladder's
 ``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.
+
+Which pairs share a ``theta`` is given by a :data:`Pairs` layout.  A
+product model passes its own, keyed by the links' scale choices; a
+caller that passes none gets pairs of equal log scale grouped by value.
+With a layout, the weights and log scales may carry a leading axis of
+parameter sets: one call then climbs the ladder over every set's
+arguments at once and returns one row per set, each row the bits a
+call with that set alone gives.
 """
 
 import math
@@ -40,7 +48,7 @@ from scipy import special
 
 from .specfun import log_bessel_k_ladder
 
-__all__ = ["weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
+__all__ = ["pair_layout", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
 
 _LN2 = math.log(2.0)
 
@@ -64,6 +72,11 @@ _PLAN_CACHE = 1024
 _BesselPlan = namedtuple("_BesselPlan",
                          "source merge theta order log_coef expo max_order width")
 
+# Pairs of a product in a kappa-free form: ``key`` holds the int64 bytes
+# of each pair's two shapes and theta index, the row plans' cache key,
+# and ``first[t]`` is a pair whose scale product is distinct theta ``t``.
+Pairs = namedtuple("Pairs", "key first")
+
 # Merged kernel rows of the mgf sum, ``source`` and ``merge`` as above:
 # row ``r`` is ``y^a U(a, b, y)`` at ``y = -1 / (s theta)``, with
 # ``a[r]``, ``b[r]`` and the log scale ``theta[r]``; ``by_theta[t]``
@@ -76,8 +89,7 @@ def _merge_rows(theta, a, b):
 
     Returns the merged row of each row and the first row of each
     merged row.  Merged rows keep the order in which each kernel first
-    appears, so callers listing pairs by descending |weight| get
-    roughly dominant-first accumulation.
+    appears, so the sums accumulate in the callers' pair order.
     """
     span_a, span_b = int(a.max()) + 1, int(b.max()) + 1
     keys = (theta * span_a + a) * span_b + b
@@ -149,84 +161,121 @@ def _mgf_plan(shapes_a, shapes_b, theta_of_pair):
     return _UPlan(np.arange(merge.size), merge, theta, a[first], b[first], by_theta, first.size)
 
 
-def _plan_of(shapes_a, shapes_b, log_scales, build):
-    """Distinct log scales, and the cached plan of the pairs' integer layout.
+def pair_layout(shapes_a, shapes_b, theta_of_pair):
+    """``Pairs`` of the given integer shapes and theta index per pair.
+
+    ``theta_of_pair`` numbers the distinct scale products ``0 .. T-1``;
+    which pairs share one is the caller's choice (a product model
+    groups them by the links' scale choices, see
+    :mod:`prodfade.pdist`).
+    """
+    theta_of_pair = np.asarray(theta_of_pair, dtype=np.int64)
+    first = np.unique(theta_of_pair, return_index=True)[1]
+    return Pairs((np.asarray(shapes_a, dtype=np.int64).tobytes(),
+                  np.asarray(shapes_b, dtype=np.int64).tobytes(), theta_of_pair.tobytes()),
+                 first)
+
+
+def _pairs_by_value(shapes_a, shapes_b, log_scales):
+    """``Pairs`` whose pairs share a theta where their log scales are equal.
 
     The distinct scales are those of ``np.unique``, found by a sort and
-    a search: ``np.unique`` costs several times more on the few pairs of
-    a fit's model.
+    a search.
     """
-    log_scales = np.asarray(log_scales, dtype=float)
-    ordered = log_scales.copy()
-    ordered.sort()
+    ordered = np.sort(log_scales)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    log_thetas = ordered[first]
-    theta_of_pair = log_thetas.searchsorted(log_scales)
-    key = (np.asarray(shapes_a, dtype=np.int64).tobytes(),
-           np.asarray(shapes_b, dtype=np.int64).tobytes(),
-           theta_of_pair.astype(np.int64, copy=False).tobytes())
-    return log_thetas, build(*key)
+    return pair_layout(shapes_a, shapes_b, ordered[first].searchsorted(log_scales))
+
+
+def _prepare(weights, shapes_a, shapes_b, log_scales, x, pairs, build):
+    """Batched engine arguments of one of the three public sums.
+
+    Returns the row plan, the weights and distinct log scales with a
+    leading batch axis, the points as a flat float array, and whether
+    the call was unbatched (1-d ``weights``).
+    """
+    weights = np.asarray(weights, dtype=float)
+    log_scales = np.asarray(log_scales, dtype=float)
+    if pairs is None:
+        pairs = _pairs_by_value(shapes_a, shapes_b, log_scales)
+    single = weights.ndim == 1
+    if single:
+        weights, log_scales = weights[None], log_scales[None]
+    return (build(*pairs.key), weights, log_scales[:, pairs.first],
+            np.asarray(x, dtype=float), single)
 
 
 def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
     """``sum_r w_r k_r(x)`` over the plan's merged rows, ``k = rows(plan, log_thetas, x)``.
 
-    Shared engine for the pdf, cdf and mgf sums: ``rows`` gives the
-    (rows x points) matrix of kernel values at one block of points.
-    Merged row weights are summed in pair order, in ``dtype``: double
-    through ``np.bincount``, long double through ``np.add.at``.  Chunked
-    over ``x`` so that a block holds at most the block budget of the
-    plan's ``width`` cells per point.
+    Shared engine for the pdf, cdf and mgf sums, batched over parameter
+    sets of one plan: ``weights`` (sets x pairs) and ``log_thetas``
+    (sets x distinct theta) give a (sets x points) result, and ``rows``
+    gives the (sets x rows x points) array of kernel values at one
+    block of points.  Merged row weights are summed in pair order, in
+    ``dtype``: double through ``np.bincount``, long double through
+    ``np.add.at``.  Chunked over ``x``, and then over the sets, so that a
+    block holds at most the block budget of the plan's ``width`` cells
+    per point and set; the chunks over ``x`` do not depend on the sets.
     """
-    w = np.asarray(weights, dtype=float)[plan.source]
+    sets, rows_per_set = weights.shape[0], plan.theta.size
+    w = weights[:, plan.source]
+    at = (np.arange(sets)[:, None] * rows_per_set + plan.merge).ravel()
     if dtype is float:
-        wt = np.bincount(plan.merge, weights=w, minlength=plan.theta.size)
+        wt = np.bincount(at, weights=w.ravel(), minlength=sets * rows_per_set)
     else:
-        wt = np.zeros(plan.theta.size, dtype)
-        np.add.at(wt, plan.merge, w)
+        wt = np.zeros(sets * rows_per_set, dtype)
+        np.add.at(wt, at, w.ravel())
+    wt = wt.reshape(sets, rows_per_set)
     block = max(1, _BLOCK_BUDGET // plan.width)
+    group = max(1, _BLOCK_BUDGET // (plan.width * max(1, min(block, x.size))))
+    out = np.empty((sets, x.size), dtype)
     # einsum, not BLAS gemv, which re-blocks the reduction with matrix
     # size.  einsum's order is fixed for a given block width, so one grid
-    # gives the same bits on every run; a point's last bit can still
-    # differ between grids of different length, because a block's SIMD
-    # lanes and its tail round differently.
-    if x.size <= block:
-        return np.einsum("r,rb->b", wt, rows(plan, log_thetas, x))
-    return np.concatenate([np.einsum("r,rb->b", wt, rows(plan, log_thetas, x[start:start + block]))
-                           for start in range(0, x.size, block)])
+    # gives the same bits on every run and in every batch; a point's last
+    # bit can still differ between grids of different length, because a
+    # block's SIMD lanes and its tail round differently.
+    for first_set in range(0, sets, group):
+        sl = slice(first_set, first_set + group)
+        for start in range(0, x.size, block):
+            out[sl, start:start + block] = np.einsum(
+                "sr,srb->sb", wt[sl], rows(plan, log_thetas[sl], x[start:start + block]))
+    return out
 
 
 def _bessel_rows(plan, log_thetas, x, shift=False):
-    """``coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))`` per merged row.
+    """``coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))`` per set and merged row.
 
     Every row of one ``theta`` shares the Bessel argument, so one
-    log-space recurrence climb over the (distinct theta x points)
-    argument matrix serves every row and order at once; each rung is
-    kept, and every row then gathers its own.  With ``shift``, each
-    row's ``ln theta`` is subtracted after the other terms.
+    log-space recurrence climb over the ((sets x distinct theta) x
+    points) argument matrix serves every set, row and order at once;
+    each rung is kept, and every row then gathers its own.  With
+    ``shift``, each row's ``ln theta`` is subtracted after the other
+    terms.
     """
-    lu = np.log(x) - log_thetas[:, None]   # (distinct theta, points)
+    lu = np.log(x) - log_thetas[:, :, None]   # (sets, distinct theta, points)
     arg = np.multiply(lu, 0.5)
     np.exp(arg, out=arg)
     arg *= 2.0
-    rungs = np.empty((plan.max_order + 1,) + arg.shape)
-    for nu, lk in log_bessel_k_ladder(arg, plan.max_order):
-        rungs[nu] = lk
-    lt = lu[plan.theta]
+    rungs = np.empty((lu.shape[0], plan.max_order + 1) + lu.shape[1:])
+    for nu, lk in log_bessel_k_ladder(arg.reshape(lu.shape[0] * lu.shape[1], x.size),
+                                      plan.max_order):
+        rungs[:, nu] = lk.reshape(lu.shape)
+    lt = lu[:, plan.theta]
     lt *= plan.expo
     lt += plan.log_coef
-    lt += rungs[plan.order, plan.theta]
+    lt += rungs[:, plan.order, plan.theta]
     if shift:
-        lt -= log_thetas[plan.theta, None]
+        lt -= log_thetas[:, plan.theta, None]
     return np.exp(lt, out=lt)
 
 
 _shifted_bessel_rows = partial(_bessel_rows, shift=True)
 
 
-def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
+def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
     """Signed-weighted product-kernel distribution function at ``x > 0``.
 
     Computes ``1 - sum_p w_p S_p(x)`` where ``S_p`` is the finite
@@ -236,27 +285,35 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x):
     kernel ``(theta, k, shapes_b)`` are summed once, with their pair
     weights added.  Returns the raw signed result; the caller decides
     how to range-check it.
+
+    ``pairs`` (from :func:`pair_layout`) says which pairs share a
+    ``theta``; without it, pairs of equal log scale do.  With it,
+    ``weights`` and ``log_scales`` may carry a leading axis of parameter
+    sets over the one layout, and the result then has one row per set.
     """
-    log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _cdf_plan)
-    total = _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float), _bessel_rows)
-    return np.subtract(1.0, total, out=total)
+    plan, w, log_thetas, x, single = _prepare(weights, shapes_a, shapes_b, log_scales, x,
+                                               pairs, _cdf_plan)
+    total = _eval_blocks(plan, w, log_thetas, x, _bessel_rows)
+    np.subtract(1.0, total, out=total)
+    return total[0] if single else total
 
 
-def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x):
+def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
     """Signed-weighted product-kernel density at ``x > 0``.
 
     One Bessel term per kernel, evaluated in log space; the exponent
     ``expo - 1`` and the trailing ``- ln theta`` reproduce
     ``x^(expo-1) / theta^expo`` without forming either power.  May dip
     a few ulp below zero where signed kernels cancel; returned as
-    computed.
+    computed.  ``pairs`` and batches as in :func:`weighted_cdf_sum`.
     """
-    log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _pdf_plan)
-    return _eval_blocks(plan, weights, log_thetas, np.asarray(x, dtype=float),
-                        _shifted_bessel_rows)
+    plan, w, log_thetas, x, single = _prepare(weights, shapes_a, shapes_b, log_scales, x,
+                                               pairs, _pdf_plan)
+    total = _eval_blocks(plan, w, log_thetas, x, _shifted_bessel_rows)
+    return total[0] if single else total
 
 
-def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa):
+def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pairs=None):
     """Signed-weighted product-kernel Laplace transform ``E[exp(s Z)]`` at ``s < 0``.
 
     Pair ``p`` contributes ``y^ma U(ma, 1 + ma - mb, y)`` at
@@ -264,25 +321,27 @@ def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa):
     unordered shape pair, are summed once.  ``u_times_xa`` is the
     row-batched evaluator of ``x^a U(a, b, x)``
     (:func:`prodfade.specfun.tricomi_u_times_xa`, or a wrapper of it);
-    it is called once per distinct ``theta`` and block, with all that
-    ``theta``'s rows and the block's points.  Where ``y`` overflows to
-    inf it gives the limit 1.  The row weights, the kernels and their
+    it is called once per set, distinct ``theta`` and block, with all
+    that ``theta``'s rows and the block's points.  Where ``y`` overflows
+    to inf it gives the limit 1.  The row weights, the kernels and their
     sum are kept in long double and rounded once: where signed pairs
     cancel (a thousandfold and more at large ``|s|``), double rounding
     of each merged weight and kernel would cost digits.  Returns the
-    raw signed result.
+    raw signed result.  ``pairs`` and batches as in
+    :func:`weighted_cdf_sum`.
     """
     def rows(plan, log_thetas, s):
-        out = np.empty((plan.theta.size, s.size), dtype=np.longdouble)
+        out = np.empty((log_thetas.shape[0], plan.theta.size, s.size), dtype=np.longdouble)
         minus_s = -s.astype(np.longdouble)
-        for t, idx in enumerate(plan.by_theta):
+        for (i, t), log_theta in np.ndenumerate(log_thetas):
+            idx = plan.by_theta[t]
             # y rounded once from long double; it overflows to inf near s = 0
             with np.errstate(over="ignore"):
-                y = (np.exp(-np.longdouble(log_thetas[t])) / minus_s).astype(float)
-            out[idx] = u_times_xa(plan.a[idx], plan.b[idx], y)
+                y = (np.exp(-np.longdouble(log_theta)) / minus_s).astype(float)
+            out[i, idx] = u_times_xa(plan.a[idx], plan.b[idx], y)
         return out
 
-    log_thetas, plan = _plan_of(shapes_a, shapes_b, log_scales, _mgf_plan)
-    total = _eval_blocks(plan, weights, log_thetas, np.asarray(s, dtype=float), rows,
-                         np.longdouble)
-    return total.astype(float)
+    plan, w, log_thetas, s, single = _prepare(weights, shapes_a, shapes_b, log_scales, s,
+                                               pairs, _mgf_plan)
+    total = _eval_blocks(plan, w, log_thetas, s, rows, np.longdouble).astype(float)
+    return total[0] if single else total

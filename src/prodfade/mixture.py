@@ -15,12 +15,13 @@ Weights are generated in extended precision and rounded once at the
 end; the rounded sum stays within 1e-12 of one across the supported
 parameter range, which downstream summations rely on.
 
-Two caches serve fits, which revisit an integer ``(mu, m)`` at many
-``kappa``: a kappa-free layout per ``(mu, m)`` (the signed integer
-coefficient, the powers of ``base`` and ``dom``, the shape and the scale
-choice of each term), from which one vectorized long-double expression
-gives the weights at a new ``kappa``; and :func:`expand`'s cache of
-finished mixtures per parameter set.
+A link's expansion has a kappa-free layout per integer ``(mu, m)``: the
+signed integer coefficient, the powers of ``base`` and ``dom``, the
+shape and the scale choice of each term.  One vectorized long-double
+expression, :func:`_link_terms`, gives the weights and the two scales at
+any ``kappa``, and at a whole array of parameter sets at once; it is the
+one weight formula, shared by :func:`expand` and by the pair plans of
+:mod:`prodfade.pdist`, which weigh products without building mixtures.
 """
 
 import math
@@ -203,6 +204,11 @@ def _layout(mu, m):
         rows += [((-1) ** (i - mu + m - 1) * math.comb(i - 2, i - mu + m - 1),
                   i - mu + m - 1, -i + 1, mu - i + 1, True)
                  for i in range(mu - m + 1, mu + 1)]
+    return _frozen_layout(rows)
+
+
+def _frozen_layout(rows):
+    """``_Layout`` of the term tuples ``rows``, its arrays read-only."""
     coef, base_pow, dom_pow, shapes, boosted = zip(*rows)
     layout = _Layout(np.array(coef, dtype=np.longdouble), np.array(base_pow, dtype=np.int64),
                      np.array(dom_pow, dtype=np.int64), np.array(shapes, dtype=np.int64),
@@ -210,6 +216,38 @@ def _layout(mu, m):
     for arr in layout:
         arr.setflags(write=False)
     return layout
+
+
+@lru_cache(maxsize=1024)
+def _link_layout(mu, m, zero):
+    """Layout of an integer ``(mu, m)`` link, or, with ``zero``, of its
+    ``kappa <= KAPPA_ZERO_TOL`` collapse: the single term Gamma(mu) on
+    the unit scale, whose weight and scale :func:`_link_terms` forms at
+    ``kappa = 0``."""
+    return _frozen_layout([(1, 0, 0, mu, False)]) if zero else _layout(mu, m)
+
+
+def _link_terms(layout, mu, m, mean_power, kappa):
+    """Weights and scales of ``(mu, m)`` links in the terms of ``layout``.
+
+    ``mean_power`` and ``kappa`` are arrays of one shape, one parameter
+    set per element (``kappa`` 0 for a collapsed layout).  Returns the
+    long-double weights, of that shape plus one axis over the terms in
+    layout order, and the double ``(unit, boosted)`` scales, of that
+    shape plus an axis of two; a term's scale is
+    ``scales[..., layout.boosted]``.
+    """
+    gbar = np.asarray(mean_power, dtype=np.longdouble)
+    kap = np.asarray(kappa, dtype=np.longdouble)
+    mk = mu * kap
+    total = mk + m
+    base = np.longdouble(m) / total     # m / (mu kappa + m)
+    dom = mk / total                    # mu kappa / (mu kappa + m)
+    scales = np.empty(kap.shape + (2,))
+    unit = scales[..., 0] = gbar / (mu * (np.longdouble(1.0) + kap))
+    scales[..., 1] = unit / base        # (mu kappa + m) / m * unit, the boosted scale
+    w = layout.coef * base[..., None] ** layout.base_pow * dom[..., None] ** layout.dom_pow
+    return w, scales
 
 
 class GammaMixture:
@@ -346,10 +384,10 @@ def expand(params):
     """Finite Gamma-mixture of a squared kappa-mu shadowed channel.
 
     Forms the weights in extended precision from the cached kappa-free
-    layout of the link's ``(mu, m)``, drops exact zero weights, orders by
-    descending |weight| and rounds to double once.  Both levels are
-    cached: parameter sets are revisited during grid fits, and a fit
-    that moves ``kappa`` within one integer cell builds its layout once.
+    layout of the link's ``(mu, m)`` (:func:`_link_terms`), drops exact
+    zero weights, orders by descending |weight| and rounds to double
+    once.  Finished mixtures are cached per parameter set; a product
+    model builds its own lazily, and the fits build none.
 
     Parameters
     ----------
@@ -361,25 +399,15 @@ def expand(params):
     """
     if not isinstance(params, ShadowedParams):
         raise TypeError("expand expects ShadowedParams, got %r" % type(params).__name__)
-    gbar = np.longdouble(params.mean_power)
     mu, m = params.mu, params.m
-    if params.kappa <= KAPPA_ZERO_TOL:
-        return GammaMixture([1.0], [mu], [float(gbar / mu)])
-
-    kap = np.longdouble(params.kappa)
-    mk = mu * kap
-    base = np.longdouble(m) / (mk + m)  # m / (mu kappa + m)
-    dom = mk / (mk + m)                 # mu kappa / (mu kappa + m)
-    unit = gbar / (mu * (np.longdouble(1.0) + kap))
-    boosted = unit / base               # (mu kappa + m) / m * unit
-    layout = _layout(mu, m)
-    w = layout.coef * base ** layout.base_pow * dom ** layout.dom_pow
+    zero = params.kappa <= KAPPA_ZERO_TOL
+    layout = _link_layout(mu, m, zero)
+    w, scales = _link_terms(layout, mu, m, params.mean_power, 0.0 if zero else params.kappa)
     shapes, which = layout.shapes, layout.boosted
     if np.count_nonzero(w) < w.size:
         keep = w != 0.0
         w, shapes, which = w[keep], shapes[keep], which[keep]
     order = (-np.abs(w)).argsort(kind="stable")
-    scales = np.array([unit, boosted], dtype=float)
     return GammaMixture(w[order].astype(float), shapes[order], scales[which[order]])
 
 

@@ -12,18 +12,31 @@ moments.  The pair weights are signed whenever a factor has
 ``mu > m``; their absolute sum is the cancellation indicator exposed as
 ``abs_weight_sum``.
 
+The pairs depend on the integer cell alone.  Each cell, and each
+pattern of kappa-zero collapses (a link with ``kappa <= KAPPA_ZERO_TOL``
+is one Gamma term), has a cached plan: the pairs in the links' layout
+order, each pair's scale choice, and the key of the engine's merged row
+plans.  A parameter set only re-weights the plan, with the links'
+long-double weight formula, so a :class:`ProductModel` builds no mixture
+objects (its ``mixture_a``/``mixture_b`` are built on first use), and
+the cdf fit weighs whole batches of candidates on one plan
+(:func:`product_cdf_rows`).
+
 Also provided is the envelope-domain view ``R = c sqrt(Z)`` used when
 matching measured amplitude histograms: ``c`` is chosen so that
 ``E[R]`` equals a prescribed reference level.
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gammagamma import weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
-from .mixture import ShadowedParams, _all_finite, _points, _positive, _span, expand, sample_single
+from .gammagamma import pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
+from .mixture import (
+    KAPPA_ZERO_TOL, WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _link_layout, _link_terms,
+    _points, _positive, expand, sample_single,
+)
 from .specfun import tricomi_u_times_xa
 
 __all__ = ["ProductModel", "EnvelopeModel"]
@@ -35,20 +48,190 @@ _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 CDF_RANGE_TOL = 1e-10
 
 
+class _CellPlan:
+    """Kappa-free plan of the products of one integer cell.
+
+    One plan per ``(mu, m)`` of each link and per kappa-zero collapse
+    pattern (a link with ``kappa <= KAPPA_ZERO_TOL`` is the single term
+    Gamma(mu)).  Pair ``p`` is term ``p // n_b`` of link a's layout and
+    term ``p % n_b`` of link b's, in layout order.  A pair's scale
+    product is fixed by the two terms' scale choices (unit or boosted),
+    and pairs of one choice share a ``theta`` of ``pairs``, the key of
+    the engine's row plans.  A parameter set only re-weights the plan.
+    """
+
+    def __init__(self, link_a, link_b):
+        self.links = link_a, link_b
+        lay_a, lay_b = (_link_layout(*link) for link in self.links)
+        self.ia = np.repeat(np.arange(lay_a.shapes.size), lay_b.shapes.size)
+        self.ib = np.tile(np.arange(lay_b.shapes.size), lay_a.shapes.size)
+        self.shapes_a, self.shapes_b = lay_a.shapes[self.ia], lay_b.shapes[self.ib]
+        self.choice_a, self.choice_b = lay_a.boosted[self.ia], lay_b.boosted[self.ib]
+        self.pairs = pair_layout(self.shapes_a, self.shapes_b, np.unique(
+            2 * self.choice_a + self.choice_b, return_inverse=True)[1])
+        self.log_rising = np.log(self.shapes_a * self.shapes_b)
+
+    def weigh(self, terms_a, terms_b, targets):
+        """Pair weights and log scale products of parameter sets, and their refusals.
+
+        ``terms_a`` and ``terms_b`` are the two links' terms at the sets,
+        as :func:`_link_terms_of` returns them, and ``targets`` the
+        product of the sets' two mean powers.  Returns the weights and
+        log scale products (sets x pairs) and, per set, ``None`` or the
+        exception that refuses it, as building its model would: a link's
+        own refusal, or a closed-form mean that overflows or leaves
+        1e-12 relative of its target.
+        """
+        (w_a, log_a, refused_a), (w_b, log_b, refused_b) = terms_a, terms_b
+        w = w_a[:, self.ia] * w_b[:, self.ib]
+        lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
+        lt = lth + self.log_rising
+        overflow = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
+        lt[overflow] = 0.0
+        means = [math.fsum(row) for row in (w * np.exp(lt)).tolist()]
+        refusals = []
+        for mean, target, over, ref_a, ref_b in zip(means, targets, overflow.tolist(),
+                                                    refused_a, refused_b):
+            refusal = ref_a or ref_b
+            if refusal is None and over:
+                refusal = OverflowError("moment of order 1 overflows double precision")
+            elif refusal is None and not abs(mean - target) <= 1e-12 * target:
+                refusal = ArithmeticError("product mean %.17g deviates from %.17g beyond 1e-12 "
+                                          "relative" % (mean, target))
+            refusals.append(refusal)
+        return w, lth, refusals
+
+
+@lru_cache(maxsize=1024)
+def _cell_plan(mu_a, m_a, zero_a, mu_b, m_b, zero_b):
+    """The cached :class:`_CellPlan` of one integer cell and collapse pattern."""
+    return _CellPlan((mu_a, m_a, zero_a), (mu_b, m_b, zero_b))
+
+
+def _link_terms_of(link, means, kappas):
+    """Terms of ``link = (mu, m, zero)`` links at parameter sets.
+
+    ``means`` and ``kappas`` are float arrays, a set per element.
+    Returns the double weights (sets x terms, layout order), the logs of
+    the ``(unit, boosted)`` scales (sets x 2) and, per set, ``None`` or
+    the ``ValueError`` that refuses it, as :class:`ShadowedParams` or
+    :class:`~prodfade.mixture.GammaMixture` would: the parameters are
+    out of range, a term's scale is not > 0, or the weights miss one by
+    more than ``WEIGHT_SUM_TOL``.
+    """
+    mu, m, zero = link
+    layout = _link_layout(*link)
+    w, scales = _link_terms(layout, mu, m, means, np.zeros_like(kappas) if zero else kappas)
+    w = w.astype(float)
+    # written so that NaN fails the check too
+    scales_ok = (scales[:, layout.boosted] > 0.0).all(axis=1).tolist()
+    refusals = []
+    for mean, kappa, ok, row in zip(means.tolist(), kappas.tolist(), scales_ok, w.tolist()):
+        dev = abs(math.fsum(row) - 1.0)
+        if not (math.isfinite(mean) and mean > 0.0 and math.isfinite(kappa) and kappa >= 0.0):
+            refusals.append(ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0"
+                                       % (mean, kappa)))
+        elif not ok:
+            refusals.append(ValueError("all scales must be > 0"))
+        elif dev > WEIGHT_SUM_TOL:
+            refusals.append(ValueError("mixture weights must sum to 1 within %g (deviation %g)"
+                                       % (WEIGHT_SUM_TOL, dev)))
+        else:
+            refusals.append(None)
+    with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales
+        return w, np.log(scales), refusals
+
+
+@lru_cache(maxsize=4096)
+def _link_terms_at(params):
+    """:func:`_link_terms_of` one link, cached per parameter set as
+    :func:`expand` is, for models that revisit parameter sets."""
+    terms = _link_terms_of((params.mu, params.m, params.kappa <= KAPPA_ZERO_TOL),
+                           np.array([params.mean_power]), np.array([params.kappa]))
+    for arr in terms[:2]:
+        arr.setflags(write=False)
+    return terms
+
+
+def _cdf_in_range(raw):
+    """Whether raw cdf values lie in [0, 1] within ``CDF_RANGE_TOL``, per
+    row of the last axis; NaN fails."""
+    return ((raw.min(axis=-1, initial=math.inf) >= -CDF_RANGE_TOL)
+            & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
+
+
+def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
+    """Distribution functions of many products of one integer cell.
+
+    ``cell`` is ``(mu_a, m_a, mu_b, m_b)``; the other arguments but
+    ``z`` are float arrays of one length, one parameter set per
+    element, and ``z`` a flat float array of points ``> 0``.  Returns a
+    (sets x points) array and, per set, whether it could be evaluated:
+    row ``i`` is ``ProductModel(link_a, link_b).cdf(z)`` at set ``i``,
+    range-checked and clipped as there, or all ones where that model,
+    or its cdf, raises a numerical or validation error.
+
+    Sets are grouped by their kappa-zero collapse pattern, and each
+    group is weighed on its cached :class:`_CellPlan` and evaluated by
+    one batched engine call.  If that call raises, its sets are
+    evaluated one by one, so that only the failing ones are refused.
+    """
+    mu_a, m_a, mu_b, m_b = cell
+    out = np.ones((means_a.size, z.size))
+    ok = np.zeros(means_a.size, dtype=bool)
+    patterns = 2 * (kappas_a <= KAPPA_ZERO_TOL) + (kappas_b <= KAPPA_ZERO_TOL)
+    for pattern in np.unique(patterns).tolist() if patterns.any() else [0]:
+        group = np.flatnonzero(patterns == pattern)
+        plan = _cell_plan(mu_a, m_a, pattern >= 2, mu_b, m_b, pattern % 2 == 1)
+        w, lth, refusals = plan.weigh(
+            _link_terms_of(plan.links[0], means_a[group], kappas_a[group]),
+            _link_terms_of(plan.links[1], means_b[group], kappas_b[group]),
+            [a * b for a, b in zip(means_a[group].tolist(), means_b[group].tolist())])
+        if refusals.count(None) < group.size:
+            weighed = np.array([r is None for r in refusals])
+            group, w, lth = group[weighed], w[weighed], lth[weighed]
+        try:
+            batches = [(group, weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z,
+                                                plan.pairs))]
+        except (ArithmeticError, ValueError):
+            batches = []
+            for i in range(group.size):
+                try:
+                    batches.append((group[i:i + 1], weighted_cdf_sum(
+                        w[i:i + 1], plan.shapes_a, plan.shapes_b, lth[i:i + 1], z, plan.pairs)))
+                except (ArithmeticError, ValueError):
+                    pass
+        for rows, raw in batches:
+            keep = _cdf_in_range(raw)
+            np.clip(raw, 0.0, 1.0, out=raw)
+            if rows.size == ok.size and keep.all():
+                return raw, keep    # one group and one batch: every set, in order
+            out[rows[keep]] = raw[keep]
+            ok[rows[keep]] = True
+    return out, ok
+
+
 class ProductModel:
     """Product of two independent squared kappa-mu shadowed channels.
+
+    The pairs and their engine plans come from the cached
+    :class:`_CellPlan` of the links' integer cell, in layout order, and
+    the parameters only weigh them; the fits weigh whole batches of
+    parameter sets on the same plans (:func:`product_cdf_rows`).
 
     Parameters
     ----------
     link_a, link_b : ShadowedParams
-        The two factors.  Construction checks the closed-form mean
-        against the product of the per-link mean powers to 1e-12
-        relative, which catches any weight-table defect immediately.
+        The two factors.  Construction checks each link's weights as
+        :class:`~prodfade.mixture.GammaMixture` does, and the
+        closed-form mean against the product of the per-link mean
+        powers to 1e-12 relative, which catches any weight-table defect
+        immediately.
 
     Attributes
     ----------
     mixture_a, mixture_b : GammaMixture
-        The per-link expansions actually used.
+        The per-link expansions, built by :func:`expand` on first use.
     """
 
     def __init__(self, link_a, link_b):
@@ -56,26 +239,23 @@ class ProductModel:
             raise TypeError("ProductModel expects two ShadowedParams")
         self.link_a = link_a
         self.link_b = link_b
-        self.mixture_a = expand(link_a)
-        self.mixture_b = expand(link_b)
+        plan = self._plan = _cell_plan(
+            link_a.mu, link_a.m, link_a.kappa <= KAPPA_ZERO_TOL,
+            link_b.mu, link_b.m, link_b.kappa <= KAPPA_ZERO_TOL)
+        w, lth, (refusal,) = plan.weigh(_link_terms_at(link_a), _link_terms_at(link_b),
+                                        [self.mean_power])
+        if refusal is not None:
+            raise refusal.with_traceback(None)
+        self._w, self._lth = w[0], lth[0]
+        self._ka, self._kb = plan.shapes_a, plan.shapes_b
 
-        mix_a, mix_b = self.mixture_a, self.mixture_b
-        w = np.multiply.outer(mix_a.weights, mix_b.weights).ravel()
-        order = (-np.abs(w)).argsort(kind="stable")
-        # pair p is term p // len(b) of link a and term p % len(b) of link b
-        ia, ib = order // mix_b.weights.size, order % mix_b.weights.size
-        self._w = w[order]
-        self._ka = mix_a.shapes[ia]
-        self._kb = mix_b.shapes[ib]
-        self._lth = np.log(mix_a.scales)[ia] + np.log(mix_b.scales)[ib]
+    @cached_property
+    def mixture_a(self):
+        return expand(self.link_a)
 
-        mean = self.moment(1)
-        target = self.mean_power
-        if not abs(mean - target) <= 1e-12 * target:
-            raise ArithmeticError(
-                "product mean %.17g deviates from %.17g beyond 1e-12 relative"
-                % (mean, target)
-            )
+    @cached_property
+    def mixture_b(self):
+        return expand(self.link_b)
 
     @property
     def mean_power(self):
@@ -107,7 +287,7 @@ class ProductModel:
         computed rather than clipped.
         """
         z, _, shaped = _points(z, "> 0", "pdf requires finite z > 0")
-        out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z)
+        out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z, self._plan.pairs)
         if not _all_finite(out):
             raise ArithmeticError(
                 "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
@@ -132,15 +312,14 @@ class ProductModel:
 
     def _positive_cdf(self, z):
         """Range-checked and clipped cdf at points ``z > 0``."""
-        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z)
-        lo, hi = _span(raw)
-        if not (lo >= -CDF_RANGE_TOL and hi <= 1.0 + CDF_RANGE_TOL):
+        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z, self._plan.pairs)
+        if not _cdf_in_range(raw):
             worst = raw[np.argmax(np.abs(raw - 0.5))]
             raise ArithmeticError(
                 "product cdf left [0, 1] beyond %g (worst %r); "
                 "abs_weight_sum=%.3g" % (CDF_RANGE_TOL, worst, self.abs_weight_sum)
             )
-        return raw if (lo >= 0.0 and hi <= 1.0) else np.clip(raw, 0.0, 1.0)
+        return np.clip(raw, 0.0, 1.0, out=raw)
 
     def mgf(self, s):
         """``E[exp(s Z)]`` over ``s < 0``.
@@ -151,7 +330,8 @@ class ProductModel:
         may overflow to inf, where ``x^a U`` takes its limit 1.
         """
         s, _, shaped = _points(s, "< 0", "mgf requires finite s < 0")
-        out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa)
+        out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa,
+                               self._plan.pairs)
         if not _all_finite(out):
             raise ArithmeticError(
                 "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)

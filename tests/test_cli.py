@@ -14,7 +14,7 @@ from prodfade.cli import main
 from prodfade.errors import IngestionError
 from prodfade.fit import empirical_from_samples
 from prodfade.mixture import ShadowedParams, cdf_single, pdf_single, sample_single
-from prodfade.pdist import ProductModel
+from prodfade.pdist import EnvelopeModel, ProductModel
 from prodfade.sysmodels import WpcConfig, wpc_sweep
 
 KMS = {"mean_power": 1.5, "kappa": 2.0, "mu": 2, "m": 4}
@@ -360,8 +360,10 @@ def test_fit_cdf_all_candidates_fail_exit_code(tmp_path, monkeypatch, capsys):
     draws = np.random.default_rng(3).exponential(size=500)
     data = tmp_path / "samples.csv"
     pio.write_csv(data, ["sample"], [draws])
+    # one NaN row per parameter set of a batched call
     monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum",
-                        lambda *args: np.full(np.shape(args[4]), np.nan))
+                        lambda weights, *args: np.full(np.shape(weights)[:-1] + np.shape(args[3]),
+                                                       np.nan))
     rc = main(["fit-cdf", "--data", str(data), "--out", str(tmp_path / "fit.json"),
                "--mu", "1", "--m", "1,2", "--tie-links", "--starts", "1"])
     assert rc == 4
@@ -582,7 +584,8 @@ def test_non_fit_commands_leave_lazy_scipy_out(tmp_path):
     assert report == ["after %s []" % args[0] for args in commands]
 
 
-def test_fit_cdf_loads_scipy_optimize(tmp_path):
+def test_fit_cdf_leaves_scipy_optimize_out(tmp_path):
+    # The cdf fit's Nelder-Mead is the library's own.
     link = ShadowedParams(1.0, 1.0, 1, 2)
     draws = ProductModel(link, link).sample(np.random.default_rng(5), 300)
     pio.write_csv(tmp_path / "d.csv", ["sample"], [draws])
@@ -590,4 +593,19 @@ def test_fit_cdf_loads_scipy_optimize(tmp_path):
             "assert main(['fit-cdf', '--data', 'd.csv', '--out', 'f.json', '--mu', '1',"
             " '--m', '2', '--m-hat', '2', '--starts', '1', '--max-points', '40']) == 0\n"
             "print('scipy.optimize' in sys.modules)\n")
-    assert _fresh_interpreter(code, cwd=tmp_path).splitlines()[-1] == "True"
+    assert _fresh_interpreter(code, cwd=tmp_path).splitlines()[-1] == "False"
+
+
+def test_fit_pdf_loads_scipy_optimize_on_its_first_search(tmp_path):
+    # The pdf fit's least squares is scipy's, imported by its first run.
+    env = EnvelopeModel(ProductModel(ShadowedParams(1.0, 1.0, 1, 2),
+                                     ShadowedParams(1.0, 1.0, 1, 2)), 1.0)
+    r = np.linspace(0.05, 3.0, 40)
+    pio.write_csv(tmp_path / "e.csv", ["x", "pdf"], [r, env.pdf(r)])
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "assert main(['fit-pdf', '--data', 'e.csv', '--out', 'f.json', '--mu', '1',"
+            " '--m', '2', '--m-hat', '2', '--starts', '1']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    report = _fresh_interpreter(code, cwd=tmp_path).splitlines()
+    assert (report[0], report[-1]) == ("False", "True")

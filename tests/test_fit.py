@@ -267,22 +267,177 @@ def test_fit_cdf_requires_scale_source():
 
 
 def test_fit_looks_up_minimize_in_the_fit_module(monkeypatch):
-    # prodfade.fit.minimize imports scipy.optimize on its first call;
-    # it must stay the name the search calls, so that wrapping it (as
-    # the benchmark tracer does) sees every Nelder-Mead run.
+    # prodfade.fit.minimize must stay the name the search calls, so that
+    # wrapping it (as the benchmark tracer does) sees every Nelder-Mead
+    # search: one call per cell, with all of the cell's starts.
     calls = []
     minimize = prodfade.fit.minimize
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return minimize(*args, **kwargs)
+    def counting(fun, x0s, *args, **kwargs):
+        calls.append(len(x0s))
+        return minimize(fun, x0s, *args, **kwargs)
 
     monkeypatch.setattr(prodfade.fit, "minimize", counting)
     x = np.geomspace(0.01, 5.0, 40)
     emp = curve_from_model(make_product(1.0, 1, 2), x)
     fit_cdf(emp, SearchConfig(mu_grid=(1,), m_grid=(2,), total_scale=1.0,
                               n_starts=2, tie_links=True))
-    assert len(calls) == 2
+    assert calls == [2]
+
+
+def _kinked(theta):
+    # the shape of the KS objective: a max of residual magnitudes, with
+    # kinks along a valley
+    a, b = theta[0], theta[-1]
+    return max(abs(np.log1p(a) - 0.7 + 0.1 * b), abs(0.3 * a - b + 0.5), abs(0.05 * a * b - 0.2))
+
+
+def _smooth(theta):
+    theta = np.asarray(theta)
+    return float(np.sum((theta[1:] - theta[:-1] ** 2) ** 2) * 10.0 + np.sum((1.0 - theta) ** 2))
+
+
+def _ks_objective(theta):
+    model = make_product(theta[0], 1, 2, kappa_b=theta[-1])
+    return ks_error(_KS_DATA, model)
+
+
+_KS_DATA = empirical_from_samples(make_product(1.5, 1, 2, kappa_b=0.4).sample(
+    np.random.default_rng(3), 3000))
+
+NM_CASES = {
+    # name: objective, start, bounds, xatol, maxfev
+    "kinked-2": (_kinked, [0.9, 0.9], [(0.0, 50.0)] * 2, 1e-4, 600),
+    "ks-1": (lambda t: _ks_objective([t[0], t[0]]), [0.926], [(0.0, 50.0)], 1e-4, 600),
+    "smooth-2": (_smooth, [-1.2, 1.0], [(-5.0, 5.0)] * 2, 1e-8, 600),
+    "smooth-3": (_smooth, [0.5, 0.8, 1.3], [(-5.0, 5.0)] * 3, 1e-6, 600),
+    # x0 on the lower bound 0: the initial simplex steps to 0.00025
+    "lower-bound": (_kinked, [0.0, 0.0], [(0.0, 50.0)] * 2, 1e-4, 600),
+    # 5% of x0 passes the upper bound: the vertex is reflected inside
+    "upper-bound": (_smooth, [4.9, 4.9, 0.0], [(-5.0, 5.0)] * 3, 1e-6, 600),
+    "maxfev": (_smooth, [-1.2, 1.0, 2.0], [(-5.0, 5.0)] * 3, 1e-10, 37),
+    "ks-2": (_ks_objective, [0.926, 0.926], [(0.0, 50.0)] * 2, 1e-4, 600),
+    "ks-3": (lambda t: _ks_objective(t[:2]) + 0.01 * (t[2] - 0.3) ** 2,
+             [2.0, 2.0, 0.0], [(0.0, 50.0), (0.0, 50.0), (-10.0, 10.0)], 1e-4, 600),
+}
+
+
+def _batched(objective):
+    return lambda thetas: [objective(theta) for theta in thetas]
+
+
+@pytest.mark.parametrize("name", sorted(NM_CASES))
+def test_lockstep_nelder_mead_matches_scipy_bit_for_bit(name):
+    from scipy.optimize import minimize as scipy_minimize
+
+    objective, x0, bounds, xatol, maxfev = NM_CASES[name]
+    ref = scipy_minimize(objective, np.array(x0), method="Nelder-Mead", bounds=bounds,
+                         options={"xatol": xatol, "fatol": 1e-7, "maxfev": maxfev})
+    (got,) = prodfade.fit.minimize(_batched(objective), [x0], bounds, xatol=xatol,
+                                   fatol=1e-7, maxfev=maxfev)
+    assert np.array_equal(got.x, ref.x)
+    assert got.fun == ref.fun
+    assert (got.nfev, got.success) == (ref.nfev, ref.success)
+    if name == "maxfev":
+        assert (got.nfev, got.success) == (maxfev, False)
+
+
+def _staircase(theta):
+    return float(np.floor(4.0 * np.abs(np.asarray(theta) - 0.3)).sum())
+
+
+def test_nelder_mead_shrinks_like_scipy():
+    # On this staircase reflections and contractions keep failing: the
+    # run shrinks the simplex towards its best vertex 16 times.  Every
+    # point asked for is scipy's, in scipy's order.
+    from scipy.optimize import minimize as scipy_minimize
+
+    seen = []
+
+    def recording(theta):
+        seen.append(np.array(theta, dtype=float))
+        return _staircase(theta)
+
+    bounds = [(-2.0, 2.0)] * 2
+    ref = scipy_minimize(recording, np.array([1.1, 0.9]), method="Nelder-Mead", bounds=bounds,
+                         options={"xatol": 1e-6, "fatol": 1e-7, "maxfev": 600})
+    ref_points, seen[:] = list(seen), []
+    (got,) = prodfade.fit.minimize(_batched(recording), [[1.1, 0.9]], bounds, xatol=1e-6,
+                                   fatol=1e-7, maxfev=600)
+    assert np.array_equal(np.array(seen), np.array(ref_points))
+    assert np.array_equal(got.x, ref.x) and got.fun == ref.fun
+    assert (got.nfev, got.success) == (ref.nfev, ref.success) == (67, True)
+
+
+@pytest.mark.parametrize("objective,x0", [(_staircase, [1.1, 0.9]), (_smooth, [-1.2, 1.0, 2.0])])
+def test_nelder_mead_stops_at_maxfev_like_scipy(objective, x0):
+    # Every budget up to the run's length: the last call allowed falls in
+    # the initial simplex, a reflection, an expansion, a contraction or a
+    # shrink, and the step that asks for one more is abandoned there.
+    from scipy.optimize import minimize as scipy_minimize
+
+    bounds = [(-2.0, 2.0)] * len(x0)
+    for maxfev in range(1, 70):
+        ref = scipy_minimize(objective, np.array(x0), method="Nelder-Mead", bounds=bounds,
+                             options={"xatol": 1e-6, "fatol": 1e-7, "maxfev": maxfev})
+        (got,) = prodfade.fit.minimize(_batched(objective), [x0], bounds, xatol=1e-6,
+                                       fatol=1e-7, maxfev=maxfev)
+        assert np.array_equal(got.x, ref.x) and got.fun == ref.fun, maxfev
+        assert (got.nfev, got.success) == (ref.nfev, ref.success), maxfev
+
+
+def test_a_start_runs_the_same_alone_and_in_a_round():
+    objective, _, bounds, xatol, _ = NM_CASES["kinked-2"]
+    starts = [[0.9, 0.9], [3.0, 0.1], [0.0, 12.0]]
+    sizes = []
+
+    def batched(thetas):
+        sizes.append(len(thetas))
+        return [objective(theta) for theta in thetas]
+
+    together = prodfade.fit.minimize(batched, starts, bounds, xatol=xatol)
+    assert sizes[0] == 3 and len(sizes) == max(res.nfev for res in together)
+    for start, res in zip(starts, together):
+        (alone,) = prodfade.fit.minimize(_batched(objective), [start], bounds, xatol=xatol)
+        assert np.array_equal(alone.x, res.x)
+        assert (alone.fun, alone.nfev, alone.success) == (res.fun, res.nfev, res.success)
+
+
+def test_a_failing_candidate_scores_failure_alone(monkeypatch):
+    # A round's candidates share one batched engine call.  Make the cdf of
+    # every candidate with a scale product below 0.3 (both kappas above
+    # about 10) leave [0, 1]: those candidates score the failure value
+    # alone, their rounds' others are scored as before, and the best
+    # run, which stays near the generating kappas, is unmoved.
+    x = np.geomspace(0.01, 5.0, 40)
+    emp = curve_from_model(make_product(1.0, 1, 2, kappa_b=0.5), x)
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), total_scale=1.0, n_starts=3)
+    (clean,) = fit_cdf(emp, cfg).search_trace
+    engine = prodfade.pdist.weighted_cdf_sum
+    refused, scores = [], []
+
+    def breaking(weights, shapes_a, shapes_b, log_scales, z, pairs):
+        out = engine(weights, shapes_a, shapes_b, log_scales, z, pairs)
+        bad = log_scales[:, 0] < np.log(0.3)
+        out[bad, 0] = 2.0
+        refused.append((int(bad.sum()), len(bad)))
+        return out
+
+    search = prodfade.fit.minimize
+
+    def recording(fun, x0s, *args, **kwargs):
+        def scored(thetas):
+            values = fun(thetas)
+            scores.extend(values)
+            return values
+        return search(scored, x0s, *args, **kwargs)
+
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", breaking)
+    monkeypatch.setattr(prodfade.fit, "minimize", recording)
+    (entry,) = fit_cdf(emp, cfg).search_trace
+    assert sum(n for n, _ in refused) == scores.count(prodfade.fit._OBJ_FAILURE) > 0
+    assert any(0 < n < size for n, size in refused)
+    assert all(entry[k] == clean[k] for k in ("kappa", "kappa_hat", "objective", "converged"))
 
 
 def test_fit_looks_up_least_squares_in_the_fit_module(monkeypatch):

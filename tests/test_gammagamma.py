@@ -340,3 +340,33 @@ def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
                     total += (mpmath.mpf(float(w)) * 2 * u ** (mpmath.mpf(k + int(kb)) / 2) * bk
                               / (mpmath.factorial(k) * mpmath.factorial(int(kb) - 1)))
             assert abs(got - float(1 - total)) <= tol
+
+
+@pytest.mark.parametrize("budget", [None, 1, 300])
+def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
+    # Parameter sets of one layout, weighed together on their cell's plan
+    # and summed by one batched call: each row is the single call's
+    # result, bit for bit, whole-grid or chunked; and the cdf fit's rows
+    # are the models' own cdf values.
+    from prodfade.pdist import _cell_plan, _link_terms_of, product_cdf_rows
+
+    if budget is not None:
+        monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
+    plan = _cell_plan(6, 2, False, 4, 1, False)
+    means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
+    means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
+    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
+                                  _link_terms_of(plan.links[1], means_b, kappas_b), means_a)
+    assert refusals == [None] * 4
+    z = np.geomspace(1e-5, 30.0, 37)
+    for engine in (weighted_cdf_sum, weighted_pdf_sum):
+        batch = engine(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
+        for i in range(4):
+            alone = engine(w[i], plan.shapes_a, plan.shapes_b, lth[i], z, plan.pairs)
+            assert np.array_equal(batch[i], alone)
+    rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
+    assert ok.all()
+    for i in range(4):
+        model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
+                             ShadowedParams(1.0, kappas_b[i], 4, 1))
+        assert np.array_equal(rows[i], model.cdf(z))

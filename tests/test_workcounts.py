@@ -37,6 +37,10 @@ MODELS = {
 }
 # A link has one scale when mu <= m and two when mu > m.
 DISTINCT_THETA = {"S": 1, "M": 1, "W": 1, "L": 1, "rayleigh2": 1, "signed2": 3, "signed_x": 4}
+# Scale products of distinct scale choices are distinct thetas of the
+# model's plan, even where their values coincide: signed2's two links are
+# equal, so unit x boosted and boosted x unit are one value, two choices.
+SCALE_CHOICES = dict(DISTINCT_THETA, signed2=4)
 # Highest Bessel order + 1: the cdf of kernel (m, m_hat) reaches order m_hat,
 # the pdf order |m - m_hat|.
 RUNGS = {("L", "cdf"): 31, ("L", "pdf"): 30, ("W", "cdf"): 21, ("S", "cdf"): 5}
@@ -65,8 +69,9 @@ def climbs(monkeypatch):
 def test_one_argument_row_per_distinct_theta(climbs, name, kind):
     model = ProductModel(*MODELS[name])
     assert np.unique(model._lth).size == DISTINCT_THETA[name]
+    assert model._plan.pairs.first.size == SCALE_CHOICES[name]
     getattr(model, kind)(Z)
-    assert [rows for rows, _ in climbs] == [DISTINCT_THETA[name]]
+    assert [rows for rows, _ in climbs] == [SCALE_CHOICES[name]]
     if (name, kind) in RUNGS:
         assert climbs[0][1] == RUNGS[name, kind]
 
@@ -93,9 +98,9 @@ def test_one_u_call_per_distinct_theta(u_calls, name, points):
     # row once.
     model = ProductModel(*MODELS[name])
     model.mgf(-np.geomspace(1e-3, 1e3, points))
-    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._mgf_plan)
-    assert len(u_calls) == DISTINCT_THETA[name]
-    assert [p for _, p in u_calls] == [points] * DISTINCT_THETA[name]
+    plan = gammagamma._mgf_plan(*model._plan.pairs.key)
+    assert len(u_calls) == SCALE_CHOICES[name]
+    assert [p for _, p in u_calls] == [points] * SCALE_CHOICES[name]
     assert sum(r for r, _ in u_calls) == plan.theta.size
 
 
@@ -103,15 +108,15 @@ def test_mgf_rows_merge_on_unordered_shape_pair():
     # Kummer's transformation makes the mgf kernel symmetric too: L's 900
     # pairs are 465 rows, as for the pdf.
     model = ProductModel(*MODELS["L"])
-    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._mgf_plan)
+    plan = gammagamma._mgf_plan(*model._plan.pairs.key)
     assert plan.theta.size == 465
     assert np.all(plan.b >= 1) and np.all(plan.b <= plan.a)
 
 
 def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
-    # Each Nelder-Mead step builds a new model at new kappa but the same
-    # integer cell; only the pair order (by |weight|) and the kappa = 0
-    # collapse change the layout, so plans are built a handful of times.
+    # Each Nelder-Mead round weighs new kappas on the same integer cell;
+    # only the kappa = 0 collapse changes the layout, so plans are built
+    # a handful of times.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(max_m=3, mu_grid=(1,), m_grid=(3,), n_starts=2, max_points=40,
@@ -132,28 +137,77 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
     assert 1 <= builds <= len(calls) // 5
 
 
-def test_link_layout_is_built_once_per_integer_pair_in_a_fit():
-    # kappa is continuous, so most Nelder-Mead steps miss the expand
-    # cache; the kappa-free layout of a link depends on (mu, m) alone, so
-    # the 10 cells visited over links (mu, m) in {1, 2} x {1, 3} build
-    # three layouts, one of them (2, 1) of the signed mu > m form.  The
-    # (1, 1) link is held at kappa = 0, which expand forms without one.
+def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
+    # The kappa-free layout of a link depends on (mu, m) alone, so the 10
+    # cells visited over links (mu, m) in {1, 2} x {1, 3} build three
+    # layouts, one of them (2, 1) of the signed mu > m form.  The (1, 1)
+    # link is held at kappa = 0, whose collapse needs no layout.  The
+    # candidates only weigh the cells' plans: the fit builds one model,
+    # its winner's, and no mixture.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(mu_grid=(1, 2), m_grid=(1, 3), n_starts=1, max_points=40,
                        min_cdf=1e-3)
-    mixture._layout.cache_clear()
-    expand.cache_clear()
+    models = []
+    init = ProductModel.__init__
+
+    def counting(self, *args):
+        models.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ProductModel, "__init__", counting)
+    for cache in (mixture._layout, mixture._link_layout, prodfade.pdist._cell_plan, expand):
+        cache.cache_clear()
     res = fit_cdf(emp, cfg)
     assert len(res.search_trace) == 10
+    assert sum(t["nfev"] for t in res.search_trace) >= 50 * 3
     assert mixture._layout.cache_info().misses == 3
-    assert expand.cache_info().misses >= 50 * 3
+    assert len(models) == 1
+    assert expand.cache_info().misses <= 2
+
+
+def test_a_cell_makes_one_cdf_engine_call_per_round(monkeypatch, rounds):
+    # With kappa_range away from 0 no candidate collapses a link, so all
+    # the starts' candidates of a round share one plan and one engine call.
+    gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
+    emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(3,), m_hat_grid=(2,), n_starts=3, max_points=40,
+                       min_cdf=1e-3, kappa_range=(0.01, 50.0))
+    calls = []
+    engine = gammagamma.weighted_cdf_sum
+
+    def counting(weights, *args):
+        calls.append(len(weights))
+        return engine(weights, *args)
+
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", counting)
+    (entry,) = fit_cdf(emp, cfg).search_trace
+    assert calls == rounds
+    assert sum(calls) == entry["nfev"] > 2 * len(calls)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Candidates per round, one entry per round, of every lockstep
+    Nelder-Mead search made in the test (``prodfade.fit.minimize``)."""
+    record = []
+    minimize = prodfade.fit.minimize
+
+    def recording(objective, x0s, *args, **kwargs):
+        def counted(thetas):
+            record.append(len(thetas))
+            return objective(thetas)
+
+        return minimize(counted, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(prodfade.fit, "minimize", recording)
+    return record
 
 
 @pytest.fixture
 def x0s(monkeypatch):
     """Shapes of the starting vectors of every Nelder-Mead run made in
-    the test; ``x0s.evals`` counts the objective calls the runs make."""
+    the test; ``x0s.evals`` counts the candidates the runs score."""
 
     class Record(list):
         evals = 0
@@ -161,14 +215,14 @@ def x0s(monkeypatch):
     record = Record()
     minimize = prodfade.fit.minimize
 
-    def recording(objective, x0, *args, **kwargs):
-        record.append(np.shape(x0))
+    def recording(objective, starts, *args, **kwargs):
+        record.extend(np.shape(x0) for x0 in starts)
 
-        def counted(theta):
-            record.evals += 1
-            return objective(theta)
+        def counted(thetas):
+            record.evals += len(thetas)
+            return objective(thetas)
 
-        return minimize(counted, x0, *args, **kwargs)
+        return minimize(counted, starts, *args, **kwargs)
 
     monkeypatch.setattr(prodfade.fit, "minimize", recording)
     return record
@@ -300,6 +354,6 @@ def test_pdf_rows_merge_on_unordered_shape_pair():
     # The density kernel is symmetric in (m, m_hat): L's 900 pairs of
     # shapes 1..30 on one theta are 30 * 31 / 2 distinct kernels.
     model = ProductModel(*MODELS["L"])
-    _, plan = gammagamma._plan_of(model._ka, model._kb, model._lth, gammagamma._pdf_plan)
+    plan = gammagamma._pdf_plan(*model._plan.pairs.key)
     assert model.pair_count == 900
     assert plan.theta.size == 465
