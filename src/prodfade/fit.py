@@ -569,7 +569,9 @@ def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
 
     Trust-region reflective (Branch, Coleman & Li, SIAM J. Sci. Comput.
     21, 1999) with a forward-difference Jacobian, stopped when a step
-    is below ``kappa_tol`` relative to the parameters.  Returns
+    is below ``kappa_tol`` relative to the parameters.  The solver asks
+    for one point per call, a one-row batch of ``evaluate``, and its
+    final residuals are normed as such a row.  Returns
     ``(theta, value, converged)``, ``value`` the sum of squares and
     ``converged`` whether the solver stopped on a tolerance.
     """
@@ -633,7 +635,13 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
     values, and per candidate whether it could be evaluated.  ``norm``
     turns each row into the objective: ``_max_abs``, searched by
     bounded Nelder-Mead runs in lockstep, or ``_sum_squares``, searched
-    by bounded least squares.  Every integer cell of
+    by bounded least squares.  The evaluator the searches get is
+    batched for both, so that the failure rule, the ``nfev`` count and
+    the norm are applied in one place: the cdf fit scores whole rounds
+    on one cell plan, while least squares asks for one point per call
+    and so passes one-row batches, and the pdf fit, which builds a
+    model per candidate, batches its residuals with ``_one_by_one``.
+    Every integer cell of
     ``_visited_cells(config)`` gets one run from each kappa start, over
     the kappas its law depends on and, when ``tail`` gives its
     ``(start, bounds)``, a trailing ``t``.  ``level(t)`` (``level(None)``

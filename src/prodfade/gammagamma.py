@@ -30,13 +30,13 @@ cached, so a fit that revisits an integer cell at many ``kappa`` plans
 it once; what each call still pays is the kernel math (the ladder's
 ``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.
 
-Which pairs share a ``theta`` is given by a :data:`Pairs` layout.  A
-product model passes its own, keyed by the links' scale choices; a
-caller that passes none gets pairs of equal log scale grouped by value.
-With a layout, the weights and log scales may carry a leading axis of
-parameter sets: one call then climbs the ladder over every set's
-arguments at once and returns one row per set, each row the bits a
-call with that set alone gives.
+Which pairs share a ``theta`` is given by the caller's :data:`Pairs`
+layout (:func:`pair_layout`); a product model passes its cell plan's,
+keyed by the links' scale choices (see :mod:`prodfade.pdist`).  The
+weights and log scales may carry a leading axis of parameter sets over
+one layout: one call then climbs the ladder over every set's arguments
+at once and returns one row per set, each row the bits a call with
+that set alone gives.
 """
 
 import math
@@ -166,8 +166,11 @@ def pair_layout(shapes_a, shapes_b, theta_of_pair):
 
     ``theta_of_pair`` numbers the distinct scale products ``0 .. T-1``;
     which pairs share one is the caller's choice (a product model
-    groups them by the links' scale choices, see
-    :mod:`prodfade.pdist`).
+    groups them by the links' scale choices, and with two equal links
+    puts unit x boosted and boosted x unit on one, see
+    :mod:`prodfade.pdist`).  Pairs that share a theta must have one
+    log scale product, bit for bit: the sums take each theta's value
+    from its first pair.
     """
     theta_of_pair = np.asarray(theta_of_pair, dtype=np.int64)
     first = np.unique(theta_of_pair, return_index=True)[1]
@@ -176,20 +179,7 @@ def pair_layout(shapes_a, shapes_b, theta_of_pair):
                  first)
 
 
-def _pairs_by_value(shapes_a, shapes_b, log_scales):
-    """``Pairs`` whose pairs share a theta where their log scales are equal.
-
-    The distinct scales are those of ``np.unique``, found by a sort and
-    a search.
-    """
-    ordered = np.sort(log_scales)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return pair_layout(shapes_a, shapes_b, ordered[first].searchsorted(log_scales))
-
-
-def _prepare(weights, shapes_a, shapes_b, log_scales, x, pairs, build):
+def _prepare(weights, log_scales, x, pairs, build):
     """Batched engine arguments of one of the three public sums.
 
     Returns the row plan, the weights and distinct log scales with a
@@ -198,8 +188,6 @@ def _prepare(weights, shapes_a, shapes_b, log_scales, x, pairs, build):
     """
     weights = np.asarray(weights, dtype=float)
     log_scales = np.asarray(log_scales, dtype=float)
-    if pairs is None:
-        pairs = _pairs_by_value(shapes_a, shapes_b, log_scales)
     single = weights.ndim == 1
     if single:
         weights, log_scales = weights[None], log_scales[None]
@@ -275,7 +263,7 @@ def _bessel_rows(plan, log_thetas, x, shift=False):
 _shifted_bessel_rows = partial(_bessel_rows, shift=True)
 
 
-def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
+def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
     """Signed-weighted product-kernel distribution function at ``x > 0``.
 
     Computes ``1 - sum_p w_p S_p(x)`` where ``S_p`` is the finite
@@ -286,19 +274,20 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
     weights added.  Returns the raw signed result; the caller decides
     how to range-check it.
 
-    ``pairs`` (from :func:`pair_layout`) says which pairs share a
-    ``theta``; without it, pairs of equal log scale do.  With it,
-    ``weights`` and ``log_scales`` may carry a leading axis of parameter
-    sets over the one layout, and the result then has one row per set.
+    ``pairs`` (from :func:`pair_layout`) is the layout of the pairs'
+    shapes ``shapes_a``/``shapes_b`` and says which pairs share a
+    ``theta``; the first pair of each shared ``theta`` gives its log
+    scale.  ``weights`` and ``log_scales`` may carry a leading axis of
+    parameter sets over the one layout, and the result then has one row
+    per set.
     """
-    plan, w, log_thetas, x, single = _prepare(weights, shapes_a, shapes_b, log_scales, x,
-                                               pairs, _cdf_plan)
+    plan, w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs, _cdf_plan)
     total = _eval_blocks(plan, w, log_thetas, x, _bessel_rows)
     np.subtract(1.0, total, out=total)
     return total[0] if single else total
 
 
-def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
+def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
     """Signed-weighted product-kernel density at ``x > 0``.
 
     One Bessel term per kernel, evaluated in log space; the exponent
@@ -307,13 +296,12 @@ def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs=None):
     a few ulp below zero where signed kernels cancel; returned as
     computed.  ``pairs`` and batches as in :func:`weighted_cdf_sum`.
     """
-    plan, w, log_thetas, x, single = _prepare(weights, shapes_a, shapes_b, log_scales, x,
-                                               pairs, _pdf_plan)
+    plan, w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs, _pdf_plan)
     total = _eval_blocks(plan, w, log_thetas, x, _shifted_bessel_rows)
     return total[0] if single else total
 
 
-def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pairs=None):
+def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pairs):
     """Signed-weighted product-kernel Laplace transform ``E[exp(s Z)]`` at ``s < 0``.
 
     Pair ``p`` contributes ``y^ma U(ma, 1 + ma - mb, y)`` at
@@ -341,7 +329,6 @@ def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pai
             out[i, idx] = u_times_xa(plan.a[idx], plan.b[idx], y)
         return out
 
-    plan, w, log_thetas, s, single = _prepare(weights, shapes_a, shapes_b, log_scales, s,
-                                               pairs, _mgf_plan)
+    plan, w, log_thetas, s, single = _prepare(weights, log_scales, s, pairs, _mgf_plan)
     total = _eval_blocks(plan, w, log_thetas, s, rows, np.longdouble).astype(float)
     return total[0] if single else total

@@ -16,7 +16,8 @@ The pairs depend on the integer cell alone.  Each cell, and each
 pattern of kappa-zero collapses (a link with ``kappa <= KAPPA_ZERO_TOL``
 is one Gamma term), has a cached plan: the pairs in the links' layout
 order, each pair's scale choice, and the key of the engine's merged row
-plans.  A parameter set only re-weights the plan, with the links'
+plans.  Two equal links share a tied plan, on which unit x boosted and
+boosted x unit pairs share one scale product.  A parameter set only re-weights the plan, with the links'
 long-double weight formula, so a :class:`ProductModel` builds no mixture
 objects (its ``mixture_a``/``mixture_b`` are built on first use), and
 the cdf fit weighs whole batches of candidates on one plan
@@ -51,25 +52,33 @@ CDF_RANGE_TOL = 1e-10
 class _CellPlan:
     """Kappa-free plan of the products of one integer cell.
 
-    One plan per ``(mu, m)`` of each link and per kappa-zero collapse
+    One plan per ``(mu, m)`` of each link, per kappa-zero collapse
     pattern (a link with ``kappa <= KAPPA_ZERO_TOL`` is the single term
-    Gamma(mu)).  Pair ``p`` is term ``p // n_b`` of link a's layout and
-    term ``p % n_b`` of link b's, in layout order.  A pair's scale
-    product is fixed by the two terms' scale choices (unit or boosted),
-    and pairs of one choice share a ``theta`` of ``pairs``, the key of
-    the engine's row plans.  A parameter set only re-weights the plan.
+    Gamma(mu)) and per tie.  Pair ``p`` is term ``p // n_b`` of link a's
+    layout and term ``p % n_b`` of link b's, in layout order.  A pair's
+    scale product is fixed by the two terms' scale choices (unit or
+    boosted), and pairs of one choice share a ``theta`` of ``pairs``,
+    the key of the engine's row plans.  A ``tied`` plan serves parameter
+    sets whose two links are equal: there unit x boosted and boosted x
+    unit are one scale product, bit for bit, and share one ``theta``.
+    A parameter set only re-weights the plan, whose arrays are
+    read-only, as every model and candidate of the cell shares them.
     """
 
-    def __init__(self, link_a, link_b):
+    def __init__(self, link_a, link_b, tied):
         self.links = link_a, link_b
         lay_a, lay_b = (_link_layout(*link) for link in self.links)
         self.ia = np.repeat(np.arange(lay_a.shapes.size), lay_b.shapes.size)
         self.ib = np.tile(np.arange(lay_b.shapes.size), lay_a.shapes.size)
         self.shapes_a, self.shapes_b = lay_a.shapes[self.ia], lay_b.shapes[self.ib]
         self.choice_a, self.choice_b = lay_a.boosted[self.ia], lay_b.boosted[self.ib]
-        self.pairs = pair_layout(self.shapes_a, self.shapes_b, np.unique(
-            2 * self.choice_a + self.choice_b, return_inverse=True)[1])
+        choice = self.choice_a + self.choice_b if tied else 2 * self.choice_a + self.choice_b
+        self.pairs = pair_layout(self.shapes_a, self.shapes_b,
+                                 np.unique(choice, return_inverse=True)[1])
         self.log_rising = np.log(self.shapes_a * self.shapes_b)
+        for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a,
+                    self.choice_b, self.pairs.first, self.log_rising):
+            arr.setflags(write=False)
 
     def weigh(self, terms_a, terms_b, targets):
         """Pair weights and log scale products of parameter sets, and their refusals.
@@ -103,9 +112,13 @@ class _CellPlan:
 
 
 @lru_cache(maxsize=1024)
-def _cell_plan(mu_a, m_a, zero_a, mu_b, m_b, zero_b):
-    """The cached :class:`_CellPlan` of one integer cell and collapse pattern."""
-    return _CellPlan((mu_a, m_a, zero_a), (mu_b, m_b, zero_b))
+def _cell_plan(mu_a, m_a, zero_a, mu_b, m_b, zero_b, tied):
+    """The cached :class:`_CellPlan` of one integer cell, collapse pattern and tie.
+
+    Callers pass ``tied`` only where it merges scale choices: the sets'
+    links are equal, with ``mu > m`` and not collapsed, so each has two.
+    """
+    return _CellPlan((mu_a, m_a, zero_a), (mu_b, m_b, zero_b), tied)
 
 
 def _link_terms_of(link, means, kappas):
@@ -171,18 +184,22 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     range-checked and clipped as there, or all ones where that model,
     or its cdf, raises a numerical or validation error.
 
-    Sets are grouped by their kappa-zero collapse pattern, and each
-    group is weighed on its cached :class:`_CellPlan` and evaluated by
-    one batched engine call.  If that call raises, its sets are
-    evaluated one by one, so that only the failing ones are refused.
+    Sets are grouped by their kappa-zero collapse pattern and tie (two
+    equal links), as a model's plan is chosen, and each group is
+    weighed on its cached :class:`_CellPlan` and evaluated by one
+    batched engine call.  If that call raises, its sets are evaluated
+    one by one, so that only the failing ones are refused.
     """
     mu_a, m_a, mu_b, m_b = cell
     out = np.ones((means_a.size, z.size))
     ok = np.zeros(means_a.size, dtype=bool)
-    patterns = 2 * (kappas_a <= KAPPA_ZERO_TOL) + (kappas_b <= KAPPA_ZERO_TOL)
-    for pattern in np.unique(patterns).tolist() if patterns.any() else [0]:
-        group = np.flatnonzero(patterns == pattern)
-        plan = _cell_plan(mu_a, m_a, pattern >= 2, mu_b, m_b, pattern % 2 == 1)
+    zero_a = kappas_a <= KAPPA_ZERO_TOL
+    groups = 2 * zero_a + (kappas_b <= KAPPA_ZERO_TOL)
+    if (mu_a, m_a) == (mu_b, m_b) and mu_a > m_a:
+        groups += 4 * ((means_a == means_b) & (kappas_a == kappas_b) & ~zero_a)
+    for key in np.unique(groups).tolist() if groups.any() else [0]:
+        group = np.flatnonzero(groups == key)
+        plan = _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
         w, lth, refusals = plan.weigh(
             _link_terms_of(plan.links[0], means_a[group], kappas_a[group]),
             _link_terms_of(plan.links[1], means_b[group], kappas_b[group]),
@@ -239,9 +256,10 @@ class ProductModel:
             raise TypeError("ProductModel expects two ShadowedParams")
         self.link_a = link_a
         self.link_b = link_b
+        zero_a = link_a.kappa <= KAPPA_ZERO_TOL
         plan = self._plan = _cell_plan(
-            link_a.mu, link_a.m, link_a.kappa <= KAPPA_ZERO_TOL,
-            link_b.mu, link_b.m, link_b.kappa <= KAPPA_ZERO_TOL)
+            link_a.mu, link_a.m, zero_a, link_b.mu, link_b.m, link_b.kappa <= KAPPA_ZERO_TOL,
+            link_a == link_b and link_a.mu > link_a.m and not zero_a)
         w, lth, (refusal,) = plan.weigh(_link_terms_at(link_a), _link_terms_at(link_b),
                                         [self.mean_power])
         if refusal is not None:

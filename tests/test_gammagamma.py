@@ -6,7 +6,7 @@ import pytest
 from scipy import special, stats
 from scipy.integrate import quad
 
-from prodfade.gammagamma import weighted_cdf_sum, weighted_pdf_sum
+from prodfade.gammagamma import pair_layout, weighted_cdf_sum, weighted_pdf_sum
 from prodfade.mixture import ShadowedParams
 from prodfade.pdist import ProductModel
 
@@ -189,10 +189,11 @@ def test_weighted_sums_reduce_to_single_term():
     p = gamma_product(3, 4, 0.8, 1.1)
     log_scale = np.array([math.log(0.8) + math.log(1.1)])
     x = np.geomspace(0.1, 20.0, 11)
-    w = np.array([1.0])
-    pdf = weighted_pdf_sum(w, np.array([3]), np.array([4]), log_scale, x)
+    w, sa, sb = np.array([1.0]), np.array([3]), np.array([4])
+    pairs = pair_layout(sa, sb, [0])
+    pdf = weighted_pdf_sum(w, sa, sb, log_scale, x, pairs)
     np.testing.assert_allclose(pdf, p.pdf(x), rtol=1e-13)
-    raw = weighted_cdf_sum(w, np.array([3]), np.array([4]), log_scale, x)
+    raw = weighted_cdf_sum(w, sa, sb, log_scale, x, pairs)
     np.testing.assert_allclose(raw, p.cdf(x), rtol=1e-11, atol=1e-15)
 
 
@@ -204,11 +205,12 @@ def test_weighted_sums_two_terms_additive():
     sa = np.array([2, 3])
     sb = np.array([1, 5])
     ls = np.array([0.0, math.log(0.5)])
-    pdf = weighted_pdf_sum(w, sa, sb, ls, x)
+    pairs = pair_layout(sa, sb, np.arange(2))
+    pdf = weighted_pdf_sum(w, sa, sb, ls, x, pairs)
     p1 = gamma_product(2, 1, 1.0, 1.0)
     p2 = gamma_product(3, 5, 1.0, 0.5)
     np.testing.assert_allclose(pdf, 0.5 * p1.pdf(x) + 0.5 * p2.pdf(x), rtol=1e-12)
-    cdf = weighted_cdf_sum(w, sa, sb, ls, x)
+    cdf = weighted_cdf_sum(w, sa, sb, ls, x, pairs)
     np.testing.assert_allclose(cdf, 0.5 * p1.cdf(x) + 0.5 * p2.cdf(x), rtol=1e-11)
 
 
@@ -274,9 +276,9 @@ def test_merged_rows_match_pair_by_pair_sum():
     assert np.unique(model._lth).size == 4
     z = np.geomspace(1e-6, 20.0, 60)
     cdf, pdf, pdf_abs = _pair_by_pair(model, z)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
     np.testing.assert_allclose(raw, cdf, rtol=0, atol=5e-14)
-    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
     assert np.all(np.abs(got - pdf) <= 3e-14 * pdf_abs)
 
 
@@ -324,7 +326,7 @@ def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
     link = ShadowedParams(1.0, kappa, mu, m)
     model = ProductModel(link, link)
     z = np.geomspace(1e-4, 10.0, 8)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
     tol = 1e-15 * model.abs_weight_sum + 2e-14
     with mpmath.workdps(40):
         for zi, got in zip(z, raw):
@@ -352,7 +354,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan(6, 2, False, 4, 1, False)
+    plan = _cell_plan(6, 2, False, 4, 1, False, False)
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
@@ -370,3 +372,27 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
                              ShadowedParams(1.0, kappas_b[i], 4, 1))
         assert np.array_equal(rows[i], model.cdf(z))
+
+
+def test_tied_sets_share_a_theta_and_give_their_models_bits():
+    # Sets whose two mu > m links are equal take the tied plan, on which
+    # unit x boosted and boosted x unit are one theta, as their models
+    # do; the other sets of the same call keep four.  Each row is its
+    # model's cdf, bit for bit, and the shared plan is read-only.
+    from prodfade.pdist import _cell_plan, product_cdf_rows
+
+    means_a, kappas_a = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.0, 0.3, 0.0])
+    means_b, kappas_b = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.0, 0.5, 0.3, 0.0])
+    z = np.geomspace(1e-5, 30.0, 37)
+    rows, ok = product_cdf_rows((6, 2, 6, 2), means_a, kappas_a, means_b, kappas_b, z)
+    assert ok.all()
+    thetas = []
+    for i in range(4):
+        model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
+                             ShadowedParams(means_b[i], kappas_b[i], 6, 2))
+        thetas.append(model._plan.pairs.first.size)
+        assert np.array_equal(rows[i], model.cdf(z))
+    assert thetas == [3, 4, 3, 1]
+    plan = _cell_plan(6, 2, False, 6, 2, False, True)
+    for arr in (plan.ia, plan.shapes_a, plan.choice_b, plan.pairs.first, plan.log_rising):
+        assert not arr.flags.writeable

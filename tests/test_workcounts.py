@@ -37,10 +37,6 @@ MODELS = {
 }
 # A link has one scale when mu <= m and two when mu > m.
 DISTINCT_THETA = {"S": 1, "M": 1, "W": 1, "L": 1, "rayleigh2": 1, "signed2": 3, "signed_x": 4}
-# Scale products of distinct scale choices are distinct thetas of the
-# model's plan, even where their values coincide: signed2's two links are
-# equal, so unit x boosted and boosted x unit are one value, two choices.
-SCALE_CHOICES = dict(DISTINCT_THETA, signed2=4)
 # Highest Bessel order + 1: the cdf of kernel (m, m_hat) reaches order m_hat,
 # the pdf order |m - m_hat|.
 RUNGS = {("L", "cdf"): 31, ("L", "pdf"): 30, ("W", "cdf"): 21, ("S", "cdf"): 5}
@@ -69,9 +65,11 @@ def climbs(monkeypatch):
 def test_one_argument_row_per_distinct_theta(climbs, name, kind):
     model = ProductModel(*MODELS[name])
     assert np.unique(model._lth).size == DISTINCT_THETA[name]
-    assert model._plan.pairs.first.size == SCALE_CHOICES[name]
+    # signed2's equal links make unit x boosted and boosted x unit one
+    # theta of its plan
+    assert model._plan.pairs.first.size == DISTINCT_THETA[name]
     getattr(model, kind)(Z)
-    assert [rows for rows, _ in climbs] == [SCALE_CHOICES[name]]
+    assert [rows for rows, _ in climbs] == [DISTINCT_THETA[name]]
     if (name, kind) in RUNGS:
         assert climbs[0][1] == RUNGS[name, kind]
 
@@ -99,8 +97,8 @@ def test_one_u_call_per_distinct_theta(u_calls, name, points):
     model = ProductModel(*MODELS[name])
     model.mgf(-np.geomspace(1e-3, 1e3, points))
     plan = gammagamma._mgf_plan(*model._plan.pairs.key)
-    assert len(u_calls) == SCALE_CHOICES[name]
-    assert [p for _, p in u_calls] == [points] * SCALE_CHOICES[name]
+    assert len(u_calls) == DISTINCT_THETA[name]
+    assert [p for _, p in u_calls] == [points] * DISTINCT_THETA[name]
     assert sum(r for r, _ in u_calls) == plan.theta.size
 
 
