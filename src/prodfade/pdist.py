@@ -15,12 +15,13 @@ moments.  The pair weights are signed whenever a factor has
 The pairs depend on the integer cell alone.  Each cell, and each
 pattern of kappa-zero collapses (a link with ``kappa <= KAPPA_ZERO_TOL``
 is one Gamma term), has a cached plan: the pairs in the links' layout
-order, each pair's scale choice, and the key of the engine's merged row
-plans.  Two equal links share a tied plan, on which unit x boosted and
-boosted x unit pairs share one scale product.  A parameter set only re-weights the plan, with the links'
-long-double weight formula, so a :class:`ProductModel` builds no mixture
-objects (its ``mixture_a``/``mixture_b`` are built on first use), and
-the cdf fit weighs whole batches of candidates on one plan
+order (reversed for a ``mu > m`` link), each pair's scale choice, and
+the key of the engine's merged row plans.  Two equal links share a tied
+plan, on which unit x boosted and boosted x unit pairs share one scale
+product.  A parameter set only re-weights the plan, with the links'
+long-double weight formula, so a :class:`ProductModel` builds no
+mixture objects (its ``mixture_a``/``mixture_b`` are built on first
+use), and the cdf fit weighs whole batches of candidates on one plan
 (:func:`product_cdf_rows`).
 
 Also provided is the envelope-domain view ``R = c sqrt(Z)`` used when
@@ -54,13 +55,14 @@ class _CellPlan:
 
     One plan per ``(mu, m)`` of each link, per kappa-zero collapse
     pattern (a link with ``kappa <= KAPPA_ZERO_TOL`` is the single term
-    Gamma(mu)) and per tie.  Pair ``p`` is term ``p // n_b`` of link a's
-    layout and term ``p % n_b`` of link b's, in layout order.  A pair's
-    scale product is fixed by the two terms' scale choices (unit or
-    boosted), and pairs of one choice share a ``theta`` of ``pairs``,
-    the key of the engine's row plans.  A ``tied`` plan serves parameter
-    sets whose two links are equal: there unit x boosted and boosted x
-    unit are one scale product, bit for bit, and share one ``theta``.
+    Gamma(mu)) and per tie.  Pair ``p`` is term ``p // n_b`` of link a
+    and term ``p % n_b`` of link b, each link's terms in layout order, or
+    reversed where ``mu > m``.  A pair's scale product is fixed by the
+    two terms' scale choices (unit or boosted), and pairs of one choice
+    share a ``theta`` of ``pairs``, the key of the engine's row plans.  A
+    ``tied`` plan serves parameter sets whose two links are equal: there
+    unit x boosted and boosted x unit are one scale product, bit for
+    bit, and share one ``theta``.
     A parameter set only re-weights the plan, whose arrays are
     read-only, as every model and candidate of the cell shares them.
     """
@@ -68,8 +70,13 @@ class _CellPlan:
     def __init__(self, link_a, link_b, tied):
         self.links = link_a, link_b
         lay_a, lay_b = (_link_layout(*link) for link in self.links)
-        self.ia = np.repeat(np.arange(lay_a.shapes.size), lay_b.shapes.size)
-        self.ib = np.tile(np.arange(lay_b.shapes.size), lay_a.shapes.size)
+        # a mu > m link's terms in reverse layout order, in which its
+        # weights fall in magnitude (strictly at small kappa): the signed
+        # sums then add dominant terms first, as the mixtures' order did
+        term_a, term_b = (np.arange(lay.shapes.size)[::-1 if mu > m else 1]
+                          for (mu, m, _), lay in zip(self.links, (lay_a, lay_b)))
+        self.ia = np.repeat(term_a, term_b.size)
+        self.ib = np.tile(term_b, term_a.size)
         self.shapes_a, self.shapes_b = lay_a.shapes[self.ia], lay_b.shapes[self.ib]
         self.choice_a, self.choice_b = lay_a.boosted[self.ia], lay_b.boosted[self.ib]
         choice = self.choice_a + self.choice_b if tied else 2 * self.choice_a + self.choice_b
@@ -232,9 +239,10 @@ class ProductModel:
     """Product of two independent squared kappa-mu shadowed channels.
 
     The pairs and their engine plans come from the cached
-    :class:`_CellPlan` of the links' integer cell, in layout order, and
-    the parameters only weigh them; the fits weigh whole batches of
-    parameter sets on the same plans (:func:`product_cdf_rows`).
+    :class:`_CellPlan` of the links' integer cell, in a fixed order, and
+    the parameters only weigh them; the fits weigh whole
+    batches of parameter sets on the same plans
+    (:func:`product_cdf_rows`).
 
     Parameters
     ----------
