@@ -232,9 +232,9 @@ def thin_empirical(empirical, max_points, min_cdf=None):
     the result carries the same sample count and mean.
     """
     x, f_emp = _admissible(empirical, min_cdf)
-    max_points = int(max_points)
+    max_points = _as_int("max_points", max_points)
     if max_points < 2:
-        raise ValueError("max_points must be >= 2")
+        raise ValueError("max_points must be >= 2, got %d" % max_points)
     if x.size > max_points:
         logf = np.log10(f_emp)
         targets = np.linspace(logf[0], logf[-1], max_points)

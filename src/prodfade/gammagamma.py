@@ -44,9 +44,8 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import special
 
-from .specfun import log_bessel_k_ladder
+from .specfun import log_bessel_k_ladder, special
 
 __all__ = ["pair_layout", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
 

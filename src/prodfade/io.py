@@ -18,6 +18,7 @@ owning type's (the ``gg`` schema).
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -50,7 +51,8 @@ def parse_grid(text):
     """Evaluation grid from ``start:stop:points`` or ``start:stop:points:log``.
 
     Linear grids are inclusive of both endpoints; log grids are
-    geometric between two positive endpoints.
+    geometric between two positive endpoints.  Both endpoints must be
+    finite.
     """
     parts = str(text).split(":")
     if len(parts) not in (3, 4):
@@ -60,6 +62,8 @@ def parse_grid(text):
         points = int(parts[2])
     except ValueError:
         raise ValueError("grid fields must be numeric, got %r" % (text,)) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid endpoints must be finite, got %r" % (text,))
     if points < 1:
         raise ValueError("grid needs at least one point")
     if len(parts) == 4:

@@ -31,7 +31,8 @@ from functools import lru_cache
 from operator import index as _as_index
 
 import numpy as np
-from scipy import special
+
+from .specfun import special
 
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 

@@ -23,10 +23,10 @@ to 30 and ``x`` from 1e-6 to 1e4 its median error is a third of an ulp.
 """
 
 import math
+import types
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "MAX_BESSEL_ORDER",
@@ -46,6 +46,32 @@ MAX_BESSEL_ORDER = 256
 # (cells x nodes) work arrays, 0.8 MB at this cap: a 100k cap raised a
 # process's peak RSS by 1.7 MB over L's cdf and pdf, and ran 6% faster.
 _U_BLOCK_BUDGET = 25_000
+
+
+def _load_special(name):
+    """Fill :data:`special` from ``scipy.special`` and look ``name`` up.
+
+    Runs once: it removes itself, so that later lookups are plain module
+    attribute reads, as fast as in ``scipy.special``.  A name already
+    set on :data:`special` (a test's stand-in) is kept.  Dunder lookups
+    (``repr``, introspection) do not import scipy.
+    """
+    if name.startswith("__"):
+        raise AttributeError(name)
+    from scipy import special as scipy_special
+    del special.__getattr__
+    for key, value in vars(scipy_special).items():
+        if not key.startswith("__"):
+            special.__dict__.setdefault(key, value)
+    return getattr(special, name)
+
+
+#: ``scipy.special``, imported on the first lookup of one of its names:
+#: that import is about half of the command line's start-up, and
+#: ``sample`` and ``match-kappa`` never evaluate a special function.
+#: Callers write ``special.<name>`` as with scipy's.
+special = types.ModuleType("prodfade.specfun.special")
+special.__getattr__ = _load_special
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
 # factorial; (171-1)! is the last factorial representable as a double.

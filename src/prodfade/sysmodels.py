@@ -23,10 +23,10 @@ worth reproducing.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int, _non_negative, _points, _positive
 from .pdist import ProductModel
+from .specfun import special
 
 __all__ = [
     "WpcConfig",

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -91,3 +92,30 @@ def test_only_the_helper_shapes_evaluator_results():
         text = path.read_text().replace(helper, "")
         for phrase in ("ndim == 0", "if scalar else"):
             assert phrase not in text, "%s: %r" % (path.name, phrase)
+
+
+def _module_level(body):
+    """The statements run on import: function and class bodies left out."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_level(getattr(node, field, []))
+
+
+def test_no_module_imports_scipy_on_import():
+    # scipy.special, .optimize and .integrate are imported by their first
+    # call, so that a command that needs none of them loads no scipy.
+    eager = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                eager.append("%s:%d" % (path.name, node.lineno))
+    assert not eager

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -44,9 +45,28 @@ def test_parse_grid_forms():
         pio.parse_grid("0.01:100:5:log"), np.geomspace(0.01, 100.0, 5), rtol=1e-15
     )
     assert pio.parse_grid("3:3:1").tolist() == [3.0]
-    for bad in ("1:5", "a:5:3", "1:5:0", "1:5:4:cubic", "-1:5:3:log"):
+    for bad in ("1:5", "a:5:3", "1:5:0", "1:5:4:cubic", "-1:5:3:log",
+                "1:inf:3", "-inf:1:3", "nan:1:3:log", "1:nan:3:log"):
         with pytest.raises(ValueError):
             pio.parse_grid(bad)
+
+
+@pytest.mark.parametrize("command,grid", [("eval", "1:inf:3"), ("wpc", "nan:1:3:log")])
+def test_non_finite_grid_is_a_validation_error(tmp_path, capsys, command, grid):
+    # NaN passes the positivity check of a log grid, and an infinite
+    # linear grid is NaN from numpy's multiply.
+    if command == "eval":
+        args = ["eval", "--dist", "kms", "--params", dump(tmp_path / "p.json", KMS)]
+    else:
+        args = ["wpc", "--config", dump(tmp_path / "w.json", {
+            "tx_power_over_noise": 1e5, "pb_antennas": 2, "rician_k": 5.0})]
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args + ["--grid", grid, "--out", str(out)]) == 2
+    assert not caught
+    assert "grid endpoints must be finite, got %r" % grid in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_format_float_roundtrips():
@@ -582,6 +602,64 @@ def test_non_fit_commands_leave_lazy_scipy_out(tmp_path):
     report = [line for line in _fresh_interpreter(code, cwd=tmp_path).splitlines()
               if line.startswith("after ")]
     assert report == ["after %s []" % args[0] for args in commands]
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+@pytest.mark.parametrize("module", ["prodfade", "prodfade.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy.special is imported by the first special-function call, and
+    # not by a repr of the library's stand-in for it.
+    code = "import sys, %s, prodfade.specfun; repr(prodfade.specfun.special); print(%s)" % (
+        module, SCIPY_LOADED)
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_sample_and_match_kappa_load_no_scipy(tmp_path):
+    # Drawing the channels and solving the tail match need no special
+    # function, so these commands never import scipy.
+    dump(tmp_path / "p.json", PROD)
+    dump(tmp_path / "k.json", KMS)
+    dump(tmp_path / "g.json", GG)
+    commands = [
+        ["sample", "--dist", dist, "--params", path, "--n", "50", "--seed", "1",
+         "--out", dist + ".csv"]
+        for dist, path in (("prod", "p.json"), ("kms", "k.json"), ("gg", "g.json"))
+    ] + [["match-kappa", "--K", "1e-6", "--mu", "1", "--m", "15", "--out", "kappa.json"]]
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "for args in %r:\n"
+            "    assert main(args) == 0, args\n"
+            "    print('after', args[0], %s)\n" % (commands, SCIPY_LOADED))
+    report = [line for line in _fresh_interpreter(code, cwd=tmp_path).splitlines()
+              if line.startswith("after ")]
+    assert report == ["after %s []" % args[0] for args in commands]
+
+
+@pytest.mark.parametrize("command", ["eval", "wpc", "backscatter", "fit-cdf"])
+def test_kernel_commands_load_scipy_special(tmp_path, command):
+    dump(tmp_path / "p.json", PROD)
+    args = {
+        "eval": ["eval", "--dist", "prod", "--params", "p.json", "--grid", "0.01:2:5"],
+        "wpc": ["wpc", "--config", dump(tmp_path / "w.json", {
+            "tx_power_over_noise": 1e5, "pb_antennas": 2, "rician_k": 5.0}),
+            "--grid", "40:60:3"],
+        "backscatter": ["backscatter", "--config", dump(tmp_path / "b.json", {
+            "mean_rx_power": 1e-3, "forward": PROD["link_a"], "reverse": PROD["link_a"]}),
+            "--grid=-60:-40:3"],
+        "fit-cdf": ["fit-cdf", "--data", "d.csv", "--mu", "1", "--m", "2", "--m-hat", "2",
+                    "--starts", "1", "--max-points", "40"],
+    }[command] + ["--out", "o.out"]
+    if command == "fit-cdf":
+        link = ShadowedParams(1.0, 1.0, 1, 2)
+        draws = ProductModel(link, link).sample(np.random.default_rng(5), 300)
+        pio.write_csv(tmp_path / "d.csv", ["sample"], [draws])
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "print('scipy.special' in sys.modules)\n"
+            "assert main(%r) == 0\n"
+            "print('scipy.special' in sys.modules)\n" % (args,))
+    report = _fresh_interpreter(code, cwd=tmp_path).splitlines()
+    assert (report[0], report[-1]) == ("False", "True")
 
 
 def test_fit_cdf_leaves_scipy_optimize_out(tmp_path):

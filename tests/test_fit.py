@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,8 +126,11 @@ def test_thinning_keeps_endpoints_and_error():
     assert thin.meta["thinned"] is True
     # A uniform log shift is invariant under any point selection.
     np.testing.assert_allclose(ks_error(thin, model), 0.1, atol=1e-9)
-    with pytest.raises(ValueError):
-        thin_empirical(shifted, 1)
+    # A fractional count is refused, not truncated; inf and NaN are
+    # validation failures, not an OverflowError or int()'s own message.
+    for bad in (1, 0, 2.9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_points must be"):
+            thin_empirical(shifted, bad)
 
 
 def test_histogram_pdf_from_samples():
