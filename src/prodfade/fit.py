@@ -409,8 +409,10 @@ def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
     point is clipped, the run stops when the simplex is within
     ``xatol`` and its values within ``fatol`` of the best vertex, and a
     call past ``maxfev`` is refused, abandoning the step that asked for
-    it.  Vertices are ordered with ``np.argsort``, as scipy does, so
-    ties fall the same way.
+    it.  Vertices are ordered as scipy orders them, by ``np.argsort``:
+    ``sorted`` gives the same order, and so stands in for it, when the
+    values are distinct and not NaN; otherwise ``np.argsort`` does, as
+    it breaks ties its own way, not as a stable sort would.
     """
     n = len(x0)
     bounds = list(zip(lower, upper))
@@ -429,7 +431,10 @@ def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
     nfev = 0
 
     def ordered():
-        order = np.argsort(fsim)
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        # written so that NaN takes np.argsort too
+        if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+            order = np.argsort(fsim).tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     for k in range(n + 1):
@@ -508,20 +513,21 @@ def minimize(fun, x0s, bounds, xatol, fatol=1e-7, maxfev=600):
     runs = [_nelder_mead([float(v) for v in x0], lower, upper, xatol, fatol, maxfev)
             for x0 in x0s]
     results = [None] * len(runs)
-    pending = {}
+    live, points = [], []     # the runs that wait for a value, and their points
 
     def advance(i, value):
         try:
-            pending[i] = runs[i].send(value)
+            points.append(runs[i].send(value))
+            live.append(i)
         except StopIteration as stop:
             results[i] = stop.value
 
     for i in range(len(runs)):
         advance(i, None)
-    while pending:
-        live = list(pending)
-        values = fun(np.array([pending.pop(i) for i in live], dtype=float))
-        for i, value in zip(live, values):
+    while live:
+        round_runs, round_points = live, points
+        live, points = [], []
+        for i, value in zip(round_runs, fun(np.array(round_points, dtype=float))):
             advance(i, float(value))
     return results
 
@@ -687,9 +693,10 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
         def unpack(thetas):
             """Kappas and levels, one array each, of the rows of ``thetas``."""
             held = np.zeros(len(thetas))
+            levels = (np.full(len(thetas), level(None)) if tail is None
+                      else np.array([level(t) for t in thetas[:, -1].tolist()]))
             return (held if ia is None else thetas[:, ia], held if ib is None else thetas[:, ib],
-                    np.array([level(t) for t in (thetas[:, -1] if tail is not None
-                                                 else [None] * len(thetas))]))
+                    levels)
 
         def evaluate(thetas):
             """``(r, norm(r))`` at the rows of ``thetas`` (``norm`` may
@@ -699,7 +706,8 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
             r, ok = residuals(*unpack(thetas))
             values = norm(r)
             failed = ~(ok & np.isfinite(values))
-            r[failed] = values[failed] = _OBJ_FAILURE
+            if failed.any():
+                r[failed] = values[failed] = _OBJ_FAILURE
             return r, values
 
         if n_kappa == 0 and tail is None:

@@ -66,10 +66,13 @@ _PLAN_CACHE = 1024
 # ``r`` is the kernel with log scale ``theta[r]`` (an index into the
 # distinct log scales), Bessel order ``order[r]``, coefficient
 # ``log_coef[r]`` and exponent ``expo[r]`` (the last two as columns);
+# ``rung[r]`` is its ``(order, theta)`` cell in a ladder's rungs, flat;
 # ``max_order`` is the highest order of any row, and ``width`` the cells
 # a block holds per point: rows, or kept ladder rungs if more.
+# ``merge_at`` holds the bincount index of a batch of parameter sets,
+# per batch size, made on first use.
 _BesselPlan = namedtuple("_BesselPlan",
-                         "source merge theta order log_coef expo max_order width")
+                         "source merge theta order rung log_coef expo max_order width merge_at")
 
 # Pairs of a product in a kappa-free form: ``key`` holds the int64 bytes
 # of each pair's two shapes and theta index, the row plans' cache key,
@@ -80,7 +83,7 @@ Pairs = namedtuple("Pairs", "key first")
 # row ``r`` is ``y^a U(a, b, y)`` at ``y = -1 / (s theta)``, with
 # ``a[r]``, ``b[r]`` and the log scale ``theta[r]``; ``by_theta[t]``
 # lists the rows of distinct scale ``t``, and ``width`` is the row count.
-_UPlan = namedtuple("_UPlan", "source merge theta a b by_theta width")
+_UPlan = namedtuple("_UPlan", "source merge theta a b by_theta width merge_at")
 
 
 def _merge_rows(theta, a, b):
@@ -103,8 +106,8 @@ def _bessel_plan(source, merge, theta, order, log_coef, expo):
     """Plan of merged Bessel rows, the columns given per merged row."""
     max_order = int(order.max())
     n_theta = int(theta.max()) + 1
-    return _BesselPlan(source, merge, theta, order, log_coef[:, None], expo[:, None],
-                       max_order, max(theta.size, (max_order + 1) * n_theta))
+    return _BesselPlan(source, merge, theta, order, order * n_theta + theta, log_coef[:, None],
+                       expo[:, None], max_order, max(theta.size, (max_order + 1) * n_theta), {})
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
@@ -157,7 +160,8 @@ def _mgf_plan(shapes_a, shapes_b, theta_of_pair):
     merge, first = _merge_rows(theta, a, b)
     theta = theta[first]
     by_theta = tuple(np.flatnonzero(theta == t) for t in range(int(theta.max()) + 1))
-    return _UPlan(np.arange(merge.size), merge, theta, a[first], b[first], by_theta, first.size)
+    return _UPlan(np.arange(merge.size), merge, theta, a[first], b[first], by_theta, first.size,
+                  {})
 
 
 def pair_layout(shapes_a, shapes_b, theta_of_pair):
@@ -209,7 +213,9 @@ def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
     """
     sets, rows_per_set = weights.shape[0], plan.theta.size
     w = weights[:, plan.source]
-    at = (np.arange(sets)[:, None] * rows_per_set + plan.merge).ravel()
+    at = plan.merge_at.get(sets)
+    if at is None:
+        at = plan.merge_at[sets] = (np.arange(sets)[:, None] * rows_per_set + plan.merge).ravel()
     if dtype is float:
         wt = np.bincount(at, weights=w.ravel(), minlength=sets * rows_per_set)
     else:
@@ -253,7 +259,7 @@ def _bessel_rows(plan, log_thetas, x, shift=False):
     lt = lu[:, plan.theta]
     lt *= plan.expo
     lt += plan.log_coef
-    lt += rungs[:, plan.order, plan.theta]
+    lt += rungs.reshape(lu.shape[0], -1, x.size).take(plan.rung, axis=1)
     if shift:
         lt -= log_thetas[:, plan.theta, None]
     return np.exp(lt, out=lt)

@@ -19,7 +19,10 @@ owning type's (the ``gg`` schema).
 import csv
 import json
 import math
+import re
 from datetime import datetime, timezone
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -118,6 +121,13 @@ def write_manifest(data_path, command, config, seed=None):
     return manifest_path
 
 
+#: A row whose fields hold nothing but whitespace, each quoted or not.
+_BLANK_ROW = re.compile(r'(?:"\s*")?\s*(?:,(?:"\s*")?\s*)*')
+
+#: The reader's headers, each the names of the fields of a data row it parses.
+_LAYOUTS = (("sample",), ("x", "cdf"), ("x", "pdf"))
+
+
 def _data_rows(reader):
     """Rows of ``reader`` with a non-blank field.
 
@@ -128,41 +138,93 @@ def _data_rows(reader):
     return (row for row in reader if row and (row[0].strip() or any(f.strip() for f in row)))
 
 
-def _float_column(fields):
-    """``fields`` parsed as floats into an array; None if one is not a number."""
-    try:
-        return np.fromiter(map(float, fields), dtype=float)
-    except ValueError:
-        return None
+def _parse_number(path, line_no, field, text):
+    """``text`` as a float, read as the C parser of :func:`np.loadtxt` reads it.
 
-
-def _parse_float(path, line_no, field, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise IngestionError(
-            "%s line %d: field %r is not a number: %r" % (path, line_no, field, text)
-        ) from None
-
-
-def _raise_first_bad_row(path, names, exact):
-    """Read ``path`` again and raise the IngestionError of its first bad data row.
-
-    The fields of each data row are parsed in order as ``names``; with
-    ``exact``, a row must also have exactly ``len(names)`` fields.  Line
-    numbers are those of the file, blank lines included.
+    Surrounding whitespace is allowed; the number itself must be ASCII
+    without ``_`` separators, which ``float`` alone would accept.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    number = text.strip()
+    if number.isascii() and "_" not in number:
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise IngestionError("%s line %d: field %r is not a number: %r" % (path, line_no, field, text))
+
+
+def _raise_first_bad_row(path, text, names, reason):
+    """Raise the IngestionError of the first data row of ``text`` that does not parse.
+
+    ``text`` is the file's text with its line ends made LF.  The fields
+    of each data row are parsed in order as ``names``; with two names, a
+    row must have exactly two fields.  Line numbers are those of the
+    file, blank lines included.  A row that the csv module cannot split
+    is named with its error; if every row parses, ``reason``, the
+    bulk parser's complaint, names the file alone.
+    """
+    reader = csv.reader(StringIO(text))
+    try:
         rows = _data_rows(reader)
-        next(rows)
+        next(rows, None)   # the header
         for row in rows:
-            if exact and len(row) != len(names):
+            if len(names) > 1 and len(row) != len(names):
                 raise IngestionError("%s line %d: expected %d fields, got %d"
                                      % (path, reader.line_num, len(names), len(row)))
-            for name, text in zip(names, row):
-                _parse_float(path, reader.line_num, name, text)
-    raise IngestionError("%s: a data row that did not parse parsed when read again" % (path,))
+            for name, field in zip(names, row):
+                _parse_number(path, reader.line_num, name, field)
+    except csv.Error as exc:
+        raise IngestionError("%s line %d: %s" % (path, reader.line_num, exc)) from None
+    raise IngestionError("%s: %s" % (path, reason))
+
+
+def _header(path, fh):
+    """Header fields of the open file ``fh``, the number of its line, and
+    whether a non-blank row follows it.
+
+    One byte-order mark at the start of the file is dropped, and blank
+    rows are skipped; the fields are stripped and lower-cased.
+    """
+    lines = enumerate(chain([fh.readline().removeprefix("\ufeff")], fh), 1)
+    rows = ((n, line) for n, line in lines if not _BLANK_ROW.fullmatch(line))
+    n, line = next(rows, (0, None))
+    if line is None:
+        return [], n, False
+    try:
+        header = [h.strip().lower() for h in next(csv.reader([line]))]
+    except csv.Error as exc:
+        raise IngestionError("%s line %d: %s" % (path, n, exc)) from None
+    return header, n, next(rows, None) is not None
+
+
+def _parse_rows(source, names, skip=0):
+    """The data rows of ``source``, a path or a list of lines, as floats.
+
+    One call of numpy's C text reader: ``sample`` rows give their first
+    field (a 1-d array), curve rows their two fields (a (rows, 2)
+    array).  Raises ``ValueError`` where a row does not parse, which an
+    undecodable byte is too.
+    """
+    if len(names) == 1:
+        return np.loadtxt(source, delimiter=",", comments=None, quotechar='"',
+                          skiprows=skip, usecols=0, ndmin=1)
+    data = np.loadtxt(source, delimiter=",", comments=None, quotechar='"',
+                      skiprows=skip, ndmin=2)
+    if data.shape[1] != len(names):
+        raise ValueError("expected %d fields per row, got %d" % (len(names), data.shape[1]))
+    return data
+
+
+def _reparse(path, names):
+    """:func:`_parse_rows` of ``path`` without its blank rows, or the error of its first bad row."""
+    text = _read_text(path).removeprefix("\ufeff")
+    body = [line for line in text.split("\n") if not _BLANK_ROW.fullmatch(line)][1:]
+    if not body:
+        raise IngestionError("%s: no data rows" % (path,))
+    try:
+        return _parse_rows(body, names)
+    except ValueError as exc:
+        _raise_first_bad_row(path, text, names, exc)
 
 
 def read_empirical_csv(path):
@@ -175,57 +237,75 @@ def read_empirical_csv(path):
     * ``x,cdf`` -- distribution-function points;
     * ``x,pdf`` -- density points.
 
-    Blank and whitespace-only rows are skipped.  The rows are streamed
-    once and parsed whole; only when a field does not parse is the file
-    read again, to name the line.
+    The header is the first non-blank row, its names matched without
+    regard to case or surrounding whitespace; one byte-order mark at
+    the start of the file is dropped.  Fields are split at commas, a
+    field may be wrapped in double quotes, and a number may have
+    whitespace around it but is written in ASCII without ``_``
+    separators.  Rows whose fields are all empty or whitespace are
+    skipped, and LF, CRLF and CR line ends are all read.
+
+    The data rows are parsed in one call of numpy's C text reader; only
+    a file with blank rows is read again, and only a file with a bad row
+    is scanned row by row, to name the first bad line.  Every failure to
+    read or parse the file, an undecodable byte included, raises
+    :class:`~prodfade.errors.IngestionError`.
     """
     try:
-        with open(path, newline="") as fh:
-            return _read_empirical(path, _data_rows(csv.reader(fh)))
+        with open(path) as fh:
+            header, skip, more = _header(path, fh)
+        if not header:
+            raise IngestionError("%s: empty file" % (path,))
+        if not more:
+            raise IngestionError("%s: no data rows" % (path,))
+        names = tuple(header)
+        if names not in _LAYOUTS:
+            raise IngestionError(
+                "%s: unrecognized header %r; expected 'sample', 'x,cdf' or 'x,pdf'"
+                % (path, ",".join(header)))
+        try:
+            data = _parse_rows(path, names, skip)
+        except ValueError:   # a blank row, a bad row or an undecodable byte
+            data = _reparse(path, names)
     except OSError as exc:
         raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    if len(names) == 1:
+        return empirical_from_samples(data)
+    xs, vals = data.T.copy()
+    return EmpiricalDistribution(names[1], xs, vals)
 
 
-def _read_empirical(path, rows):
-    header = [h.strip().lower() for h in next(rows, ())]
-    if not header:
-        raise IngestionError("%s: empty file" % (path,))
+def _read_text(path):
+    """The text of ``path`` in the default encoding, its line ends made LF."""
+    with open(path) as fh:
+        return fh.read()
 
-    if header == ["sample"]:
-        samples = _float_column(row[0] for row in rows)
-        if samples is None:
-            _raise_first_bad_row(path, ("sample",), exact=False)
-        if samples.size == 0:
-            raise IngestionError("%s: no data rows" % (path,))
-        return empirical_from_samples(samples)
 
-    if header in (["x", "cdf"], ["x", "pdf"]):
-        kind = header[1]
-        body = list(rows)
-        if not body:
-            raise IngestionError("%s: no data rows" % (path,))
-        xs = vals = None
-        if all(len(row) == 2 for row in body):
-            xs = _float_column(row[0] for row in body)
-            vals = _float_column(row[1] for row in body)
-        if xs is None or vals is None:
-            _raise_first_bad_row(path, ("x", kind), exact=True)
-        return EmpiricalDistribution(kind, xs, vals)
-
-    if next(rows, None) is None:
-        raise IngestionError("%s: no data rows" % (path,))
-    raise IngestionError(
-        "%s: unrecognized header %r; expected 'sample', 'x,cdf' or 'x,pdf'"
-        % (path, ",".join(header))
-    )
+def _undecodable(path, exc):
+    """IngestionError for ``path``, whose text ``exc`` could not decode,
+    naming the line of its first bad byte."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        head = data[:whole.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return IngestionError("cannot decode %s line %d: %s" % (path, line, whole))
+    except OSError:
+        pass
+    return IngestionError("cannot decode %s: %s" % (path, exc))
 
 
 def _load_json(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(_read_text(path))
     except OSError as exc:
         raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     except json.JSONDecodeError as exc:
         raise IngestionError("%s: malformed JSON: %s" % (path, exc)) from exc
 

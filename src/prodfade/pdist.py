@@ -92,22 +92,33 @@ class _CellPlan:
 
         ``terms_a`` and ``terms_b`` are the two links' terms at the sets,
         as :func:`_link_terms_of` returns them, and ``targets`` the
-        product of the sets' two mean powers.  Returns the weights and
-        log scale products (sets x pairs) and, per set, ``None`` or the
-        exception that refuses it, as building its model would: a link's
-        own refusal, or a closed-form mean that overflows or leaves
-        1e-12 relative of its target.
+        products of the sets' two mean powers, a list.  Returns the
+        weights and log scale products (sets x pairs) and, per set,
+        ``None`` or the exception that refuses it, as building its model
+        would: a link's own refusal, or a closed-form mean that overflows
+        or leaves 1e-12 relative of its target.  The means are summed
+        set by set (``math.fsum``); the refusals are formed only when a
+        set fails a check.
         """
         (w_a, log_a, refused_a), (w_b, log_b, refused_b) = terms_a, terms_b
         w = w_a[:, self.ia] * w_b[:, self.ib]
         lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
         lt = lth + self.log_rising
-        overflow = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
-        lt[overflow] = 0.0
+        none = [None] * len(targets)
+        overflow = none
+        if np.fmax.reduce(lt, axis=None, initial=-math.inf) > _LOG_DBL_MAX:
+            rows_over = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
+            lt[rows_over] = 0.0
+            overflow = rows_over.tolist()
         means = [math.fsum(row) for row in (w * np.exp(lt)).tolist()]
+        # written so that NaN fails the check too
+        if (refused_a is None and refused_b is None and not any(overflow)
+                and all(abs(mean - target) <= 1e-12 * target
+                        for mean, target in zip(means, targets))):
+            return w, lth, none
         refusals = []
-        for mean, target, over, ref_a, ref_b in zip(means, targets, overflow.tolist(),
-                                                    refused_a, refused_b):
+        for mean, target, over, ref_a, ref_b in zip(means, targets, overflow,
+                                                    refused_a or none, refused_b or none):
             refusal = ref_a or ref_b
             if refusal is None and over:
                 refusal = OverflowError("moment of order 1 overflows double precision")
@@ -133,21 +144,30 @@ def _link_terms_of(link, means, kappas):
 
     ``means`` and ``kappas`` are float arrays, a set per element.
     Returns the double weights (sets x terms, layout order), the logs of
-    the ``(unit, boosted)`` scales (sets x 2) and, per set, ``None`` or
-    the ``ValueError`` that refuses it, as :class:`ShadowedParams` or
+    the ``(unit, boosted)`` scales (sets x 2) and the refusals: None
+    when every set passes, otherwise, per set, ``None`` or the
+    ``ValueError`` that refuses it, as :class:`ShadowedParams` or
     :class:`~prodfade.mixture.GammaMixture` would: the parameters are
     out of range, a term's scale is not > 0, or the weights miss one by
-    more than ``WEIGHT_SUM_TOL``.
+    more than ``WEIGHT_SUM_TOL``.  The weights are summed set by set
+    (``math.fsum``); the refusals are formed only when a set fails a
+    check.
     """
     mu, m, zero = link
     layout = _link_layout(*link)
     w, scales = _link_terms(layout, mu, m, means, np.zeros_like(kappas) if zero else kappas)
     w = w.astype(float)
-    # written so that NaN fails the check too
+    rows, means, kappas = w.tolist(), means.tolist(), kappas.tolist()
+    devs = [abs(math.fsum(row) - 1.0) for row in rows]
+    # written so that NaN fails the checks too; a set passes them all
+    # when both of its scales are > 0, used by its terms or not
+    if (scales.min(initial=math.inf) > 0.0 and all(0.0 < v < math.inf for v in means)
+            and all(0.0 <= v < math.inf for v in kappas)
+            and all(dev <= WEIGHT_SUM_TOL for dev in devs)):
+        return w, np.log(scales), None
     scales_ok = (scales[:, layout.boosted] > 0.0).all(axis=1).tolist()
     refusals = []
-    for mean, kappa, ok, row in zip(means.tolist(), kappas.tolist(), scales_ok, w.tolist()):
-        dev = abs(math.fsum(row) - 1.0)
+    for mean, kappa, ok, dev in zip(means, kappas, scales_ok, devs):
         if not (math.isfinite(mean) and mean > 0.0 and math.isfinite(kappa) and kappa >= 0.0):
             refusals.append(ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0"
                                        % (mean, kappa)))
@@ -180,6 +200,41 @@ def _cdf_in_range(raw):
             & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
 
 
+def _plan_cdf_rows(plan, means_a, kappas_a, means_b, kappas_b, z):
+    """:func:`product_cdf_rows` of parameter sets that all take ``plan``.
+
+    The sets that pass :meth:`_CellPlan.weigh` are evaluated by one
+    batched engine call, or, if that call raises, one by one.
+    """
+    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
+                                  _link_terms_of(plan.links[1], means_b, kappas_b),
+                                  (means_a * means_b).tolist())
+    weighed = None
+    if refusals.count(None) < len(refusals):
+        weighed = np.flatnonzero([r is None for r in refusals])
+        w, lth = w[weighed], lth[weighed]
+    try:
+        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
+        keep = _cdf_in_range(raw)
+    except (ArithmeticError, ValueError):
+        raw, keep = np.ones((w.shape[0], z.size)), np.zeros(w.shape[0], dtype=bool)
+        for i in range(w.shape[0]):
+            try:
+                one = weighted_cdf_sum(w[i:i + 1], plan.shapes_a, plan.shapes_b, lth[i:i + 1],
+                                       z, plan.pairs)
+            except (ArithmeticError, ValueError):
+                continue
+            raw[i], keep[i] = one[0], _cdf_in_range(one)[0]
+    np.clip(raw, 0.0, 1.0, out=raw)
+    if not keep.all():
+        raw[~keep] = 1.0
+    if weighed is None:
+        return raw, keep
+    out, ok = np.ones((len(refusals), z.size)), np.zeros(len(refusals), dtype=bool)
+    out[weighed], ok[weighed] = raw, keep
+    return out, ok
+
+
 def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     """Distribution functions of many products of one integer cell.
 
@@ -195,43 +250,27 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     equal links), as a model's plan is chosen, and each group is
     weighed on its cached :class:`_CellPlan` and evaluated by one
     batched engine call.  If that call raises, its sets are evaluated
-    one by one, so that only the failing ones are refused.
+    one by one, so that only the failing ones are refused.  When every
+    set falls in one group, as in most rounds of a fit, the sets are
+    weighed and evaluated whole, with no grouping index.
     """
     mu_a, m_a, mu_b, m_b = cell
-    out = np.ones((means_a.size, z.size))
-    ok = np.zeros(means_a.size, dtype=bool)
     zero_a = kappas_a <= KAPPA_ZERO_TOL
     groups = 2 * zero_a + (kappas_b <= KAPPA_ZERO_TOL)
     if (mu_a, m_a) == (mu_b, m_b) and mu_a > m_a:
         groups += 4 * ((means_a == means_b) & (kappas_a == kappas_b) & ~zero_a)
-    for key in np.unique(groups).tolist() if groups.any() else [0]:
+
+    def plan(key):
+        return _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
+
+    if groups.size and groups.min() == groups.max():
+        return _plan_cdf_rows(plan(int(groups[0])), means_a, kappas_a, means_b, kappas_b, z)
+    out = np.ones((means_a.size, z.size))
+    ok = np.zeros(means_a.size, dtype=bool)
+    for key in np.unique(groups).tolist():
         group = np.flatnonzero(groups == key)
-        plan = _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
-        w, lth, refusals = plan.weigh(
-            _link_terms_of(plan.links[0], means_a[group], kappas_a[group]),
-            _link_terms_of(plan.links[1], means_b[group], kappas_b[group]),
-            [a * b for a, b in zip(means_a[group].tolist(), means_b[group].tolist())])
-        if refusals.count(None) < group.size:
-            weighed = np.array([r is None for r in refusals])
-            group, w, lth = group[weighed], w[weighed], lth[weighed]
-        try:
-            batches = [(group, weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z,
-                                                plan.pairs))]
-        except (ArithmeticError, ValueError):
-            batches = []
-            for i in range(group.size):
-                try:
-                    batches.append((group[i:i + 1], weighted_cdf_sum(
-                        w[i:i + 1], plan.shapes_a, plan.shapes_b, lth[i:i + 1], z, plan.pairs)))
-                except (ArithmeticError, ValueError):
-                    pass
-        for rows, raw in batches:
-            keep = _cdf_in_range(raw)
-            np.clip(raw, 0.0, 1.0, out=raw)
-            if rows.size == ok.size and keep.all():
-                return raw, keep    # one group and one batch: every set, in order
-            out[rows[keep]] = raw[keep]
-            ok[rows[keep]] = True
+        out[group], ok[group] = _plan_cdf_rows(plan(key), means_a[group], kappas_a[group],
+                                               means_b[group], kappas_b[group], z)
     return out, ok
 
 

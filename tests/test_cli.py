@@ -92,25 +92,46 @@ def test_write_csv_validation(tmp_path):
         pio.write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3), np.arange(4)])
 
 
-def write_text(path, text):
-    path.write_text(text)
+def write_text(path, text, newline="\n"):
+    """Write ``text`` with its LF line ends as ``newline``."""
+    path.write_bytes(text.replace("\n", newline).encode())
     return str(path)
 
 
-def test_read_sample_csv_skips_blank_rows_and_unquotes(tmp_path):
+#: Line ends and a leading byte-order mark, as spreadsheet exports write them.
+LINE_ENDS = pytest.mark.parametrize("newline,bom", [
+    ("\n", ""), ("\r\n", ""), ("\r", ""), ("\r\n", "\ufeff"), ("\n", "\ufeff")])
+
+
+@LINE_ENDS
+def test_read_sample_csv_skips_blank_rows_and_unquotes(tmp_path, newline, bom):
     draws = [0.5, 2.0, 1.25, 2.0, 0.125]
-    text = ('sample\n\n"0.5"\n   \n2.0,extra,fields\n , \n1.25\n"2.0",\n\t\n 0.125 \n\n')
-    emp = pio.read_empirical_csv(write_text(tmp_path / "s.csv", text))
+    text = (bom + 'sample\n\n"0.5"\n   \n2.0,extra,fields\n , \n1.25\n"2.0",\n\t\n'
+            '""," "\n 0.125 \n\n')
+    emp = pio.read_empirical_csv(write_text(tmp_path / "s.csv", text, newline))
     ref = empirical_from_samples(np.array(draws))
     assert emp.sample_count == 5 and emp.mean == ref.mean
     np.testing.assert_array_equal(emp.x, ref.x)
     np.testing.assert_array_equal(emp.values, ref.values)
 
 
+@LINE_ENDS
+def test_read_sample_csv_without_blank_rows(tmp_path, newline, bom):
+    # the file that takes the one-call parse, with no second read
+    draws = np.random.default_rng(4).exponential(size=50)
+    text = bom + "sample\n" + "".join("%r\n" % v for v in draws.tolist())
+    emp = pio.read_empirical_csv(write_text(tmp_path / "s.csv", text, newline))
+    ref = empirical_from_samples(draws)
+    assert emp.sample_count == 50 and emp.mean == ref.mean
+    np.testing.assert_array_equal(emp.x, ref.x)
+    np.testing.assert_array_equal(emp.values, ref.values)
+
+
+@LINE_ENDS
 @pytest.mark.parametrize("kind", ["cdf", "pdf"])
-def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind):
-    text = 'X,%s\n\n"0.5",0.25\n  ,  \n1.0,"0.75"\n' % kind.upper()
-    emp = pio.read_empirical_csv(write_text(tmp_path / "c.csv", text))
+def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind, newline, bom):
+    text = bom + 'X,%s\n\n"0.5",0.25\n  ,  \n1.0,"0.75"\n' % kind.upper()
+    emp = pio.read_empirical_csv(write_text(tmp_path / "c.csv", text, newline))
     assert emp.kind == kind
     np.testing.assert_array_equal(emp.x, [0.5, 1.0])
     np.testing.assert_array_equal(emp.values, [0.25, 0.75])
@@ -122,21 +143,69 @@ def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind):
     ("x,cdf\n0.5,0.25\n\n  \n1.0,0.5,9\n2.0,x\n", "line 5: expected 2 fields, got 3"),
     ("x,cdf\n0.5,0.25\n\n2.0,x\n", "line 4: field 'cdf' is not a number: 'x'"),
     ("x,pdf\n0.5,0.25\none,0.5\n", "line 3: field 'x' is not a number: 'one'"),
+    ("x,cdf\n0.5,0.25\n1.0,0.5,9\n", "line 3: expected 2 fields, got 3"),
+    ("x,cdf\n0.5,0.25,1\n1.0,0.5,9\n", "line 2: expected 2 fields, got 3"),
+    ("x,cdf\n0.5\n", "line 2: expected 2 fields, got 1"),
+    # float() reads both, no CSV reader does
+    ("sample\n2.0\n1_0\n", "line 3: field 'sample' is not a number: '1_0'"),
+    ("sample\n2.0\n١\n", "line 3: field 'sample' is not a number: '١'"),
+    ("x,cdf\n0.5,0.25\n1.0,0_5\n", "line 3: field 'cdf' is not a number: '0_5'"),
+    ("sample\n2.0\n\ufeff1.0\n", r"line 3: field 'sample' is not a number: '\\ufeff1\.0'"),
+    ("sample\n1.0\n2.0\x00\n", r"line 3: field 'sample' is not a number: '2\.0\\x00'"),
     ("", "empty file"),
     ("\n \n", "empty file"),
     ("sample\n\n", "no data rows"),
+    ("sample\n \n,\n", "no data rows"),
     ("x,cdf\n", "no data rows"),
     ("x,y\n", "no data rows"),
     ("x,y\n1,2\n", "unrecognized header 'x,y'"),
+    ("\ufeff\ufeffsample\n1\n", r"unrecognized header '\\ufeffsample'"),
 ])
 def test_read_empirical_csv_errors_name_the_line(tmp_path, text, message):
     with pytest.raises(IngestionError, match=message):
         pio.read_empirical_csv(write_text(tmp_path / "bad.csv", text))
 
 
+def test_read_empirical_csv_long_field_is_an_ingestion_error(tmp_path):
+    # longer than the csv module's field limit, which the bad-line scan meets
+    text = "sample\n1.0\n" + "z" * 200_000 + "\n"
+    with pytest.raises(IngestionError, match=r"bad\.csv line 3: field larger than field limit"):
+        pio.read_empirical_csv(write_text(tmp_path / "bad.csv", text))
+
+
 def test_read_empirical_csv_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="cannot read"):
         pio.read_empirical_csv(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"sample\n1.0\n2\xff\n", 3), (b"sample\r\n1.0\r\n\r\n\xff\r\n", 4), (b"\xffsample\n", 1),
+    (b"sample\n" + b"1.0\n" * 5000 + b"\xff\n", 5002)])
+def test_read_empirical_csv_undecodable_byte_names_the_line(tmp_path, data, line):
+    (tmp_path / "bad.csv").write_bytes(data)
+    with pytest.raises(IngestionError, match=r"cannot decode .*bad\.csv line %d: " % line):
+        pio.read_empirical_csv(str(tmp_path / "bad.csv"))
+
+
+def test_fit_cdf_bad_data_files_exit_3(tmp_path, capsys):
+    files = {"long.csv": b"sample\n1.0\n" + b"z" * 200_000 + b"\n",
+             "undecodable.csv": b"sample\n1.0\n\xff2.0\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        assert main(["fit-cdf", "--data", str(tmp_path / name),
+                     "--out", str(tmp_path / "fit.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error: ") and name + " line 3: " in err
+    assert "cannot decode" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_eval_undecodable_params_exit_3(tmp_path, capsys):
+    (tmp_path / "p.json").write_bytes(b'{"mean_power": 1.5,\n "kappa": 2.0\xff}')
+    assert main(["eval", "--dist", "kms", "--params", str(tmp_path / "p.json"),
+                 "--grid", "1:2:2", "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ingestion error: cannot decode ") and "p.json line 2: " in err
 
 
 def test_eval_kms(tmp_path):

@@ -324,6 +324,11 @@ NM_CASES = {
     "ks-2": (_ks_objective, [0.926, 0.926], [(0.0, 50.0)] * 2, 1e-4, 600),
     "ks-3": (lambda t: _ks_objective(t[:2]) + 0.01 * (t[2] - 0.3) ** 2,
              [2.0, 2.0, 0.0], [(0.0, 50.0), (0.0, 50.0), (-10.0, 10.0)], 1e-4, 600),
+    # NaN and tied values: the vertices are ordered by np.argsort there
+    "nan-region": (lambda t: math.nan if t[0] > 1.15 else _smooth(t), [1.1, 1.0],
+                   [(-5.0, 5.0)] * 2, 1e-8, 600),
+    "staircase": (lambda t: float(np.floor(4.0 * np.abs(np.asarray(t) - 0.3)).sum()),
+                  [1.1, 0.9, 0.2], [(-2.0, 2.0)] * 3, 1e-6, 600),
 }
 
 
