@@ -121,7 +121,8 @@ def write_manifest(data_path, command, config, seed=None):
     return manifest_path
 
 
-#: A row whose fields hold nothing but whitespace, each quoted or not.
+#: A blank row: a line whose fields hold nothing but whitespace, each
+#: quoted or not.  A quoted field that spans lines is not blank.
 _BLANK_ROW = re.compile(r'(?:"\s*")?\s*(?:,(?:"\s*")?\s*)*')
 
 #: The reader's headers, each the names of the fields of a data row it parses.
@@ -129,13 +130,13 @@ _LAYOUTS = (("sample",), ("x", "cdf"), ("x", "pdf"))
 
 
 def _data_rows(reader):
-    """Rows of ``reader`` with a non-blank field.
-
-    Empty and whitespace-only rows are skipped.  The first field settles
-    almost every row, so the scan of the others runs only when it is
-    blank.
-    """
-    return (row for row in reader if row and (row[0].strip() or any(f.strip() for f in row)))
+    """The rows of the csv ``reader`` that are not blank: a blank row is
+    one line, as :data:`_BLANK_ROW` matches it."""
+    end = 0
+    for row in reader:
+        start, end = end, reader.line_num
+        if end - start > 1 or any(field.strip() for field in row):
+            yield row
 
 
 def _parse_number(path, line_no, field, text):
@@ -242,8 +243,8 @@ def read_empirical_csv(path):
     the start of the file is dropped.  Fields are split at commas, a
     field may be wrapped in double quotes, and a number may have
     whitespace around it but is written in ASCII without ``_``
-    separators.  Rows whose fields are all empty or whitespace are
-    skipped, and LF, CRLF and CR line ends are all read.
+    separators.  Blank rows, lines whose fields are all empty or
+    whitespace, are skipped, and LF, CRLF and CR line ends are all read.
 
     The data rows are parsed in one call of numpy's C text reader; only
     a file with blank rows is read again, and only a file with a bad row

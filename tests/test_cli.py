@@ -152,6 +152,8 @@ def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind, newline, b
     ("x,cdf\n0.5,0.25\n1.0,0_5\n", "line 3: field 'cdf' is not a number: '0_5'"),
     ("sample\n2.0\n\ufeff1.0\n", r"line 3: field 'sample' is not a number: '\\ufeff1\.0'"),
     ("sample\n1.0\n2.0\x00\n", r"line 3: field 'sample' is not a number: '2\.0\\x00'"),
+    # a quoted line break is a field, not a blank row
+    ('sample\n1.0\n"\n"\n2.0\n', r"line 4: field 'sample' is not a number: '\\n'"),
     ("", "empty file"),
     ("\n \n", "empty file"),
     ("sample\n\n", "no data rows"),
