@@ -105,7 +105,7 @@ class _CellPlan:
         lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
         lt = lth + self.log_rising
         none = [None] * len(targets)
-        overflow = none
+        overflow = none     # per set, whether its mean overflows: none does
         if np.fmax.reduce(lt, axis=None, initial=-math.inf) > _LOG_DBL_MAX:
             rows_over = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
             lt[rows_over] = 0.0
