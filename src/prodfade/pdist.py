@@ -208,7 +208,7 @@ def _plan_cdf_rows(plan, means_a, kappas_a, means_b, kappas_b, z):
     """
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
                                   _link_terms_of(plan.links[1], means_b, kappas_b),
-                                  (means_a * means_b).tolist())
+                                  [a * b for a, b in zip(means_a.tolist(), means_b.tolist())])
     weighed = None
     if refusals.count(None) < len(refusals):
         weighed = np.flatnonzero([r is None for r in refusals])

@@ -400,27 +400,31 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
 
 def test_mixed_batch_gives_each_set_its_models_bits():
     # One batch on a mu > m cell: a plain set, a collapsed one (kappa 0),
-    # a tied one (two equal links) and one its checks refuse (mean power
-    # -1, on the plain set's plan).  Each set's row is its model's cdf,
-    # bit for bit, and only the refused set is not ok, its row all ones.
-    # The plain and refused sets alone make a one-plan batch, which
-    # gives them the same rows.
+    # a tied one (two equal links) and two its checks refuse, on the
+    # plain set's plan: mean power -1, and a product mean that overflows
+    # (1e200 x 1e200, refused without a warning).  Each set's row is
+    # its model's cdf, bit for bit, and only the refused sets are not
+    # ok, their rows all ones.  The plain and refused sets alone make a
+    # one-plan batch, which gives them the same rows.
     from prodfade.pdist import product_cdf_rows
 
-    means_a, kappas_a = np.array([1.0, 1.0, 2.0, -1.0]), np.array([1.0, 0.0, 0.3, 1.0])
-    means_b, kappas_b = np.array([1.0, 1.0, 2.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5])
+    means_a, kappas_a = np.array([1.0, 1.0, 2.0, -1.0, 1e200]), np.array([1.0, 0.0, 0.3, 1.0, 1.0])
+    means_b, kappas_b = np.array([1.0, 1.0, 2.0, 1.0, 1e200]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
     z = np.geomspace(1e-5, 30.0, 37)
     rows, ok = product_cdf_rows((6, 2, 6, 2), means_a, kappas_a, means_b, kappas_b, z)
-    assert ok.tolist() == [True, True, True, False]
+    assert ok.tolist() == [True, True, True, False, False]
     for i in range(3):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
                              ShadowedParams(means_b[i], kappas_b[i], 6, 2))
         assert np.array_equal(rows[i], model.cdf(z))
     with pytest.raises(ValueError):
         ShadowedParams(means_a[3], kappas_a[3], 6, 2)
-    assert np.array_equal(rows[3], np.ones(z.size))
-    pick = [0, 3]
+    with pytest.raises(OverflowError):
+        ProductModel(ShadowedParams(means_a[4], kappas_a[4], 6, 2),
+                     ShadowedParams(means_b[4], kappas_b[4], 6, 2))
+    assert np.array_equal(rows[3:], np.ones((2, z.size)))
+    pick = [0, 3, 4]
     alone, alone_ok = product_cdf_rows((6, 2, 6, 2), means_a[pick], kappas_a[pick],
                                        means_b[pick], kappas_b[pick], z)
-    assert alone_ok.tolist() == [True, False]
+    assert alone_ok.tolist() == [True, False, False]
     assert np.array_equal(alone, rows[pick])
