@@ -19,7 +19,9 @@ owning type's (the ``gg`` schema).
 import csv
 import json
 import math
+import os
 import re
+import stat
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain
@@ -216,9 +218,10 @@ def _parse_rows(source, names, skip=0):
     return data
 
 
-def _reparse(path, names):
-    """:func:`_parse_rows` of ``path`` without its blank rows, or the error of its first bad row."""
-    text = _read_text(path).removeprefix("\ufeff")
+def _parse_text(path, text, names):
+    """:func:`_parse_rows` of the file text ``text`` without its blank rows,
+    or the error of its first bad row."""
+    text = text.removeprefix("\ufeff")
     body = [line for line in text.split("\n") if not _BLANK_ROW.fullmatch(line)][1:]
     if not body:
         raise IngestionError("%s: no data rows" % (path,))
@@ -246,15 +249,18 @@ def read_empirical_csv(path):
     separators.  Blank rows, lines whose fields are all empty or
     whitespace, are skipped, and LF, CRLF and CR line ends are all read.
 
-    The data rows are parsed in one call of numpy's C text reader; only
-    a file with blank rows is read again, and only a file with a bad row
-    is scanned row by row, to name the first bad line.  Every failure to
-    read or parse the file, an undecodable byte included, raises
-    :class:`~prodfade.errors.IngestionError`.
+    The data rows of a regular file are parsed in one call of numpy's C
+    text reader, given the path; only a file with blank rows is read
+    again, and only a file with a bad row is scanned row by row, to name
+    the first bad line.  A pipe or other stream can be read only once,
+    so its text is read whole and parsed as a file with blank rows is.
+    Every failure to read or parse the file, an undecodable byte
+    included, raises :class:`~prodfade.errors.IngestionError`.
     """
     try:
         with open(path) as fh:
-            header, skip, more = _header(path, fh)
+            text = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read()
+            header, skip, more = _header(path, fh if text is None else StringIO(text))
         if not header:
             raise IngestionError("%s: empty file" % (path,))
         if not more:
@@ -264,10 +270,14 @@ def read_empirical_csv(path):
             raise IngestionError(
                 "%s: unrecognized header %r; expected 'sample', 'x,cdf' or 'x,pdf'"
                 % (path, ",".join(header)))
-        try:
-            data = _parse_rows(path, names, skip)
-        except ValueError:   # a blank row, a bad row or an undecodable byte
-            data = _reparse(path, names)
+        data = None
+        if text is None:
+            try:
+                data = _parse_rows(path, names, skip)
+            except ValueError:   # a blank row, a bad row or an undecodable byte
+                text = _read_text(path)
+        if data is None:
+            data = _parse_text(path, text, names)
     except OSError as exc:
         raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
@@ -286,11 +296,13 @@ def _read_text(path):
 
 def _undecodable(path, exc):
     """IngestionError for ``path``, whose text ``exc`` could not decode,
-    naming the line of its first bad byte."""
+    naming the line of its first bad byte when ``path`` is a regular
+    file, which can be read again."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        data.decode(exc.encoding)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            data.decode(exc.encoding)
     except UnicodeDecodeError as whole:
         head = data[:whole.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1

@@ -127,6 +127,35 @@ def test_read_sample_csv_without_blank_rows(tmp_path, newline, bom):
     np.testing.assert_array_equal(emp.values, ref.values)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("blank", ["", "\n  \n"])
+def test_read_csv_from_a_pipe_reads_every_row(tmp_path, blank):
+    # A pipe can be read only once: every row of a pipe much longer than
+    # the reader's buffers arrives, as from a regular file.
+    import threading
+
+    draws = np.random.default_rng(6).exponential(size=5000)
+    text = "sample\n" + blank + "".join("%r\n" % v for v in draws.tolist())
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        emp = pio.read_empirical_csv("/dev/fd/%d" % read_fd)
+    finally:
+        writer.join(timeout=30)
+        os.close(read_fd)
+    assert not writer.is_alive()
+    ref = pio.read_empirical_csv(write_text(tmp_path / "s.csv", text))
+    assert emp.sample_count == ref.sample_count == 5000 and emp.mean == ref.mean
+    np.testing.assert_array_equal(emp.x, ref.x)
+    np.testing.assert_array_equal(emp.values, ref.values)
+
+
 @LINE_ENDS
 @pytest.mark.parametrize("kind", ["cdf", "pdf"])
 def test_read_curve_csv_skips_blank_rows_and_unquotes(tmp_path, kind, newline, bom):
