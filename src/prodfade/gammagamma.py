@@ -64,15 +64,15 @@ _PLAN_CACHE = 1024
 # Merged kernel rows of the pdf and cdf sums.
 # ``np.bincount(merge, weights[source])`` gives the row weights; row
 # ``r`` is the kernel with log scale ``theta[r]`` (an index into the
-# distinct log scales), Bessel order ``order[r]``, coefficient
-# ``log_coef[r]`` and exponent ``expo[r]`` (the last two as columns);
-# ``rung[r]`` is its ``(order, theta)`` cell in a ladder's rungs, flat;
-# ``max_order`` is the highest order of any row, and ``width`` the cells
-# a block holds per point: rows, or kept ladder rungs if more.
+# distinct log scales), coefficient ``log_coef[r]`` and exponent
+# ``expo[r]`` (the last two as columns), and its Bessel order and theta
+# are cell ``rung[r]`` of a ladder's (orders x distinct theta) rungs,
+# flat; ``max_order`` is the highest order of any row, and ``width`` the
+# cells a block holds per point: rows, or kept ladder rungs if more.
 # ``merge_at`` holds the bincount index of a batch of parameter sets,
 # per batch size, made on first use.
 _BesselPlan = namedtuple("_BesselPlan",
-                         "source merge theta order rung log_coef expo max_order width merge_at")
+                         "source merge theta rung log_coef expo max_order width merge_at")
 
 # Pairs of a product in a kappa-free form: ``key`` holds the int64 bytes
 # of each pair's two shapes and theta index, the row plans' cache key,
@@ -106,7 +106,7 @@ def _bessel_plan(source, merge, theta, order, log_coef, expo):
     """Plan of merged Bessel rows, the columns given per merged row."""
     max_order = int(order.max())
     n_theta = int(theta.max()) + 1
-    return _BesselPlan(source, merge, theta, order, order * n_theta + theta, log_coef[:, None],
+    return _BesselPlan(source, merge, theta, order * n_theta + theta, log_coef[:, None],
                        expo[:, None], max_order, max(theta.size, (max_order + 1) * n_theta), {})
 
 
