@@ -30,6 +30,14 @@ cached, so a fit that revisits an integer cell at many ``kappa`` plans
 it once; what each call still pays is the kernel math (the ladder's
 ``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.
 
+Nothing here calls scipy: a plan's log-gamma coefficients are exact
+integer log-factorials (:func:`prodfade.specfun.ln_gamma_ints`), and
+the ladder seeds itself in numpy.  So ``eval --dist prod`` and
+``--dist gg``, ``wpc``, ``backscatter`` and ``fit-cdf`` never import
+``scipy.special``; ``eval --dist kms`` and ``fit-pdf`` still do, for the
+single-link Gamma mixture (:mod:`prodfade.mixture`), as does the
+Nakagami comparator of :mod:`prodfade.sysmodels`.
+
 Which pairs share a ``theta`` is given by the caller's :data:`Pairs`
 layout (:func:`pair_layout`); a product model passes its cell plan's,
 keyed by the links' scale choices (see :mod:`prodfade.pdist`).  The
@@ -45,7 +53,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .specfun import log_bessel_k_ladder, special
+from .specfun import ln_gamma_ints, log_bessel_k_ladder
 
 __all__ = ["pair_layout", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
 
@@ -121,7 +129,7 @@ def _cdf_plan(shapes_a, shapes_b, theta_of_pair):
     theta = np.frombuffer(theta_of_pair, dtype=np.int64)[pair]
     merge, first = _merge_rows(theta, k, mh)
     k, mh = k[first], mh[first]
-    log_coef = _LN2 - special.gammaln(k + 1.0) - special.gammaln(mh.astype(float))
+    log_coef = _LN2 - ln_gamma_ints(k + 1) - ln_gamma_ints(mh)
     return _bessel_plan(pair, merge, theta[first], np.abs(mh - k), log_coef, 0.5 * (k + mh))
 
 
@@ -138,7 +146,7 @@ def _pdf_plan(shapes_a, shapes_b, theta_of_pair):
     theta = np.frombuffer(theta_of_pair, dtype=np.int64)
     merge, first = _merge_rows(theta, np.minimum(ma, mb), np.maximum(ma, mb))
     ma, mb = ma[first], mb[first]
-    log_coef = _LN2 - special.gammaln(ma.astype(float)) - special.gammaln(mb.astype(float))
+    log_coef = _LN2 - ln_gamma_ints(ma) - ln_gamma_ints(mb)
     return _bessel_plan(np.arange(merge.size), merge, theta[first], np.abs(ma - mb),
                         log_coef, 0.5 * (ma + mb) - 1.0)
 

@@ -313,8 +313,9 @@ def _undecodable(path, exc):
 
 
 def _load_json(path):
+    """The JSON value in ``path``; one byte-order mark at its start is dropped."""
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path).removeprefix("\ufeff"))
     except OSError as exc:
         raise IngestionError("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:

@@ -12,7 +12,12 @@ space so that mixture sums can be accumulated without over- or
 underflow even for orders of a few hundred and arguments spanning
 ``[1e-8, 700]``.  Accuracy targets (relative): 1e-10 typical, 1e-8
 guaranteed on that domain; the test suite pins both against
-integral-representation quadrature oracles.
+integral-representation quadrature oracles.  The recurrence starts
+from ``ln K_0`` and ``ln K_1``, which numpy evaluates here without
+scipy: the ascending series up to ``x = 2`` and a trapezoid rule on an
+integral representation above.  Against 40-digit mpmath they are
+within 10 eps of ``ln K`` times ``max(1, |ln K|)`` from ``x = 1e-300``
+to ``1e300``.
 
 ``x^a U(a, b, x)`` is one exp-sinh rule on the Laplace integral at
 every argument, for a whole (rows x points) batch of integer parameter
@@ -33,6 +38,7 @@ __all__ = [
     "log_bessel_k_ladder",
     "tricomi_u_times_xa",
     "ln_gamma_int",
+    "ln_gamma_ints",
 ]
 
 #: Largest Bessel order accepted by the recurrence-based routines.  The
@@ -40,6 +46,8 @@ __all__ = [
 #: certified (against quadrature) up to this bound, which is far beyond
 #: anything the mixture expansions generate.
 MAX_BESSEL_ORDER = 256
+
+_LN2 = math.log(2.0)
 
 # Cap on nodes * cells of one exp-sinh sum in ``tricomi_u_times_xa``;
 # larger requests are summed in chunks of cells.  Each chunk holds four
@@ -67,15 +75,47 @@ def _load_special(name):
 
 
 #: ``scipy.special``, imported on the first lookup of one of its names:
-#: that import is about half of the command line's start-up, and
-#: ``sample`` and ``match-kappa`` never evaluate a special function.
-#: Callers write ``special.<name>`` as with scipy's.
+#: that import is most of a short command's start-up.  The Bessel
+#: ladder and the product kernels never look it up, so ``eval --dist
+#: prod`` and ``--dist gg``, ``wpc``, ``backscatter``, ``fit-cdf``,
+#: ``sample`` and ``match-kappa`` run without it; the single-link
+#: ``GammaMixture`` (``eval --dist kms``, ``fit-pdf``'s envelope moment)
+#: and the Nakagami comparator still import it.  Callers write
+#: ``special.<name>`` as with scipy's.
 special = types.ModuleType("prodfade.specfun.special")
 special.__getattr__ = _load_special
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
 # factorial; (171-1)! is the last factorial representable as a double.
 _EXACT_FACTORIAL_MAX = 171
+
+# The ladder's seeds ln K_0, ln K_1 (see _log_bessel_k01).  Arguments up
+# to _SEED_SWITCH take the ascending series, of degree _SERIES_DEGREE in
+# x^2; above it the trapezoid rule takes _QUAD_NODES nodes (one half of
+# the symmetric rule) of step _QUAD_STEP in s, where w = _QUAD_MAP
+# sinh(s / _QUAD_MAP).  Tuned together against 40-digit mpmath: the
+# series loses digits to cancellation as x grows (K_0 = 0.11 at x = 2
+# out of terms near 0.6), and the rule's error is set by its
+# integrand's branch points at w = +-i sqrt(2x), nearest at the switch.
+# With the sinh map, 15 nodes keep the rule's own error near 1e-18 from
+# x = 2 up; the rule in w needs 22 nodes for 3e-17.  Arguments are taken
+# in blocks of _SEED_BLOCK, which bounds the work arrays (about 1 MB).
+_SEED_SWITCH = 2.0
+_SERIES_DEGREE = 11
+_QUAD_NODES = 15
+_QUAD_STEP = 0.305
+_QUAD_MAP = 3.0
+_SEED_BLOCK = 2048
+# Below this, half of x is subnormal and ln(x / 2) is taken as ln x - ln 2.
+_HALF_EXACT_MIN = 2.0 ** -1021
+_EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
+
+# A copy of the last climb's arguments, if at most _SEED_BLOCK, and their
+# seeds.  The pdf and the cdf of one model on one grid, as ``eval`` and a
+# domain sweep tabulate them, climb from the same arguments; the second
+# climb takes the first one's seeds, the bits it would compute, for the
+# cost of a comparison.  Replaced whole, never written in place.
+_last_seeds = (np.empty(0), np.empty((2, 0)))
 
 
 def _check_order(n):
@@ -89,19 +129,161 @@ def _check_order(n):
     return n
 
 
+@lru_cache(maxsize=None)
+def _series_lanes():
+    """Coefficient rows of the seeds' series, tiled over a block of arguments.
+
+    Row ``k`` holds the coefficients of ``u^k``, ``u = x^2``, in three
+    power series of ``y = u / 4`` (DLMF 10.25.2, 10.31.2):
+
+    * ``I_0(x) = sum y^k / (k!)^2``,
+    * ``K_0(x) + ln(x/2) I_0(x) = sum psi(k+1) y^k / (k!)^2``,
+    * ``-x I_1(x) / 2 = -sum k y^k / (k!)^2``,
+
+    interleaved, three to an argument, and repeated for
+    ``_SEED_BLOCK`` arguments, so that a block's Horner steps add rows of
+    the accumulator's shape.  Exact in rationals, rounded once; the
+    ``fractions`` import waits for the first climb, as commands that
+    climb no ladder do not need it.
+    """
+    from fractions import Fraction
+
+    euler_gamma = Fraction(_EULER_GAMMA)
+    rows = np.empty((_SERIES_DEGREE + 1, 3))
+    harmonic, factorial = Fraction(0), 1
+    for k in range(_SERIES_DEGREE + 1):
+        if k:
+            harmonic += Fraction(1, k)
+            factorial *= k
+        term = Fraction(1, 4 ** k * factorial * factorial)
+        rows[k] = term, (harmonic - euler_gamma) * term, -k * term
+    return np.tile(rows, (1, _SEED_BLOCK))
+
+
+@lru_cache(maxsize=None)
+def _quadrature_nodes():
+    """Shifts ``c`` and weights ``g`` of the seeds' trapezoid rule.
+
+    ``K_nu(x) e^x = int_0^inf e^{-x (cosh t - 1)} cosh(nu t) dt``
+    (DLMF 10.32.9) becomes, with ``w = sqrt(2x) sinh(t/2)``,
+    ``int_R e^{-w^2} (1 + w^2/x)^nu / sqrt(2x + w^2) dw`` for
+    ``nu = 0, 1``, and then, with ``w = a sinh(s/a)``, an integral over
+    ``s`` of an integrand that falls off doubly exponentially.  The
+    rule's ``K_0 e^x`` is ``sum_k g[k, 0] / sqrt(x + c[k])``, and the
+    ``K_1 e^x`` rule adds ``1/x`` times the same sum with weights
+    ``g[k, 1]``.  Nodes run from the tail in to ``s = 0``, so that a sum
+    in node order adds the small terms first.  Formed in long double,
+    rounded once.
+    """
+    step, a = np.longdouble(_QUAD_STEP), np.longdouble(_QUAD_MAP)
+    s = step * np.arange(_QUAD_NODES - 1, -1, -1, dtype=np.longdouble)
+    w2 = (a * np.sinh(s / a)) ** 2
+    g = step * np.exp(-w2) * np.cosh(s / a) * np.sqrt(np.longdouble(2.0))
+    g[-1] *= 0.5   # the node at s = 0 is not doubled
+    return (0.5 * w2).astype(float)[:, None], np.stack([g, g * w2], axis=1).astype(float)[:, :, None]
+
+
+def _series_k01(x, out, tiny):
+    """``ln K_0`` and ``ln K_1`` into ``out[0]``, ``out[1]``, for ``0 < x <= 2``.
+
+    ``K_0 = S - ln(x/2) I_0``, with ``S`` the second series of
+    :func:`_series_lanes`, and, by the Wronskian
+    ``I_0 K_1 + I_1 K_0 = 1/x``, ``K_1 = (1 - x I_1 K_0) / (2 I_0) / (x/2)``,
+    whose log subtracts ``ln(x/2)`` rather than divide by a subnormal
+    ``x``.  At ``x = 2`` the sum ``S`` is ``K_0`` itself, so the
+    cancellation between the two terms of ``K_0`` stays within the
+    Horner sum; that of ``K_1`` is mild.  ``tiny``: ``x`` holds values
+    whose half is subnormal.
+    """
+    n = x.size
+    u = np.empty((n, 3))
+    u[...] = (x * x)[:, None]
+    u = u.reshape(-1)
+    lanes = _series_lanes()[:, :u.size]
+    acc = lanes[-1] * u
+    for row in lanes[-2:0:-1]:
+        acc += row
+        acc *= u
+    acc += lanes[0]
+    i0, s, minus_half_xi1 = acc[0::3], acc[1::3], acc[2::3]
+    k0, k1 = out
+    if tiny:
+        ln_half = np.log(x)
+        ln_half -= _LN2
+    else:
+        ln_half = x * 0.5
+        np.log(ln_half, ln_half)
+    np.multiply(ln_half, i0, k0)
+    np.subtract(s, k0, k0)
+    np.multiply(minus_half_xi1, k0, k1)
+    k1 += 0.5
+    k1 /= i0
+    np.log(out, out)
+    k1 -= ln_half
+
+
+def _quadrature_k01(x):
+    """``ln K_0`` and ``ln K_1`` of ``x > 2`` by the rule of :func:`_quadrature_nodes`.
+
+    The node sums run over the leading axis of a (nodes, 2 x arguments)
+    array, which numpy adds row by row: an argument's sum is the same
+    whatever the others.
+    """
+    c, g = _quadrature_nodes()
+    r = c + x
+    np.sqrt(r, r)
+    terms = g / r[:, None]
+    out = terms.reshape(_QUAD_NODES, -1).sum(0).reshape(2, x.size)
+    k0e, k1e = out
+    k1e /= x
+    k1e += k0e
+    np.log(out, out)
+    out -= x
+    return out
+
+
+def _log_bessel_k01(x, tiny):
+    """``(ln K_0(x), ln K_1(x))`` of an array ``x > 0``, each of its shape.
+
+    Each argument's pair depends on that argument alone, not on the
+    others of the call or their order: every step is elementwise, and
+    the one sum across values, over a rule's nodes, is per argument.
+    In each block of :data:`_SEED_BLOCK` arguments the series runs on
+    all of them, those above 2 clamped to 2, and the trapezoid rule
+    then replaces the pairs of those above 2; a block with none above 2
+    needs no clamp, and one with none at or below 2 no series.
+    ``tiny``: some ``x`` is below :data:`_HALF_EXACT_MIN`.
+    """
+    flat = x.reshape(-1)
+    out = np.empty((2, flat.size))
+    for start in range(0, flat.size, _SEED_BLOCK):
+        xb = flat[start:start + _SEED_BLOCK]
+        ob = out[:, start:start + _SEED_BLOCK]
+        big = (xb > _SEED_SWITCH).nonzero()[0]
+        if big.size < xb.size:
+            _series_k01(np.minimum(xb, _SEED_SWITCH) if big.size else xb, ob, tiny)
+        if big.size:
+            lk = _quadrature_k01(xb[big])
+            ob[0, big] = lk[0]
+            ob[1, big] = lk[1]
+    return out.reshape((2,) + x.shape)
+
+
 def log_bessel_k_ladder(x, max_order):
     """Yield ``(n, ln K_n(x))`` for ``n = 0 .. max_order`` in one climb.
 
-    Seeds from the scaled ``K_0``/``K_1`` of scipy and climbs the
-    three-term recurrence ``K_{n+1} = K_{n-1} + (2n/x) K_n`` in log
-    space.  Since ``K_n`` is increasing in the order, the correction
-    ``exp(l_{n-1} - l_n)`` never exceeds one and the recurrence cannot
-    overflow, which is what makes high-order tail evaluations safe.
+    Seeds from ``ln K_0`` and ``ln K_1`` of :func:`_log_bessel_k01`,
+    numpy alone, and climbs the three-term recurrence
+    ``K_{n+1} = K_{n-1} + (2n/x) K_n`` in log space.  Since ``K_n`` is
+    increasing in the order, the correction ``exp(l_{n-1} - l_n)``
+    never exceeds one and the recurrence cannot overflow, which is what
+    makes high-order tail evaluations safe.
     Yielding every rung lets sum evaluators harvest a whole family of
     orders for the cost of the highest one.
 
     Each rung is yielded as a new array of the shape of ``x``, and
-    ``x`` itself is not written.
+    ``x`` itself is not written.  A climb from the same arguments as
+    the one before it, bit for bit, reuses that climb's seeds.
 
     Parameters
     ----------
@@ -113,20 +295,21 @@ def log_bessel_k_ladder(x, max_order):
     max_order = _check_order(max_order)
     x = np.asarray(x, dtype=float)
     # written so that NaN fails the check too
-    if not x.min(initial=math.inf) > 0.0:
+    x_min = x.min(initial=math.inf)
+    if not x_min > 0.0:
         raise ValueError("Bessel argument must be strictly positive")
 
-    # ln K_0, ln K_1 from the exponentially scaled forms: no underflow
-    # at large x, no special-casing at small x.
-    lprev = special.k0e(x, out=np.empty_like(x))
-    np.log(lprev, out=lprev)
-    lprev -= x
+    global _last_seeds
+    last_x, last_lk = _last_seeds
+    if last_x.shape == x.shape and (last_x == x).all():
+        lprev, lcur = last_lk.copy()
+    else:
+        lprev, lcur = lk = _log_bessel_k01(x, x_min < _HALF_EXACT_MIN)
+        if x.size <= _SEED_BLOCK:
+            _last_seeds = (x.copy(), lk.copy())
     yield 0, lprev
     if max_order == 0:
         return
-    lcur = special.k1e(x, out=np.empty_like(x))
-    np.log(lcur, out=lcur)
-    lcur -= x
     yield 1, lcur
     step = np.empty_like(x)
     for k in range(1, max_order):
@@ -329,3 +512,22 @@ def ln_gamma_int(n):
     if n <= _EXACT_FACTORIAL_MAX:
         return math.log(math.factorial(n - 1))
     return math.lgamma(n)
+
+
+@lru_cache(maxsize=None)
+def _ln_gamma_table(size):
+    """``ln Gamma(n)`` for ``n = 1 .. size`` by :func:`ln_gamma_int`."""
+    return np.array([ln_gamma_int(n) for n in range(1, size + 1)])
+
+
+def ln_gamma_ints(n):
+    """:func:`ln_gamma_int` of each entry of an integer array ``n >= 1``.
+
+    Looked up in a table of ``n = 1 ..`` the next power of two at or
+    above ``max(n)``, made once per size.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and not n.min() >= 1:
+        raise ValueError("ln_gamma_ints requires integers n >= 1")
+    top = int(n.max(initial=1))
+    return _ln_gamma_table(1 << (top - 1).bit_length())[n - 1]

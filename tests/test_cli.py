@@ -317,6 +317,17 @@ def test_eval_prod(tmp_path):
     assert manifest["config"]["params"]["link_b"]["mean_power"] == 2.0
 
 
+def test_eval_reads_params_with_a_byte_order_mark(tmp_path):
+    # One UTF-8 byte-order mark before the JSON is dropped, as the CSV
+    # reader drops it: the output is the file written without it.
+    text = json.dumps(PROD)
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / ("%s.json" % name)).write_bytes((prefix + text).encode())
+        assert main(["eval", "--dist", "prod", "--params", str(tmp_path / ("%s.json" % name)),
+                     "--grid", "0.1:10:6:log", "--out", str(tmp_path / ("%s.csv" % name))]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_eval_error_exit_codes(tmp_path):
     kms = dump(tmp_path / "p.json", KMS)
     out = str(tmp_path / "o.csv")
@@ -731,24 +742,50 @@ def test_sample_and_match_kappa_load_no_scipy(tmp_path):
     assert report == ["after %s []" % args[0] for args in commands]
 
 
-@pytest.mark.parametrize("command", ["eval", "wpc", "backscatter", "fit-cdf"])
-def test_kernel_commands_load_scipy_special(tmp_path, command):
+KERNEL_COMMANDS = {
+    "eval-prod": ["eval", "--dist", "prod", "--params", "p.json", "--grid", "0.01:2:5"],
+    "eval-gg": ["eval", "--dist", "gg", "--params", "g.json", "--grid", "0.01:2:5"],
+    "wpc": ["wpc", "--config", "w.json", "--grid", "40:60:3"],
+    "backscatter": ["backscatter", "--config", "b.json", "--grid=-60:-40:3"],
+    "fit-cdf": ["fit-cdf", "--data", "d.csv", "--mu", "1", "--m", "2", "--m-hat", "2",
+                "--starts", "1", "--max-points", "40"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_COMMANDS))
+def test_kernel_commands_load_no_scipy(tmp_path, command):
+    # The Bessel ladder seeds itself and the product kernels take their
+    # log-gamma coefficients from exact factorials, so the commands that
+    # evaluate product laws never import scipy.
     dump(tmp_path / "p.json", PROD)
-    args = {
-        "eval": ["eval", "--dist", "prod", "--params", "p.json", "--grid", "0.01:2:5"],
-        "wpc": ["wpc", "--config", dump(tmp_path / "w.json", {
-            "tx_power_over_noise": 1e5, "pb_antennas": 2, "rician_k": 5.0}),
-            "--grid", "40:60:3"],
-        "backscatter": ["backscatter", "--config", dump(tmp_path / "b.json", {
-            "mean_rx_power": 1e-3, "forward": PROD["link_a"], "reverse": PROD["link_a"]}),
-            "--grid=-60:-40:3"],
-        "fit-cdf": ["fit-cdf", "--data", "d.csv", "--mu", "1", "--m", "2", "--m-hat", "2",
-                    "--starts", "1", "--max-points", "40"],
-    }[command] + ["--out", "o.out"]
+    dump(tmp_path / "g.json", GG)
+    dump(tmp_path / "w.json", {"tx_power_over_noise": 1e5, "pb_antennas": 2, "rician_k": 5.0})
+    dump(tmp_path / "b.json", {"mean_rx_power": 1e-3, "forward": PROD["link_a"],
+                               "reverse": PROD["link_a"]})
     if command == "fit-cdf":
         link = ShadowedParams(1.0, 1.0, 1, 2)
         draws = ProductModel(link, link).sample(np.random.default_rng(5), 300)
         pio.write_csv(tmp_path / "d.csv", ["sample"], [draws])
+    code = ("import sys\nfrom prodfade.cli import main\n"
+            "assert main(%r) == 0\n"
+            "print(%s)\n" % (KERNEL_COMMANDS[command] + ["--out", "o.out"], SCIPY_LOADED))
+    assert _fresh_interpreter(code, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["eval-kms", "fit-pdf"])
+def test_single_link_commands_load_scipy_special_on_first_evaluation(tmp_path, command):
+    # The single-link Gamma mixture's cdf and moments are scipy's
+    # regularized incomplete gamma and log-gamma.
+    if command == "eval-kms":
+        args = ["eval", "--dist", "kms", "--params", dump(tmp_path / "k.json", KMS),
+                "--grid", "0.01:2:5", "--out", "o.csv"]
+    else:
+        env = EnvelopeModel(ProductModel(ShadowedParams(1.0, 1.0, 1, 2),
+                                         ShadowedParams(1.0, 1.0, 1, 2)), 1.0)
+        r = np.linspace(0.05, 3.0, 40)
+        pio.write_csv(tmp_path / "e.csv", ["x", "pdf"], [r, env.pdf(r)])
+        args = ["fit-pdf", "--data", "e.csv", "--out", "f.json", "--mu", "1", "--m", "2",
+                "--m-hat", "2", "--starts", "1"]
     code = ("import sys\nfrom prodfade.cli import main\n"
             "print('scipy.special' in sys.modules)\n"
             "assert main(%r) == 0\n"

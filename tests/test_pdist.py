@@ -357,6 +357,39 @@ def test_whole_grid_matches_pieces(monkeypatch):
             assert np.array_equal(whole, pieces)
 
 
+def _refuse_lookup(name):
+    raise AssertionError("special.%s looked up on the product kernel path" % (name,))
+
+
+def test_product_kernels_look_up_no_special_function(monkeypatch):
+    # The product law's pdf and cdf, one model at a time and batched over
+    # a fit cell, run on numpy alone: with every module's binding of the
+    # lazy scipy.special replaced by a stand-in that refuses all lookups,
+    # and the caches of plans and expansions emptied so that they are
+    # built again, each evaluates.
+    import sys
+    import types
+
+    from prodfade.pdist import product_cdf_rows
+
+    no_special = types.ModuleType("no_special")
+    no_special.__getattr__ = _refuse_lookup
+    modules = [m for name, m in sys.modules.items() if name.startswith("prodfade.")]
+    for module in modules:
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        if hasattr(module, "special"):
+            monkeypatch.setattr(module, "special", no_special)
+    z = np.geomspace(1e-6, 20.0, 50)
+    for a, b in MODEL_PAIRS + [((1.0, 1.0, 6, 2), (2.0, 0.0, 3, 3))]:
+        p = ProductModel(ShadowedParams(*a), ShadowedParams(*b))
+        assert np.all(np.isfinite(p.pdf(z))) and np.all(np.isfinite(p.cdf(z)))
+    means, kappas = np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.5, 4.0])
+    rows, ok = product_cdf_rows((1, 2, 2, 1), means, kappas, means[::-1], kappas[::-1], z)
+    assert ok.all() and np.all(np.isfinite(rows))
+
+
 def test_envelope_mean_and_normalization():
     e = EnvelopeModel(make(LINK_AA, LINK_S2), 2.0)
     assert e.mean == 2.0

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from prodfade.specfun import (
     MAX_BESSEL_ORDER,
     ln_gamma_int,
+    ln_gamma_ints,
     log_bessel_k_ladder,
     tricomi_u_times_xa,
 )
@@ -239,6 +240,66 @@ def test_kummer_symmetry_of_the_mgf_kernel():
                                tricomi_u_times_xa(b, 1 + b - a, y), rtol=1e-13)
 
 
+def _seed_arguments():
+    """A log grid over the seeds' range and 41 points across their switch at 2."""
+    return np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(1.5, 2.5, 41)])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_ladder_seeds_against_mpmath(n):
+    # The ladder's seeds ln K_0, ln K_1 are within 10 eps of 40-digit
+    # mpmath, relative to max(1, |ln K|): the series, the trapezoid rule
+    # and the switch between them.  scipy's k0e/k1e pair reaches 5 eps
+    # and 2 eps on this grid.
+    x = _seed_arguments()
+    with mpmath.workdps(40):
+        expected = np.array([float(mpmath.log(mpmath.besselk(n, mpmath.mpf(xi)))) for xi in x])
+    got = log_bessel_k(n, x)
+    err = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+    assert err.max() <= 10 * np.finfo(float).eps, (x[err.argmax()], err.max())
+
+
+def test_ladder_seeds_at_subnormal_arguments():
+    # Half of these is subnormal: ln(x/2) is taken another way, and
+    # K_1 ~ 1/x, beyond the double range, stays finite in log form.
+    x = np.array([5e-324, 1e-310, 2.0 ** -1021])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1):
+            expected = [float(mpmath.log(mpmath.besselk(n, mpmath.mpf(xi)))) for xi in x]
+            np.testing.assert_allclose(log_bessel_k(n, x), expected, rtol=1e-15)
+
+
+def test_ladder_rungs_do_not_depend_on_the_batch():
+    # Every rung of an argument has the same bits climbed alone, in an
+    # odd-length batch or in reversed order, on both sides of the seeds'
+    # switch and across their blocks of 2048 arguments.
+    rng = np.random.default_rng(16)
+    x = np.concatenate([np.exp(rng.uniform(-20.0, 7.0, 4095)), [2.0, np.nextafter(2.0, 3.0)]])
+    batch = [lk.copy() for _, lk in log_bessel_k_ladder(x, 6)]
+    backward = [lk[::-1].copy() for _, lk in log_bessel_k_ladder(x[::-1].copy(), 6)]
+    for n in range(7):
+        assert np.array_equal(batch[n], backward[n]), n
+    for i in list(rng.choice(x.size, 60, replace=False)) + [x.size - 2, x.size - 1]:
+        alone = [lk.copy() for _, lk in log_bessel_k_ladder(x[i:i + 1], 6)]
+        for n in range(7):
+            assert np.array_equal(alone[n][0], batch[n][i]), (x[i], n)
+
+
+def test_ladder_reuses_the_seeds_of_the_same_arguments():
+    # A second climb from the same arguments takes the first one's
+    # seeds: the same bits, in arrays of its own.
+    x = np.geomspace(1e-3, 40.0, 77).reshape(7, 11)
+    first = [lk for _, lk in log_bessel_k_ladder(x, 3)]
+    for lk in first:
+        lk[:] = np.nan
+    again = [lk for _, lk in log_bessel_k_ladder(x.copy(), 3)]
+    fresh = [lk for _, lk in log_bessel_k_ladder(np.concatenate([x.ravel(), [1.0]]), 3)]
+    for n in range(4):
+        assert np.array_equal(again[n].ravel(), fresh[n][:-1])
+    assert [lk.shape for _, lk in log_bessel_k_ladder(np.empty(0), 1)] == [(0,), (0,)]
+
+
 def test_ln_gamma_int_exact_small_and_large():
     for n in (1, 2, 3, 10, 171):
         assert ln_gamma_int(n) == pytest.approx(math.log(math.factorial(n - 1)), rel=1e-15)
@@ -247,6 +308,13 @@ def test_ln_gamma_int_exact_small_and_large():
         ln_gamma_int(0)
     with pytest.raises(ValueError):
         ln_gamma_int(2.5)
+
+
+def test_ln_gamma_ints_follows_ln_gamma_int():
+    n = np.array([[1, 2, 7], [171, 172, 600]])
+    assert np.array_equal(ln_gamma_ints(n), [[ln_gamma_int(v) for v in row] for row in n.tolist()])
+    with pytest.raises(ValueError):
+        ln_gamma_ints(np.array([3, 0]))
 
 
 def test_guaranteed_accuracy_contract():
