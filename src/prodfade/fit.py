@@ -3,7 +3,10 @@
 Two estimation procedures are provided, both built on one exhaustive
 search over the integer shape parameters with a bounded continuous
 search inside each integer cell.  Each fit hands the search its vector
-of model-minus-data residuals; the search minimizes a norm of it:
+of model-minus-data residuals, weighed a batch of candidates at a time
+on the integer cell's cached plan (:func:`prodfade.pdist.product_cdf_rows`,
+:func:`prodfade.pdist.envelope_pdf_rows`), with no model object built;
+the search minimizes a norm of it:
 
 * :func:`fit_cdf` minimizes the modified Kolmogorov-Smirnov error
 
@@ -16,9 +19,7 @@ of model-minus-data residuals; the search minimizes a norm of it:
   residuals has kinks, so the search is derivative-free: bounded
   Nelder-Mead runs (:func:`minimize`, step for step SciPy's), one per
   start, advanced in lockstep.  Each round scores the pending candidate
-  of every run in one batched call, which weighs the integer cell's
-  cached plan (:func:`prodfade.pdist.product_cdf_rows`) and builds no
-  model object.
+  of every run in one batched call.
 
 * :func:`fit_pdf_mse` minimizes the mean squared difference between an
   empirical envelope density and the model envelope density, reporting
@@ -39,7 +40,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .mixture import ShadowedParams, _as_int, _positive, _span
-from .pdist import EnvelopeModel, ProductModel, product_cdf_rows
+from .pdist import ProductModel, envelope_pdf_rows, product_cdf_rows
 
 __all__ = [
     "EmpiricalDistribution",
@@ -594,23 +595,6 @@ def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
     return best
 
 
-def _one_by_one(residuals, size):
-    """Batched form of ``residuals(kappa, kappa_hat, level)``, which takes
-    one candidate, returns its ``size`` residuals and raises on one it
-    cannot evaluate: see :func:`_search_cells`."""
-    def batched(kappas, kappa_hats, levels):
-        r = np.zeros((kappas.size, size))
-        ok = np.zeros(kappas.size, dtype=bool)
-        for i, args in enumerate(zip(kappas, kappa_hats, levels)):
-            try:
-                r[i] = residuals(*args)
-                ok[i] = True
-            except (ArithmeticError, ValueError):
-                pass
-        return r, ok
-    return batched
-
-
 #: The local search that minimizes each objective over a cell.
 _LOCAL_SEARCH = {_max_abs: _nelder_mead_cell, _sum_squares: _least_squares_cell}
 
@@ -638,16 +622,13 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
     ``make_residuals(mu, mu_hat, m, m_hat)`` returns the cell's batched
     ``residuals(kappas, kappa_hats, levels)``: given arrays of one value
     per candidate, a (candidates x residuals) array of model minus data
-    values, and per candidate whether it could be evaluated.  ``norm``
-    turns each row into the objective: ``_max_abs``, searched by
-    bounded Nelder-Mead runs in lockstep, or ``_sum_squares``, searched
-    by bounded least squares.  The evaluator the searches get is
-    batched for both, so that the failure rule, the ``nfev`` count and
-    the norm are applied in one place: the cdf fit scores whole rounds
-    on one cell plan, while least squares asks for one point per call
-    and so passes one-row batches, and the pdf fit, which builds a
-    model per candidate, batches its residuals with ``_one_by_one``.
-    Every integer cell of
+    values, and per candidate whether it could be evaluated; both fits
+    weigh a batch on the cell's plan in one engine call.  ``norm`` turns
+    each row into the objective: ``_max_abs``, searched by bounded
+    Nelder-Mead runs in lockstep, which score whole rounds, or
+    ``_sum_squares``, searched by bounded least squares, which passes
+    one-row batches.  The failure rule, the ``nfev`` count and the norm
+    are applied here, for both.  Every integer cell of
     ``_visited_cells(config)`` gets one run from each kappa start, over
     the kappas its law depends on and, when ``tail`` gives its
     ``(start, bounds)``, a trailing ``t``.  ``level(t)`` (``level(None)``
@@ -856,18 +837,12 @@ def fit_pdf_mse(empirical, config=None):
     root_n = math.sqrt(r.size)
 
     def make_residuals(mu, mu_hat, m, m_hat):
-        def residuals(kap, kaph, scale):
-            model = EnvelopeModel(
-                ProductModel(
-                    ShadowedParams(1.0, kap, mu, m),
-                    ShadowedParams(1.0, kaph, mu_hat, m_hat),
-                ),
-                scale,
-            )
-            err = model.pdf(r) - f_emp
+        def residuals(kappas, kappa_hats, scales):
+            err, ok = envelope_pdf_rows((mu, m, mu_hat, m_hat), kappas, kappa_hats, scales, r)
+            err -= f_emp
             err /= root_n
-            return err
-        return _one_by_one(residuals, r.size)
+            return err, ok
+        return residuals
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
     trace = _search_cells(config, make_residuals, _sum_squares, "envelope_scale",

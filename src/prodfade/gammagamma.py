@@ -34,9 +34,10 @@ Nothing here calls scipy: a plan's log-gamma coefficients are exact
 integer log-factorials (:func:`prodfade.specfun.ln_gamma_ints`), and
 the ladder seeds itself in numpy.  So ``eval --dist prod`` and
 ``--dist gg``, ``wpc``, ``backscatter`` and ``fit-cdf`` never import
-``scipy.special``; ``eval --dist kms`` and ``fit-pdf`` still do, for the
-single-link Gamma mixture (:mod:`prodfade.mixture`), as does the
-Nakagami comparator of :mod:`prodfade.sysmodels`.
+``scipy.special``, and ``fit-pdf`` loads it only with ``scipy.optimize``;
+``eval --dist kms`` still does, for the single-link Gamma mixture
+(:mod:`prodfade.mixture`), as does the Nakagami comparator of
+:mod:`prodfade.sysmodels`.
 
 Which pairs share a ``theta`` is given by the caller's :data:`Pairs`
 layout (:func:`pair_layout`); a product model passes its cell plan's,

@@ -32,8 +32,6 @@ from operator import index as _as_index
 
 import numpy as np
 
-from .specfun import special
-
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 __all__ = [
@@ -314,6 +312,8 @@ class GammaMixture:
         may come out a hair below zero in cancellation-heavy corners,
         on the order of 1e-16, and is returned as computed.
         """
+        from scipy import special
+
         x, _, shaped = _points(x, ">= 0", "pdf requires finite x >= 0")
         out = np.zeros(x.shape)
         pos = x > 0.0
@@ -347,6 +347,8 @@ class GammaMixture:
         conditioned of the two near the origin, where the deep-tail
         diversity behaviour is read off.
         """
+        from scipy import special
+
         x, _, shaped = _points(x, ">= 0", "cdf requires finite x >= 0")
         per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
         # fixed accumulation order keeps the signed sum bit-stable
@@ -367,9 +369,11 @@ class GammaMixture:
         downstream users need integers (power moments) and 1/2
         (envelope normalization).
         """
+        from scipy import special
+
         order = float(order)
-        if order <= -float(self.shapes.min()):
-            raise ValueError("moment order must exceed -min(shape)")
+        if not (math.isfinite(order) and order > -float(self.shapes.min())):
+            raise ValueError("moment order must be finite and exceed -min(shape)")
         lt = (
             order * np.log(self.scales)
             + special.gammaln(self.shapes + order)

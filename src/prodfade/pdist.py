@@ -21,8 +21,8 @@ plan, on which unit x boosted and boosted x unit pairs share one scale
 product.  A parameter set only re-weights the plan, with the links'
 long-double weight formula, so a :class:`ProductModel` builds no
 mixture objects (its ``mixture_a``/``mixture_b`` are built on first
-use), and the cdf fit weighs whole batches of candidates on one plan
-(:func:`product_cdf_rows`).
+use), and both fits weigh whole batches of candidates on one plan
+(:func:`product_cdf_rows`, :func:`envelope_pdf_rows`).
 
 Also provided is the envelope-domain view ``R = c sqrt(Z)`` used when
 matching measured amplitude histograms: ``c`` is chosen so that
@@ -30,7 +30,7 @@ matching measured amplitude histograms: ``c`` is chosen so that
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -83,8 +83,11 @@ class _CellPlan:
         self.pairs = pair_layout(self.shapes_a, self.shapes_b,
                                  np.unique(choice, return_inverse=True)[1])
         self.log_rising = np.log(self.shapes_a * self.shapes_b)
+        # ln Gamma(k + 1/2) - ln Gamma(k) of both shapes, for the half moment
+        self.log_half = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
+                                  for pair in zip(self.shapes_a.tolist(), self.shapes_b.tolist())])
         for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a,
-                    self.choice_b, self.pairs.first, self.log_rising):
+                    self.choice_b, self.pairs.first, self.log_rising, self.log_half):
             arr.setflags(write=False)
 
     def weigh(self, terms_a, terms_b, targets):
@@ -200,38 +203,65 @@ def _cdf_in_range(raw):
             & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
 
 
-def _plan_cdf_rows(plan, means_a, kappas_a, means_b, kappas_b, z):
-    """:func:`product_cdf_rows` of parameter sets that all take ``plan``.
-
-    The sets that pass :meth:`_CellPlan.weigh` are evaluated by one
-    batched engine call, or, if that call raises, one by one.
-    """
+def _plan_rows(plan, sets, rows, size, fill):
+    """:func:`_cell_rows` of parameter sets that all take ``plan``."""
+    means_a, kappas_a, means_b, kappas_b, *further = sets
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
                                   _link_terms_of(plan.links[1], means_b, kappas_b),
                                   [a * b for a, b in zip(means_a.tolist(), means_b.tolist())])
     weighed = None
     if refusals.count(None) < len(refusals):
         weighed = np.flatnonzero([r is None for r in refusals])
-        w, lth = w[weighed], lth[weighed]
+        w, lth, further = w[weighed], lth[weighed], [v[weighed] for v in further]
     try:
-        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
-        keep = _cdf_in_range(raw)
+        out, keep = rows(plan, w, lth, *further)
     except (ArithmeticError, ValueError):
-        raw, keep = np.ones((w.shape[0], z.size)), np.zeros(w.shape[0], dtype=bool)
+        out, keep = np.full((w.shape[0], size), fill), np.zeros(w.shape[0], dtype=bool)
         for i in range(w.shape[0]):
+            one = slice(i, i + 1)
             try:
-                one = weighted_cdf_sum(w[i:i + 1], plan.shapes_a, plan.shapes_b, lth[i:i + 1],
-                                       z, plan.pairs)
+                row, ok = rows(plan, w[one], lth[one], *(v[one] for v in further))
             except (ArithmeticError, ValueError):
                 continue
-            raw[i], keep[i] = one[0], _cdf_in_range(one)[0]
-    np.clip(raw, 0.0, 1.0, out=raw)
+            out[i], keep[i] = row[0], ok[0]
     if not keep.all():
-        raw[~keep] = 1.0
+        out[~keep] = fill
     if weighed is None:
-        return raw, keep
-    out, ok = np.ones((len(refusals), z.size)), np.zeros(len(refusals), dtype=bool)
-    out[weighed], ok[weighed] = raw, keep
+        return out, keep
+    full, ok = np.full((len(refusals), size), fill), np.zeros(len(refusals), dtype=bool)
+    full[weighed], ok[weighed] = out, keep
+    return full, ok
+
+
+def _cell_rows(cell, sets, rows, size, fill):
+    """The per-plan body of both fits' evaluators.
+
+    ``sets`` holds the means and kappas of link a, of link b, and any
+    further values, one parameter set per element.  Sets are grouped as
+    a model's plan is chosen (kappa-zero collapses, tie), and each group
+    is weighed on its cached :class:`_CellPlan`, which refuses a set as
+    its model would; the rest go to one ``rows(plan, w, lth, *further)``
+    call, giving their (sets x ``size``) values and whether each is
+    valid, or, if it raises, to one call per set.  Returns the values,
+    ``fill`` where a set is refused, and whether each set was evaluated.
+    """
+    mu_a, m_a, mu_b, m_b = cell
+    means_a, kappas_a, means_b, kappas_b = sets[:4]
+    zero_a = kappas_a <= KAPPA_ZERO_TOL
+    groups = 2 * zero_a + (kappas_b <= KAPPA_ZERO_TOL)
+    if (mu_a, m_a) == (mu_b, m_b) and mu_a > m_a:
+        groups += 4 * ((means_a == means_b) & (kappas_a == kappas_b) & ~zero_a)
+
+    def plan(key):
+        return _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
+
+    if groups.size and groups.min() == groups.max():
+        return _plan_rows(plan(int(groups[0])), sets, rows, size, fill)
+    out, ok = np.full((groups.size, size), fill), np.zeros(groups.size, dtype=bool)
+    for key in np.unique(groups).tolist():
+        group = np.flatnonzero(groups == key)
+        out[group], ok[group] = _plan_rows(plan(key), [v[group] for v in sets], rows, size,
+                                           fill)
     return out, ok
 
 
@@ -245,33 +275,47 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     row ``i`` is ``ProductModel(link_a, link_b).cdf(z)`` at set ``i``,
     range-checked and clipped as there, or all ones where that model,
     or its cdf, raises a numerical or validation error.
-
-    Sets are grouped by their kappa-zero collapse pattern and tie (two
-    equal links), as a model's plan is chosen, and each group is
-    weighed on its cached :class:`_CellPlan` and evaluated by one
-    batched engine call.  If that call raises, its sets are evaluated
-    one by one, so that only the failing ones are refused.  When every
-    set falls in one group, as in most rounds of a fit, the sets are
-    weighed and evaluated whole, with no grouping index.
     """
-    mu_a, m_a, mu_b, m_b = cell
-    zero_a = kappas_a <= KAPPA_ZERO_TOL
-    groups = 2 * zero_a + (kappas_b <= KAPPA_ZERO_TOL)
-    if (mu_a, m_a) == (mu_b, m_b) and mu_a > m_a:
-        groups += 4 * ((means_a == means_b) & (kappas_a == kappas_b) & ~zero_a)
+    def rows(plan, w, lth):
+        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
+        keep = _cdf_in_range(raw)
+        return np.clip(raw, 0.0, 1.0, out=raw), keep
 
-    def plan(key):
-        return _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
+    return _cell_rows(cell, (means_a, kappas_a, means_b, kappas_b), rows, z.size, 1.0)
 
-    if groups.size and groups.min() == groups.max():
-        return _plan_cdf_rows(plan(int(groups[0])), means_a, kappas_a, means_b, kappas_b, z)
-    out = np.ones((means_a.size, z.size))
-    ok = np.zeros(means_a.size, dtype=bool)
-    for key in np.unique(groups).tolist():
-        group = np.flatnonzero(groups == key)
-        out[group], ok[group] = _plan_cdf_rows(plan(key), means_a[group], kappas_a[group],
-                                               means_b[group], kappas_b[group], z)
-    return out, ok
+
+def _half_means(plan, w, lth):
+    """``E[sqrt(Z)]`` of each set weighed on ``plan``: the pairs' half
+    moments ``w_p theta_p^(1/2) Gamma(ka_p + 1/2) Gamma(kb_p + 1/2) /
+    (Gamma(ka_p) Gamma(kb_p))``, summed set by set (``math.fsum``)."""
+    return [math.fsum(row) for row in (w * np.exp(0.5 * lth + plan.log_half)).tolist()]
+
+
+def _envelope_pdf(plan, w, lth, scales, r):
+    """Densities of ``R = c sqrt(Z)``, ``c = scale / E[sqrt(Z)]``, at ``r``
+    for sets weighed on ``plan``, and whether each is finite: ``f_R(r) =
+    2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
+    products, so that every set shares the points ``r^2``."""
+    c = [scale / half for scale, half in zip(scales.tolist(), _half_means(plan, w, lth))]
+    if not all(0.0 < v < math.inf for v in c):
+        raise ArithmeticError("envelope constant is not finite and > 0")
+    log_c2 = np.array([[2.0 * math.log(v)] for v in c])
+    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, r * r, plan.pairs)
+    out *= 2.0 * r
+    return out, np.isfinite(out).all(axis=-1)
+
+
+def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
+    """Envelope densities of many unit-mean products of one integer cell.
+
+    As :func:`product_cdf_rows`, with links of mean power 1 and each
+    set's envelope scale in ``scales``: row ``i`` is, bit for bit,
+    ``EnvelopeModel(ProductModel(link_a, link_b), scales[i]).pdf(r)``,
+    or NaN where that model, or its pdf, raises.
+    """
+    ones = np.ones(scales.size)
+    return _cell_rows(cell, (ones, kappas_a, ones, kappas_b, scales),
+                      partial(_envelope_pdf, r=r), r.size, math.nan)
 
 
 class ProductModel:
@@ -281,7 +325,7 @@ class ProductModel:
     :class:`_CellPlan` of the links' integer cell, in a fixed order, and
     the parameters only weigh them; the fits weigh whole
     batches of parameter sets on the same plans
-    (:func:`product_cdf_rows`).
+    (:func:`product_cdf_rows`, :func:`envelope_pdf_rows`).
 
     Parameters
     ----------
@@ -424,8 +468,9 @@ class ProductModel:
 
     @cached_property
     def sqrt_mean(self):
-        """``E[sqrt(Z)]`` from the per-link half moments (closed form)."""
-        return self.mixture_a.moment(0.5) * self.mixture_b.moment(0.5)
+        """``E[sqrt(Z)]`` in closed form: the pairs' half moments summed on
+        the cell plan, as the pdf fit sums them (:func:`envelope_pdf_rows`)."""
+        return _half_means(self._plan, self._w[None], self._lth[None])[0]
 
     def sample(self, rng, n):
         """Draw ``n`` product variates.
@@ -465,10 +510,15 @@ class EnvelopeModel:
         return self.envelope_scale
 
     def pdf(self, r):
-        """Envelope density ``f_R(r) = (2 r / c^2) f_Z(r^2 / c^2)`` over ``r > 0``."""
+        """Envelope density over ``r > 0``, a one-set :func:`envelope_pdf_rows`."""
         r, _, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
-        c2 = self._c * self._c
-        return shaped((2.0 * r / c2) * self.product.pdf(r * r / c2))
+        p = self.product
+        out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
+                                np.array([self.envelope_scale]), r)
+        if not ok.all():
+            raise ArithmeticError("envelope pdf is not finite; abs_weight_sum=%.3g"
+                                  % (p.abs_weight_sum,))
+        return shaped(out.ravel())
 
     def cdf(self, r):
         """Envelope distribution function ``F_Z(r^2 / c^2)`` over ``r >= 0``."""

@@ -28,7 +28,6 @@ to 30 and ``x`` from 1e-6 to 1e4 its median error is a third of an ulp.
 """
 
 import math
-import types
 from functools import lru_cache
 
 import numpy as np
@@ -55,35 +54,6 @@ _LN2 = math.log(2.0)
 # process's peak RSS by 1.7 MB over L's cdf and pdf, and ran 6% faster.
 _U_BLOCK_BUDGET = 25_000
 
-
-def _load_special(name):
-    """Fill :data:`special` from ``scipy.special`` and look ``name`` up.
-
-    Runs once: it removes itself, so that later lookups are plain module
-    attribute reads, as fast as in ``scipy.special``.  A name already
-    set on :data:`special` (a test's stand-in) is kept.  Dunder lookups
-    (``repr``, introspection) do not import scipy.
-    """
-    if name.startswith("__"):
-        raise AttributeError(name)
-    from scipy import special as scipy_special
-    del special.__getattr__
-    for key, value in vars(scipy_special).items():
-        if not key.startswith("__"):
-            special.__dict__.setdefault(key, value)
-    return getattr(special, name)
-
-
-#: ``scipy.special``, imported on the first lookup of one of its names:
-#: that import is most of a short command's start-up.  The Bessel
-#: ladder and the product kernels never look it up, so ``eval --dist
-#: prod`` and ``--dist gg``, ``wpc``, ``backscatter``, ``fit-cdf``,
-#: ``sample`` and ``match-kappa`` run without it; the single-link
-#: ``GammaMixture`` (``eval --dist kms``, ``fit-pdf``'s envelope moment)
-#: and the Nakagami comparator still import it.  Callers write
-#: ``special.<name>`` as with scipy's.
-special = types.ModuleType("prodfade.specfun.special")
-special.__getattr__ = _load_special
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
 # factorial; (171-1)! is the last factorial representable as a double.

@@ -26,7 +26,6 @@ import numpy as np
 
 from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int, _non_negative, _points, _positive
 from .pdist import ProductModel
-from .specfun import special
 
 __all__ = [
     "WpcConfig",
@@ -210,10 +209,10 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
     Conditioning on the first factor gives a one-dimensional integral
     of a Gamma density against a Gamma CDF, evaluated by adaptive
     quadrature.  Slow but shape-exact; used only by the comparator,
-    which is why ``scipy.integrate`` is imported here and not with the
-    module.
+    which is why ``scipy.integrate`` and ``scipy.special`` are imported
+    here and not with the module.
     """
-    from scipy import integrate
+    from scipy import integrate, special
 
     for name, v in (("shape_a", shape_a), ("scale_a", scale_a),
                     ("shape_b", shape_b), ("scale_b", scale_b)):

@@ -537,10 +537,12 @@ def test_fit_pdf_cli(tmp_path, capsys):
 
 
 def test_fit_pdf_exits_4_when_every_cell_fails(tmp_path, monkeypatch, capsys):
-    def envelope(product, scale):
+    # Every candidate's envelope density fails in the engine call that
+    # weighs it on the cell plan.
+    def pdf_sum(*args):
         raise ArithmeticError("cannot evaluate")
 
-    monkeypatch.setattr(prodfade.fit, "EnvelopeModel", envelope)
+    monkeypatch.setattr(prodfade.pdist, "weighted_pdf_sum", pdf_sum)
     r = np.linspace(0.05, 3.5, 40)
     data = tmp_path / "env.csv"
     pio.write_csv(data, ["x", "pdf"], [r, np.exp(-r)])
@@ -715,10 +717,8 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 @pytest.mark.parametrize("module", ["prodfade", "prodfade.cli"])
 def test_import_loads_no_scipy(module):
-    # scipy.special is imported by the first special-function call, and
-    # not by a repr of the library's stand-in for it.
-    code = "import sys, %s, prodfade.specfun; repr(prodfade.specfun.special); print(%s)" % (
-        module, SCIPY_LOADED)
+    # scipy.special is imported inside the functions that call it.
+    code = "import sys, %s; print(%s)" % (module, SCIPY_LOADED)
     assert _fresh_interpreter(code).strip() == "[]"
 
 
@@ -774,8 +774,10 @@ def test_kernel_commands_load_no_scipy(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["eval-kms", "fit-pdf"])
 def test_single_link_commands_load_scipy_special_on_first_evaluation(tmp_path, command):
-    # The single-link Gamma mixture's cdf and moments are scipy's
-    # regularized incomplete gamma and log-gamma.
+    # The single-link Gamma mixture's cdf is scipy's regularized
+    # incomplete gamma.  The pdf fit weighs its candidates on the cell
+    # plan and looks up no special function itself; it loads
+    # scipy.special only through scipy.optimize's least squares.
     if command == "eval-kms":
         args = ["eval", "--dist", "kms", "--params", dump(tmp_path / "k.json", KMS),
                 "--grid", "0.01:2:5", "--out", "o.csv"]

@@ -470,14 +470,17 @@ def test_fit_looks_up_least_squares_in_the_fit_module(monkeypatch):
 
 
 def _failing_envelope(monkeypatch, fails):
-    """Make ``EnvelopeModel`` raise, as the fit looks it up, for products
-    whose second link has ``m`` in ``fails``."""
-    def envelope(product, scale):
-        if product.link_b.m in fails:
-            raise ArithmeticError("cannot evaluate")
-        return EnvelopeModel(product, scale)
+    """Make the envelope densities of products whose second link has
+    ``m`` in ``fails`` raise, in the engine call that weighs them on the
+    cell plan (with ``mu == 1`` the link's largest shape is its ``m``)."""
+    pdf_sum = prodfade.pdist.weighted_pdf_sum
 
-    monkeypatch.setattr(prodfade.fit, "EnvelopeModel", envelope)
+    def failing(*args):
+        if int(np.max(args[2])) in fails:
+            raise ArithmeticError("cannot evaluate")
+        return pdf_sum(*args)
+
+    monkeypatch.setattr(prodfade.pdist, "weighted_pdf_sum", failing)
 
 
 def test_pdf_cell_whose_every_evaluation_raises_scores_failure(monkeypatch):
@@ -495,6 +498,30 @@ def test_pdf_cell_whose_every_evaluation_raises_scores_failure(monkeypatch):
     _failing_envelope(monkeypatch, {2, 3})
     with pytest.raises(ArithmeticError, match="no candidate model"):
         fit_pdf_mse(emp, cfg)
+
+
+def test_fit_pdf_builds_only_the_winner(monkeypatch):
+    # The pdf fit weighs its candidates on the cell plans: it builds one
+    # ProductModel, the winner, no EnvelopeModel and no link mixture.
+    env = EnvelopeModel(make_product(1.5, 1, 2), 1.2)
+    r = np.linspace(0.02, 4.0, 60)
+    emp = EmpiricalDistribution("pdf", r, env.pdf(r))
+    built = []
+    for cls in (ProductModel, EnvelopeModel):
+        init = cls.__init__
+
+        def counting(self, *args, init=init, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    before = expand.cache_info()
+    res = fit_pdf_mse(emp, SearchConfig(mu_grid=(1,), m_grid=(1, 2), m_hat_grid=(2,),
+                                        n_starts=2))
+    after = expand.cache_info()
+    assert sum(e["nfev"] for e in res.search_trace) > 50
+    assert built == ["ProductModel"]
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_fit_pdf_mse_self_fit_is_exact():

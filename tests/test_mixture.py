@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def test_higher_and_fractional_moments_match_quadrature():
         assert mix.moment(order) == pytest.approx(val, rel=1e-8)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_moment_refuses_non_finite_order(order):
+    mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            mix.moment(order)
+
+
 def test_moment_zero_is_one():
     mix = expand(ShadowedParams(2.0, 4.0, 3, 2))
     assert mix.moment(0) == pytest.approx(1.0, rel=1e-12)
@@ -339,7 +349,7 @@ def test_expand_is_cached():
 
 
 def test_cdf_rejects_nan(monkeypatch):
-    monkeypatch.setattr("prodfade.mixture.special.gammainc",
+    monkeypatch.setattr("scipy.special.gammainc",
                         lambda a, x: np.full(np.broadcast(a, x).shape, np.nan))
     with pytest.raises(ArithmeticError):
         cdf_single(ShadowedParams(1.0, 1.0, 1, 2), [0.1, 1.0])
@@ -347,7 +357,7 @@ def test_cdf_rejects_nan(monkeypatch):
 
 def test_pdf_rejects_nan(monkeypatch):
     mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
-    monkeypatch.setattr("prodfade.mixture.special.gammaln",
+    monkeypatch.setattr("scipy.special.gammaln",
                         lambda a: np.full(np.shape(a), np.nan))
     with pytest.raises(ArithmeticError):
         mix.pdf([0.1, 1.0])

@@ -363,14 +363,19 @@ def _refuse_lookup(name):
 
 def test_product_kernels_look_up_no_special_function(monkeypatch):
     # The product law's pdf and cdf, one model at a time and batched over
-    # a fit cell, run on numpy alone: with every module's binding of the
-    # lazy scipy.special replaced by a stand-in that refuses all lookups,
-    # and the caches of plans and expansions emptied so that they are
-    # built again, each evaluates.
+    # a fit cell, and the envelope density and its batches, run on numpy
+    # alone: with scipy.special replaced, in sys.modules and on scipy, by
+    # a stand-in that refuses all lookups, and the caches of plans and
+    # expansions emptied so that they are built again, each evaluates.
+    # The single-link mixture's cdf, which does look scipy.special up,
+    # shows that the stand-in is the one a lookup meets.
     import sys
     import types
 
-    from prodfade.pdist import product_cdf_rows
+    import scipy
+
+    from prodfade.mixture import cdf_single
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
 
     no_special = types.ModuleType("no_special")
     no_special.__getattr__ = _refuse_lookup
@@ -379,15 +384,100 @@ def test_product_kernels_look_up_no_special_function(monkeypatch):
         for value in list(vars(module).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
-        if hasattr(module, "special"):
-            monkeypatch.setattr(module, "special", no_special)
+    monkeypatch.setitem(sys.modules, "scipy.special", no_special)
+    monkeypatch.setattr(scipy, "special", no_special)
+    with pytest.raises(AssertionError, match="special.gammainc"):
+        cdf_single(ShadowedParams(*LINK_AA), [0.5])
     z = np.geomspace(1e-6, 20.0, 50)
     for a, b in MODEL_PAIRS + [((1.0, 1.0, 6, 2), (2.0, 0.0, 3, 3))]:
         p = ProductModel(ShadowedParams(*a), ShadowedParams(*b))
         assert np.all(np.isfinite(p.pdf(z))) and np.all(np.isfinite(p.cdf(z)))
+        env = EnvelopeModel(p, 1.3)
+        assert np.all(np.isfinite(env.pdf(z))) and np.all(np.isfinite(env.cdf(z)))
     means, kappas = np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.5, 4.0])
     rows, ok = product_cdf_rows((1, 2, 2, 1), means, kappas, means[::-1], kappas[::-1], z)
     assert ok.all() and np.all(np.isfinite(rows))
+    rows, ok = envelope_pdf_rows((1, 2, 2, 1), kappas, kappas[::-1], means, z)
+    assert ok.all() and np.all(np.isfinite(rows))
+
+
+def test_envelope_batch_gives_each_set_its_models_bits():
+    # One batch of unit-mean products on a mu > m cell: a plain set, a
+    # collapsed one (kappa 0), a tied one (two equal links), one that
+    # the plan's weighing refuses (kappa -1) and one whose envelope
+    # constant is refused (scale 0), which makes the batched call raise
+    # and its sets be evaluated one by one.  Each set's row is its
+    # EnvelopeModel's pdf, bit for bit; only the refused sets are not
+    # ok, their rows NaN, and no warning is raised.
+    from prodfade.pdist import envelope_pdf_rows
+
+    kappas_a, kappas_b = np.array([1.0, 0.0, 0.3, -1.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
+    scales = np.array([1.3, 0.8, 2.0, 1.0, 0.0])
+    r = np.geomspace(1e-3, 8.0, 37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, ok = envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+    assert ok.tolist() == [True, True, True, False, False]
+    for i in range(3):
+        env = EnvelopeModel(ProductModel(ShadowedParams(1.0, kappas_a[i], 6, 2),
+                                         ShadowedParams(1.0, kappas_b[i], 6, 2)), scales[i])
+        assert np.array_equal(rows[i], env.pdf(r))
+    with pytest.raises(ValueError):
+        ShadowedParams(1.0, kappas_a[3], 6, 2)
+    with pytest.raises(ValueError):
+        EnvelopeModel(make((1.0, 1.0, 6, 2), (1.0, 0.5, 6, 2)), scales[4])
+    assert np.isnan(rows[3:]).all()
+    pick = [0, 4]
+    alone, alone_ok = envelope_pdf_rows((6, 2, 6, 2), kappas_a[pick], kappas_b[pick],
+                                        scales[pick], r)
+    assert alone_ok.tolist() == [True, False]
+    assert np.array_equal(alone[0], rows[0]) and np.isnan(alone[1]).all()
+
+
+@pytest.mark.parametrize("pair", MODEL_PAIRS + [((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1)),
+                                                ((1.0, 1.0, 3, 1), (2.0, 2.0, 6, 2)),
+                                                ((0.3, 0.0, 3, 1), (1.0, 2.6, 1, 30))])
+def test_sqrt_mean_matches_link_half_moments(pair):
+    # E[sqrt(Z)] summed over the pairs on the plan is the product of the
+    # links' half moments, to the rounding of the signed sums.
+    p = make(*pair)
+    by_links = p.mixture_a.moment(0.5) * p.mixture_b.moment(0.5)
+    assert abs(p.sqrt_mean - by_links) <= 4 * np.finfo(float).eps * p.abs_weight_sum * by_links
+
+
+def test_envelope_pdf_and_sqrt_mean_match_50_digit_pair_sums():
+    # Against the model's own pair weights, shapes and log scales summed
+    # at 50 digits.  Below r = 0.1 the signed pairs of this mu > m product
+    # cancel: the envelope density falls to 2e-12 at r = 0.01, out of
+    # pair terms near one, and its relative error grows to ~1e-3 there.
+    p = make((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1))
+    s = 1.3
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpf(float(w)), int(ka), int(kb), mpmath.exp(mpmath.mpf(float(lth))))
+                 for w, ka, kb, lth in zip(p._w, p._ka, p._kb, p._lth)]
+        half = mpmath.fsum(w * mpmath.gamma(ka + 0.5) * mpmath.gamma(kb + 0.5) * mpmath.sqrt(th)
+                           / (mpmath.gamma(ka) * mpmath.gamma(kb)) for w, ka, kb, th in terms)
+        assert abs(p.sqrt_mean / half - 1) <= 1.5e-15
+        c2 = (s / half) ** 2
+
+        def envelope_pdf(r):
+            z = mpmath.mpf(r) ** 2 / c2
+            k = {}      # K_0 .. K_5 per scale product, by upward recurrence
+            for th in {th for _, _, _, th in terms}:
+                x = 2 * mpmath.sqrt(z / th)
+                k[th] = [mpmath.besselk(0, x), mpmath.besselk(1, x)]
+                for n in range(1, 5):
+                    k[th].append(k[th][n - 1] + 2 * n / x * k[th][n])
+            return 2 * r / c2 * mpmath.fsum(
+                w * 2 * z ** (mpmath.mpf(ka + kb) / 2 - 1) * th ** (-mpmath.mpf(ka + kb) / 2)
+                * k[th][abs(ka - kb)] / (mpmath.gamma(ka) * mpmath.gamma(kb))
+                for w, ka, kb, th in terms)
+
+        r = [0.01, 0.1, 0.2, 0.5, 1.0, 1.3, 2.0, 3.0, 5.0, 8.0]
+        got = EnvelopeModel(p, s).pdf(np.array(r))
+        err = [abs(g / envelope_pdf(ri) - 1) for g, ri in zip(got.tolist(), r)]
+    assert err[0] <= 1.5e-3
+    assert max(err[1:]) <= 5e-10
 
 
 def test_envelope_mean_and_normalization():
