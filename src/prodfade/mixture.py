@@ -109,6 +109,16 @@ def _all_finite(v):
     return lo > -math.inf and hi < math.inf
 
 
+def _cdf_argument(num, den):
+    """``num / den`` for a cdf, a quotient past the largest double held there.
+
+    A valid ``den`` near 0 (or a ``num`` near the top of the range) can
+    overflow the quotient; the cdf of the largest double is already 1.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(np.divide(num, den), np.finfo(float).max)
+
+
 def _as_int(name, value):
     if not float(value).is_integer():
         raise ValueError("%s must be an integer, got %r" % (name, value))
@@ -187,14 +197,23 @@ class ShadowedParams:
 _Layout = namedtuple("_Layout", "coef base_pow dom_pow shapes boosted")
 
 
+def _collapsed(kappa):
+    """The rule that picks a link's form: whether a link at ``kappa``, a
+    float or an array, collapses to the single term Gamma(mu, unit)."""
+    return kappa <= KAPPA_ZERO_TOL
+
+
 @lru_cache(maxsize=1024)
-def _layout(mu, m):
-    """Term layout of the expansion of an integer ``(mu, m)`` link.
+def _link_layout(mu, m, zero):
+    """Term layout of the expansion of an integer ``(mu, m)`` link, or,
+    with ``zero``, of its collapse (:func:`_collapsed`).
 
     The mu > m table's leading term has an exact zero weight; it is left
-    out here, as :func:`expand` would prune it.
+    out here, as :func:`expand` would prune it.  The arrays are read-only.
     """
-    if mu <= m:
+    if zero:
+        rows = [(1, 0, 0, mu, False)]
+    elif mu <= m:
         rows = [(math.comb(m - mu, i), i, m - mu - i, m - i, True)
                 for i in range(m - mu + 1)]
     else:
@@ -203,11 +222,6 @@ def _layout(mu, m):
         rows += [((-1) ** (i - mu + m - 1) * math.comb(i - 2, i - mu + m - 1),
                   i - mu + m - 1, -i + 1, mu - i + 1, True)
                  for i in range(mu - m + 1, mu + 1)]
-    return _frozen_layout(rows)
-
-
-def _frozen_layout(rows):
-    """``_Layout`` of the term tuples ``rows``, its arrays read-only."""
     coef, base_pow, dom_pow, shapes, boosted = zip(*rows)
     layout = _Layout(np.array(coef, dtype=np.longdouble), np.array(base_pow, dtype=np.int64),
                      np.array(dom_pow, dtype=np.int64), np.array(shapes, dtype=np.int64),
@@ -217,27 +231,21 @@ def _frozen_layout(rows):
     return layout
 
 
-@lru_cache(maxsize=1024)
-def _link_layout(mu, m, zero):
-    """Layout of an integer ``(mu, m)`` link, or, with ``zero``, of its
-    ``kappa <= KAPPA_ZERO_TOL`` collapse: the single term Gamma(mu) on
-    the unit scale, whose weight and scale :func:`_link_terms` forms at
-    ``kappa = 0``."""
-    return _frozen_layout([(1, 0, 0, mu, False)]) if zero else _layout(mu, m)
-
-
-def _link_terms(layout, mu, m, mean_power, kappa):
-    """Weights and scales of ``(mu, m)`` links in the terms of ``layout``.
+def _link_terms(mu, m, zero, mean_power, kappa):
+    """Layout, weights and scales of ``(mu, m)`` links of form ``zero``.
 
     ``mean_power`` and ``kappa`` are arrays of one shape, one parameter
-    set per element (``kappa`` 0 for a collapsed layout).  Returns the
+    set per element; a collapsed form (``zero``) is evaluated at
+    ``kappa = 0``.  Returns the link's :func:`_link_layout`, the
     long-double weights, of that shape plus one axis over the terms in
     layout order, and the double ``(unit, boosted)`` scales, of that
     shape plus an axis of two; a term's scale is
     ``scales[..., layout.boosted]``.
     """
+    layout = _link_layout(mu, m, zero)
     gbar = np.asarray(mean_power, dtype=np.longdouble)
     kap = np.asarray(kappa, dtype=np.longdouble)
+    kap = np.zeros_like(kap) if zero else kap
     mk = mu * kap
     total = mk + m
     base = np.longdouble(m) / total     # m / (mu kappa + m)
@@ -246,7 +254,7 @@ def _link_terms(layout, mu, m, mean_power, kappa):
     unit = scales[..., 0] = gbar / (mu * (np.longdouble(1.0) + kap))
     scales[..., 1] = unit / base        # (mu kappa + m) / m * unit, the boosted scale
     w = layout.coef * base[..., None] ** layout.base_pow * dom[..., None] ** layout.dom_pow
-    return w, scales
+    return layout, w, scales
 
 
 class GammaMixture:
@@ -323,11 +331,12 @@ class GammaMixture:
                 self.shapes * np.log(self.scales)
                 + special.gammaln(self.shapes)
             )
-            lt = (
-                np.multiply.outer(self.shapes - 1.0, np.log(xp))
-                - np.outer(1.0 / self.scales, xp)
-                - const[:, None]
-            )
+            with np.errstate(over="ignore"):    # x / scale past the double range: term 0
+                lt = (
+                    np.multiply.outer(self.shapes - 1.0, np.log(xp))
+                    - np.outer(1.0 / self.scales, xp)
+                    - const[:, None]
+                )
             # einsum: accumulation order per element is fixed regardless
             # of batch size, keeping results bit-stable under chunking
             out[pos] = np.einsum("r,rb->b", self.weights, np.exp(lt))
@@ -350,7 +359,8 @@ class GammaMixture:
         from scipy import special
 
         x, _, shaped = _points(x, ">= 0", "cdf requires finite x >= 0")
-        per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
+        with np.errstate(over="ignore"):    # x / scale past the double range: term 1
+            per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
         # fixed accumulation order keeps the signed sum bit-stable
         # under any caller-side chunking of x
         raw = np.einsum("r,rb->b", self.weights, per)
@@ -404,10 +414,8 @@ def expand(params):
     """
     if not isinstance(params, ShadowedParams):
         raise TypeError("expand expects ShadowedParams, got %r" % type(params).__name__)
-    mu, m = params.mu, params.m
-    zero = params.kappa <= KAPPA_ZERO_TOL
-    layout = _link_layout(mu, m, zero)
-    w, scales = _link_terms(layout, mu, m, params.mean_power, 0.0 if zero else params.kappa)
+    layout, w, scales = _link_terms(params.mu, params.m, _collapsed(params.kappa),
+                                    params.mean_power, params.kappa)
     shapes, which = layout.shapes, layout.boosted
     if np.count_nonzero(w) < w.size:
         keep = w != 0.0

@@ -12,9 +12,12 @@ moments.  The pair weights are signed whenever a factor has
 ``mu > m``; their absolute sum is the cancellation indicator exposed as
 ``abs_weight_sum``.
 
-The pairs depend on the integer cell alone.  Each cell, and each
-pattern of kappa-zero collapses (a link with ``kappa <= KAPPA_ZERO_TOL``
-is one Gamma term), has a cached plan: the pairs in the links' layout
+The pairs depend on the integer cell alone.  One rule,
+:func:`_plan_key`, picks a parameter set's plan within its cell, for a
+model and for each set of a batch alike: each link's form (a link
+collapses to one Gamma term at kappa near 0,
+:func:`~prodfade.mixture._collapsed`) and whether the links are tied.
+Each cell and key has a cached plan: the pairs in the links' layout
 order (reversed for a ``mu > m`` link), each pair's scale choice, and
 the key of the engine's merged row plans.  Two equal links share a tied
 plan, on which unit x boosted and boosted x unit pairs share one scale
@@ -36,8 +39,8 @@ import numpy as np
 
 from .gammagamma import pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
-    KAPPA_ZERO_TOL, WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _link_layout, _link_terms,
-    _points, _positive, expand, sample_single,
+    WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _cdf_argument, _collapsed, _link_layout,
+    _link_terms, _points, _positive, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
@@ -53,22 +56,24 @@ CDF_RANGE_TOL = 1e-10
 class _CellPlan:
     """Kappa-free plan of the products of one integer cell.
 
-    One plan per ``(mu, m)`` of each link, per kappa-zero collapse
-    pattern (a link with ``kappa <= KAPPA_ZERO_TOL`` is the single term
-    Gamma(mu)) and per tie.  Pair ``p`` is term ``p // n_b`` of link a
-    and term ``p % n_b`` of link b, each link's terms in layout order, or
-    reversed where ``mu > m``.  A pair's scale product is fixed by the
-    two terms' scale choices (unit or boosted), and pairs of one choice
-    share a ``theta`` of ``pairs``, the key of the engine's row plans.  A
-    ``tied`` plan serves parameter sets whose two links are equal: there
-    unit x boosted and boosted x unit are one scale product, bit for
-    bit, and share one ``theta``.
-    A parameter set only re-weights the plan, whose arrays are
-    read-only, as every model and candidate of the cell shares them.
+    One plan per integer ``cell`` ``(mu_a, m_a, mu_b, m_b)`` and
+    ``key`` of :func:`_plan_key`: the form of each link (a collapsed one
+    is the single term Gamma(mu)) and the tie.  ``links`` holds each
+    link's ``(mu, m, collapsed)``.  Pair ``p`` is term ``p // n_b`` of
+    link a and term ``p % n_b`` of link b, each link's terms in layout
+    order, or reversed where ``mu > m``.  A pair's scale product is fixed
+    by the two terms' scale choices (unit or boosted), and pairs of one
+    choice share a ``theta`` of ``pairs``, the key of the engine's row
+    plans.  A tied plan serves parameter sets whose two links are equal:
+    there unit x boosted and boosted x unit are one scale product, bit
+    for bit, and share one ``theta``.  A parameter set only re-weights
+    the plan, whose arrays are read-only, as every model and candidate of
+    the cell shares them.
     """
 
-    def __init__(self, link_a, link_b, tied):
-        self.links = link_a, link_b
+    def __init__(self, cell, key):
+        mu_a, m_a, mu_b, m_b = cell
+        self.links = (mu_a, m_a, key & 2 > 0), (mu_b, m_b, key & 1 > 0)
         lay_a, lay_b = (_link_layout(*link) for link in self.links)
         # a mu > m link's terms in reverse layout order, in which its
         # weights fall in magnitude (strictly at small kappa): the signed
@@ -79,7 +84,7 @@ class _CellPlan:
         self.ib = np.tile(term_b, term_a.size)
         self.shapes_a, self.shapes_b = lay_a.shapes[self.ia], lay_b.shapes[self.ib]
         self.choice_a, self.choice_b = lay_a.boosted[self.ia], lay_b.boosted[self.ib]
-        choice = self.choice_a + self.choice_b if tied else 2 * self.choice_a + self.choice_b
+        choice = self.choice_a + self.choice_b if key >= 4 else 2 * self.choice_a + self.choice_b
         self.pairs = pair_layout(self.shapes_a, self.shapes_b,
                                  np.unique(choice, return_inverse=True)[1])
         self.log_rising = np.log(self.shapes_a * self.shapes_b)
@@ -132,14 +137,25 @@ class _CellPlan:
         return w, lth, refusals
 
 
-@lru_cache(maxsize=1024)
-def _cell_plan(mu_a, m_a, zero_a, mu_b, m_b, zero_b, tied):
-    """The cached :class:`_CellPlan` of one integer cell, collapse pattern and tie.
+#: The cached :class:`_CellPlan` of an integer cell and :func:`_plan_key`.
+_cell_plan = lru_cache(maxsize=1024)(_CellPlan)
 
-    Callers pass ``tied`` only where it merges scale choices: the sets'
-    links are equal, with ``mu > m`` and not collapsed, so each has two.
+
+def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
+    """The rule that picks a product's plan, for parameter sets of the
+    integer ``cell``: floats give a model's key, arrays a batch's.
+
+    The key is ``2 zero_a + zero_b + 4 tied``: each link's form, from
+    :func:`~prodfade.mixture._collapsed`, and whether the two links are
+    equal, ``mu > m`` and not collapsed, where unit x boosted and boosted
+    x unit are one scale product.  The operators serve floats and arrays.
     """
-    return _CellPlan((mu_a, m_a, zero_a), (mu_b, m_b, zero_b), tied)
+    mu_a, m_a, mu_b, m_b = cell
+    zero_a = _collapsed(kappa_a)
+    key = 2 * zero_a + _collapsed(kappa_b)
+    if mu_a == mu_b and m_a == m_b and mu_a > m_a:
+        key += 4 * ((mean_a == mean_b) & (kappa_a == kappa_b) & (zero_a ^ True))
+    return key
 
 
 def _link_terms_of(link, means, kappas):
@@ -156,9 +172,7 @@ def _link_terms_of(link, means, kappas):
     (``math.fsum``); the refusals are formed only when a set fails a
     check.
     """
-    mu, m, zero = link
-    layout = _link_layout(*link)
-    w, scales = _link_terms(layout, mu, m, means, np.zeros_like(kappas) if zero else kappas)
+    layout, w, scales = _link_terms(*link, means, kappas)
     w = w.astype(float)
     rows, means, kappas = w.tolist(), means.tolist(), kappas.tolist()
     devs = [abs(math.fsum(row) - 1.0) for row in rows]
@@ -186,11 +200,10 @@ def _link_terms_of(link, means, kappas):
 
 
 @lru_cache(maxsize=4096)
-def _link_terms_at(params):
-    """:func:`_link_terms_of` one link, cached per parameter set as
-    :func:`expand` is, for models that revisit parameter sets."""
-    terms = _link_terms_of((params.mu, params.m, params.kappa <= KAPPA_ZERO_TOL),
-                           np.array([params.mean_power]), np.array([params.kappa]))
+def _link_terms_at(link, mean_power, kappa):
+    """:func:`_link_terms_of` one parameter set, of the form its plan
+    gives, cached for models that revisit parameter sets."""
+    terms = _link_terms_of(link, np.array([mean_power]), np.array([kappa]))
     for arr in terms[:2]:
         arr.setflags(write=False)
     return terms
@@ -237,31 +250,22 @@ def _cell_rows(cell, sets, rows, size, fill):
     """The per-plan body of both fits' evaluators.
 
     ``sets`` holds the means and kappas of link a, of link b, and any
-    further values, one parameter set per element.  Sets are grouped as
-    a model's plan is chosen (kappa-zero collapses, tie), and each group
+    further values, one parameter set per element.  Sets are grouped by
+    the rule that picks a model's plan (:func:`_plan_key`), and each group
     is weighed on its cached :class:`_CellPlan`, which refuses a set as
     its model would; the rest go to one ``rows(plan, w, lth, *further)``
     call, giving their (sets x ``size``) values and whether each is
     valid, or, if it raises, to one call per set.  Returns the values,
     ``fill`` where a set is refused, and whether each set was evaluated.
     """
-    mu_a, m_a, mu_b, m_b = cell
-    means_a, kappas_a, means_b, kappas_b = sets[:4]
-    zero_a = kappas_a <= KAPPA_ZERO_TOL
-    groups = 2 * zero_a + (kappas_b <= KAPPA_ZERO_TOL)
-    if (mu_a, m_a) == (mu_b, m_b) and mu_a > m_a:
-        groups += 4 * ((means_a == means_b) & (kappas_a == kappas_b) & ~zero_a)
-
-    def plan(key):
-        return _cell_plan(mu_a, m_a, key & 2 > 0, mu_b, m_b, key & 1 > 0, key >= 4)
-
-    if groups.size and groups.min() == groups.max():
-        return _plan_rows(plan(int(groups[0])), sets, rows, size, fill)
-    out, ok = np.full((groups.size, size), fill), np.zeros(groups.size, dtype=bool)
-    for key in np.unique(groups).tolist():
-        group = np.flatnonzero(groups == key)
-        out[group], ok[group] = _plan_rows(plan(key), [v[group] for v in sets], rows, size,
-                                           fill)
+    keys = _plan_key(cell, *sets[:4])
+    if keys.size and keys.min() == keys.max():
+        return _plan_rows(_cell_plan(cell, int(keys[0])), sets, rows, size, fill)
+    out, ok = np.full((keys.size, size), fill), np.zeros(keys.size, dtype=bool)
+    for key in np.unique(keys).tolist():
+        group = np.flatnonzero(keys == key)
+        out[group], ok[group] = _plan_rows(_cell_plan(cell, key), [v[group] for v in sets],
+                                           rows, size, fill)
     return out, ok
 
 
@@ -295,13 +299,18 @@ def _envelope_pdf(plan, w, lth, scales, r):
     """Densities of ``R = c sqrt(Z)``, ``c = scale / E[sqrt(Z)]``, at ``r``
     for sets weighed on ``plan``, and whether each is finite: ``f_R(r) =
     2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
-    products, so that every set shares the points ``r^2``."""
+    products, so that every set shares the points ``r^2``.  Where ``r^2``
+    passes the largest double, the density takes its limit 0."""
     c = [scale / half for scale, half in zip(scales.tolist(), _half_means(plan, w, lth))]
     if not all(0.0 < v < math.inf for v in c):
         raise ArithmeticError("envelope constant is not finite and > 0")
     log_c2 = np.array([[2.0 * math.log(v)] for v in c])
-    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, r * r, plan.pairs)
-    out *= 2.0 * r
+    with np.errstate(over="ignore"):
+        z = r * r
+    fin = z < math.inf
+    out = np.zeros((w.shape[0], r.size))
+    out[:, fin] = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, z[fin],
+                                   plan.pairs) * (2.0 * r[fin])
     return out, np.isfinite(out).all(axis=-1)
 
 
@@ -347,12 +356,12 @@ class ProductModel:
             raise TypeError("ProductModel expects two ShadowedParams")
         self.link_a = link_a
         self.link_b = link_b
-        zero_a = link_a.kappa <= KAPPA_ZERO_TOL
-        plan = self._plan = _cell_plan(
-            link_a.mu, link_a.m, zero_a, link_b.mu, link_b.m, link_b.kappa <= KAPPA_ZERO_TOL,
-            link_a == link_b and link_a.mu > link_a.m and not zero_a)
-        w, lth, (refusal,) = plan.weigh(_link_terms_at(link_a), _link_terms_at(link_b),
-                                        [self.mean_power])
+        cell = link_a.mu, link_a.m, link_b.mu, link_b.m
+        plan = self._plan = _cell_plan(cell, _plan_key(cell, link_a.mean_power, link_a.kappa,
+                                                       link_b.mean_power, link_b.kappa))
+        w, lth, (refusal,) = plan.weigh(
+            _link_terms_at(plan.links[0], link_a.mean_power, link_a.kappa),
+            _link_terms_at(plan.links[1], link_b.mean_power, link_b.kappa), [self.mean_power])
         if refusal is not None:
             raise refusal.with_traceback(None)
         self._w, self._lth = w[0], lth[0]
@@ -510,8 +519,12 @@ class EnvelopeModel:
         return self.envelope_scale
 
     def pdf(self, r):
-        """Envelope density over ``r > 0``, a one-set :func:`envelope_pdf_rows`."""
-        r, _, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
+        """Envelope density over ``r > 0`` whose square is a double > 0
+        (``r`` above about 1.6e-162), a one-set :func:`envelope_pdf_rows`."""
+        r, lo, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
+        if not float(lo) * float(lo) > 0.0:
+            raise ValueError("envelope pdf requires finite r whose square is > 0 "
+                             "(r above about 1.6e-162)")
         p = self.product
         out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
                                 np.array([self.envelope_scale]), r)
@@ -521,10 +534,12 @@ class EnvelopeModel:
         return shaped(out.ravel())
 
     def cdf(self, r):
-        """Envelope distribution function ``F_Z(r^2 / c^2)`` over ``r >= 0``."""
+        """Envelope distribution function ``F_Z(r^2 / c^2)`` over ``r >= 0``,
+        1 where the quotient passes the largest double."""
         r, _, shaped = _points(r, ">= 0", "envelope cdf requires finite r >= 0")
-        c2 = self._c * self._c
-        return shaped(self.product.cdf(r * r / c2))
+        with np.errstate(over="ignore"):
+            z = _cdf_argument(r * r, self._c * self._c)
+        return shaped(self.product.cdf(z))
 
     def sample(self, rng, n):
         """Draw ``n`` envelope variates."""

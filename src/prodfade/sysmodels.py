@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import RICIAN_PROXY_M, ShadowedParams, _as_int, _non_negative, _points, _positive
+from .mixture import (
+    RICIAN_PROXY_M, ShadowedParams, _as_int, _cdf_argument, _non_negative, _points, _positive,
+)
 from .pdist import ProductModel
 
 __all__ = [
@@ -42,16 +44,6 @@ __all__ = [
     "backscatter_sweep",
     "NAKAGAMI_COMPARATOR_METHOD",
 ]
-
-
-def _cdf_argument(num, den):
-    """``num / den`` for a cdf, a quotient past the largest double held there.
-
-    A valid ``den`` near 0 (or a ``num`` near the top of the range) can
-    overflow the quotient; the cdf of the largest double is already 1.
-    """
-    with np.errstate(over="ignore"):
-        return np.minimum(np.divide(num, den), np.finfo(float).max)
 
 
 #: How the real-shape Nakagami comparator is computed; recorded in

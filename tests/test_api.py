@@ -94,6 +94,36 @@ def test_only_the_helper_shapes_evaluator_results():
             assert phrase not in text, "%s: %r" % (path.name, phrase)
 
 
+def _readers(tree, name):
+    """The function around each read of ``name`` in ``tree``, ``None`` at
+    module level: a load, an attribute lookup or an import."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_collapse_rule_reads_the_kappa_zero_tolerance():
+    # Whether a link collapses at kappa near 0 is decided once, in
+    # mixture._collapsed, which models, mixtures and both fits' batches
+    # call; the tolerance is otherwise only defined and exported.
+    reads = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += [(path.stem, where) for where in _readers(tree, "KAPPA_ZERO_TOL")]
+    assert reads == [("mixture", "_collapsed")]
+
+
 def _module_level(body):
     """The statements run on import: function and class bodies left out."""
     for node in body:

@@ -354,7 +354,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan(6, 2, False, 4, 1, False, False)
+    plan = _cell_plan((6, 2, 4, 1), 0)     # the key of no collapse and no tie
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
@@ -393,7 +393,7 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
         thetas.append(model._plan.pairs.first.size)
         assert np.array_equal(rows[i], model.cdf(z))
     assert thetas == [3, 4, 3, 1]
-    plan = _cell_plan(6, 2, False, 6, 2, False, True)
+    plan = _cell_plan((6, 2, 6, 2), 4)     # the tied key
     for arr in (plan.ia, plan.shapes_a, plan.choice_b, plan.pairs.first, plan.log_rising):
         assert not arr.flags.writeable
 

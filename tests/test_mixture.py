@@ -257,6 +257,18 @@ def test_tiny_kappa_collapses_to_gamma():
     assert mix.scales[0] == pytest.approx(1.0 / 3.0)
 
 
+def test_values_past_the_double_range_take_their_limits():
+    # x / scale overflows at x = 1e308 for scales below 1; there the
+    # density is 0 and the distribution function 1, with no warning.  The
+    # finite point keeps the bits it has on a finite grid of two points.
+    mix = expand(ShadowedParams(1.0, 2.6, 3, 1))
+    assert mix.scales.min() < 1.0
+    x = [1.0, 1e308]
+    pdf, cdf = mix.pdf(x), mix.cdf(x)
+    assert pdf[1] == 0.0 and cdf[1] == 1.0
+    assert pdf[0] == mix.pdf([1.0, 2.0])[0] and cdf[0] == mix.cdf([1.0, 2.0])[0]
+
+
 def test_nakagami_and_rayleigh_shortcuts():
     ray = ShadowedParams.rayleigh(2.0)
     assert (ray.kappa, ray.mu) == (0.0, 1)

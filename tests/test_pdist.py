@@ -434,6 +434,72 @@ def test_envelope_batch_gives_each_set_its_models_bits():
     assert np.array_equal(alone[0], rows[0]) and np.isnan(alone[1]).all()
 
 
+def test_empty_batches_give_empty_rows():
+    # Zero parameter sets give (0, points) rows and (0,) flags, with no
+    # warning, on a cell whose sets could take any of its plans.
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    none, z = np.empty(0), np.geomspace(1e-3, 5.0, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batches = [product_cdf_rows((6, 2, 6, 2), none, none, none, none, z),
+                   envelope_pdf_rows((6, 2, 6, 2), none, none, none, z)]
+    for rows, ok in batches:
+        assert rows.shape == (0, z.size) and ok.shape == (0,) and ok.dtype == bool
+
+
+@pytest.mark.parametrize("mu, m", [(6, 2), (2, 3)])
+def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
+    # A link at kappa <= KAPPA_ZERO_TOL is the single term Gamma(mu), and
+    # above it the full expansion, for the mixture, the model's plan and
+    # both fits' batches alike; each batch row is its model's, bit for
+    # bit.  Just above the tolerance a mu > m link's signed weights do not
+    # sum to one, so the mixture, the model and the batches all refuse it
+    # (ROADMAP item 1).
+    from prodfade.mixture import KAPPA_ZERO_TOL
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    kappas = np.array([0.0, KAPPA_ZERO_TOL / 2, KAPPA_ZERO_TOL,
+                       np.nextafter(KAPPA_ZERO_TOL, 1.0)])
+    other, ones, half = ShadowedParams(1.0, 0.5, 4, 1), np.ones(4), np.full(4, 0.5)
+    z, r = np.geomspace(1e-5, 30.0, 23), np.geomspace(1e-3, 5.0, 17)
+    cdf_rows, cdf_ok = product_cdf_rows((mu, m, 4, 1), ones, kappas, ones, half, z)
+    pdf_rows, pdf_ok = envelope_pdf_rows((mu, m, 4, 1), kappas, half, np.full(4, 1.3), r)
+    for i, kappa in enumerate(kappas.tolist()):
+        link = ShadowedParams(1.0, kappa, mu, m)
+        if mu > m and kappa > KAPPA_ZERO_TOL:
+            with pytest.raises(ValueError) as refused:
+                expand(link)
+            with pytest.raises(ValueError) as model_refused:
+                ProductModel(link, other)
+            assert str(model_refused.value) == str(refused.value)
+            assert not cdf_ok[i] and not pdf_ok[i]
+            continue
+        terms = len(expand(link))
+        assert (terms == 1) == (kappa <= KAPPA_ZERO_TOL)
+        model = ProductModel(link, other)
+        assert model.pair_count == terms * len(expand(other))
+        assert cdf_ok[i] and np.array_equal(cdf_rows[i], model.cdf(z))
+        assert pdf_ok[i] and np.array_equal(pdf_rows[i], EnvelopeModel(model, 1.3).pdf(r))
+
+
+def test_envelope_past_the_double_range():
+    # r^2 past the largest double: the cdf takes its limit 1 and the pdf
+    # its limit 0, as ProductModel's do at 1e308, with no warning; the
+    # finite points keep their pdf bits.  Where r^2 underflows to 0,
+    # outside the pdf's domain, the pdf refuses with a ValueError.
+    env = EnvelopeModel(make((1.0, 2.0, 1, 4), (1.0, 1.0, 2, 1)), 1.3)
+    assert env.cdf(1e200) == 1.0 and env.pdf(1e160) == 0.0
+    assert env.pdf(np.finfo(float).max) == 0.0
+    r = np.array([1e160, 1.0, 1e-3])
+    assert np.array_equal(env.pdf(r)[1:], env.pdf(r[1:])) and env.pdf(r)[0] == 0.0
+    assert env.cdf(r)[0] == 1.0
+    assert np.allclose(env.cdf(r)[1:], env.cdf(r[1:]), rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="square"):
+        env.pdf(1e-170)
+    assert env.pdf(1.6e-162) > 0.0
+
+
 @pytest.mark.parametrize("pair", MODEL_PAIRS + [((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1)),
                                                 ((1.0, 1.0, 3, 1), (2.0, 2.0, 6, 2)),
                                                 ((0.3, 0.0, 3, 1), (1.0, 2.6, 1, 30))])

@@ -8,6 +8,7 @@ per climb the number of argument rows and the rungs climbed, and
 rows and points.
 """
 
+import functools
 import json
 import math
 
@@ -138,8 +139,9 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
 def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
     # The kappa-free layout of a link depends on (mu, m) alone, so the 10
     # cells visited over links (mu, m) in {1, 2} x {1, 3} build three
-    # layouts, one of them (2, 1) of the signed mu > m form.  The (1, 1)
-    # link is held at kappa = 0, whose collapse needs no layout.  The
+    # uncollapsed layouts, once each, one of them (2, 1) of the signed
+    # mu > m form.  The (1, 1) link is held at kappa = 0, whose collapsed
+    # layout is not one of them.  The
     # candidates only weigh the cells' plans: the fit builds one model,
     # its winner's, and no mixture.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
@@ -154,12 +156,23 @@ def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(ProductModel, "__init__", counting)
-    for cache in (mixture._layout, mixture._link_layout, prodfade.pdist._cell_plan, expand):
+    built = []
+    build = mixture._link_layout.__wrapped__
+
+    def recording(*args):
+        built.append(args)
+        return build(*args)
+
+    # one fresh cache, read by both modules, that records what it builds
+    layouts = functools.lru_cache(maxsize=1024)(recording)
+    monkeypatch.setattr(mixture, "_link_layout", layouts)
+    monkeypatch.setattr(prodfade.pdist, "_link_layout", layouts)
+    for cache in (prodfade.pdist._cell_plan, expand):
         cache.cache_clear()
     res = fit_cdf(emp, cfg)
     assert len(res.search_trace) == 10
     assert sum(t["nfev"] for t in res.search_trace) >= 50 * 3
-    assert mixture._layout.cache_info().misses == 3
+    assert sorted((mu, m) for mu, m, zero in built if not zero) == [(1, 3), (2, 1), (2, 3)]
     assert len(models) == 1
     assert expand.cache_info().misses <= 2
 
