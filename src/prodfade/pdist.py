@@ -47,6 +47,8 @@ from .specfun import tricomi_u_times_xa
 __all__ = ["ProductModel", "EnvelopeModel"]
 
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+#: The largest double whose square is a double.
+_SQRT_DBL_MAX = math.sqrt(np.finfo(float).max)
 
 #: Tolerated excursion of the raw signed distribution function outside
 #: [0, 1] before it is treated as a numerical failure.
@@ -300,17 +302,19 @@ def _envelope_pdf(plan, w, lth, scales, r):
     for sets weighed on ``plan``, and whether each is finite: ``f_R(r) =
     2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
     products, so that every set shares the points ``r^2``.  Where ``r^2``
-    passes the largest double, the density takes its limit 0."""
+    passes the largest double, the density is 0."""
     c = [scale / half for scale, half in zip(scales.tolist(), _half_means(plan, w, lth))]
     if not all(0.0 < v < math.inf for v in c):
         raise ArithmeticError("envelope constant is not finite and > 0")
     log_c2 = np.array([[2.0 * math.log(v)] for v in c])
-    with np.errstate(over="ignore"):
-        z = r * r
-    fin = z < math.inf
-    out = np.zeros((w.shape[0], r.size))
-    out[:, fin] = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, z[fin],
-                                   plan.pairs) * (2.0 * r[fin])
+    fin = r <= _SQRT_DBL_MAX
+    rf = r[fin]
+    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, rf * rf, plan.pairs)
+    out *= 2.0 * rf
+    if rf.size < r.size:
+        full = np.zeros((w.shape[0], r.size))
+        full[:, fin] = out
+        out = full
     return out, np.isfinite(out).all(axis=-1)
 
 

@@ -141,9 +141,8 @@ def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
     # cells visited over links (mu, m) in {1, 2} x {1, 3} build three
     # uncollapsed layouts, once each, one of them (2, 1) of the signed
     # mu > m form.  The (1, 1) link is held at kappa = 0, whose collapsed
-    # layout is not one of them.  The
-    # candidates only weigh the cells' plans: the fit builds one model,
-    # its winner's, and no mixture.
+    # layout is not one of them.  The candidates only weigh the cells'
+    # plans: the fit builds one model, its winner's, and no mixture.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(mu_grid=(1, 2), m_grid=(1, 3), n_starts=1, max_points=40,
