@@ -204,29 +204,31 @@ def cmd_match_kappa(args):
 
 
 def _add_fit_flags(sub, pdf_mode=False):
+    base = SearchConfig()
     sub.add_argument("--data", required=True, help="input CSV (sample / x,cdf / x,pdf)")
     sub.add_argument("--out", required=True, help="output JSON path")
-    sub.add_argument("--max-m", type=int, default=30, dest="max_m",
-                     help="upper bound of the m search grid (default 30)")
-    sub.add_argument("--mu", default="1", help="comma list of mu values (default 1)")
+    sub.add_argument("--max-m", type=int, default=base.max_m, dest="max_m",
+                     help="upper bound of the m search grid (default %(default)s)")
+    sub.add_argument("--mu", default=",".join(map(str, base.mu_grid)),
+                     help="comma list of mu values (default %(default)s)")
     sub.add_argument("--mu-hat", default=None, dest="mu_hat",
                      help="comma list for the second link (default: same as --mu)")
     sub.add_argument("--m", default=None, help="explicit comma list of m values")
     sub.add_argument("--m-hat", default=None, dest="m_hat",
                      help="explicit comma list for the second link")
-    sub.add_argument("--kappa-max", type=float, default=50.0, dest="kappa_max",
-                     help="upper bound of the kappa search range (default 50)")
+    sub.add_argument("--kappa-max", type=float, default=base.kappa_range[1], dest="kappa_max",
+                     help="upper bound of the kappa search range (default %(default)s)")
     sub.add_argument("--tie-links", action="store_true", dest="tie_links",
                      help="give both links one shared kappa; mu and m still range "
                           "over each link's own grid, so the links may differ in "
                           "mu and m")
-    sub.add_argument("--starts", type=int, default=5,
-                     help="local-search starts per integer cell (default 5)")
-    sub.add_argument("--max-points", type=int, default=200, dest="max_points",
-                     help="evaluation points kept after thinning (default 200)")
-    sub.add_argument("--tie-tol", type=float, default=1e-3, dest="tie_tol",
+    sub.add_argument("--starts", type=int, default=base.n_starts,
+                     help="local-search starts per integer cell (default %(default)s)")
+    sub.add_argument("--max-points", type=int, default=base.max_points, dest="max_points",
+                     help="evaluation points kept after thinning (default %(default)s)")
+    sub.add_argument("--tie-tol", type=float, default=base.tie_tol, dest="tie_tol",
                      help="objective margin treated as an equal-quality tie "
-                          "(default 1e-3)")
+                          "(default %(default)s)")
     sub.add_argument("--seed", type=_seed, default=0,
                      help="recorded in the result for provenance")
     if pdf_mode:

@@ -21,12 +21,14 @@ so a product has at most four distinct ``theta`` however many pairs it
 has, and many of its rows are the same kernel.  A row plan, built from
 the integer shapes and the pair-to-``theta`` index alone, merges such
 rows into one row whose weight is the sum of theirs; the Bessel ladder
-then climbs once per distinct ``theta``, and Tricomi U takes one
-row-batched call per distinct ``theta``.  The density kernel is
-symmetric in its two shapes (``K_{-nu} = K_nu``), and so is the
-transform's (Kummer's transformation), so their rows merge on the
-unordered pair.  Plans depend on the integer layout alone and are
-cached, so a fit that revisits an integer cell at many ``kappa`` plans
+then climbs once per distinct ``theta``, and Tricomi U takes one call
+per block of points, every set's rows at once, each row at its own
+argument grid.  The density kernel is symmetric in its two shapes
+(``K_{-nu} = K_nu``), and so is the transform's (Kummer's
+transformation), so their rows merge on the unordered pair.  Plans
+depend on the integer layout alone, and the :class:`Pairs` layout
+builds each on first use and keeps it, so a fit that revisits an
+integer cell at many ``kappa`` (through the cell's cached plan) plans
 it once; what each call still pays is the kernel math (the ladder's
 ``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.
 
@@ -39,9 +41,9 @@ the ladder seeds itself in numpy.  So ``eval --dist prod`` and
 (:mod:`prodfade.mixture`), as does the Nakagami comparator of
 :mod:`prodfade.sysmodels`.
 
-Which pairs share a ``theta`` is given by the caller's :data:`Pairs`
+Which pairs share a ``theta`` is given by the caller's :class:`Pairs`
 layout (:func:`pair_layout`); a product model passes its cell plan's,
-keyed by the links' scale choices (see :mod:`prodfade.pdist`).  The
+grouped by the links' scale choices (see :mod:`prodfade.pdist`).  The
 weights and log scales may carry a leading axis of parameter sets over
 one layout: one call then climbs the ladder over every set's arguments
 at once and returns one row per set, each row the bits a call with
@@ -50,7 +52,7 @@ that set alone gives.
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,11 +67,6 @@ _LN2 = math.log(2.0)
 # to bound peak memory.
 _BLOCK_BUDGET = 2_000_000
 
-# Row plans kept per sum kind, one per distinct integer layout.  The
-# 576 cells mu, m <= 12 at four kappa make 439 layouts of each kind,
-# about 5 MB of plans in all.
-_PLAN_CACHE = 1024
-
 # Merged kernel rows of the pdf and cdf sums.
 # ``np.bincount(merge, weights[source])`` gives the row weights; row
 # ``r`` is the kernel with log scale ``theta[r]`` (an index into the
@@ -83,16 +80,11 @@ _PLAN_CACHE = 1024
 _BesselPlan = namedtuple("_BesselPlan",
                          "source merge theta rung log_coef expo max_order width merge_at")
 
-# Pairs of a product in a kappa-free form: ``key`` holds the int64 bytes
-# of each pair's two shapes and theta index, the row plans' cache key,
-# and ``first[t]`` is a pair whose scale product is distinct theta ``t``.
-Pairs = namedtuple("Pairs", "key first")
-
 # Merged kernel rows of the mgf sum, ``source`` and ``merge`` as above:
 # row ``r`` is ``y^a U(a, b, y)`` at ``y = -1 / (s theta)``, with
-# ``a[r]``, ``b[r]`` and the log scale ``theta[r]``; ``by_theta[t]``
-# lists the rows of distinct scale ``t``, and ``width`` is the row count.
-_UPlan = namedtuple("_UPlan", "source merge theta a b by_theta width merge_at")
+# ``a[r]``, ``b[r]`` and the log scale ``theta[r]``, and ``width`` is
+# the row count.
+_UPlan = namedtuple("_UPlan", "source merge theta a b width merge_at")
 
 
 def _merge_rows(theta, a, b):
@@ -119,82 +111,85 @@ def _bessel_plan(source, merge, theta, order, log_coef, expo):
                        expo[:, None], max_order, max(theta.size, (max_order + 1) * n_theta), {})
 
 
-@lru_cache(maxsize=_PLAN_CACHE)
-def _cdf_plan(shapes_a, shapes_b, theta_of_pair):
-    """Plan of the cdf sum: pair ``p`` gives rows ``k = 0 .. shapes_a[p]-1``
-    of kernel ``(theta, k, shapes_b[p])``.  Arguments are int64 bytes."""
-    counts = np.frombuffer(shapes_a, dtype=np.int64)
-    pair = np.repeat(np.arange(counts.size), counts)
-    k = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    mh = np.frombuffer(shapes_b, dtype=np.int64)[pair]
-    theta = np.frombuffer(theta_of_pair, dtype=np.int64)[pair]
-    merge, first = _merge_rows(theta, k, mh)
-    k, mh = k[first], mh[first]
-    log_coef = _LN2 - ln_gamma_ints(k + 1) - ln_gamma_ints(mh)
-    return _bessel_plan(pair, merge, theta[first], np.abs(mh - k), log_coef, 0.5 * (k + mh))
+class Pairs:
+    """The pairs of a product in a kappa-free form, and their row plans.
 
-
-@lru_cache(maxsize=_PLAN_CACHE)
-def _pdf_plan(shapes_a, shapes_b, theta_of_pair):
-    """Plan of the pdf sum: one row of kernel ``(theta, ma, mb)`` per pair.
-
-    The kernel is symmetric in its shapes (``K_{-nu} = K_nu``), so rows
-    are merged on the unordered pair ``{ma, mb}``; a merged row's
-    coefficient is formed in the shape order of its first pair.
-    """
-    ma = np.frombuffer(shapes_a, dtype=np.int64)
-    mb = np.frombuffer(shapes_b, dtype=np.int64)
-    theta = np.frombuffer(theta_of_pair, dtype=np.int64)
-    merge, first = _merge_rows(theta, np.minimum(ma, mb), np.maximum(ma, mb))
-    ma, mb = ma[first], mb[first]
-    log_coef = _LN2 - ln_gamma_ints(ma) - ln_gamma_ints(mb)
-    return _bessel_plan(np.arange(merge.size), merge, theta[first], np.abs(ma - mb),
-                        log_coef, 0.5 * (ma + mb) - 1.0)
-
-
-@lru_cache(maxsize=_PLAN_CACHE)
-def _mgf_plan(shapes_a, shapes_b, theta_of_pair):
-    """Plan of the mgf sum: one row ``y^a U(a, b, y)`` per pair.
-
-    A pair ``(ma, mb)`` has the kernel ``y^ma U(ma, 1 + ma - mb, y)``.
-    Kummer's transformation (DLMF 13.2.40) makes it symmetric,
-    ``y^ma U(ma, 1 + ma - mb, y) = y^mb U(mb, 1 + mb - ma, y)``, so rows
-    are merged on the unordered pair, as ``a = max(ma, mb)`` and
-    ``b = 1 + |ma - mb|``: the form U evaluates, with ``b >= 1``.
-    """
-    ma = np.frombuffer(shapes_a, dtype=np.int64)
-    mb = np.frombuffer(shapes_b, dtype=np.int64)
-    theta = np.frombuffer(theta_of_pair, dtype=np.int64)
-    a, b = np.maximum(ma, mb), 1 + np.abs(ma - mb)
-    merge, first = _merge_rows(theta, a, b)
-    theta = theta[first]
-    by_theta = tuple(np.flatnonzero(theta == t) for t in range(int(theta.max()) + 1))
-    return _UPlan(np.arange(merge.size), merge, theta, a[first], b[first], by_theta, first.size,
-                  {})
-
-
-def pair_layout(shapes_a, shapes_b, theta_of_pair):
-    """``Pairs`` of the given integer shapes and theta index per pair.
-
-    ``theta_of_pair`` numbers the distinct scale products ``0 .. T-1``;
-    which pairs share one is the caller's choice (a product model
+    Pair ``p`` is the kernel of integer shapes ``shapes_a[p]`` and
+    ``shapes_b[p]`` at distinct scale product ``theta[p]``, numbered
+    ``0 .. T-1``; ``first[t]`` is a pair whose scale product is ``t``.
+    Which pairs share a theta is the caller's choice (a product model
     groups them by the links' scale choices, and with two equal links
     puts unit x boosted and boosted x unit on one, see
-    :mod:`prodfade.pdist`).  Pairs that share a theta must have one
-    log scale product, bit for bit: the sums take each theta's value
-    from its first pair.
+    :mod:`prodfade.pdist`).  Pairs that share a theta must have one log
+    scale product, bit for bit: the sums take each theta's value from
+    its first pair.  The arrays are read-only, and each row plan is
+    built on first use and kept with the layout, so a caller that keeps
+    the layout (a cell plan, which a fit revisits at many ``kappa``)
+    plans each sum once.
     """
-    theta_of_pair = np.asarray(theta_of_pair, dtype=np.int64)
-    first = np.unique(theta_of_pair, return_index=True)[1]
-    return Pairs((np.asarray(shapes_a, dtype=np.int64).tobytes(),
-                  np.asarray(shapes_b, dtype=np.int64).tobytes(), theta_of_pair.tobytes()),
-                 first)
+
+    def __init__(self, shapes_a, shapes_b, theta_of_pair):
+        self.shapes_a, self.shapes_b, self.theta = (
+            np.array(v, dtype=np.int64) for v in (shapes_a, shapes_b, theta_of_pair))
+        self.first = np.unique(self.theta, return_index=True)[1]
+        for arr in (self.shapes_a, self.shapes_b, self.theta, self.first):
+            arr.setflags(write=False)
+
+    @cached_property
+    def cdf(self):
+        """Plan of the cdf sum: pair ``p`` gives rows ``k = 0 .. shapes_a[p]-1``
+        of kernel ``(theta, k, shapes_b[p])``."""
+        counts = self.shapes_a
+        pair = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        mh, theta = self.shapes_b[pair], self.theta[pair]
+        merge, first = _merge_rows(theta, k, mh)
+        k, mh = k[first], mh[first]
+        log_coef = _LN2 - ln_gamma_ints(k + 1) - ln_gamma_ints(mh)
+        return _bessel_plan(pair, merge, theta[first], np.abs(mh - k), log_coef,
+                            0.5 * (k + mh))
+
+    @cached_property
+    def pdf(self):
+        """Plan of the pdf sum: one row of kernel ``(theta, ma, mb)`` per pair.
+
+        The kernel is symmetric in its shapes (``K_{-nu} = K_nu``), so
+        rows are merged on the unordered pair ``{ma, mb}``; a merged row's
+        coefficient is formed in the shape order of its first pair.
+        """
+        ma, mb = self.shapes_a, self.shapes_b
+        merge, first = _merge_rows(self.theta, np.minimum(ma, mb), np.maximum(ma, mb))
+        ma, mb = ma[first], mb[first]
+        log_coef = _LN2 - ln_gamma_ints(ma) - ln_gamma_ints(mb)
+        return _bessel_plan(np.arange(merge.size), merge, self.theta[first], np.abs(ma - mb),
+                            log_coef, 0.5 * (ma + mb) - 1.0)
+
+    @cached_property
+    def mgf(self):
+        """Plan of the mgf sum: one row ``y^a U(a, b, y)`` per pair.
+
+        A pair ``(ma, mb)`` has the kernel ``y^ma U(ma, 1 + ma - mb, y)``.
+        Kummer's transformation (DLMF 13.2.40) makes it symmetric,
+        ``y^ma U(ma, 1 + ma - mb, y) = y^mb U(mb, 1 + mb - ma, y)``, so
+        rows are merged on the unordered pair, as ``a = max(ma, mb)`` and
+        ``b = 1 + |ma - mb|``: the form U evaluates, with ``b >= 1``.
+        """
+        ma, mb = self.shapes_a, self.shapes_b
+        a, b = np.maximum(ma, mb), 1 + np.abs(ma - mb)
+        merge, first = _merge_rows(self.theta, a, b)
+        return _UPlan(np.arange(merge.size), merge, self.theta[first], a[first], b[first],
+                      first.size, {})
 
 
-def _prepare(weights, log_scales, x, pairs, build):
+#: ``pair_layout(shapes_a, shapes_b, theta_of_pair)``: the :class:`Pairs`
+#: the sums take.
+pair_layout = Pairs
+
+
+def _prepare(weights, log_scales, x, pairs):
     """Batched engine arguments of one of the three public sums.
 
-    Returns the row plan, the weights and distinct log scales with a
+    Returns the weights and distinct log scales of ``pairs`` with a
     leading batch axis, the points as a flat float array, and whether
     the call was unbatched (1-d ``weights``).
     """
@@ -203,8 +198,7 @@ def _prepare(weights, log_scales, x, pairs, build):
     single = weights.ndim == 1
     if single:
         weights, log_scales = weights[None], log_scales[None]
-    return (build(*pairs.key), weights, log_scales[:, pairs.first],
-            np.asarray(x, dtype=float), single)
+    return weights, log_scales[:, pairs.first], np.asarray(x, dtype=float), single
 
 
 def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
@@ -295,8 +289,8 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
     parameter sets over the one layout, and the result then has one row
     per set.
     """
-    plan, w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs, _cdf_plan)
-    total = _eval_blocks(plan, w, log_thetas, x, _bessel_rows)
+    w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs)
+    total = _eval_blocks(pairs.cdf, w, log_thetas, x, _bessel_rows)
     np.subtract(1.0, total, out=total)
     return total[0] if single else total
 
@@ -310,8 +304,8 @@ def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
     a few ulp below zero where signed kernels cancel; returned as
     computed.  ``pairs`` and batches as in :func:`weighted_cdf_sum`.
     """
-    plan, w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs, _pdf_plan)
-    total = _eval_blocks(plan, w, log_thetas, x, _shifted_bessel_rows)
+    w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs)
+    total = _eval_blocks(pairs.pdf, w, log_thetas, x, _shifted_bessel_rows)
     return total[0] if single else total
 
 
@@ -323,26 +317,24 @@ def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pai
     unordered shape pair, are summed once.  ``u_times_xa`` is the
     row-batched evaluator of ``x^a U(a, b, x)``
     (:func:`prodfade.specfun.tricomi_u_times_xa`, or a wrapper of it);
-    it is called once per set, distinct ``theta`` and block, with all
-    that ``theta``'s rows and the block's points.  Where ``y`` overflows
-    to inf it gives the limit 1.  The row weights, the kernels and their
-    sum are kept in long double and rounded once: where signed pairs
-    cancel (a thousandfold and more at large ``|s|``), double rounding
-    of each merged weight and kernel would cost digits.  Returns the
-    raw signed result.  ``pairs`` and batches as in
+    it is called once per block of points and sets, with every set's
+    merged rows and a (rows x points) grid of each row's ``y``.  Where
+    ``y`` overflows to inf it gives the limit 1.  The row weights, the
+    kernels and their sum are kept in long double and rounded once:
+    where signed pairs cancel (a thousandfold and more at large
+    ``|s|``), double rounding of each merged weight and kernel would
+    cost digits.  Returns the raw signed result.  ``pairs`` and batches as in
     :func:`weighted_cdf_sum`.
     """
     def rows(plan, log_thetas, s):
-        out = np.empty((log_thetas.shape[0], plan.theta.size, s.size), dtype=np.longdouble)
-        minus_s = -s.astype(np.longdouble)
-        for (i, t), log_theta in np.ndenumerate(log_thetas):
-            idx = plan.by_theta[t]
-            # y rounded once from long double; it overflows to inf near s = 0
-            with np.errstate(over="ignore"):
-                y = (np.exp(-np.longdouble(log_theta)) / minus_s).astype(float)
-            out[i, idx] = u_times_xa(plan.a[idx], plan.b[idx], y)
-        return out
+        sets = log_thetas.shape[0]
+        # y rounded once from long double; it overflows to inf near s = 0
+        with np.errstate(over="ignore"):
+            y = (np.exp(-log_thetas.astype(np.longdouble))[:, plan.theta, None]
+                 / -s.astype(np.longdouble)).astype(float)
+        u = u_times_xa(np.tile(plan.a, sets), np.tile(plan.b, sets), y.reshape(-1, s.size))
+        return u.reshape(y.shape)
 
-    plan, w, log_thetas, s, single = _prepare(weights, log_scales, s, pairs, _mgf_plan)
-    total = _eval_blocks(plan, w, log_thetas, s, rows, np.longdouble).astype(float)
+    w, log_thetas, s, single = _prepare(weights, log_scales, s, pairs)
+    total = _eval_blocks(pairs.mgf, w, log_thetas, s, rows, np.longdouble).astype(float)
     return total[0] if single else total

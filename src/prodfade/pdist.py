@@ -19,7 +19,8 @@ collapses to one Gamma term at kappa near 0,
 :func:`~prodfade.mixture._collapsed`) and whether the links are tied.
 Each cell and key has a cached plan: the pairs in the links' layout
 order (reversed for a ``mu > m`` link), each pair's scale choice, and
-the key of the engine's merged row plans.  Two equal links share a tied
+their layout, which builds and keeps the engine's merged row plans
+(:class:`~prodfade.gammagamma.Pairs`).  Two equal links share a tied
 plan, on which unit x boosted and boosted x unit pairs share one scale
 product.  A parameter set only re-weights the plan, with the links'
 long-double weight formula, so a :class:`ProductModel` builds no
@@ -65,10 +66,12 @@ class _CellPlan:
     link a and term ``p % n_b`` of link b, each link's terms in layout
     order, or reversed where ``mu > m``.  A pair's scale product is fixed
     by the two terms' scale choices (unit or boosted), and pairs of one
-    choice share a ``theta`` of ``pairs``, the key of the engine's row
-    plans.  A tied plan serves parameter sets whose two links are equal:
-    there unit x boosted and boosted x unit are one scale product, bit
-    for bit, and share one ``theta``.  A parameter set only re-weights
+    choice share a ``theta`` of ``pairs``, the layout
+    (:class:`~prodfade.gammagamma.Pairs`) that builds the engine's row
+    plans on first use and keeps them as long as this plan.  A tied plan
+    serves parameter sets whose two links are equal: there unit x
+    boosted and boosted x unit are one scale product, bit for bit, and
+    share one ``theta``.  A parameter set only re-weights
     the plan, whose arrays are read-only, as every model and candidate of
     the cell shares them.
     """
@@ -94,7 +97,7 @@ class _CellPlan:
         self.log_half = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
                                   for pair in zip(self.shapes_a.tolist(), self.shapes_b.tolist())])
         for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a,
-                    self.choice_b, self.pairs.first, self.log_rising, self.log_half):
+                    self.choice_b, self.log_rising, self.log_half):
             arr.setflags(write=False)
 
     def weigh(self, terms_a, terms_b, targets):
@@ -276,12 +279,15 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
 
     ``cell`` is ``(mu_a, m_a, mu_b, m_b)``; the other arguments but
     ``z`` are float arrays of one length, one parameter set per
-    element, and ``z`` a flat float array of points ``> 0``.  Returns a
+    element, and ``z`` a flat float array of finite points ``> 0``,
+    checked as the model checks its points (``ValueError``).  Returns a
     (sets x points) array and, per set, whether it could be evaluated:
     row ``i`` is ``ProductModel(link_a, link_b).cdf(z)`` at set ``i``,
     range-checked and clipped as there, or all ones where that model,
     or its cdf, raises a numerical or validation error.
     """
+    z = _points(z, "> 0", "cdf rows require finite z > 0")[0]
+
     def rows(plan, w, lth):
         raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
         keep = _cdf_in_range(raw)
@@ -318,14 +324,27 @@ def _envelope_pdf(plan, w, lth, scales, r):
     return out, np.isfinite(out).all(axis=-1)
 
 
+def _envelope_points(r):
+    """:func:`~prodfade.mixture._points` of an envelope density: finite
+    ``r > 0`` whose square is a double > 0.  Returns the flat points and
+    the function that shapes a result."""
+    r, lo, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
+    if not float(lo) * float(lo) > 0.0:
+        raise ValueError("envelope pdf requires finite r whose square is > 0 "
+                         "(r above about 1.6e-162)")
+    return r, shaped
+
+
 def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
     """Envelope densities of many unit-mean products of one integer cell.
 
     As :func:`product_cdf_rows`, with links of mean power 1 and each
     set's envelope scale in ``scales``: row ``i`` is, bit for bit,
     ``EnvelopeModel(ProductModel(link_a, link_b), scales[i]).pdf(r)``,
-    or NaN where that model, or its pdf, raises.
+    or NaN where that model, or its pdf, raises.  The points are checked
+    as that model checks them (``ValueError``).
     """
+    r = _envelope_points(r)[0]
     ones = np.ones(scales.size)
     return _cell_rows(cell, (ones, kappas_a, ones, kappas_b, scales),
                       partial(_envelope_pdf, r=r), r.size, math.nan)
@@ -447,9 +466,9 @@ class ProductModel:
         """``E[exp(s Z)]`` over ``s < 0``.
 
         Tricomi-U closed form: pairs that are the same kernel are merged
-        into one row, and each distinct scale product takes one
-        row-batched U call.  Near ``s = 0`` the argument ``-1/(s theta)``
-        may overflow to inf, where ``x^a U`` takes its limit 1.
+        into one row, and one U call takes every row, each at its own
+        grid ``y = -1/(s theta)``.  Near ``s = 0`` that argument may
+        overflow to inf, where ``x^a U`` takes its limit 1.
         """
         s, _, shaped = _points(s, "< 0", "mgf requires finite s < 0")
         out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa,
@@ -525,10 +544,7 @@ class EnvelopeModel:
     def pdf(self, r):
         """Envelope density over ``r > 0`` whose square is a double > 0
         (``r`` above about 1.6e-162), a one-set :func:`envelope_pdf_rows`."""
-        r, lo, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
-        if not float(lo) * float(lo) > 0.0:
-            raise ValueError("envelope pdf requires finite r whose square is > 0 "
-                             "(r above about 1.6e-162)")
+        r, shaped = _envelope_points(r)
         p = self.product
         out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
                                 np.array([self.envelope_scale]), r)

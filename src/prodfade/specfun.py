@@ -412,17 +412,19 @@ def tricomi_u_times_xa(a, b, x):
         Laplace transform of a Gamma product produces ``b = 1 + m -
         mhat``, which may be <= 0).
     x : float or array_like
-        Argument(s), strictly positive.
+        Argument(s), strictly positive: with 1-D ``a``, a (rows x
+        points) grid, row ``r`` the points of row ``r``, or a 0-d or 1-D
+        grid shared by every row, which is broadcast to one.
 
     Returns
     -------
     numpy.longdouble or ndarray of it
-        Of shape ``a.shape + x.shape``: with arrays ``a`` and ``b``, row
-        ``r`` holds ``x^a[r] U(a[r], b[r], x)``.  A cell's value does not
-        depend on the other rows and points of the call.  The rule works
-        in long double from its node sums on, and its result stays long
-        double, so that sums of kernels that cancel keep the bits a
-        rounding to double would drop.
+        Of the grid's shape, ``a.shape + x.shape`` for a shared grid:
+        cell ``(r, j)`` holds ``x^a[r] U(a[r], b[r], x)`` at point ``j``
+        of row ``r``.  A cell's value does not depend on the other cells
+        of the call.  The rule works in long double from its node sums
+        on, and its result stays long double, so that sums of kernels
+        that cancel keep the bits a rounding to double would drop.
     """
     a = _int_array("a", a)
     b = _int_array("b", b)
@@ -432,22 +434,24 @@ def tricomi_u_times_xa(a, b, x):
     if not a.min(initial=1) >= 1:
         raise ValueError("tricomi_u_times_xa requires a >= 1, got %r" % (a,))
     x = np.asarray(x, dtype=float)
-    shape = a.shape + x.shape
-    a, b, x = a.reshape(-1), b.reshape(-1), x.reshape(-1)
+    shape = a.shape + (x.shape if x.ndim < 2 else x.shape[-1:])
     if not x.min(initial=math.inf) > 0.0:
         raise ValueError("tricomi_u_times_xa requires x > 0")
+    a, b = a.reshape(-1), b.reshape(-1)
+    # a grid of another shape raises ValueError here
+    x = np.broadcast_to(x, shape).reshape(a.size, -1 if a.size else x.size)
     # x^a U(a, b, x) = x^(a+1-b) U(a+1-b, 2-b, x)
     a, b = np.where(b < 1, a + 1 - b, a), np.where(b < 1, 2 - b, b)
 
     # U(a, a+1, x) = x^-a exactly; the limit at inf
-    out = np.ones((a.size, x.size), dtype=np.longdouble)
+    out = np.ones(x.shape, dtype=np.longdouble)
     row, col = np.nonzero((b != a + 1)[:, None] & np.isfinite(x))
     if row.size:
         # ln Gamma(n) = ln 1 + ... + ln(n - 1), in long double
         ln_gamma = np.zeros(int(a.max()), dtype=np.longdouble)
         np.cumsum(np.log(np.arange(1, a.max(), dtype=np.longdouble)), out=ln_gamma[1:])
         ln_gamma = ln_gamma[a - 1]
-        ca, cb, cx = a[row].astype(float), b[row].astype(float), x[col]
+        ca, cb, cx = a[row].astype(float), b[row].astype(float), x[row, col]
         refine = np.ones(row.size)
         flat = cb == 1.0
         # At b = 1, h is flat in v from ln x to ln a; the table must

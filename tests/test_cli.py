@@ -439,6 +439,19 @@ def test_match_kappa_stdout_and_json(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "10"
 
 
+@pytest.mark.parametrize("command", ["fit-cdf", "fit-pdf"])
+def test_fit_flag_defaults_are_the_search_config_defaults(command):
+    # The fit commands take their defaults from SearchConfig, and their
+    # help shows them.
+    from prodfade.cli import _search_config, build_parser
+
+    parser = build_parser()
+    args = parser.parse_args([command, "--data", "d.csv", "--out", "o.json"])
+    assert _search_config(args, pdf_mode=command == "fit-pdf") == prodfade.fit.SearchConfig()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    assert "(default 30)" in " ".join(sub.format_help().split())
+
+
 def test_fit_cdf_cli_roundtrip(tmp_path, capsys):
     gen = ProductModel(ShadowedParams(1.0, 2.0, 1, 3), ShadowedParams(1.0, 2.0, 1, 3))
     draws = gen.sample(np.random.default_rng(21), 3000)

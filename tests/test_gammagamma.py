@@ -6,7 +6,9 @@ import pytest
 from scipy import special, stats
 from scipy.integrate import quad
 
-from prodfade.gammagamma import pair_layout, weighted_cdf_sum, weighted_pdf_sum
+from prodfade.gammagamma import (
+    pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum,
+)
 from prodfade.mixture import ShadowedParams
 from prodfade.pdist import ProductModel
 
@@ -372,6 +374,35 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
                              ShadowedParams(1.0, kappas_b[i], 4, 1))
         assert np.array_equal(rows[i], model.cdf(z))
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
+    # Two parameter sets of one layout in one transform call, whole-grid
+    # or one point and one set per block: each row is the one-set call's
+    # result, bit for bit, and the model's mgf.
+    from prodfade.pdist import _cell_plan, _link_terms_of
+    from prodfade.specfun import tricomi_u_times_xa
+
+    if budget is not None:
+        monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
+    plan = _cell_plan((6, 2, 4, 1), 0)
+    kappas_a, kappas_b = np.array([1.0, 3.0]), np.array([0.5, 2.0])
+    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], np.ones(2), kappas_a),
+                                  _link_terms_of(plan.links[1], np.ones(2), kappas_b),
+                                  [1.0, 1.0])
+    assert refusals == [None, None]
+    s = -np.geomspace(1e-3, 1e3, 9)
+    batch = weighted_mgf_sum(w, plan.shapes_a, plan.shapes_b, lth, s, tricomi_u_times_xa,
+                             plan.pairs)
+    assert batch.shape == (2, s.size)
+    for i in range(2):
+        alone = weighted_mgf_sum(w[i], plan.shapes_a, plan.shapes_b, lth[i], s,
+                                 tricomi_u_times_xa, plan.pairs)
+        assert np.array_equal(batch[i], alone)
+        model = ProductModel(ShadowedParams(1.0, kappas_a[i], 6, 2),
+                             ShadowedParams(1.0, kappas_b[i], 4, 1))
+        assert np.array_equal(batch[i], model.mgf(s))
 
 
 def test_tied_sets_share_a_theta_and_give_their_models_bits():

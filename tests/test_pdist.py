@@ -148,7 +148,7 @@ def test_mgf_near_zero_takes_the_limit(monkeypatch):
         assert p.mgf(-5e-324) == 1.0
         assert p.mgf(-1e-310) == 1.0
     monkeypatch.setattr("prodfade.pdist.tricomi_u_times_xa",
-                        lambda a, b, y: np.full((np.size(a), np.size(y)), np.nan))
+                        lambda a, b, y: np.full(np.shape(y), np.nan))
     with pytest.raises(ArithmeticError):
         p.mgf(-1.0)
 
@@ -498,6 +498,32 @@ def test_envelope_past_the_double_range():
     with pytest.raises(ValueError, match="square"):
         env.pdf(1e-170)
     assert env.pdf(1.6e-162) > 0.0
+
+
+@pytest.mark.parametrize("point", [-1.0, 0.0, math.nan, math.inf, -math.inf, 1e-170])
+def test_batch_evaluators_check_their_points_as_the_models_do(point):
+    # A point outside a batch's domain raises ValueError, as the models'
+    # own evaluators do, before any set is weighed: no warning, no
+    # refused sets, no density of a wrong sign.  1e-170 is a valid cdf
+    # point whose envelope square underflows to 0.
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    one = np.ones(1)
+    pts = np.array([point, 1.0])
+    env = EnvelopeModel(make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1)), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="envelope pdf requires finite r") as batch:
+            envelope_pdf_rows((1, 4, 2, 1), one, one, one, pts)
+        with pytest.raises(ValueError) as model:
+            env.pdf(pts)
+        assert str(batch.value) == str(model.value)
+        if point == 1e-170:
+            rows, ok = product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
+            assert ok.all() and np.array_equal(rows[0], env.product.cdf(pts))
+        else:
+            with pytest.raises(ValueError, match="finite z > 0"):
+                product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
 
 
 @pytest.mark.parametrize("pair", MODEL_PAIRS + [((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1)),

@@ -223,6 +223,29 @@ def test_row_batched_u_equals_per_row_scalar_u():
         tricomi_u_times_xa(np.array([1, 0]), np.array([1, 1]), x)
 
 
+def test_u_grid_per_row_gives_each_row_the_bits_of_its_own_call():
+    # A (rows x points) grid, each row its own points (exact b = a + 1
+    # cells, refined tables at tiny x, the limit at inf among them): row
+    # r is the bits of a one-row call at its points.  A shared grid is
+    # that grid broadcast, and a grid of another row count is refused.
+    rows = [(a, b) for a in range(1, 31) for b in range(2 - a, a + 2)]
+    a, b = (np.array(col) for col in zip(*rows))
+    base = np.concatenate([np.geomspace(1e-300, 1e160, 23), [np.inf]])
+    x = base * np.geomspace(0.5, 2.0, len(rows))[:, None]
+    assert tricomi_u_times_xa(a[:2], b[:2], x[:2]).shape == (2, base.size)
+    batched = tricomi_u_times_xa(a, b, x)
+    assert batched.shape == x.shape and batched.dtype == np.longdouble
+    assert np.array_equal(batched, [tricomi_u_times_xa(ai, bi, xi)
+                                    for ai, bi, xi in zip(a, b, x)])
+    shared = np.broadcast_to(base, x.shape)
+    assert np.array_equal(tricomi_u_times_xa(a, b, shared), tricomi_u_times_xa(a, b, base))
+    assert tricomi_u_times_xa(a[:0], b[:0], x[:0]).shape == (0, base.size)
+    with pytest.raises(ValueError):
+        tricomi_u_times_xa(a, b, x[:-1])
+    with pytest.raises(ValueError):
+        tricomi_u_times_xa(a[0], b[0], x)
+
+
 def test_kummer_symmetry_of_the_mgf_kernel():
     # y^a U(a, 1+a-b, y) = y^b U(b, 1+b-a, y) (DLMF 13.2.40): the pair
     # kernel of the mgf is symmetric in its two shapes, which lets the

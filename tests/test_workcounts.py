@@ -5,7 +5,7 @@ reduction in kernel work can be pinned here.  Recording wrappers
 replace ``log_bessel_k_ladder`` where ``gammagamma`` looks it up, noting
 per climb the number of argument rows and the rungs climbed, and
 ``tricomi_u_times_xa`` where ``pdist`` looks it up, noting per call the
-rows and points.
+rows and the argument grid.
 """
 
 import functools
@@ -77,12 +77,12 @@ def test_one_argument_row_per_distinct_theta(climbs, name, kind):
 
 @pytest.fixture
 def u_calls(monkeypatch):
-    """``[(rows, points), ...]`` for every Tricomi U call ``mgf`` makes."""
+    """``[(rows, grid), ...]`` for every Tricomi U call ``mgf`` makes."""
     record = []
     u = prodfade.pdist.tricomi_u_times_xa
 
     def recording(a, b, x):
-        record.append((np.size(a), np.size(x)))
+        record.append((np.size(a), np.array(x)))
         return u(a, b, x)
 
     monkeypatch.setattr(prodfade.pdist, "tricomi_u_times_xa", recording)
@@ -92,22 +92,24 @@ def u_calls(monkeypatch):
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("points", [1, 5, 20])
 def test_one_u_call_per_distinct_theta(u_calls, name, points):
-    # Every row of one theta shares y = -1/(s theta): one row-batched call
-    # per distinct theta, each with the whole grid, covering every merged
-    # row once.
+    # One U call takes every merged row, each at its own grid of
+    # y = -1/(s theta): the rows of one theta share a grid, so the call
+    # holds one distinct grid per distinct theta.
     model = ProductModel(*MODELS[name])
     model.mgf(-np.geomspace(1e-3, 1e3, points))
-    plan = gammagamma._mgf_plan(*model._plan.pairs.key)
-    assert len(u_calls) == DISTINCT_THETA[name]
-    assert [p for _, p in u_calls] == [points] * DISTINCT_THETA[name]
-    assert sum(r for r, _ in u_calls) == plan.theta.size
+    plan = model._plan.pairs.mgf
+    [(rows, grid)] = u_calls
+    assert rows == plan.theta.size and grid.shape == (rows, points)
+    assert np.unique(grid, axis=0).shape[0] == DISTINCT_THETA[name]
+    for t in range(DISTINCT_THETA[name]):
+        assert (grid[plan.theta == t] == grid[plan.theta == t][0]).all()
 
 
 def test_mgf_rows_merge_on_unordered_shape_pair():
     # Kummer's transformation makes the mgf kernel symmetric too: L's 900
     # pairs are 465 rows, as for the pdf.
     model = ProductModel(*MODELS["L"])
-    plan = gammagamma._mgf_plan(*model._plan.pairs.key)
+    plan = model._plan.pairs.mgf
     assert plan.theta.size == 465
     assert np.all(plan.b >= 1) and np.all(plan.b <= plan.a)
 
@@ -115,7 +117,8 @@ def test_mgf_rows_merge_on_unordered_shape_pair():
 def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
     # Each Nelder-Mead round weighs new kappas on the same integer cell;
     # only the kappa = 0 collapse changes the layout, so plans are built
-    # a handful of times.
+    # a handful of times, each layout's at most once.  The cell plans,
+    # which keep their layouts' row plans, start afresh.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(max_m=3, mu_grid=(1,), m_grid=(3,), n_starts=2, max_points=40,
@@ -128,12 +131,22 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", counting)
-    gammagamma._cdf_plan.cache_clear()
+    built = []
+    build = gammagamma.Pairs.cdf.func
+
+    def recording(pairs):
+        built.append(pairs)
+        return build(pairs)
+
+    prop = functools.cached_property(recording)
+    prop.__set_name__(gammagamma.Pairs, "cdf")
+    monkeypatch.setattr(gammagamma.Pairs, "cdf", prop)
+    prodfade.pdist._cell_plan.cache_clear()
     res = fit_cdf(emp, cfg)
-    builds = gammagamma._cdf_plan.cache_info().misses
     assert len(res.search_trace) == 1
     assert len(calls) >= 40
-    assert 1 <= builds <= len(calls) // 5
+    assert 1 <= len(built) <= len(calls) // 5
+    assert len({id(pairs) for pairs in built}) == len(built)
 
 
 def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
@@ -364,6 +377,6 @@ def test_pdf_rows_merge_on_unordered_shape_pair():
     # The density kernel is symmetric in (m, m_hat): L's 900 pairs of
     # shapes 1..30 on one theta are 30 * 31 / 2 distinct kernels.
     model = ProductModel(*MODELS["L"])
-    plan = gammagamma._pdf_plan(*model._plan.pairs.key)
+    plan = model._plan.pairs.pdf
     assert model.pair_count == 900
     assert plan.theta.size == 465
