@@ -92,13 +92,40 @@ class _CellPlan:
         choice = self.choice_a + self.choice_b if key >= 4 else 2 * self.choice_a + self.choice_b
         self.pairs = pair_layout(self.shapes_a, self.shapes_b,
                                  np.unique(choice, return_inverse=True)[1])
-        self.log_rising = np.log(self.shapes_a * self.shapes_b)
-        # ln Gamma(k + 1/2) - ln Gamma(k) of both shapes, for the half moment
-        self.log_half = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
-                                  for pair in zip(self.shapes_a.tolist(), self.shapes_b.tolist())])
-        for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a,
-                    self.choice_b, self.log_rising, self.log_half):
+        self._log_gains = {}
+        for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a, self.choice_b):
             arr.setflags(write=False)
+
+    def log_gain(self, order):
+        """Per pair, ``ln Gamma(ka + order) Gamma(kb + order) / (Gamma(ka) Gamma(kb))``
+        at ``order`` 1/2 (from ``lgamma``) or an integer >= 1 (the rising
+        factorials' ``ln (ka + j)(kb + j)``, accumulated), made once, read-only."""
+        gain = self._log_gains.get(order)
+        if gain is None:
+            ka, kb = self.shapes_a, self.shapes_b
+            if order == 0.5:
+                gain = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
+                                 for pair in zip(ka.tolist(), kb.tolist())])
+            else:
+                gain = np.log(ka * kb)
+                for j in range(1, order):
+                    gain += np.log((ka + j) * (kb + j))
+            gain.setflags(write=False)
+            self._log_gains[order] = gain
+        return gain
+
+    def moment_sums(self, w, lth, order):
+        """``E[Z^order]`` of sets weighed on this plan: per set, the pairs' ``w
+        theta^order`` times their :meth:`log_gain`, summed (``math.fsum``), and
+        whether a term passes the double range (the sum is then NaN, unwarned)."""
+        lt = order * lth + self.log_gain(order)
+        over = [False] * lt.shape[0]
+        if np.fmax.reduce(lt, axis=None, initial=-math.inf) > _LOG_DBL_MAX:
+            rows = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
+            lt[rows] = 0.0
+            over = rows.tolist()
+        sums = [math.fsum(row) for row in (w * np.exp(lt)).tolist()]
+        return [math.nan if bad else v for v, bad in zip(sums, over)], over
 
     def weigh(self, terms_a, terms_b, targets):
         """Pair weights and log scale products of parameter sets, and their refusals.
@@ -109,21 +136,15 @@ class _CellPlan:
         weights and log scale products (sets x pairs) and, per set,
         ``None`` or the exception that refuses it, as building its model
         would: a link's own refusal, or a closed-form mean that overflows
-        or leaves 1e-12 relative of its target.  The means are summed
-        set by set (``math.fsum``); the refusals are formed only when a
-        set fails a check.
+        or leaves 1e-12 relative of its target.  The means are the
+        :meth:`moment_sums` of order 1; the refusals are formed only when
+        a set fails a check.
         """
         (w_a, log_a, refused_a), (w_b, log_b, refused_b) = terms_a, terms_b
         w = w_a[:, self.ia] * w_b[:, self.ib]
         lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
-        lt = lth + self.log_rising
+        means, overflow = self.moment_sums(w, lth, 1)
         none = [None] * len(targets)
-        overflow = none     # per set, whether its mean overflows: none does
-        if np.fmax.reduce(lt, axis=None, initial=-math.inf) > _LOG_DBL_MAX:
-            rows_over = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
-            lt[rows_over] = 0.0
-            overflow = rows_over.tolist()
-        means = [math.fsum(row) for row in (w * np.exp(lt)).tolist()]
         # written so that NaN fails the check too
         if (refused_a is None and refused_b is None and not any(overflow)
                 and all(abs(mean - target) <= 1e-12 * target
@@ -221,56 +242,36 @@ def _cdf_in_range(raw):
             & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
 
 
-def _plan_rows(plan, sets, rows, size, fill):
-    """:func:`_cell_rows` of parameter sets that all take ``plan``."""
-    means_a, kappas_a, means_b, kappas_b, *further = sets
-    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
-                                  _link_terms_of(plan.links[1], means_b, kappas_b),
-                                  [a * b for a, b in zip(means_a.tolist(), means_b.tolist())])
-    weighed = None
-    if refusals.count(None) < len(refusals):
-        weighed = np.flatnonzero([r is None for r in refusals])
-        w, lth, further = w[weighed], lth[weighed], [v[weighed] for v in further]
-    try:
-        out, keep = rows(plan, w, lth, *further)
-    except (ArithmeticError, ValueError):
-        out, keep = np.full((w.shape[0], size), fill), np.zeros(w.shape[0], dtype=bool)
-        for i in range(w.shape[0]):
-            one = slice(i, i + 1)
-            try:
-                row, ok = rows(plan, w[one], lth[one], *(v[one] for v in further))
-            except (ArithmeticError, ValueError):
-                continue
-            out[i], keep[i] = row[0], ok[0]
-    if not keep.all():
-        out[~keep] = fill
-    if weighed is None:
-        return out, keep
-    full, ok = np.full((len(refusals), size), fill), np.zeros(len(refusals), dtype=bool)
-    full[weighed], ok[weighed] = out, keep
-    return full, ok
-
-
 def _cell_rows(cell, sets, rows, size, fill):
-    """The per-plan body of both fits' evaluators.
+    """The one pass of both fits' evaluators.
 
     ``sets`` holds the means and kappas of link a, of link b, and any
     further values, one parameter set per element.  Sets are grouped by
-    the rule that picks a model's plan (:func:`_plan_key`), and each group
-    is weighed on its cached :class:`_CellPlan`, which refuses a set as
-    its model would; the rest go to one ``rows(plan, w, lth, *further)``
-    call, giving their (sets x ``size``) values and whether each is
-    valid, or, if it raises, to one call per set.  Returns the values,
+    the rule that picks a model's plan (:func:`_plan_key`); each group is
+    weighed once on its cached :class:`_CellPlan`, which refuses a set as
+    its model would, and its other sets go to one ``rows(plan, w, lth,
+    *further)`` call, giving their (sets x ``size``) values and whether
+    each is valid.  No set's values make that call raise, so a call that
+    raises is a fault of its plan (a Bessel order past
+    ``MAX_BESSEL_ORDER``) and refuses the group.  Returns the values,
     ``fill`` where a set is refused, and whether each set was evaluated.
     """
     keys = _plan_key(cell, *sets[:4])
-    if keys.size and keys.min() == keys.max():
-        return _plan_rows(_cell_plan(cell, int(keys[0])), sets, rows, size, fill)
     out, ok = np.full((keys.size, size), fill), np.zeros(keys.size, dtype=bool)
-    for key in np.unique(keys).tolist():
-        group = np.flatnonzero(keys == key)
-        out[group], ok[group] = _plan_rows(_cell_plan(cell, key), [v[group] for v in sets],
-                                           rows, size, fill)
+    for key in sorted(set(keys.tolist())):
+        group = (keys == key).nonzero()[0]
+        plan = _cell_plan(cell, key)
+        means_a, kappas_a, means_b, kappas_b, *further = (v[group] for v in sets)
+        w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
+                                      _link_terms_of(plan.links[1], means_b, kappas_b),
+                                      [a * b for a, b in zip(means_a.tolist(), means_b.tolist())])
+        weighed = np.array([i for i, r in enumerate(refusals) if r is None], dtype=int)
+        try:
+            values, keep = rows(plan, w[weighed], lth[weighed], *(v[weighed] for v in further))
+        except (ArithmeticError, ValueError):
+            continue
+        kept = group[weighed[keep]]
+        out[kept], ok[kept] = values[keep], True
     return out, ok
 
 
@@ -296,32 +297,31 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     return _cell_rows(cell, (means_a, kappas_a, means_b, kappas_b), rows, z.size, 1.0)
 
 
-def _half_means(plan, w, lth):
-    """``E[sqrt(Z)]`` of each set weighed on ``plan``: the pairs' half
-    moments ``w_p theta_p^(1/2) Gamma(ka_p + 1/2) Gamma(kb_p + 1/2) /
-    (Gamma(ka_p) Gamma(kb_p))``, summed set by set (``math.fsum``)."""
-    return [math.fsum(row) for row in (w * np.exp(0.5 * lth + plan.log_half)).tolist()]
-
-
 def _envelope_pdf(plan, w, lth, scales, r):
     """Densities of ``R = c sqrt(Z)``, ``c = scale / E[sqrt(Z)]``, at ``r``
-    for sets weighed on ``plan``, and whether each is finite: ``f_R(r) =
+    for sets weighed on ``plan``, and whether each is valid: ``f_R(r) =
     2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
     products, so that every set shares the points ``r^2``.  Where ``r^2``
-    passes the largest double, the density is 0."""
-    c = [scale / half for scale, half in zip(scales.tolist(), _half_means(plan, w, lth))]
-    if not all(0.0 < v < math.inf for v in c):
-        raise ArithmeticError("envelope constant is not finite and > 0")
-    log_c2 = np.array([[2.0 * math.log(v)] for v in c])
+    passes the largest double, the density is 0.  A set whose ``c`` is not
+    finite and > 0, or whose least Bessel argument underflows to 0 (where
+    the ladder raises), is not valid, and the other sets keep their rows."""
+    c = [scale / half for scale, half in zip(scales.tolist(), plan.moment_sums(w, lth, 0.5)[0])]
+    good = [0.0 < v < math.inf for v in c]
+    lt = lth + np.array([2.0 * math.log(v) if ok else 0.0 for v, ok in zip(c, good)])[:, None]
     fin = r <= _SQRT_DBL_MAX
     rf = r[fin]
-    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lth + log_c2, rf * rf, plan.pairs)
+    x = rf * rf
+    ln_x = np.log(x.min(initial=math.inf))
+    under = np.exp(0.5 * (ln_x - lt.max(axis=1, initial=-math.inf))) == 0
+    if under.any():
+        lt[under] = lth[under]     # arguments the ladder takes, for rows that are discarded
+    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, x, plan.pairs)
     out *= 2.0 * rf
     if rf.size < r.size:
         full = np.zeros((w.shape[0], r.size))
         full[:, fin] = out
         out = full
-    return out, np.isfinite(out).all(axis=-1)
+    return out, np.array(good, dtype=bool) & ~under & np.isfinite(out).all(axis=-1)
 
 
 def _envelope_points(r):
@@ -489,20 +489,16 @@ class ProductModel:
         """
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
-        n = int(n)
-        log_rising = np.log(self._ka * self._kb)
-        for j in range(1, n):
-            log_rising += np.log((self._ka + j) * (self._kb + j))
-        lt = n * self._lth + log_rising
-        if lt.max() > _LOG_DBL_MAX:
+        (total,), (over,) = self._plan.moment_sums(self._w[None], self._lth[None], int(n))
+        if over:
             raise OverflowError("moment of order %d overflows double precision" % (n,))
-        return math.fsum((self._w * np.exp(lt)).tolist())
+        return total
 
     @cached_property
     def sqrt_mean(self):
         """``E[sqrt(Z)]`` in closed form: the pairs' half moments summed on
         the cell plan, as the pdf fit sums them (:func:`envelope_pdf_rows`)."""
-        return _half_means(self._plan, self._w[None], self._lth[None])[0]
+        return self._plan.moment_sums(self._w[None], self._lth[None], 0.5)[0][0]
 
     def sample(self, rng, n):
         """Draw ``n`` product variates.
@@ -525,7 +521,8 @@ class EnvelopeModel:
     ----------
     product : ProductModel
     envelope_scale : float
-        Target mean envelope, > 0.
+        Target mean envelope, > 0.  A ``c`` that is not finite and > 0
+        raises ``ArithmeticError``.
     """
 
     def __init__(self, product, envelope_scale):
@@ -535,6 +532,8 @@ class EnvelopeModel:
         self.product = product
         self.envelope_scale = envelope_scale
         self._c = envelope_scale / product.sqrt_mean
+        if not 0.0 < self._c < math.inf:
+            raise ArithmeticError("envelope constant is not finite and > 0")
 
     @property
     def mean(self):

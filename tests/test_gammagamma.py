@@ -425,7 +425,7 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
         assert np.array_equal(rows[i], model.cdf(z))
     assert thetas == [3, 4, 3, 1]
     plan = _cell_plan((6, 2, 6, 2), 4)     # the tied key
-    for arr in (plan.ia, plan.shapes_a, plan.choice_b, plan.pairs.first, plan.log_rising):
+    for arr in (plan.ia, plan.shapes_a, plan.choice_b, plan.pairs.first, plan.log_gain(1)):
         assert not arr.flags.writeable
 
 

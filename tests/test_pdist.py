@@ -405,10 +405,10 @@ def test_envelope_batch_gives_each_set_its_models_bits():
     # One batch of unit-mean products on a mu > m cell: a plain set, a
     # collapsed one (kappa 0), a tied one (two equal links), one that
     # the plan's weighing refuses (kappa -1) and one whose envelope
-    # constant is refused (scale 0), which makes the batched call raise
-    # and its sets be evaluated one by one.  Each set's row is its
-    # EnvelopeModel's pdf, bit for bit; only the refused sets are not
-    # ok, their rows NaN, and no warning is raised.
+    # constant is refused (scale 0), which shares its plan's call with
+    # the plain set.  Each set's row is its EnvelopeModel's pdf, bit for
+    # bit; only the refused sets are not ok, their rows NaN, and no
+    # warning is raised.
     from prodfade.pdist import envelope_pdf_rows
 
     kappas_a, kappas_b = np.array([1.0, 0.0, 0.3, -1.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
@@ -447,6 +447,107 @@ def test_empty_batches_give_empty_rows():
     for rows, ok in batches:
         assert rows.shape == (0, z.size) and ok.shape == (0,) and ok.dtype == bool
 
+
+
+def test_envelope_batch_makes_one_call_per_plan_group(monkeypatch):
+    # The batch of test_envelope_batch_gives_each_set_its_models_bits
+    # takes plans [0, 2, 4, 2, 0]: one envelope density call per plan,
+    # carrying every set its weighing keeps (the kappa -1 set is
+    # refused there), with the rows and flags of the batch unchanged.
+    from prodfade import pdist
+
+    kappas_a, kappas_b = np.array([1.0, 0.0, 0.3, -1.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
+    scales = np.array([1.3, 0.8, 2.0, 1.0, 0.0])
+    r = np.geomspace(1e-3, 8.0, 37)
+    rows, ok = pdist.envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+    carried, envelope_pdf = [], pdist._envelope_pdf
+
+    def recording(plan, w, *args, **kwargs):
+        carried.append(w.shape[0])
+        return envelope_pdf(plan, w, *args, **kwargs)
+
+    monkeypatch.setattr(pdist, "_envelope_pdf", recording)
+    again, again_ok = pdist.envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+    assert carried == [2, 1, 1]
+    assert np.array_equal(again, rows, equal_nan=True) and np.array_equal(again_ok, ok)
+
+
+@pytest.mark.parametrize("cell", [(1, 1, 2, 2), (6, 2, 6, 2)])
+def test_batches_of_refused_sets_give_fill_rows(cell):
+    # Every set refused by its plan's weighing (kappa -1), on a one-pair
+    # and a many-pair cell: fill rows and False flags, with no warning.
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    ones, bad, z = np.ones(2), np.full(2, -1.0), np.geomspace(1e-3, 5.0, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf_rows, cdf_ok = product_cdf_rows(cell, ones, bad, ones, ones, z)
+        pdf_rows, pdf_ok = envelope_pdf_rows(cell, bad, ones, ones, z)
+    assert (cdf_rows == 1.0).all() and np.isnan(pdf_rows).all()
+    assert cdf_rows.shape == pdf_rows.shape == (2, z.size)
+    assert cdf_ok.tolist() == pdf_ok.tolist() == [False, False]
+
+
+def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
+    # With the Bessel orders capped at 2, the collapsed plan of cell
+    # (1, 4, 1, 4) (both kappas 0, orders <= 1) still evaluates, and the
+    # full plan (cdf orders up to 4, pdf up to 3) raises.  A batch that
+    # mixes the two gives the collapsed sets their models' bits and the
+    # full-plan sets fill and False, and raises nothing.
+    from prodfade import specfun
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    monkeypatch.setattr(specfun, "MAX_BESSEL_ORDER", 2)
+    kappas_a, kappas_b = np.array([0.0, 1.0, 0.0, 0.5]), np.array([0.0, 2.0, 0.0, 0.5])
+    means, scales = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.3, 1.0, 0.7, 1.0])
+    z, r = np.geomspace(1e-4, 20.0, 19), np.geomspace(1e-3, 6.0, 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf_rows, cdf_ok = product_cdf_rows((1, 4, 1, 4), means, kappas_a, means, kappas_b, z)
+        pdf_rows, pdf_ok = envelope_pdf_rows((1, 4, 1, 4), kappas_a, kappas_b, scales, r)
+    assert cdf_ok.tolist() == pdf_ok.tolist() == [True, False, True, False]
+    for i in (0, 2):
+        model = make((means[i], kappas_a[i], 1, 4), (means[i], kappas_b[i], 1, 4))
+        assert np.array_equal(cdf_rows[i], model.cdf(z))
+        unit = make((1.0, kappas_a[i], 1, 4), (1.0, kappas_b[i], 1, 4))
+        assert np.array_equal(pdf_rows[i], EnvelopeModel(unit, scales[i]).pdf(r))
+    assert (cdf_rows[[1, 3]] == 1.0).all() and np.isnan(pdf_rows[[1, 3]]).all()
+    with pytest.raises(ValueError, match="Bessel order"):
+        make((1.0, 1.0, 1, 4), (1.0, 2.0, 1, 4)).cdf(z)
+
+
+def test_an_envelope_argument_underflow_refuses_its_set_alone(monkeypatch):
+    # At scale 1e300 the smallest Bessel argument of r = 1e-160
+    # underflows to 0, where the ladder raises: that set alone gets NaN
+    # and False, and its model's pdf raises, while the other set of the
+    # same call keeps its model's bits.
+    from prodfade import pdist
+
+    r, scales, ones = np.array([1e-160, 1e-3, 1.0]), np.array([1.0, 1e300]), np.ones(2)
+    carried, envelope_pdf = [], pdist._envelope_pdf
+
+    def recording(plan, w, *args, **kwargs):
+        carried.append(w.shape[0])
+        return envelope_pdf(plan, w, *args, **kwargs)
+
+    monkeypatch.setattr(pdist, "_envelope_pdf", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, ok = pdist.envelope_pdf_rows((1, 4, 2, 1), ones, ones, scales, r)
+    assert carried == [2] and ok.tolist() == [True, False]
+    product = make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1))
+    assert np.array_equal(rows[0], EnvelopeModel(product, 1.0).pdf(r)) and np.isnan(rows[1]).all()
+    with pytest.raises(ArithmeticError):
+        EnvelopeModel(product, 1e300).pdf(r)
+
+
+def test_envelope_model_refuses_a_bad_constant_at_construction():
+    # The constant c = envelope_scale / sqrt_mean that cdf and sample
+    # use is checked where it is formed, as the pdf checks its own.
+    p = make((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1))
+    p.__dict__["sqrt_mean"] = -0.8
+    with pytest.raises(ArithmeticError, match="envelope constant is not finite and > 0"):
+        EnvelopeModel(p, 1.3)
 
 @pytest.mark.parametrize("mu, m", [(6, 2), (2, 3)])
 def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
