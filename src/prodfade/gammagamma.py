@@ -13,7 +13,9 @@ ShadowedParams.nakagami(mhat, mhat * Omegahat))``.
 The weighted-sum evaluators accept whole arrays of kernels at once and
 work in log space throughout, so large shape parameters and scales
 spanning many decades cannot overflow.  Only the scale *product*
-``theta = Omega * Omegahat`` ever enters; it is carried as a log.
+``theta = Omega * Omegahat`` ever enters; it is carried as a log.  The
+density and distribution sums take their points as logs too, so neither
+``x`` nor ``x/theta`` need be a double: the kernels take their limits.
 
 Each distinct kernel is evaluated once, by one engine for all three
 sums.  A link has one scale when ``mu <= m`` and two when ``mu > m``,
@@ -190,8 +192,8 @@ def _prepare(weights, log_scales, x, pairs):
     """Batched engine arguments of one of the three public sums.
 
     Returns the weights and distinct log scales of ``pairs`` with a
-    leading batch axis, the points as a flat float array, and whether
-    the call was unbatched (1-d ``weights``).
+    leading batch axis, the points (``ln x`` or ``s``) as a flat float
+    array, and whether the call was unbatched (1-d ``weights``).
     """
     weights = np.asarray(weights, dtype=float)
     log_scales = np.asarray(log_scales, dtype=float)
@@ -241,28 +243,26 @@ def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
     return out
 
 
-def _bessel_rows(plan, log_thetas, x, shift=False):
-    """``coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))`` per set and merged row.
+def _bessel_rows(plan, log_thetas, log_x, shift=False):
+    """``coef_r (x/theta_r)^expo_r K_{order_r}(2 sqrt(x/theta_r))`` per set and merged row,
+    at the log points ``log_x``.
 
-    Every row of one ``theta`` shares the Bessel argument, so one
-    log-space recurrence climb over the ((sets x distinct theta) x
-    points) argument matrix serves every set, row and order at once;
-    each rung is kept, and every row then gathers its own.  With
-    ``shift``, each row's ``ln theta`` is subtracted after the other
-    terms.
+    Every row of one ``theta`` shares the Bessel argument, whose half
+    has the log ``(ln x - ln theta) / 2``, so one log-space recurrence
+    climb over the ((sets x distinct theta) x points) matrix of those
+    logs serves every set, row and order at once; each rung is kept,
+    and every row then gathers its own.  With ``shift``, each row's
+    ``ln theta`` is subtracted after the other terms.
     """
-    lu = np.log(x) - log_thetas[:, :, None]   # (sets, distinct theta, points)
-    arg = np.multiply(lu, 0.5)
-    np.exp(arg, out=arg)
-    arg *= 2.0
+    lu = log_x - log_thetas[:, :, None]   # (sets, distinct theta, points)
     rungs = np.empty((lu.shape[0], plan.max_order + 1) + lu.shape[1:])
-    for nu, lk in log_bessel_k_ladder(arg.reshape(lu.shape[0] * lu.shape[1], x.size),
+    for nu, lk in log_bessel_k_ladder(np.multiply(lu, 0.5).reshape(-1, log_x.size),
                                       plan.max_order):
         rungs[:, nu] = lk.reshape(lu.shape)
     lt = lu[:, plan.theta]
     lt *= plan.expo
     lt += plan.log_coef
-    lt += rungs.reshape(lu.shape[0], -1, x.size).take(plan.rung, axis=1)
+    lt += rungs.reshape(lu.shape[0], -1, log_x.size).take(plan.rung, axis=1)
     if shift:
         lt -= log_thetas[:, plan.theta, None]
     return np.exp(lt, out=lt)
@@ -271,9 +271,10 @@ def _bessel_rows(plan, log_thetas, x, shift=False):
 _shifted_bessel_rows = partial(_bessel_rows, shift=True)
 
 
-def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
-    """Signed-weighted product-kernel distribution function at ``x > 0``.
+def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, log_x, pairs):
+    """Signed-weighted product-kernel distribution function at the log points ``log_x``.
 
+    ``log_x`` holds ``ln x`` of points ``x > 0``, any finite float.
     Computes ``1 - sum_p w_p S_p(x)`` where ``S_p`` is the finite
     Bessel series of kernel ``p`` (``shapes_a[p]`` terms, truncation
     indices ``k = 0 .. shapes_a[p]-1``).  The ``1 - ...`` form is exact
@@ -289,23 +290,23 @@ def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
     parameter sets over the one layout, and the result then has one row
     per set.
     """
-    w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs)
-    total = _eval_blocks(pairs.cdf, w, log_thetas, x, _bessel_rows)
+    w, log_thetas, log_x, single = _prepare(weights, log_scales, log_x, pairs)
+    total = _eval_blocks(pairs.cdf, w, log_thetas, log_x, _bessel_rows)
     np.subtract(1.0, total, out=total)
     return total[0] if single else total
 
 
-def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, x, pairs):
-    """Signed-weighted product-kernel density at ``x > 0``.
+def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, log_x, pairs):
+    """Signed-weighted product-kernel density at the log points ``log_x``.
 
     One Bessel term per kernel, evaluated in log space; the exponent
     ``expo - 1`` and the trailing ``- ln theta`` reproduce
     ``x^(expo-1) / theta^expo`` without forming either power.  May dip
     a few ulp below zero where signed kernels cancel; returned as
-    computed.  ``pairs`` and batches as in :func:`weighted_cdf_sum`.
+    computed.  Points, ``pairs`` and batches as in :func:`weighted_cdf_sum`.
     """
-    w, log_thetas, x, single = _prepare(weights, log_scales, x, pairs)
-    total = _eval_blocks(pairs.pdf, w, log_thetas, x, _shifted_bessel_rows)
+    w, log_thetas, log_x, single = _prepare(weights, log_scales, log_x, pairs)
+    total = _eval_blocks(pairs.pdf, w, log_thetas, log_x, _shifted_bessel_rows)
     return total[0] if single else total
 
 

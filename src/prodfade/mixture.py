@@ -109,14 +109,20 @@ def _all_finite(v):
     return lo > -math.inf and hi < math.inf
 
 
-def _cdf_argument(num, den):
-    """``num / den`` for a cdf, a quotient past the largest double held there.
+def _log_points(x, lo):
+    """The logs of the points ``x > 0`` among flat points ``x >= 0`` of minimum
+    ``lo``, and the function that places a cdf's values at them, with the
+    cdf's 0 at the points that are 0."""
+    if lo > 0.0:
+        return np.log(x), lambda values: values
+    pos = x > 0.0
 
-    A valid ``den`` near 0 (or a ``num`` near the top of the range) can
-    overflow the quotient; the cdf of the largest double is already 1.
-    """
-    with np.errstate(over="ignore"):
-        return np.minimum(np.divide(num, den), np.finfo(float).max)
+    def place(values):
+        out = np.zeros(x.shape)
+        out[pos] = values
+        return out
+
+    return np.log(x[pos]), place
 
 
 def _as_int(name, value):

@@ -40,16 +40,14 @@ import numpy as np
 
 from .gammagamma import pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
-    WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _cdf_argument, _collapsed, _link_layout,
-    _link_terms, _points, _positive, expand, sample_single,
+    WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _collapsed, _link_layout, _link_terms,
+    _log_points, _points, _positive, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
 __all__ = ["ProductModel", "EnvelopeModel"]
 
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
-#: The largest double whose square is a double.
-_SQRT_DBL_MAX = math.sqrt(np.finfo(float).max)
 
 #: Tolerated excursion of the raw signed distribution function outside
 #: [0, 1] before it is treated as a numerical failure.
@@ -114,51 +112,44 @@ class _CellPlan:
             self._log_gains[order] = gain
         return gain
 
-    def moment_sums(self, w, lth, order):
-        """``E[Z^order]`` of sets weighed on this plan: per set, the pairs' ``w
-        theta^order`` times their :meth:`log_gain`, summed (``math.fsum``), and
-        whether a term passes the double range (the sum is then NaN, unwarned)."""
+    def log_moments(self, w, lth, order):
+        """``ln E[Z^order]`` of sets weighed on this plan: per set, the largest
+        of the pairs' log terms ``order ln theta`` plus their :meth:`log_gain`,
+        plus the log of the pairs' ``w exp(term - largest)`` summed by
+        ``math.fsum``, which no scale can overflow; NaN where it is not > 0."""
         lt = order * lth + self.log_gain(order)
-        over = [False] * lt.shape[0]
-        if np.fmax.reduce(lt, axis=None, initial=-math.inf) > _LOG_DBL_MAX:
-            rows = lt.max(axis=1, initial=-math.inf) > _LOG_DBL_MAX
-            lt[rows] = 0.0
-            over = rows.tolist()
-        sums = [math.fsum(row) for row in (w * np.exp(lt)).tolist()]
-        return [math.nan if bad else v for v, bad in zip(sums, over)], over
+        top = lt.max(axis=1, initial=-math.inf)
+        sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
+        return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
 
-    def weigh(self, terms_a, terms_b, targets):
+    def weigh(self, terms_a, terms_b):
         """Pair weights and log scale products of parameter sets, and their refusals.
 
         ``terms_a`` and ``terms_b`` are the two links' terms at the sets,
-        as :func:`_link_terms_of` returns them, and ``targets`` the
-        products of the sets' two mean powers, a list.  Returns the
-        weights and log scale products (sets x pairs) and, per set,
-        ``None`` or the exception that refuses it, as building its model
-        would: a link's own refusal, or a closed-form mean that overflows
-        or leaves 1e-12 relative of its target.  The means are the
-        :meth:`moment_sums` of order 1; the refusals are formed only when
-        a set fails a check.
+        as :func:`_link_terms_of` returns them.  Returns the weights and
+        log scale products (sets x pairs) and, per set, ``None`` or the
+        exception that refuses it, as building its model would: a link's
+        own refusal, or a closed-form mean (:meth:`log_moments` of order
+        1) that passes the largest double, or whose log leaves 1e-12 of
+        ``ln mean_a + ln mean_b``.  A mean below the least double is
+        checked as any other.  The refusals are formed only when a set
+        fails a check.
         """
-        (w_a, log_a, refused_a), (w_b, log_b, refused_b) = terms_a, terms_b
+        (w_a, log_a, lm_a, refused_a), (w_b, log_b, lm_b, refused_b) = terms_a, terms_b
         w = w_a[:, self.ia] * w_b[:, self.ib]
         lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
-        means, overflow = self.moment_sums(w, lth, 1)
-        none = [None] * len(targets)
-        # written so that NaN fails the check too
-        if (refused_a is None and refused_b is None and not any(overflow)
-                and all(abs(mean - target) <= 1e-12 * target
-                        for mean, target in zip(means, targets))):
-            return w, lth, none
+        none = [None] * w.shape[0]
         refusals = []
-        for mean, target, over, ref_a, ref_b in zip(means, targets, overflow,
-                                                    refused_a or none, refused_b or none):
+        for log_mean, ln_a, ln_b, ref_a, ref_b in zip(
+                self.log_moments(w, lth, 1), lm_a.tolist(), lm_b.tolist(),
+                refused_a or none, refused_b or none):
             refusal = ref_a or ref_b
-            if refusal is None and over:
+            if refusal is None and log_mean > _LOG_DBL_MAX:
                 refusal = OverflowError("moment of order 1 overflows double precision")
-            elif refusal is None and not abs(mean - target) <= 1e-12 * target:
-                refusal = ArithmeticError("product mean %.17g deviates from %.17g beyond 1e-12 "
-                                          "relative" % (mean, target))
+            # written so that NaN fails the check too
+            elif refusal is None and not abs(log_mean - (ln_a + ln_b)) <= 1e-12:
+                refusal = ArithmeticError("product log mean %.17g deviates from %.17g beyond "
+                                          "1e-12" % (log_mean, ln_a + ln_b))
             refusals.append(refusal)
         return w, lth, refusals
 
@@ -189,28 +180,29 @@ def _link_terms_of(link, means, kappas):
 
     ``means`` and ``kappas`` are float arrays, a set per element.
     Returns the double weights (sets x terms, layout order), the logs of
-    the ``(unit, boosted)`` scales (sets x 2) and the refusals: None
-    when every set passes, otherwise, per set, ``None`` or the
-    ``ValueError`` that refuses it, as :class:`ShadowedParams` or
-    :class:`~prodfade.mixture.GammaMixture` would: the parameters are
-    out of range, a term's scale is not > 0, or the weights miss one by
-    more than ``WEIGHT_SUM_TOL``.  The weights are summed set by set
-    (``math.fsum``); the refusals are formed only when a set fails a
+    the ``(unit, boosted)`` scales (sets x 2), the logs of the means and
+    the refusals: None when every set passes, otherwise, per set,
+    ``None`` or the ``ValueError`` that refuses it, as
+    :class:`ShadowedParams` or :class:`~prodfade.mixture.GammaMixture`
+    would: the parameters are out of range, a term's scale is not > 0,
+    or the weights miss one by more than ``WEIGHT_SUM_TOL``.  A refused
+    set's logs that are not finite are 0.  The weights are summed set by
+    set (``math.fsum``); the refusals are formed only when a set fails a
     check.
     """
     layout, w, scales = _link_terms(*link, means, kappas)
     w = w.astype(float)
-    rows, means, kappas = w.tolist(), means.tolist(), kappas.tolist()
+    rows, mean_list, kappas = w.tolist(), means.tolist(), kappas.tolist()
     devs = [abs(math.fsum(row) - 1.0) for row in rows]
     # written so that NaN fails the checks too; a set passes them all
     # when both of its scales are > 0, used by its terms or not
-    if (scales.min(initial=math.inf) > 0.0 and all(0.0 < v < math.inf for v in means)
+    if (scales.min(initial=math.inf) > 0.0 and all(0.0 < v < math.inf for v in mean_list)
             and all(0.0 <= v < math.inf for v in kappas)
             and all(dev <= WEIGHT_SUM_TOL for dev in devs)):
-        return w, np.log(scales), None
+        return w, np.log(scales), np.log(means), None
     scales_ok = (scales[:, layout.boosted] > 0.0).all(axis=1).tolist()
     refusals = []
-    for mean, kappa, ok, dev in zip(means, kappas, scales_ok, devs):
+    for mean, kappa, ok, dev in zip(mean_list, kappas, scales_ok, devs):
         if not (math.isfinite(mean) and mean > 0.0 and math.isfinite(kappa) and kappa >= 0.0):
             refusals.append(ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0"
                                        % (mean, kappa)))
@@ -221,8 +213,9 @@ def _link_terms_of(link, means, kappas):
                                        % (WEIGHT_SUM_TOL, dev)))
         else:
             refusals.append(None)
-    with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales
-        return w, np.log(scales), refusals
+    with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales and means
+        logs = np.log(scales), np.log(means)
+    return w, *(np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0) for v in logs), refusals
 
 
 @lru_cache(maxsize=4096)
@@ -230,7 +223,7 @@ def _link_terms_at(link, mean_power, kappa):
     """:func:`_link_terms_of` one parameter set, of the form its plan
     gives, cached for models that revisit parameter sets."""
     terms = _link_terms_of(link, np.array([mean_power]), np.array([kappa]))
-    for arr in terms[:2]:
+    for arr in terms[:3]:
         arr.setflags(write=False)
     return terms
 
@@ -263,8 +256,7 @@ def _cell_rows(cell, sets, rows, size, fill):
         plan = _cell_plan(cell, key)
         means_a, kappas_a, means_b, kappas_b, *further = (v[group] for v in sets)
         w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
-                                      _link_terms_of(plan.links[1], means_b, kappas_b),
-                                      [a * b for a, b in zip(means_a.tolist(), means_b.tolist())])
+                                      _link_terms_of(plan.links[1], means_b, kappas_b))
         weighed = np.array([i for i, r in enumerate(refusals) if r is None], dtype=int)
         try:
             values, keep = rows(plan, w[weighed], lth[weighed], *(v[weighed] for v in further))
@@ -288,9 +280,10 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     or its cdf, raises a numerical or validation error.
     """
     z = _points(z, "> 0", "cdf rows require finite z > 0")[0]
+    log_z = np.log(z)
 
     def rows(plan, w, lth):
-        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
+        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, log_z, plan.pairs)
         keep = _cdf_in_range(raw)
         return np.clip(raw, 0.0, 1.0, out=raw), keep
 
@@ -301,38 +294,22 @@ def _envelope_pdf(plan, w, lth, scales, r):
     """Densities of ``R = c sqrt(Z)``, ``c = scale / E[sqrt(Z)]``, at ``r``
     for sets weighed on ``plan``, and whether each is valid: ``f_R(r) =
     2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
-    products, so that every set shares the points ``r^2``.  Where ``r^2``
-    passes the largest double, the density is 0.  A set whose ``c`` is not
-    finite and > 0, or whose least Bessel argument underflows to 0 (where
-    the ladder raises), is not valid, and the other sets keep their rows."""
-    c = [scale / half for scale, half in zip(scales.tolist(), plan.moment_sums(w, lth, 0.5)[0])]
+    products, so that every set shares the log points ``2 ln r``, and no
+    ``r^2`` need be a double.  A set whose ``c`` is not finite and > 0, or
+    whose density is not finite, is not valid, and the other sets keep
+    their rows."""
+    c = [scale / math.exp(half)
+         for scale, half in zip(scales.tolist(), plan.log_moments(w, lth, 0.5))]
     good = [0.0 < v < math.inf for v in c]
     lt = lth + np.array([2.0 * math.log(v) if ok else 0.0 for v, ok in zip(c, good)])[:, None]
-    fin = r <= _SQRT_DBL_MAX
-    rf = r[fin]
-    x = rf * rf
-    ln_x = np.log(x.min(initial=math.inf))
-    under = np.exp(0.5 * (ln_x - lt.max(axis=1, initial=-math.inf))) == 0
-    if under.any():
-        lt[under] = lth[under]     # arguments the ladder takes, for rows that are discarded
-    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, x, plan.pairs)
-    out *= 2.0 * rf
-    if rf.size < r.size:
-        full = np.zeros((w.shape[0], r.size))
-        full[:, fin] = out
-        out = full
-    return out, np.array(good, dtype=bool) & ~under & np.isfinite(out).all(axis=-1)
+    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, 2.0 * np.log(r), plan.pairs)
+    out *= r
+    out *= 2.0
+    return out, np.array(good, dtype=bool) & np.isfinite(out).all(axis=-1)
 
 
-def _envelope_points(r):
-    """:func:`~prodfade.mixture._points` of an envelope density: finite
-    ``r > 0`` whose square is a double > 0.  Returns the flat points and
-    the function that shapes a result."""
-    r, lo, shaped = _points(r, "> 0", "envelope pdf requires finite r > 0")
-    if not float(lo) * float(lo) > 0.0:
-        raise ValueError("envelope pdf requires finite r whose square is > 0 "
-                         "(r above about 1.6e-162)")
-    return r, shaped
+#: :func:`~prodfade.mixture._points` of an envelope density, finite ``r > 0``.
+_envelope_points = partial(_points, domain="> 0", message="envelope pdf requires finite r > 0")
 
 
 def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
@@ -365,8 +342,9 @@ class ProductModel:
         The two factors.  Construction checks each link's weights as
         :class:`~prodfade.mixture.GammaMixture` does, and the
         closed-form mean against the product of the per-link mean
-        powers to 1e-12 relative, which catches any weight-table defect
-        immediately.
+        powers, in log terms to 1e-12, which catches any weight-table
+        defect immediately; a mean that passes the largest double raises
+        ``OverflowError``.
 
     Attributes
     ----------
@@ -384,7 +362,7 @@ class ProductModel:
                                                        link_b.mean_power, link_b.kappa))
         w, lth, (refusal,) = plan.weigh(
             _link_terms_at(plan.links[0], link_a.mean_power, link_a.kappa),
-            _link_terms_at(plan.links[1], link_b.mean_power, link_b.kappa), [self.mean_power])
+            _link_terms_at(plan.links[1], link_b.mean_power, link_b.kappa))
         if refusal is not None:
             raise refusal.with_traceback(None)
         self._w, self._lth = w[0], lth[0]
@@ -428,7 +406,8 @@ class ProductModel:
         computed rather than clipped.
         """
         z, _, shaped = _points(z, "> 0", "pdf requires finite z > 0")
-        out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, z, self._plan.pairs)
+        out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, np.log(z),
+                               self._plan.pairs)
         if not _all_finite(out):
             raise ArithmeticError(
                 "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
@@ -442,18 +421,13 @@ class ProductModel:
         to lie in [0, 1] within ``CDF_RANGE_TOL`` and then clipped.
         """
         z, lo, shaped = _points(z, ">= 0", "cdf requires finite z >= 0")
-        if lo > 0.0:
-            out = self._positive_cdf(z)
-        else:
-            out = np.zeros(z.shape)
-            pos = z > 0.0
-            if np.any(pos):
-                out[pos] = self._positive_cdf(z[pos])
-        return shaped(out)
+        log_z, place = _log_points(z, lo)
+        return shaped(place(self._cdf_at_logs(log_z)))
 
-    def _positive_cdf(self, z):
-        """Range-checked and clipped cdf at points ``z > 0``."""
-        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, z, self._plan.pairs)
+    def _cdf_at_logs(self, log_z):
+        """Range-checked and clipped cdf at the points ``exp(log_z)``, of
+        finite logs ``log_z``."""
+        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, log_z, self._plan.pairs)
         if not _cdf_in_range(raw):
             worst = raw[np.argmax(np.abs(raw - 0.5))]
             raise ArithmeticError(
@@ -484,21 +458,21 @@ class ProductModel:
 
         Per pair, ``theta^n (ka)_n (kb)_n`` with the rising factorials
         taken as exact integer products, summed in log space.  Raises
-        OverflowError if any pair contribution leaves the double range
-        (heavy-tailed products overflow quickly in ``n``).
+        OverflowError if the moment leaves the double range (heavy-tailed
+        products overflow quickly in ``n``).
         """
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
-        (total,), (over,) = self._plan.moment_sums(self._w[None], self._lth[None], int(n))
-        if over:
+        (log_total,) = self._plan.log_moments(self._w[None], self._lth[None], int(n))
+        if not log_total <= _LOG_DBL_MAX:
             raise OverflowError("moment of order %d overflows double precision" % (n,))
-        return total
+        return math.exp(log_total)
 
     @cached_property
     def sqrt_mean(self):
         """``E[sqrt(Z)]`` in closed form: the pairs' half moments summed on
         the cell plan, as the pdf fit sums them (:func:`envelope_pdf_rows`)."""
-        return self._plan.moment_sums(self._w[None], self._lth[None], 0.5)[0][0]
+        return math.exp(self._plan.log_moments(self._w[None], self._lth[None], 0.5)[0])
 
     def sample(self, rng, n):
         """Draw ``n`` product variates.
@@ -541,9 +515,10 @@ class EnvelopeModel:
         return self.envelope_scale
 
     def pdf(self, r):
-        """Envelope density over ``r > 0`` whose square is a double > 0
-        (``r`` above about 1.6e-162), a one-set :func:`envelope_pdf_rows`."""
-        r, shaped = _envelope_points(r)
+        """Envelope density over finite ``r > 0``, a one-set
+        :func:`envelope_pdf_rows`: ``r^2`` need not be a double, and the
+        density is 0 where ``(r/c)^2`` passes the largest double."""
+        r, _, shaped = _envelope_points(r)
         p = self.product
         out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
                                 np.array([self.envelope_scale]), r)
@@ -554,11 +529,11 @@ class EnvelopeModel:
 
     def cdf(self, r):
         """Envelope distribution function ``F_Z(r^2 / c^2)`` over ``r >= 0``,
-        1 where the quotient passes the largest double."""
-        r, _, shaped = _points(r, ">= 0", "envelope cdf requires finite r >= 0")
-        with np.errstate(over="ignore"):
-            z = _cdf_argument(r * r, self._c * self._c)
-        return shaped(self.product.cdf(z))
+        at the log points ``2 ln r - 2 ln c``: 1 where the quotient passes
+        the largest double, and 0 at ``r = 0``."""
+        r, lo, shaped = _points(r, ">= 0", "envelope cdf requires finite r >= 0")
+        log_r, place = _log_points(r, lo)
+        return shaped(place(self.product._cdf_at_logs(2.0 * (log_r - math.log(self._c)))))
 
     def sample(self, rng, n):
         """Draw ``n`` envelope variates."""

@@ -8,16 +8,17 @@ sweeps) reduces to three scalar kernels evaluated at integer orders:
 * ``ln Gamma(n)``.
 
 The Bessel routines are built on an upward recurrence carried in log
-space so that mixture sums can be accumulated without over- or
-underflow even for orders of a few hundred and arguments spanning
-``[1e-8, 700]``.  Accuracy targets (relative): 1e-10 typical, 1e-8
-guaranteed on that domain; the test suite pins both against
-integral-representation quadrature oracles.  The recurrence starts
+space, from any finite log argument ``ln(x/2)``, so that mixture sums
+can be accumulated without over- or underflow even for orders of a few
+hundred, and ``x`` itself need not be a double.  Accuracy targets
+(relative): 1e-10 typical, 1e-8 guaranteed for ``x`` in ``[1e-8, 700]``;
+the test suite pins both against integral-representation quadrature
+oracles.  The recurrence starts
 from ``ln K_0`` and ``ln K_1``, which numpy evaluates here without
 scipy: the ascending series up to ``x = 2`` and a trapezoid rule on an
 integral representation above.  Against 40-digit mpmath they are
 within 10 eps of ``ln K`` times ``max(1, |ln K|)`` from ``x = 1e-300``
-to ``1e300``.
+to ``1e300``, and exact at ``ln(x/2) = -800`` and ``-2000``.
 
 ``x^a U(a, b, x)`` is one exp-sinh rule on the Laplace integral at
 every argument, for a whole (rows x points) batch of integer parameter
@@ -46,8 +47,6 @@ __all__ = [
 #: anything the mixture expansions generate.
 MAX_BESSEL_ORDER = 256
 
-_LN2 = math.log(2.0)
-
 # Cap on nodes * cells of one exp-sinh sum in ``tricomi_u_times_xa``;
 # larger requests are summed in chunks of cells.  Each chunk holds four
 # (cells x nodes) work arrays, 0.8 MB at this cap: a 100k cap raised a
@@ -60,27 +59,30 @@ _U_BLOCK_BUDGET = 25_000
 _EXACT_FACTORIAL_MAX = 171
 
 # The ladder's seeds ln K_0, ln K_1 (see _log_bessel_k01).  Arguments up
-# to _SEED_SWITCH take the ascending series, of degree _SERIES_DEGREE in
-# x^2; above it the trapezoid rule takes _QUAD_NODES nodes (one half of
-# the symmetric rule) of step _QUAD_STEP in s, where w = _QUAD_MAP
-# sinh(s / _QUAD_MAP).  Tuned together against 40-digit mpmath: the
+# to x = 2 (ln(x/2) = _SEED_SWITCH) take the ascending series, of degree
+# _SERIES_DEGREE in x^2; above it the trapezoid rule takes _QUAD_NODES
+# nodes (one half of the symmetric rule) of step _QUAD_STEP in s, where
+# w = _QUAD_MAP sinh(s / _QUAD_MAP).  Tuned together against 40-digit mpmath: the
 # series loses digits to cancellation as x grows (K_0 = 0.11 at x = 2
 # out of terms near 0.6), and the rule's error is set by its
 # integrand's branch points at w = +-i sqrt(2x), nearest at the switch.
 # With the sinh map, 15 nodes keep the rule's own error near 1e-18 from
 # x = 2 up; the rule in w needs 22 nodes for 3e-17.  Arguments are taken
 # in blocks of _SEED_BLOCK, which bounds the work arrays (about 1 MB).
-_SEED_SWITCH = 2.0
+_SEED_SWITCH = 0.0
 _SERIES_DEGREE = 11
 _QUAD_NODES = 15
 _QUAD_STEP = 0.305
 _QUAD_MAP = 3.0
 _SEED_BLOCK = 2048
-# Below this, half of x is subnormal and ln(x / 2) is taken as ln x - ln 2.
-_HALF_EXACT_MIN = 2.0 ** -1021
+# Bound on |ln(x/2)| in the ladder.  Above it the seeds clamp ln(x/2),
+# exactly: every kernel term, near e^-x, is 0 in double there.  Below -it, where
+# 2/x = exp(-ln(x/2)) nears overflow, K_{k-1}/K_k is below 1e-600 of
+# 2k/x, and a rung is ln K_k + ln k - ln(x/2), exact in double.
+_LOG_HALF_LIMIT = 700.0
 _EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
 
-# A copy of the last climb's arguments, if at most _SEED_BLOCK, and their
+# A copy of the last climb's log arguments, if at most _SEED_BLOCK, and their
 # seeds.  The pdf and the cdf of one model on one grid, as ``eval`` and a
 # domain sweep tabulate them, climb from the same arguments; the second
 # climb takes the first one's seeds, the bits it would compute, for the
@@ -153,20 +155,20 @@ def _quadrature_nodes():
     return (0.5 * w2).astype(float)[:, None], np.stack([g, g * w2], axis=1).astype(float)[:, :, None]
 
 
-def _series_k01(x, out, tiny):
-    """``ln K_0`` and ``ln K_1`` into ``out[0]``, ``out[1]``, for ``0 < x <= 2``.
+def _series_k01(ln_half, out):
+    """``ln K_0`` and ``ln K_1`` into ``out[0]``, ``out[1]``, for ``x <= 2``
+    of ``ln_half = ln(x/2)``, from ``x = 2 e^ln(x/2)``, 0 where it underflows.
 
     ``K_0 = S - ln(x/2) I_0``, with ``S`` the second series of
     :func:`_series_lanes`, and, by the Wronskian
     ``I_0 K_1 + I_1 K_0 = 1/x``, ``K_1 = (1 - x I_1 K_0) / (2 I_0) / (x/2)``,
-    whose log subtracts ``ln(x/2)`` rather than divide by a subnormal
-    ``x``.  At ``x = 2`` the sum ``S`` is ``K_0`` itself, so the
-    cancellation between the two terms of ``K_0`` stays within the
-    Horner sum; that of ``K_1`` is mild.  ``tiny``: ``x`` holds values
-    whose half is subnormal.
+    whose log subtracts ``ln(x/2)`` rather than divide by ``x``, which
+    may be subnormal or 0.  At ``x = 2`` the sum ``S`` is ``K_0`` itself,
+    so the cancellation between the two terms of ``K_0`` stays within the
+    Horner sum; that of ``K_1`` is mild.
     """
-    n = x.size
-    u = np.empty((n, 3))
+    x = 2.0 * np.exp(ln_half)
+    u = np.empty((x.size, 3))
     u[...] = (x * x)[:, None]
     u = u.reshape(-1)
     lanes = _series_lanes()[:, :u.size]
@@ -177,12 +179,6 @@ def _series_k01(x, out, tiny):
     acc += lanes[0]
     i0, s, minus_half_xi1 = acc[0::3], acc[1::3], acc[2::3]
     k0, k1 = out
-    if tiny:
-        ln_half = np.log(x)
-        ln_half -= _LN2
-    else:
-        ln_half = x * 0.5
-        np.log(ln_half, ln_half)
     np.multiply(ln_half, i0, k0)
     np.subtract(s, k0, k0)
     np.multiply(minus_half_xi1, k0, k1)
@@ -212,8 +208,9 @@ def _quadrature_k01(x):
     return out
 
 
-def _log_bessel_k01(x, tiny):
-    """``(ln K_0(x), ln K_1(x))`` of an array ``x > 0``, each of its shape.
+def _log_bessel_k01(log_half):
+    """``(ln K_0(x), ln K_1(x))`` of an array ``log_half = ln(x/2)``, each
+    of its shape, taken at :data:`_LOG_HALF_LIMIT` above it.
 
     Each argument's pair depends on that argument alone, not on the
     others of the call or their order: every step is elementwise, and
@@ -222,73 +219,85 @@ def _log_bessel_k01(x, tiny):
     all of them, those above 2 clamped to 2, and the trapezoid rule
     then replaces the pairs of those above 2; a block with none above 2
     needs no clamp, and one with none at or below 2 no series.
-    ``tiny``: some ``x`` is below :data:`_HALF_EXACT_MIN`.
     """
-    flat = x.reshape(-1)
+    flat = log_half.reshape(-1)
     out = np.empty((2, flat.size))
     for start in range(0, flat.size, _SEED_BLOCK):
-        xb = flat[start:start + _SEED_BLOCK]
+        lb = flat[start:start + _SEED_BLOCK]
         ob = out[:, start:start + _SEED_BLOCK]
-        big = (xb > _SEED_SWITCH).nonzero()[0]
-        if big.size < xb.size:
-            _series_k01(np.minimum(xb, _SEED_SWITCH) if big.size else xb, ob, tiny)
+        big = (lb > _SEED_SWITCH).nonzero()[0]
+        if big.size < lb.size:
+            _series_k01(np.minimum(lb, _SEED_SWITCH) if big.size else lb, ob)
         if big.size:
-            lk = _quadrature_k01(xb[big])
+            lk = _quadrature_k01(2.0 * np.exp(np.minimum(lb[big], _LOG_HALF_LIMIT)))
             ob[0, big] = lk[0]
             ob[1, big] = lk[1]
-    return out.reshape((2,) + x.shape)
+    return out.reshape((2,) + log_half.shape)
 
 
-def log_bessel_k_ladder(x, max_order):
-    """Yield ``(n, ln K_n(x))`` for ``n = 0 .. max_order`` in one climb.
+def log_bessel_k_ladder(log_half, max_order):
+    """Yield ``(n, ln K_n(x))`` for ``n = 0 .. max_order`` in one climb,
+    from the log arguments ``log_half = ln(x/2)``.
 
     Seeds from ``ln K_0`` and ``ln K_1`` of :func:`_log_bessel_k01`,
     numpy alone, and climbs the three-term recurrence
-    ``K_{n+1} = K_{n-1} + (2n/x) K_n`` in log space.  Since ``K_n`` is
-    increasing in the order, the correction ``exp(l_{n-1} - l_n)``
-    never exceeds one and the recurrence cannot overflow, which is what
-    makes high-order tail evaluations safe.
+    ``K_{n+1} = K_{n-1} + (2n/x) K_n`` in log space, with ``2/x`` formed
+    once as ``exp(-ln(x/2))``.  Since ``K_n`` is increasing in the
+    order, the correction ``exp(l_{n-1} - l_n)`` never exceeds one and
+    the recurrence cannot overflow, which is what makes high-order tail
+    evaluations safe.  Past :data:`_LOG_HALF_LIMIT` at either end, the
+    seeds take ``ln(x/2)`` at the limit (``x -> inf``) or each rung adds
+    ``ln n - ln(x/2)``, so ``x`` need not be a double.
     Yielding every rung lets sum evaluators harvest a whole family of
     orders for the cost of the highest one.
 
-    Each rung is yielded as a new array of the shape of ``x``, and
-    ``x`` itself is not written.  A climb from the same arguments as
-    the one before it, bit for bit, reuses that climb's seeds.
+    Each rung is yielded as a new array of the shape of ``log_half``,
+    which is not written.  A climb from the same log arguments as the
+    one before it, bit for bit, reuses that climb's seeds.
 
     Parameters
     ----------
-    x : array_like
-        Argument(s), strictly positive.
+    log_half : array_like
+        ``ln(x/2)`` of the arguments ``x``: any float but NaN and -inf.
     max_order : int
         Highest order to climb to, ``0 <= max_order <= MAX_BESSEL_ORDER``.
     """
     max_order = _check_order(max_order)
-    x = np.asarray(x, dtype=float)
+    lh = np.asarray(log_half, dtype=float)
+    lo = lh.min(initial=math.inf)
     # written so that NaN fails the check too
-    x_min = x.min(initial=math.inf)
-    if not x_min > 0.0:
-        raise ValueError("Bessel argument must be strictly positive")
+    if not lo > -math.inf:
+        raise ValueError("Bessel log argument ln(x/2) must not be NaN or -inf")
 
     global _last_seeds
-    last_x, last_lk = _last_seeds
-    if last_x.shape == x.shape and (last_x == x).all():
+    last_lh, last_lk = _last_seeds
+    if last_lh.shape == lh.shape and (last_lh == lh).all():
         lprev, lcur = last_lk.copy()
     else:
-        lprev, lcur = lk = _log_bessel_k01(x, x_min < _HALF_EXACT_MIN)
-        if x.size <= _SEED_BLOCK:
-            _last_seeds = (x.copy(), lk.copy())
+        lprev, lcur = lk = _log_bessel_k01(lh)
+        if lh.size <= _SEED_BLOCK:
+            _last_seeds = (lh.copy(), lk.copy())
     yield 0, lprev
     if max_order == 0:
         return
     yield 1, lcur
-    step = np.empty_like(x)
+    two_over_x = np.negative(lh)
+    tiny = None
+    if lo < -_LOG_HALF_LIMIT:
+        tiny = np.nonzero(two_over_x > _LOG_HALF_LIMIT)
+        lh_tiny = lh[tiny]
+        np.minimum(two_over_x, _LOG_HALF_LIMIT, out=two_over_x)
+    np.exp(two_over_x, out=two_over_x)
+    step = np.empty_like(lh)
     for k in range(1, max_order):
         # ln K_{k+1} = ln K_k + ln(2k/x + exp(ln K_{k-1} - ln K_k))
-        lnext = np.subtract(lprev, lcur, out=np.empty_like(x))
+        lnext = np.subtract(lprev, lcur, out=np.empty_like(lh))
         np.exp(lnext, out=lnext)
-        lnext += np.divide(2.0 * k, x, out=step)
+        lnext += np.multiply(two_over_x, k, out=step)
         np.log(lnext, out=lnext)
         lnext += lcur
+        if tiny is not None:
+            lnext[tiny] = lcur[tiny] + (math.log(k) - lh_tiny)
         lprev, lcur = lcur, lnext
         yield k + 1, lcur
 

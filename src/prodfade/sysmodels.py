@@ -20,12 +20,13 @@ divergence between the two curves in the deep tail is itself a result
 worth reproducing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mixture import (
-    RICIAN_PROXY_M, ShadowedParams, _as_int, _cdf_argument, _non_negative, _points, _positive,
+    RICIAN_PROXY_M, ShadowedParams, _as_int, _log_points, _non_negative, _points, _positive,
 )
 from .pdist import ProductModel
 
@@ -162,12 +163,12 @@ def wpc_outage(cfg, p_over_n0=None):
     """Outage probability over linear ``p_over_n0 > 0``.
 
     Defaults to the configured operating point when no sweep values
-    are passed.
+    are passed.  The cdf takes the log ``ln threshold - ln p``.
     """
     if p_over_n0 is None:
         p_over_n0 = cfg.tx_power_over_noise
     p, _, shaped = _points(p_over_n0, "> 0", "p_over_n0 must be finite and > 0")
-    return shaped(wpc_product(cfg).cdf(_cdf_argument(cfg.threshold_scale(), p)))
+    return shaped(wpc_product(cfg)._cdf_at_logs(math.log(cfg.threshold_scale()) - np.log(p)))
 
 
 def wpc_throughput(cfg, p_over_n0=None):
@@ -204,30 +205,36 @@ def gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, x):
     which is why ``scipy.integrate`` and ``scipy.special`` are imported
     here and not with the module.
     """
-    from scipy import integrate, special
-
     for name, v in (("shape_a", shape_a), ("scale_a", scale_a),
                     ("shape_b", shape_b), ("scale_b", scale_b)):
         _positive(name, v)
-    x, _, shaped = _points(x, ">= 0", "x must be finite and >= 0")
+    x, lo, shaped = _points(x, ">= 0", "x must be finite and >= 0")
+    log_x, place = _log_points(x, lo)
+    return shaped(place(_gamma_product_cdf_at_logs(shape_a, scale_a, shape_b, scale_b, log_x)))
+
+
+def _gamma_product_cdf_at_logs(shape_a, scale_a, shape_b, scale_b, log_x):
+    """:func:`gamma_product_cdf` at finite logs ``log_x``: given the first factor
+    ``w``, the second's cdf is at ``exp(ln x - ln w - ln scale_b)``, that log held
+    at most 700, where ``gammainc`` is 1 for any shape far below ``e^700``."""
+    from scipy import integrate, special
+
     ln_gamma_a = special.gammaln(shape_a)
+    ln_scale_b = math.log(scale_b)
 
     def pdf_a(w):
         t = w / scale_a
         return np.exp(special.xlogy(shape_a - 1.0, t) - t - ln_gamma_a) / scale_a
 
-    out = np.zeros(x.shape)
-    # near w = 0 the quotient xi / w can overflow: gammainc of inf is 1
-    with np.errstate(over="ignore"):
-        for i, xi in enumerate(x):
-            if xi == 0.0:
-                continue
-            val, _ = integrate.quad(
-                lambda w: pdf_a(w) * special.gammainc(shape_b, (xi / w) / scale_b),
-                0.0, np.inf, limit=200,
-            )
-            out[i] = min(val, 1.0)
-    return shaped(out)
+    out = np.zeros(log_x.shape)
+    for i, lx in enumerate(log_x.tolist()):
+        val, _ = integrate.quad(
+            lambda w: pdf_a(w) * special.gammainc(
+                shape_b, math.exp(min(lx - math.log(w) - ln_scale_b, 700.0))),
+            0.0, np.inf, limit=200,
+        )
+        out[i] = min(val, 1.0)
+    return out
 
 
 def nakagami_wpc_outage(cfg, p_over_n0=None):
@@ -255,8 +262,8 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
         shape_b = nakagami_shape(sd.kappa)
     scale_b = 1.0 / shape_b
 
-    z = _cdf_argument(cfg.threshold_scale(), p)
-    return shaped(gamma_product_cdf(shape_a, scale_a, shape_b, scale_b, z))
+    log_z = math.log(cfg.threshold_scale()) - np.log(p)
+    return shaped(_gamma_product_cdf_at_logs(shape_a, scale_a, shape_b, scale_b, log_z))
 
 
 @dataclass(frozen=True)
@@ -291,9 +298,9 @@ def backscatter_model(cfg):
 
 
 def backscatter_power_cdf(cfg, power):
-    """P(received power <= power) over ``power > 0``."""
+    """P(received power <= power) over ``power > 0``, at ``ln power - ln mean_rx_power``."""
     p, _, shaped = _points(power, "> 0", "power must be finite and > 0")
-    return shaped(backscatter_model(cfg).cdf(_cdf_argument(p, cfg.mean_rx_power)))
+    return shaped(backscatter_model(cfg)._cdf_at_logs(np.log(p) - math.log(cfg.mean_rx_power)))
 
 
 def backscatter_sweep(cfg, power_db):

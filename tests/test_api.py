@@ -149,3 +149,22 @@ def test_no_module_imports_scipy_on_import():
             if any(name.split(".")[0] == "scipy" for name in names):
                 eager.append("%s:%d" % (path.name, node.lineno))
     assert not eager
+
+
+def test_no_edge_of_range_guard_comes_back():
+    # Points, scale products and Bessel arguments travel as logs, so no
+    # square, quotient or half of a point is formed and none needs a
+    # guard at the edges of the double range: no module defines or reads
+    # these names, and pdist and sysmodels silence no overflow.
+    gone = {"_SQRT_DBL_MAX", "_cdf_argument", "_HALF_EXACT_MIN"}
+    found = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in sorted(gone & names)]
+            if (path.stem in ("pdist", "sysmodels") and isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "errstate"
+                    and any(kw.arg == "over" for kw in node.keywords)):
+                found.append("%s:%d np.errstate(over=...)" % (path.name, node.lineno))
+    assert not found

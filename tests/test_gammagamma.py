@@ -193,9 +193,9 @@ def test_weighted_sums_reduce_to_single_term():
     x = np.geomspace(0.1, 20.0, 11)
     w, sa, sb = np.array([1.0]), np.array([3]), np.array([4])
     pairs = pair_layout(sa, sb, [0])
-    pdf = weighted_pdf_sum(w, sa, sb, log_scale, x, pairs)
+    pdf = weighted_pdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
     np.testing.assert_allclose(pdf, p.pdf(x), rtol=1e-13)
-    raw = weighted_cdf_sum(w, sa, sb, log_scale, x, pairs)
+    raw = weighted_cdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
     np.testing.assert_allclose(raw, p.cdf(x), rtol=1e-11, atol=1e-15)
 
 
@@ -208,11 +208,11 @@ def test_weighted_sums_two_terms_additive():
     sb = np.array([1, 5])
     ls = np.array([0.0, math.log(0.5)])
     pairs = pair_layout(sa, sb, np.arange(2))
-    pdf = weighted_pdf_sum(w, sa, sb, ls, x, pairs)
+    pdf = weighted_pdf_sum(w, sa, sb, ls, np.log(x), pairs)
     p1 = gamma_product(2, 1, 1.0, 1.0)
     p2 = gamma_product(3, 5, 1.0, 0.5)
     np.testing.assert_allclose(pdf, 0.5 * p1.pdf(x) + 0.5 * p2.pdf(x), rtol=1e-12)
-    cdf = weighted_cdf_sum(w, sa, sb, ls, x, pairs)
+    cdf = weighted_cdf_sum(w, sa, sb, ls, np.log(x), pairs)
     np.testing.assert_allclose(cdf, 0.5 * p1.cdf(x) + 0.5 * p2.cdf(x), rtol=1e-11)
 
 
@@ -278,9 +278,11 @@ def test_merged_rows_match_pair_by_pair_sum():
     assert np.unique(model._lth).size == 4
     z = np.geomspace(1e-6, 20.0, 60)
     cdf, pdf, pdf_abs = _pair_by_pair(model, z)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
+                           model._plan.pairs)
     np.testing.assert_allclose(raw, cdf, rtol=0, atol=5e-14)
-    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
+    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
+                           model._plan.pairs)
     assert np.all(np.abs(got - pdf) <= 3e-14 * pdf_abs)
 
 
@@ -328,7 +330,8 @@ def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
     link = ShadowedParams(1.0, kappa, mu, m)
     model = ProductModel(link, link)
     z = np.geomspace(1e-4, 10.0, 8)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, z, model._plan.pairs)
+    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
+                           model._plan.pairs)
     tol = 1e-15 * model.abs_weight_sum + 2e-14
     with mpmath.workdps(40):
         for zi, got in zip(z, raw):
@@ -360,13 +363,13 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
-                                  _link_terms_of(plan.links[1], means_b, kappas_b), means_a)
+                                  _link_terms_of(plan.links[1], means_b, kappas_b))
     assert refusals == [None] * 4
     z = np.geomspace(1e-5, 30.0, 37)
     for engine in (weighted_cdf_sum, weighted_pdf_sum):
-        batch = engine(w, plan.shapes_a, plan.shapes_b, lth, z, plan.pairs)
+        batch = engine(w, plan.shapes_a, plan.shapes_b, lth, np.log(z), plan.pairs)
         for i in range(4):
-            alone = engine(w[i], plan.shapes_a, plan.shapes_b, lth[i], z, plan.pairs)
+            alone = engine(w[i], plan.shapes_a, plan.shapes_b, lth[i], np.log(z), plan.pairs)
             assert np.array_equal(batch[i], alone)
     rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
     assert ok.all()
@@ -389,8 +392,7 @@ def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     plan = _cell_plan((6, 2, 4, 1), 0)
     kappas_a, kappas_b = np.array([1.0, 3.0]), np.array([0.5, 2.0])
     w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], np.ones(2), kappas_a),
-                                  _link_terms_of(plan.links[1], np.ones(2), kappas_b),
-                                  [1.0, 1.0])
+                                  _link_terms_of(plan.links[1], np.ones(2), kappas_b))
     assert refusals == [None, None]
     s = -np.geomspace(1e-3, 1e3, 9)
     batch = weighted_mgf_sum(w, plan.shapes_a, plan.shapes_b, lth, s, tricomi_u_times_xa,

@@ -516,11 +516,11 @@ def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
         make((1.0, 1.0, 1, 4), (1.0, 2.0, 1, 4)).cdf(z)
 
 
-def test_an_envelope_argument_underflow_refuses_its_set_alone(monkeypatch):
-    # At scale 1e300 the smallest Bessel argument of r = 1e-160
-    # underflows to 0, where the ladder raises: that set alone gets NaN
-    # and False, and its model's pdf raises, while the other set of the
-    # same call keeps its model's bits.
+def test_an_envelope_argument_underflow_gives_its_set_density_zero(monkeypatch):
+    # At scale 1e300 the Bessel arguments of these points underflow, and
+    # their logs do not: that set is evaluated in the same call as the
+    # scale-1 set, with no warning, and its density is the limit 0 at
+    # every point.  Each row is its model's pdf, bit for bit.
     from prodfade import pdist
 
     r, scales, ones = np.array([1e-160, 1e-3, 1.0]), np.array([1.0, 1e300]), np.ones(2)
@@ -531,14 +531,30 @@ def test_an_envelope_argument_underflow_refuses_its_set_alone(monkeypatch):
         return envelope_pdf(plan, w, *args, **kwargs)
 
     monkeypatch.setattr(pdist, "_envelope_pdf", recording)
+    product = make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows, ok = pdist.envelope_pdf_rows((1, 4, 2, 1), ones, ones, scales, r)
-    assert carried == [2] and ok.tolist() == [True, False]
-    product = make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1))
-    assert np.array_equal(rows[0], EnvelopeModel(product, 1.0).pdf(r)) and np.isnan(rows[1]).all()
-    with pytest.raises(ArithmeticError):
-        EnvelopeModel(product, 1e300).pdf(r)
+        assert carried == [2] and ok.tolist() == [True, True]
+        far = EnvelopeModel(product, 1e300).pdf(r)
+    assert np.array_equal(rows[0], EnvelopeModel(product, 1.0).pdf(r))
+    assert np.array_equal(rows[1], far) and (far == 0.0).all()
+
+
+def test_a_product_mean_below_the_double_range_is_evaluated():
+    # The product of these links' mean powers, 1e-600, underflows to 0 as
+    # a double and not as a log: the model and the cdf batch check the
+    # mean by its log, and at z = 1 and 1e300, where the Bessel arguments
+    # pass the largest double, the cdf takes its limit 1, with no warning.
+    from prodfade.pdist import product_cdf_rows
+
+    z, tiny, ones = np.array([1.0, 1e300]), np.array([1e-300]), np.ones(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = make((1e-300, 1.0, 1, 4), (1e-300, 1.0, 2, 1))
+        assert model.cdf(z).tolist() == [1.0, 1.0]
+        rows, ok = product_cdf_rows((1, 4, 2, 1), tiny, ones, tiny, ones, z)
+    assert ok.all() and rows.tolist() == [[1.0, 1.0]]
 
 
 def test_envelope_model_refuses_a_bad_constant_at_construction():
@@ -587,26 +603,27 @@ def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
 def test_envelope_past_the_double_range():
     # r^2 past the largest double: the cdf takes its limit 1 and the pdf
     # its limit 0, as ProductModel's do at 1e308, with no warning; the
-    # finite points keep their pdf bits.  Where r^2 underflows to 0,
-    # outside the pdf's domain, the pdf refuses with a ValueError.
+    # finite points keep their pdf bits.  Where r^2 underflows to 0, its
+    # log does not, and r = 1e-170 is a point like any other.
     env = EnvelopeModel(make((1.0, 2.0, 1, 4), (1.0, 1.0, 2, 1)), 1.3)
-    assert env.cdf(1e200) == 1.0 and env.pdf(1e160) == 0.0
-    assert env.pdf(np.finfo(float).max) == 0.0
-    r = np.array([1e160, 1.0, 1e-3])
-    assert np.array_equal(env.pdf(r)[1:], env.pdf(r[1:])) and env.pdf(r)[0] == 0.0
-    assert env.cdf(r)[0] == 1.0
-    assert np.allclose(env.cdf(r)[1:], env.cdf(r[1:]), rtol=1e-14, atol=0.0)
-    with pytest.raises(ValueError, match="square"):
-        env.pdf(1e-170)
-    assert env.pdf(1.6e-162) > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert env.cdf(1e200) == 1.0 and env.pdf(1e160) == 0.0
+        assert env.pdf(np.finfo(float).max) == 0.0
+        r = np.array([1e160, 1.0, 1e-3])
+        assert np.array_equal(env.pdf(r)[1:], env.pdf(r[1:])) and env.pdf(r)[0] == 0.0
+        assert env.cdf(r)[0] == 1.0
+        assert np.allclose(env.cdf(r)[1:], env.cdf(r[1:]), rtol=1e-14, atol=0.0)
+        assert env.pdf(1e-170) > 0.0 and env.pdf(1.6e-162) > 0.0
 
 
 @pytest.mark.parametrize("point", [-1.0, 0.0, math.nan, math.inf, -math.inf, 1e-170])
 def test_batch_evaluators_check_their_points_as_the_models_do(point):
     # A point outside a batch's domain raises ValueError, as the models'
     # own evaluators do, before any set is weighed: no warning, no
-    # refused sets, no density of a wrong sign.  1e-170 is a valid cdf
-    # point whose envelope square underflows to 0.
+    # refused sets, no density of a wrong sign.  1e-170 is a valid point
+    # of both, whose envelope square underflows to 0 and whose log does
+    # not: each batch gives its model's bits.
     from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
 
     one = np.ones(1)
@@ -614,17 +631,19 @@ def test_batch_evaluators_check_their_points_as_the_models_do(point):
     env = EnvelopeModel(make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1)), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if point == 1e-170:
+            rows, ok = product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
+            assert ok.all() and np.array_equal(rows[0], env.product.cdf(pts))
+            rows, ok = envelope_pdf_rows((1, 4, 2, 1), one, one, one, pts)
+            assert ok.all() and np.array_equal(rows[0], env.pdf(pts)) and (rows[0] > 0.0).all()
+            return
         with pytest.raises(ValueError, match="envelope pdf requires finite r") as batch:
             envelope_pdf_rows((1, 4, 2, 1), one, one, one, pts)
         with pytest.raises(ValueError) as model:
             env.pdf(pts)
         assert str(batch.value) == str(model.value)
-        if point == 1e-170:
-            rows, ok = product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
-            assert ok.all() and np.array_equal(rows[0], env.product.cdf(pts))
-        else:
-            with pytest.raises(ValueError, match="finite z > 0"):
-                product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
+        with pytest.raises(ValueError, match="finite z > 0"):
+            product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
 
 
 @pytest.mark.parametrize("pair", MODEL_PAIRS + [((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1)),

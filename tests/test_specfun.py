@@ -38,9 +38,9 @@ TRICOMI_U_REFERENCE = [
 
 
 def log_bessel_k(n, x):
-    """``ln K_n(x)``: the last rung of a ladder climbed to order ``n``."""
+    """``ln K_n(x)``: the last rung of a ladder climbed to order ``n`` from ``ln(x/2)``."""
     x = np.asarray(x, dtype=float)
-    for _, lk in log_bessel_k_ladder(np.atleast_1d(x), n):
+    for _, lk in log_bessel_k_ladder(np.log(0.5 * np.atleast_1d(x)), n):
         pass
     return float(lk[0]) if x.ndim == 0 else lk.copy()
 
@@ -88,7 +88,7 @@ def test_log_bessel_k_large_argument_no_underflow():
 def test_ladder_yields_every_order_consistently():
     x = np.array([0.3, 1.0, 4.0, 25.0])
     seen = {}
-    for n, lk in log_bessel_k_ladder(x, 12):
+    for n, lk in log_bessel_k_ladder(np.log(0.5 * x), 12):
         seen[n] = lk.copy()
     assert sorted(seen) == list(range(13))
     # harvesting rung n from a longer climb is exact: it equals the top
@@ -104,10 +104,11 @@ def test_ladder_rejects_bad_order_and_argument():
         list(log_bessel_k_ladder(1.0, -1))
     with pytest.raises(ValueError):
         list(log_bessel_k_ladder(1.0, 2.5))
+    # the argument is ln(x/2): any float but NaN and -inf (x = 0)
     with pytest.raises(ValueError):
-        list(log_bessel_k_ladder(np.array([1.0, 0.0]), 2))
+        list(log_bessel_k_ladder(np.array([1.0, -math.inf]), 2))
     with pytest.raises(ValueError):
-        list(log_bessel_k_ladder(np.array([-1.0]), 2))
+        list(log_bessel_k_ladder(np.array([math.nan]), 2))
 
 
 def test_bessel_k_scaled_matches_library():
@@ -273,24 +274,35 @@ def test_ladder_seeds_against_mpmath(n):
     # The ladder's seeds ln K_0, ln K_1 are within 10 eps of 40-digit
     # mpmath, relative to max(1, |ln K|): the series, the trapezoid rule
     # and the switch between them.  scipy's k0e/k1e pair reaches 5 eps
-    # and 2 eps on this grid.
+    # and 2 eps on this grid.  The ladder takes ln(x/2), so the reference
+    # is taken at the x of that double, 2 exp(ln(x/2)).
     x = _seed_arguments()
+    log_half = np.log(0.5 * x)
     with mpmath.workdps(40):
-        expected = np.array([float(mpmath.log(mpmath.besselk(n, mpmath.mpf(xi)))) for xi in x])
+        expected = np.array([float(mpmath.log(mpmath.besselk(n, 2 * mpmath.exp(mpmath.mpf(lh)))))
+                             for lh in log_half.tolist()])
     got = log_bessel_k(n, x)
     err = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
     assert err.max() <= 10 * np.finfo(float).eps, (x[err.argmax()], err.max())
 
 
 def test_ladder_seeds_at_subnormal_arguments():
-    # Half of these is subnormal: ln(x/2) is taken another way, and
-    # K_1 ~ 1/x, beyond the double range, stays finite in log form.
-    x = np.array([5e-324, 1e-310, 2.0 ** -1021])
+    # Subnormal x, whose half is subnormal too, and x = 2 e^-800 and
+    # 2 e^-2000, which underflow to 0: the seeds take ln(x/2) as given,
+    # and K_1 ~ 1/x, beyond the double range, stays finite in log form,
+    # as do the rungs above it, on both sides of the rungs' switch at
+    # ln(x/2) = -700.  The reference is 40-digit mpmath at
+    # x = 2 exp(ln(x/2)) of the given double.
+    log_half = np.array([math.log(5e-324) - math.log(2.0), math.log(1e-310) - math.log(2.0),
+                         -1022 * math.log(2.0), -800.0, -2000.0, -650.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in (0, 1):
-            expected = [float(mpmath.log(mpmath.besselk(n, mpmath.mpf(xi)))) for xi in x]
-            np.testing.assert_allclose(log_bessel_k(n, x), expected, rtol=1e-15)
+        rungs = [lk.copy() for _, lk in log_bessel_k_ladder(log_half, 4)]
+    with mpmath.workdps(40):
+        for n in range(5):
+            expected = [float(mpmath.log(mpmath.besselk(n, 2 * mpmath.exp(mpmath.mpf(lh)))))
+                        for lh in log_half.tolist()]
+            np.testing.assert_allclose(rungs[n], expected, rtol=1e-15)
 
 
 def test_ladder_rungs_do_not_depend_on_the_batch():
@@ -299,12 +311,13 @@ def test_ladder_rungs_do_not_depend_on_the_batch():
     # switch and across their blocks of 2048 arguments.
     rng = np.random.default_rng(16)
     x = np.concatenate([np.exp(rng.uniform(-20.0, 7.0, 4095)), [2.0, np.nextafter(2.0, 3.0)]])
-    batch = [lk.copy() for _, lk in log_bessel_k_ladder(x, 6)]
-    backward = [lk[::-1].copy() for _, lk in log_bessel_k_ladder(x[::-1].copy(), 6)]
+    lh = np.log(0.5 * x)
+    batch = [lk.copy() for _, lk in log_bessel_k_ladder(lh, 6)]
+    backward = [lk[::-1].copy() for _, lk in log_bessel_k_ladder(lh[::-1].copy(), 6)]
     for n in range(7):
         assert np.array_equal(batch[n], backward[n]), n
     for i in list(rng.choice(x.size, 60, replace=False)) + [x.size - 2, x.size - 1]:
-        alone = [lk.copy() for _, lk in log_bessel_k_ladder(x[i:i + 1], 6)]
+        alone = [lk.copy() for _, lk in log_bessel_k_ladder(lh[i:i + 1], 6)]
         for n in range(7):
             assert np.array_equal(alone[n][0], batch[n][i]), (x[i], n)
 
@@ -312,7 +325,7 @@ def test_ladder_rungs_do_not_depend_on_the_batch():
 def test_ladder_reuses_the_seeds_of_the_same_arguments():
     # A second climb from the same arguments takes the first one's
     # seeds: the same bits, in arrays of its own.
-    x = np.geomspace(1e-3, 40.0, 77).reshape(7, 11)
+    x = np.log(0.5 * np.geomspace(1e-3, 40.0, 77)).reshape(7, 11)
     first = [lk for _, lk in log_bessel_k_ladder(x, 3)]
     for lk in first:
         lk[:] = np.nan
