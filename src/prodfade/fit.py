@@ -3,9 +3,9 @@
 Two estimation procedures are provided, both built on one exhaustive
 search over the integer shape parameters with a bounded continuous
 search inside each integer cell.  Each fit hands the search its vector
-of model-minus-data residuals, weighed a batch of candidates at a time
-on the integer cell's cached plan (:func:`prodfade.pdist.product_cdf_rows`,
-:func:`prodfade.pdist.envelope_pdf_rows`), with no model object built;
+of model-minus-data residuals, weighed a batch of candidates at a time on
+the cell's cached plan, on points prepared once per fit, with no model built
+(:func:`prodfade.pdist.product_cdf_rows`, :func:`prodfade.pdist.envelope_pdf_rows`);
 the search minimizes a norm of it:
 
 * :func:`fit_cdf` minimizes the modified Kolmogorov-Smirnov error
@@ -40,7 +40,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .mixture import ShadowedParams, _as_int, _positive, _span
-from .pdist import ProductModel, envelope_pdf_rows, product_cdf_rows
+from .pdist import ProductModel, _cdf_rows_at, _envelope_rows_at
 
 __all__ = [
     "EmpiricalDistribution",
@@ -768,11 +768,12 @@ def fit_cdf(empirical, config=None):
             "empirical mean unavailable: pass total_scale or enable fit_scale"
         )
     scale0 = _positive("model scale", scale0)
+    cdf_rows = _cdf_rows_at(x_eval)
 
     def make_residuals(mu, mu_hat, m, m_hat):
         def residuals(kappas, kappa_hats, scales):
-            err, ok = product_cdf_rows((mu, m, mu_hat, m_hat), scales, kappas,
-                                       np.ones(scales.size), kappa_hats, x_eval)
+            sets = np.array((scales, kappas, np.ones(scales.size), kappa_hats))
+            err, ok = cdf_rows((mu, m, mu_hat, m_hat), sets)
             np.maximum(err, _TINY_CDF, out=err)
             np.log10(err, out=err)
             err -= logf_emp
@@ -835,10 +836,13 @@ def fit_pdf_mse(empirical, config=None):
     msq_emp = float(np.mean(f_emp**2))
 
     root_n = math.sqrt(r.size)
+    pdf_rows = _envelope_rows_at(r)
 
     def make_residuals(mu, mu_hat, m, m_hat):
         def residuals(kappas, kappa_hats, scales):
-            err, ok = envelope_pdf_rows((mu, m, mu_hat, m_hat), kappas, kappa_hats, scales, r)
+            ones = np.ones(scales.size)
+            sets = np.array((ones, kappas, ones, kappa_hats, scales))
+            err, ok = pdf_rows((mu, m, mu_hat, m_hat), sets)
             err -= f_emp
             err /= root_n
             return err, ok

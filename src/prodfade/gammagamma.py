@@ -200,7 +200,7 @@ def _prepare(weights, log_scales, x, pairs):
     single = weights.ndim == 1
     if single:
         weights, log_scales = weights[None], log_scales[None]
-    return weights, log_scales[:, pairs.first], np.asarray(x, dtype=float), single
+    return weights, log_scales.take(pairs.first, axis=1), np.asarray(x, dtype=float), single
 
 
 def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
@@ -217,7 +217,7 @@ def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
     per point and set; the chunks over ``x`` do not depend on the sets.
     """
     sets, rows_per_set = weights.shape[0], plan.theta.size
-    w = weights[:, plan.source]
+    w = weights.take(plan.source, axis=1)
     at = plan.merge_at.get(sets)
     if at is None:
         at = plan.merge_at[sets] = (np.arange(sets)[:, None] * rows_per_set + plan.merge).ravel()
@@ -259,12 +259,12 @@ def _bessel_rows(plan, log_thetas, log_x, shift=False):
     for nu, lk in log_bessel_k_ladder(np.multiply(lu, 0.5).reshape(-1, log_x.size),
                                       plan.max_order):
         rungs[:, nu] = lk.reshape(lu.shape)
-    lt = lu[:, plan.theta]
+    lt = lu.take(plan.theta, axis=1)
     lt *= plan.expo
     lt += plan.log_coef
     lt += rungs.reshape(lu.shape[0], -1, log_x.size).take(plan.rung, axis=1)
     if shift:
-        lt -= log_thetas[:, plan.theta, None]
+        lt -= log_thetas.take(plan.theta, axis=1)[:, :, None]
     return np.exp(lt, out=lt)
 
 

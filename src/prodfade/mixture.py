@@ -19,9 +19,10 @@ A link's expansion has a kappa-free layout per integer ``(mu, m)``: the
 signed integer coefficient, the powers of ``base`` and ``dom``, the
 shape and the scale choice of each term.  One vectorized long-double
 expression, :func:`_link_terms`, gives the weights and the two scales at
-any ``kappa``, and at a whole array of parameter sets at once; it is the
-one weight formula, shared by :func:`expand` and by the pair plans of
-:mod:`prodfade.pdist`, which weigh products without building mixtures.
+any ``kappa``, for a whole array of parameter sets and for several links
+side by side at once; it is the one weight formula, shared by
+:func:`expand` and by the pair plans of :mod:`prodfade.pdist`, which
+weigh both links of a product in one call, without building mixtures.
 """
 
 import math
@@ -237,30 +238,40 @@ def _link_layout(mu, m, zero):
     return layout
 
 
-def _link_terms(mu, m, zero, mean_power, kappa):
-    """Layout, weights and scales of ``(mu, m)`` links of form ``zero``.
+def _links_layout(links):
+    """The layout of one :func:`_link_terms` call over ``links``, each ``(mu, m,
+    zero)``: their :func:`_link_layout` coefficients and powers side by side, each
+    term's link, each link's ``mu`` and ``m`` (long double), and the forms if any is zero."""
+    layouts = [_link_layout(*link) for link in links]
+    mu, m, zero = (np.array(v) for v in zip(*links))
+    return (*(np.concatenate([lay[i] for lay in layouts]) for i in range(3)),
+            np.repeat(np.arange(len(links)), [lay.shapes.size for lay in layouts]),
+            mu.astype(np.longdouble), m.astype(np.longdouble), zero if zero.any() else None)
 
-    ``mean_power`` and ``kappa`` are arrays of one shape, one parameter
-    set per element; a collapsed form (``zero``) is evaluated at
-    ``kappa = 0``.  Returns the link's :func:`_link_layout`, the
-    long-double weights, of that shape plus one axis over the terms in
-    layout order, and the double ``(unit, boosted)`` scales, of that
-    shape plus an axis of two; a term's scale is
-    ``scales[..., layout.boosted]``.
+
+def _link_terms(links, mean_power, kappa):
+    """Weights and scales of the links of a :func:`_links_layout`.
+
+    ``mean_power`` and ``kappa`` are arrays of one shape whose last axis
+    runs over the links; a collapsed link is taken at ``kappa = 0``.
+    Returns the long-double weights, the last axis over the links' terms
+    in layout order, and the double ``(unit, boosted)`` scales, with an
+    axis of two more; a term's scale is ``scales[..., link, boosted]``.
     """
-    layout = _link_layout(mu, m, zero)
+    coef, base_pow, dom_pow, link, mu, m, zero = links
     gbar = np.asarray(mean_power, dtype=np.longdouble)
     kap = np.asarray(kappa, dtype=np.longdouble)
-    kap = np.zeros_like(kap) if zero else kap
+    if zero is not None:
+        kap = np.where(zero, np.longdouble(0.0), kap)
     mk = mu * kap
     total = mk + m
-    base = np.longdouble(m) / total     # m / (mu kappa + m)
+    base = m / total                    # m / (mu kappa + m)
     dom = mk / total                    # mu kappa / (mu kappa + m)
     scales = np.empty(kap.shape + (2,))
     unit = scales[..., 0] = gbar / (mu * (np.longdouble(1.0) + kap))
     scales[..., 1] = unit / base        # (mu kappa + m) / m * unit, the boosted scale
-    w = layout.coef * base[..., None] ** layout.base_pow * dom[..., None] ** layout.dom_pow
-    return layout, w, scales
+    w = coef * base.take(link, axis=-1) ** base_pow * dom.take(link, axis=-1) ** dom_pow
+    return w, scales
 
 
 class GammaMixture:
@@ -420,9 +431,9 @@ def expand(params):
     """
     if not isinstance(params, ShadowedParams):
         raise TypeError("expand expects ShadowedParams, got %r" % type(params).__name__)
-    layout, w, scales = _link_terms(params.mu, params.m, _collapsed(params.kappa),
-                                    params.mean_power, params.kappa)
-    shapes, which = layout.shapes, layout.boosted
+    link = params.mu, params.m, _collapsed(params.kappa)
+    w, (scales,) = _link_terms(_links_layout([link]), [params.mean_power], [params.kappa])
+    shapes, which = _link_layout(*link)[3:]
     if np.count_nonzero(w) < w.size:
         keep = w != 0.0
         w, shapes, which = w[keep], shapes[keep], which[keep]

@@ -7,30 +7,25 @@ of ``Z`` to a doubly indexed weighted sum of Gamma-product kernels:
 
     f_Z(z) = sum_{j,h} C_j Chat_h * f_GG(z; m_j, mhat_h, Omega_j Omegahat_h)
 
-and likewise for the distribution function, Laplace transform and
-moments.  The pair weights are signed whenever a factor has
-``mu > m``; their absolute sum is the cancellation indicator exposed as
-``abs_weight_sum``.
+and likewise for the distribution function, Laplace transform and moments.
+The pair weights are signed whenever a factor has ``mu > m``; their absolute
+sum is the cancellation indicator exposed as ``abs_weight_sum``.
 
-The pairs depend on the integer cell alone.  One rule,
-:func:`_plan_key`, picks a parameter set's plan within its cell, for a
-model and for each set of a batch alike: each link's form (a link
-collapses to one Gamma term at kappa near 0,
-:func:`~prodfade.mixture._collapsed`) and whether the links are tied.
-Each cell and key has a cached plan: the pairs in the links' layout
-order (reversed for a ``mu > m`` link), each pair's scale choice, and
-their layout, which builds and keeps the engine's merged row plans
-(:class:`~prodfade.gammagamma.Pairs`).  Two equal links share a tied
-plan, on which unit x boosted and boosted x unit pairs share one scale
-product.  A parameter set only re-weights the plan, with the links'
-long-double weight formula, so a :class:`ProductModel` builds no
-mixture objects (its ``mixture_a``/``mixture_b`` are built on first
-use), and both fits weigh whole batches of candidates on one plan
-(:func:`product_cdf_rows`, :func:`envelope_pdf_rows`).
+The pairs depend on the integer cell alone.  One rule, :func:`_plan_key`,
+picks a parameter set's plan within its cell, for a model and for each
+set of a batch alike: each link's form (a link collapses to one Gamma
+term at kappa near 0, :func:`~prodfade.mixture._collapsed`) and whether
+the links are tied.  Each cell and key has a cached plan
+(:class:`_CellPlan`) of the pairs, their scale choices and their layout,
+which keeps the engine's row plans (:class:`~prodfade.gammagamma.Pairs`).
+Parameter sets only re-weigh it, by one call of the long-double weight
+formula for both links and one loop of checks (:meth:`_CellPlan.weigh`),
+so a :class:`ProductModel` builds no mixture, and both fits weigh each
+round's candidates in one pass (:func:`product_cdf_rows`,
+:func:`envelope_pdf_rows`), on points checked and logged once per fit.
 
-Also provided is the envelope-domain view ``R = c sqrt(Z)`` used when
-matching measured amplitude histograms: ``c`` is chosen so that
-``E[R]`` equals a prescribed reference level.
+Also provided is the envelope view ``R = c sqrt(Z)`` used to match
+measured amplitude histograms, with ``E[R]`` a prescribed level.
 """
 
 import math
@@ -41,7 +36,7 @@ import numpy as np
 from .gammagamma import pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
     WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _collapsed, _link_layout, _link_terms,
-    _log_points, _points, _positive, expand, sample_single,
+    _links_layout, _log_points, _points, _positive, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
@@ -57,27 +52,24 @@ CDF_RANGE_TOL = 1e-10
 class _CellPlan:
     """Kappa-free plan of the products of one integer cell.
 
-    One plan per integer ``cell`` ``(mu_a, m_a, mu_b, m_b)`` and
-    ``key`` of :func:`_plan_key`: the form of each link (a collapsed one
-    is the single term Gamma(mu)) and the tie.  ``links`` holds each
-    link's ``(mu, m, collapsed)``.  Pair ``p`` is term ``p // n_b`` of
-    link a and term ``p % n_b`` of link b, each link's terms in layout
-    order, or reversed where ``mu > m``.  A pair's scale product is fixed
-    by the two terms' scale choices (unit or boosted), and pairs of one
-    choice share a ``theta`` of ``pairs``, the layout
-    (:class:`~prodfade.gammagamma.Pairs`) that builds the engine's row
-    plans on first use and keeps them as long as this plan.  A tied plan
-    serves parameter sets whose two links are equal: there unit x
-    boosted and boosted x unit are one scale product, bit for bit, and
-    share one ``theta``.  A parameter set only re-weights
-    the plan, whose arrays are read-only, as every model and candidate of
-    the cell shares them.
+    One plan per integer ``cell`` ``(mu_a, m_a, mu_b, m_b)`` and ``key``
+    of :func:`_plan_key`: each link's form and the tie.  ``links`` holds
+    each link's ``(mu, m, collapsed)``.  Pair ``p`` is term ``p // n_b``
+    of link a and ``p % n_b`` of link b, each link's terms in layout order,
+    or reversed where ``mu > m``.  Pairs of one choice of the two terms'
+    scales (unit or boosted) share a ``theta`` of ``pairs``, the layout
+    (:class:`~prodfade.gammagamma.Pairs`) that builds and keeps the
+    engine's row plans; a tied plan, of two equal links, gives unit x
+    boosted and boosted x unit one ``theta``, as they are one scale
+    product bit for bit.  The arrays are read-only, as every model and
+    candidate of the cell shares them.
     """
 
     def __init__(self, cell, key):
         mu_a, m_a, mu_b, m_b = cell
         self.links = (mu_a, m_a, key & 2 > 0), (mu_b, m_b, key & 1 > 0)
         lay_a, lay_b = (_link_layout(*link) for link in self.links)
+        self._joint = _links_layout(self.links)
         # a mu > m link's terms in reverse layout order, in which its
         # weights fall in magnitude (strictly at small kappa): the signed
         # sums then add dominant terms first, as the mixtures' order did
@@ -90,6 +82,12 @@ class _CellPlan:
         choice = self.choice_a + self.choice_b if key >= 4 else 2 * self.choice_a + self.choice_b
         self.pairs = pair_layout(self.shapes_a, self.shapes_b,
                                  np.unique(choice, return_inverse=True)[1])
+        # link b's pair columns in the joint weights and (sets x 4) scales, and
+        # each link's first and last used scale column
+        self._na = lay_a.shapes.size
+        self._wb, self._sb = self._na + self.ib, 2 + self.choice_b
+        self._used = [(2 * i + int(lay.boosted.min()), 2 * i + int(lay.boosted.max()))
+                      for i, lay in enumerate((lay_a, lay_b))]
         self._log_gains = {}
         for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a, self.choice_b):
             arr.setflags(write=False)
@@ -122,28 +120,33 @@ class _CellPlan:
         sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
         return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
 
-    def weigh(self, terms_a, terms_b):
-        """Pair weights and log scale products of parameter sets, and their refusals.
+    def weigh(self, means, kappas):
+        """Pair weights and log scale products (sets x pairs) of parameter
+        sets, and per set ``None`` or the exception that refuses it.
 
-        ``terms_a`` and ``terms_b`` are the two links' terms at the sets,
-        as :func:`_link_terms_of` returns them.  Returns the weights and
-        log scale products (sets x pairs) and, per set, ``None`` or the
-        exception that refuses it, as building its model would: a link's
-        own refusal, or a closed-form mean (:meth:`log_moments` of order
-        1) that passes the largest double, or whose log leaves 1e-12 of
-        ``ln mean_a + ln mean_b``.  A mean below the least double is
-        checked as any other.  The refusals are formed only when a set
-        fails a check.
+        ``means`` and ``kappas`` (2 x sets) hold each link's mean powers and
+        kappas, and one :func:`~prodfade.mixture._link_terms` call weighs
+        both links.  One loop over the sets refuses a set as building its
+        model would: :func:`_link_refusal` of link a, then of link b, or a
+        closed-form mean (:meth:`log_moments` of order 1, a mean below the
+        least double included) past the largest double, or whose log leaves
+        1e-12 of ``ln mean_a + ln mean_b``.
         """
-        (w_a, log_a, lm_a, refused_a), (w_b, log_b, lm_b, refused_b) = terms_a, terms_b
-        w = w_a[:, self.ia] * w_b[:, self.ib]
-        lth = log_a[:, self.choice_a] + log_b[:, self.choice_b]
-        none = [None] * w.shape[0]
+        terms, scales = _link_terms(self._joint, means.T, kappas.T)
+        terms, scales = terms.astype(float), scales.reshape(-1, 4)
+        w = terms.take(self.ia, axis=1) * terms.take(self._wb, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales and means
+            log_scales = np.log(scales)
+            lth = log_scales.take(self.choice_a, axis=1) + log_scales.take(self._sb, axis=1)
+            log_means, ln_means = self.log_moments(w, lth, 1), np.log(means).tolist()
+        na, (a0, a1), (b0, b1) = self._na, *self._used
         refusals = []
-        for log_mean, ln_a, ln_b, ref_a, ref_b in zip(
-                self.log_moments(w, lth, 1), lm_a.tolist(), lm_b.tolist(),
-                refused_a or none, refused_b or none):
-            refusal = ref_a or ref_b
+        for row, sc, mean_a, mean_b, kappa_a, kappa_b, log_mean, ln_a, ln_b in zip(
+                terms.tolist(), scales.tolist(), *means.tolist(), *kappas.tolist(), log_means,
+                *ln_means):
+            sum_a, sum_b = math.fsum(row[:na]), math.fsum(row[na:])
+            refusal = (_link_refusal(mean_a, kappa_a, sc[a0] > 0.0 < sc[a1], sum_a)
+                       or _link_refusal(mean_b, kappa_b, sc[b0] > 0.0 < sc[b1], sum_b))
             if refusal is None and log_mean > _LOG_DBL_MAX:
                 refusal = OverflowError("moment of order 1 overflows double precision")
             # written so that NaN fails the check too
@@ -152,6 +155,18 @@ class _CellPlan:
                                           "1e-12" % (log_mean, ln_a + ln_b))
             refusals.append(refusal)
         return w, lth, refusals
+
+
+def _link_refusal(mean, kappa, scales_ok, weight_sum):
+    """``None`` or the ``ValueError`` that refuses a link at ``mean``, ``kappa``, as
+    :class:`ShadowedParams` or :class:`~prodfade.mixture.GammaMixture` would."""
+    dev = abs(weight_sum - 1.0)
+    if not (0.0 < mean < math.inf and 0.0 <= kappa < math.inf):
+        return ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0" % (mean, kappa))
+    if not scales_ok:
+        return ValueError("all scales must be > 0")
+    return (ValueError("mixture weights must sum to 1 within %g (deviation %g)"
+                       % (WEIGHT_SUM_TOL, dev)) if dev > WEIGHT_SUM_TOL else None)
 
 
 #: The cached :class:`_CellPlan` of an integer cell and :func:`_plan_key`.
@@ -175,96 +190,74 @@ def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
     return key
 
 
-def _link_terms_of(link, means, kappas):
-    """Terms of ``link = (mu, m, zero)`` links at parameter sets.
-
-    ``means`` and ``kappas`` are float arrays, a set per element.
-    Returns the double weights (sets x terms, layout order), the logs of
-    the ``(unit, boosted)`` scales (sets x 2), the logs of the means and
-    the refusals: None when every set passes, otherwise, per set,
-    ``None`` or the ``ValueError`` that refuses it, as
-    :class:`ShadowedParams` or :class:`~prodfade.mixture.GammaMixture`
-    would: the parameters are out of range, a term's scale is not > 0,
-    or the weights miss one by more than ``WEIGHT_SUM_TOL``.  A refused
-    set's logs that are not finite are 0.  The weights are summed set by
-    set (``math.fsum``); the refusals are formed only when a set fails a
-    check.
-    """
-    layout, w, scales = _link_terms(*link, means, kappas)
-    w = w.astype(float)
-    rows, mean_list, kappas = w.tolist(), means.tolist(), kappas.tolist()
-    devs = [abs(math.fsum(row) - 1.0) for row in rows]
-    # written so that NaN fails the checks too; a set passes them all
-    # when both of its scales are > 0, used by its terms or not
-    if (scales.min(initial=math.inf) > 0.0 and all(0.0 < v < math.inf for v in mean_list)
-            and all(0.0 <= v < math.inf for v in kappas)
-            and all(dev <= WEIGHT_SUM_TOL for dev in devs)):
-        return w, np.log(scales), np.log(means), None
-    scales_ok = (scales[:, layout.boosted] > 0.0).all(axis=1).tolist()
-    refusals = []
-    for mean, kappa, ok, dev in zip(mean_list, kappas, scales_ok, devs):
-        if not (math.isfinite(mean) and mean > 0.0 and math.isfinite(kappa) and kappa >= 0.0):
-            refusals.append(ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0"
-                                       % (mean, kappa)))
-        elif not ok:
-            refusals.append(ValueError("all scales must be > 0"))
-        elif dev > WEIGHT_SUM_TOL:
-            refusals.append(ValueError("mixture weights must sum to 1 within %g (deviation %g)"
-                                       % (WEIGHT_SUM_TOL, dev)))
-        else:
-            refusals.append(None)
-    with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales and means
-        logs = np.log(scales), np.log(means)
-    return w, *(np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0) for v in logs), refusals
-
-
-@lru_cache(maxsize=4096)
-def _link_terms_at(link, mean_power, kappa):
-    """:func:`_link_terms_of` one parameter set, of the form its plan
-    gives, cached for models that revisit parameter sets."""
-    terms = _link_terms_of(link, np.array([mean_power]), np.array([kappa]))
-    for arr in terms[:3]:
+@lru_cache(maxsize=1024)
+def _weighed_model(cell, mean_a, kappa_a, mean_b, kappa_b):
+    """A model's plan and one-set :meth:`_CellPlan.weigh` (read-only weights
+    and log scale products, and refusal), cached for models that revisit sets."""
+    plan = _cell_plan(cell, _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b))
+    means, kappas = np.array([[mean_a], [mean_b]]), np.array([[kappa_a], [kappa_b]])
+    w, lth, (refusal,) = plan.weigh(means, kappas)
+    for arr in w, lth:
         arr.setflags(write=False)
-    return terms
+    return plan, w[0], lth[0], refusal
 
 
 def _cdf_in_range(raw):
-    """Whether raw cdf values lie in [0, 1] within ``CDF_RANGE_TOL``, per
-    row of the last axis; NaN fails."""
+    """Whether each row of raw cdf values lies in [0, 1] within ``CDF_RANGE_TOL``; NaN fails."""
     return ((raw.min(axis=-1, initial=math.inf) >= -CDF_RANGE_TOL)
             & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
+
+
+_WHOLE = slice(None)   # the index of a whole batch
 
 
 def _cell_rows(cell, sets, rows, size, fill):
     """The one pass of both fits' evaluators.
 
-    ``sets`` holds the means and kappas of link a, of link b, and any
-    further values, one parameter set per element.  Sets are grouped by
-    the rule that picks a model's plan (:func:`_plan_key`); each group is
-    weighed once on its cached :class:`_CellPlan`, which refuses a set as
-    its model would, and its other sets go to one ``rows(plan, w, lth,
-    *further)`` call, giving their (sets x ``size``) values and whether
-    each is valid.  No set's values make that call raise, so a call that
-    raises is a fault of its plan (a Bessel order past
-    ``MAX_BESSEL_ORDER``) and refuses the group.  Returns the values,
-    ``fill`` where a set is refused, and whether each set was evaluated.
+    The rows of ``sets`` hold the means and kappas of link a, of link b,
+    and any further values, a parameter set per column.  Each plan's
+    group (:func:`_plan_key`) is weighed by one :meth:`_CellPlan.weigh`,
+    and its sets that pass go to one ``rows(plan, w, lth, *further)``
+    call, giving their (sets x ``size``) values and whether each is
+    valid; a call that raises (a Bessel order past ``MAX_BESSEL_ORDER``)
+    refuses its group.  A one-key batch that passes, a fit round's usual
+    case, is neither gathered nor copied.  Returns the values, ``fill``
+    where a set is refused, and whether each set was evaluated.
     """
     keys = _plan_key(cell, *sets[:4])
+    distinct = sorted(set(keys.tolist()))
     out, ok = np.full((keys.size, size), fill), np.zeros(keys.size, dtype=bool)
-    for key in sorted(set(keys.tolist())):
-        group = (keys == key).nonzero()[0]
+    for key in distinct:
+        group = _WHOLE if len(distinct) == 1 else (keys == key).nonzero()[0]
         plan = _cell_plan(cell, key)
-        means_a, kappas_a, means_b, kappas_b, *further = (v[group] for v in sets)
-        w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
-                                      _link_terms_of(plan.links[1], means_b, kappas_b))
-        weighed = np.array([i for i, r in enumerate(refusals) if r is None], dtype=int)
+        part = sets if group is _WHOLE else sets.take(group, axis=1)
+        w, lth, refusals = plan.weigh(part[0:4:2], part[1:4:2])
+        passed = [i for i, r in enumerate(refusals) if r is None]
+        weighed = _WHOLE if len(passed) == len(refusals) else passed
         try:
-            values, keep = rows(plan, w[weighed], lth[weighed], *(v[weighed] for v in further))
+            values, keep = rows(plan, w[weighed], lth[weighed], *part[4:, weighed])
         except (ArithmeticError, ValueError):
             continue
-        kept = group[weighed[keep]]
+        if group is weighed is _WHOLE:
+            if not keep.all():
+                values[~keep] = fill
+            return values, keep
+        kept = np.arange(keys.size)[group][weighed][keep]
         out[kept], ok[kept] = values[keep], True
     return out, ok
+
+
+def _cdf_rows_at(z):
+    """:func:`product_cdf_rows` at the points ``z``, checked and logged once:
+    ``rows(cell, sets)`` of a (4 x sets) array, which the cdf fit calls."""
+    log_z = np.log(_points(z, "> 0", "cdf rows require finite z > 0")[0])
+
+    def rows(plan, w, lth):
+        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, log_z, plan.pairs)
+        keep = _cdf_in_range(raw)
+        return raw.clip(0.0, 1.0, out=raw), keep
+
+    return partial(_cell_rows, rows=rows, size=log_z.size, fill=1.0)
 
 
 def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
@@ -279,30 +272,20 @@ def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
     range-checked and clipped as there, or all ones where that model,
     or its cdf, raises a numerical or validation error.
     """
-    z = _points(z, "> 0", "cdf rows require finite z > 0")[0]
-    log_z = np.log(z)
-
-    def rows(plan, w, lth):
-        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, log_z, plan.pairs)
-        keep = _cdf_in_range(raw)
-        return np.clip(raw, 0.0, 1.0, out=raw), keep
-
-    return _cell_rows(cell, (means_a, kappas_a, means_b, kappas_b), rows, z.size, 1.0)
+    return _cdf_rows_at(z)(cell, np.array((means_a, kappas_a, means_b, kappas_b)))
 
 
-def _envelope_pdf(plan, w, lth, scales, r):
+def _envelope_pdf(plan, w, lth, scales, r, log_r2):
     """Densities of ``R = c sqrt(Z)``, ``c = scale / E[sqrt(Z)]``, at ``r``
-    for sets weighed on ``plan``, and whether each is valid: ``f_R(r) =
-    2 r f_{c^2 Z}(r^2)``, with ``2 ln c`` added to each set's log scale
-    products, so that every set shares the log points ``2 ln r``, and no
-    ``r^2`` need be a double.  A set whose ``c`` is not finite and > 0, or
-    whose density is not finite, is not valid, and the other sets keep
-    their rows."""
+    (``log_r2 = 2 ln r``) of sets weighed on ``plan``, and whether each is
+    valid (``c`` finite and > 0, density finite): ``f_R(r) = 2 r f_{c^2
+    Z}(r^2)``, with ``2 ln c`` added to each set's log scale products, so
+    that every set shares the log points and no ``r^2`` need be a double."""
     c = [scale / math.exp(half)
          for scale, half in zip(scales.tolist(), plan.log_moments(w, lth, 0.5))]
     good = [0.0 < v < math.inf for v in c]
     lt = lth + np.array([2.0 * math.log(v) if ok else 0.0 for v, ok in zip(c, good)])[:, None]
-    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, 2.0 * np.log(r), plan.pairs)
+    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, log_r2, plan.pairs)
     out *= r
     out *= 2.0
     return out, np.array(good, dtype=bool) & np.isfinite(out).all(axis=-1)
@@ -310,6 +293,14 @@ def _envelope_pdf(plan, w, lth, scales, r):
 
 #: :func:`~prodfade.mixture._points` of an envelope density, finite ``r > 0``.
 _envelope_points = partial(_points, domain="> 0", message="envelope pdf requires finite r > 0")
+
+
+def _envelope_rows_at(r):
+    """:func:`envelope_pdf_rows` at the points ``r``, checked and logged once:
+    ``rows(cell, sets)`` of a (5 x sets) array, which the pdf fit calls."""
+    r = _envelope_points(r)[0]
+    return partial(_cell_rows, rows=partial(_envelope_pdf, r=r, log_r2=2.0 * np.log(r)),
+                   size=r.size, fill=math.nan)
 
 
 def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
@@ -321,10 +312,8 @@ def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
     or NaN where that model, or its pdf, raises.  The points are checked
     as that model checks them (``ValueError``).
     """
-    r = _envelope_points(r)[0]
     ones = np.ones(scales.size)
-    return _cell_rows(cell, (ones, kappas_a, ones, kappas_b, scales),
-                      partial(_envelope_pdf, r=r), r.size, math.nan)
+    return _envelope_rows_at(r)(cell, np.array((ones, kappas_a, ones, kappas_b, scales)))
 
 
 class ProductModel:
@@ -357,16 +346,12 @@ class ProductModel:
             raise TypeError("ProductModel expects two ShadowedParams")
         self.link_a = link_a
         self.link_b = link_b
-        cell = link_a.mu, link_a.m, link_b.mu, link_b.m
-        plan = self._plan = _cell_plan(cell, _plan_key(cell, link_a.mean_power, link_a.kappa,
-                                                       link_b.mean_power, link_b.kappa))
-        w, lth, (refusal,) = plan.weigh(
-            _link_terms_at(plan.links[0], link_a.mean_power, link_a.kappa),
-            _link_terms_at(plan.links[1], link_b.mean_power, link_b.kappa))
+        self._plan, self._w, self._lth, refusal = _weighed_model(
+            (link_a.mu, link_a.m, link_b.mu, link_b.m),
+            link_a.mean_power, link_a.kappa, link_b.mean_power, link_b.kappa)
         if refusal is not None:
             raise refusal.with_traceback(None)
-        self._w, self._lth = w[0], lth[0]
-        self._ka, self._kb = plan.shapes_a, plan.shapes_b
+        self._ka, self._kb = self._plan.shapes_a, self._plan.shapes_b
 
     @cached_property
     def mixture_a(self):
@@ -521,7 +506,7 @@ class EnvelopeModel:
         r, _, shaped = _envelope_points(r)
         p = self.product
         out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
-                                np.array([self.envelope_scale]), r)
+                                np.array([self.envelope_scale]), r, 2.0 * np.log(r))
         if not ok.all():
             raise ArithmeticError("envelope pdf is not finite; abs_weight_sum=%.3g"
                                   % (p.abs_weight_sum,))

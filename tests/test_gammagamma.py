@@ -355,15 +355,14 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     # and summed by one batched call: each row is the single call's
     # result, bit for bit, whole-grid or chunked; and the cdf fit's rows
     # are the models' own cdf values.
-    from prodfade.pdist import _cell_plan, _link_terms_of, product_cdf_rows
+    from prodfade.pdist import _cell_plan, product_cdf_rows
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
     plan = _cell_plan((6, 2, 4, 1), 0)     # the key of no collapse and no tie
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
-    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], means_a, kappas_a),
-                                  _link_terms_of(plan.links[1], means_b, kappas_b))
+    w, lth, refusals = plan.weigh(np.array((means_a, means_b)), np.array((kappas_a, kappas_b)))
     assert refusals == [None] * 4
     z = np.geomspace(1e-5, 30.0, 37)
     for engine in (weighted_cdf_sum, weighted_pdf_sum):
@@ -384,15 +383,14 @@ def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     # Two parameter sets of one layout in one transform call, whole-grid
     # or one point and one set per block: each row is the one-set call's
     # result, bit for bit, and the model's mgf.
-    from prodfade.pdist import _cell_plan, _link_terms_of
+    from prodfade.pdist import _cell_plan
     from prodfade.specfun import tricomi_u_times_xa
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
     plan = _cell_plan((6, 2, 4, 1), 0)
     kappas_a, kappas_b = np.array([1.0, 3.0]), np.array([0.5, 2.0])
-    w, lth, refusals = plan.weigh(_link_terms_of(plan.links[0], np.ones(2), kappas_a),
-                                  _link_terms_of(plan.links[1], np.ones(2), kappas_b))
+    w, lth, refusals = plan.weigh(np.ones((2, 2)), np.array((kappas_a, kappas_b)))
     assert refusals == [None, None]
     s = -np.geomspace(1e-3, 1e3, 9)
     batch = weighted_mgf_sum(w, plan.shapes_a, plan.shapes_b, lth, s, tricomi_u_times_xa,

@@ -434,6 +434,61 @@ def test_envelope_batch_gives_each_set_its_models_bits():
     assert np.array_equal(alone[0], rows[0]) and np.isnan(alone[1]).all()
 
 
+CLIFF = float(np.nextafter(1e-12, 1.0))
+# (mean_a, kappa_a, mean_b, kappa_b) on the cell (6, 2, 4, 1), and the
+# class and message of building its model: None for a set that builds.
+REFUSAL_BATCH = [
+    (1.0, 1.0, 1.0, 0.5, None),
+    (1.0, math.nan, 1.0, 0.5, (ValueError, "kappa must be finite and >= 0, got nan")),
+    (1.0, 1.0, 1.0, math.inf, (ValueError, "kappa must be finite and >= 0, got inf")),
+    (1.0, -0.5, 1.0, 0.5, (ValueError, "kappa must be finite and >= 0, got -0.5")),
+    (0.0, 1.0, 1.0, 0.5, (ValueError, "mean_power must be finite and > 0, got 0.0")),
+    (1.0, 1.0, math.inf, 0.5, (ValueError, "mean_power must be finite and > 0, got inf")),
+    (1.0, CLIFF, 1.0, 0.5,
+     (ValueError, "mixture weights must sum to 1 within 1e-12 (deviation 5.03401e+41)")),
+    (1e200, 1.0, 1e200, 0.5, (OverflowError, "moment of order 1 overflows double precision")),
+    (2.5, 0.2, 1.0, 2.0, None),
+]
+
+
+def test_batches_refuse_exactly_the_sets_whose_models_refuse():
+    # One mixed batch with each refusal: a NaN, inf or negative kappa, a
+    # mean of 0 or inf, the collapse cliff's weight-sum miss and a mean
+    # that overflows.  Building each set's model raises its class and
+    # message; both batch evaluators flag exactly those sets, give them
+    # fill rows, and give every other set its model's bits.  An inf
+    # kappa divides inf by inf in the weight formula of its refused set.
+    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+
+    means_a, kappas_a, means_b, kappas_b = (np.array(v) for v in list(zip(*REFUSAL_BATCH))[:4])
+    z, r = np.geomspace(1e-5, 30.0, 23), np.geomspace(1e-3, 8.0, 19)
+    scales = np.linspace(0.8, 1.6, len(REFUSAL_BATCH))
+    with np.errstate(invalid="ignore"):
+        rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
+        env_rows, env_ok = envelope_pdf_rows((6, 2, 4, 1), kappas_a, kappas_b, scales, r)
+    # an envelope set's links have mean power 1, so only its kappas refuse it
+    env_refused = [not all(0.0 <= k < math.inf and k != CLIFF for k in pair)
+                   for pair in zip(kappas_a.tolist(), kappas_b.tolist())]
+    assert env_ok.tolist() == [not refused for refused in env_refused]
+    assert ok.tolist() == [refusal is None for *_, refusal in REFUSAL_BATCH]
+    for i, (mean_a, kappa_a, mean_b, kappa_b, refusal) in enumerate(REFUSAL_BATCH):
+        def build(mean_a=mean_a, kappa_a=kappa_a, mean_b=mean_b, kappa_b=kappa_b):
+            return ProductModel(ShadowedParams(mean_a, kappa_a, 6, 2),
+                                ShadowedParams(mean_b, kappa_b, 4, 1))
+        if refusal is None:
+            assert np.array_equal(rows[i], build().cdf(z))
+        else:
+            with pytest.raises(refusal[0]) as info:
+                build()
+            assert str(info.value) == refusal[1]
+            assert (rows[i] == 1.0).all()
+        if env_refused[i]:
+            assert np.isnan(env_rows[i]).all()
+        else:
+            model = build(mean_a=1.0, mean_b=1.0)
+            assert np.array_equal(env_rows[i], EnvelopeModel(model, scales[i]).pdf(r))
+
+
 def test_empty_batches_give_empty_rows():
     # Zero parameter sets give (0, points) rows and (0,) flags, with no
     # warning, on a cell whose sets could take any of its plans.

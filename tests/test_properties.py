@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prodfade.mixture import ShadowedParams
+from prodfade.mixture import KAPPA_ZERO_TOL, ShadowedParams
 from prodfade.pdist import EnvelopeModel, ProductModel
 
 EPS = np.finfo(float).eps
@@ -50,3 +50,18 @@ def test_scale_law_over_the_double_range(link_a, link_b):
             r = k * np.sqrt(Z)
             envelope = EnvelopeModel(base, c).cdf(r)
             assert np.all(np.abs(envelope - base.cdf((r / k) ** 2)) <= bound), c
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="a mu > m link just above KAPPA_ZERO_TOL misses the weight sum, "
+                          "so the collapse is a cliff, not a limit (ROADMAP item 1)")
+@pytest.mark.parametrize("mu, m", [(6, 2), (3, 1), (3, 2)])
+def test_kappa_continuity_across_the_collapse(mu, m):
+    # A kappa of 1e-13 takes the collapsed form Gamma(mu) and the next
+    # double above KAPPA_ZERO_TOL the full expansion; the law moves by
+    # about 1e-12 between them, so the cdfs agree to 1e-9.
+    other = ShadowedParams.rayleigh()
+    below = ProductModel(ShadowedParams(1.0, 1e-13, mu, m), other)
+    above = ProductModel(ShadowedParams(1.0, float(np.nextafter(KAPPA_ZERO_TOL, 1.0)), mu, m),
+                         other)
+    assert np.all(np.abs(above.cdf(Z) - below.cdf(Z)) <= 1e-9)

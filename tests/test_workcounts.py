@@ -209,6 +209,72 @@ def test_a_cell_makes_one_cdf_engine_call_per_round(monkeypatch, rounds):
     assert sum(calls) == entry["nfev"] > 2 * len(calls)
 
 
+def test_a_round_weighs_its_plan_group_in_one_formula_call(monkeypatch):
+    # With kappa_range away from 0 each round is one plan group, so one
+    # long-double weight-formula call weighs both links of all the
+    # round's candidates, and nothing else of the round calls it.
+    gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
+    emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(3,), m_hat_grid=(2,), n_starts=3, max_points=40,
+                       min_cdf=1e-3, kappa_range=(0.01, 50.0))
+    calls, per_round = [], []
+    link_terms, minimize = prodfade.pdist._link_terms, prodfade.fit.minimize
+
+    def counting(links, means, kappas):
+        calls.append(np.shape(kappas))
+        return link_terms(links, means, kappas)
+
+    def recording(objective, x0s, *args, **kwargs):
+        def counted(thetas):
+            first = len(calls)
+            values = objective(thetas)
+            per_round.append((len(thetas), calls[first:]))
+            return values
+
+        return minimize(counted, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(prodfade.pdist, "_link_terms", counting)
+    monkeypatch.setattr(prodfade.fit, "minimize", recording)
+    fit_cdf(emp, cfg)
+    assert len(per_round) > 20
+    assert all(shapes == [(n, 2)] for n, shapes in per_round)
+
+
+@pytest.mark.parametrize("kind", ["cdf", "pdf"])
+def test_a_fit_checks_and_logs_its_points_once(monkeypatch, small_fit_data, small_envelope_data,
+                                               kind):
+    # The points are checked, by the models' rule, and logged when a fit
+    # starts; its rounds, many, take them prepared.
+    checks, residual_calls = [], []
+    for name in ("_points", "_envelope_points"):
+        check = getattr(prodfade.pdist, name)
+
+        def counting(*args, check=check, **kwargs):
+            checks.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(prodfade.pdist, name, counting)
+    rows_at = {"cdf": "_cdf_rows_at", "pdf": "_envelope_rows_at"}[kind]
+    make_rows = getattr(prodfade.fit, rows_at)
+
+    def recording(points):
+        rows = make_rows(points)
+
+        def counted(*args):
+            residual_calls.append(1)
+            return rows(*args)
+
+        return counted
+
+    monkeypatch.setattr(prodfade.fit, rows_at, recording)
+    if kind == "cdf":
+        fit_cdf(small_fit_data, _small_config(mu_grid=(1,), m_grid=(2, 3)))
+    else:
+        fit_pdf_mse(small_envelope_data, SearchConfig(mu_grid=(1,), m_grid=(3,), n_starts=1))
+    assert len(residual_calls) > 20
+    assert len(checks) == 1
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """Candidates per round, one entry per round, of every lockstep
