@@ -239,8 +239,7 @@ def _cell_rows(cell, sets, rows, size, fill):
         except (ArithmeticError, ValueError):
             continue
         if group is weighed is _WHOLE:
-            if not keep.all():
-                values[~keep] = fill
+            values[~keep] = fill
             return values, keep
         kept = np.arange(keys.size)[group][weighed][keep]
         out[kept], ok[kept] = values[keep], True
