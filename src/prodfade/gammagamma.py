@@ -43,13 +43,13 @@ the ladder seeds itself in numpy.  So ``eval --dist prod`` and
 (:mod:`prodfade.mixture`), as does the Nakagami comparator of
 :mod:`prodfade.sysmodels`.
 
-Which pairs share a ``theta`` is given by the caller's :class:`Pairs`
-layout (:func:`pair_layout`); a product model passes its cell plan's,
-grouped by the links' scale choices (see :mod:`prodfade.pdist`).  The
-weights and log scales may carry a leading axis of parameter sets over
-one layout: one call then climbs the ladder over every set's arguments
-at once and returns one row per set, each row the bits a call with
-that set alone gives.
+The sums are batched: ``weights`` is (sets x pairs) and the log scale
+products (sets x distinct ``theta``), over one :class:`Pairs` layout,
+which says which pairs share a ``theta``; a product model passes its
+cell plan's, grouped by the links' scale choices (see
+:mod:`prodfade.pdist`), and a single model is a one-set batch.  One
+call climbs the ladder over every set's arguments at once and returns
+one row per set, each row the bits a call with that set alone gives.
 """
 
 import math
@@ -60,7 +60,7 @@ import numpy as np
 
 from .specfun import ln_gamma_ints, log_bessel_k_ladder
 
-__all__ = ["pair_layout", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
+__all__ = ["Pairs", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
 
 _LN2 = math.log(2.0)
 
@@ -118,23 +118,20 @@ class Pairs:
 
     Pair ``p`` is the kernel of integer shapes ``shapes_a[p]`` and
     ``shapes_b[p]`` at distinct scale product ``theta[p]``, numbered
-    ``0 .. T-1``; ``first[t]`` is a pair whose scale product is ``t``.
-    Which pairs share a theta is the caller's choice (a product model
-    groups them by the links' scale choices, and with two equal links
-    puts unit x boosted and boosted x unit on one, see
-    :mod:`prodfade.pdist`).  Pairs that share a theta must have one log
-    scale product, bit for bit: the sums take each theta's value from
-    its first pair.  The arrays are read-only, and each row plan is
-    built on first use and kept with the layout, so a caller that keeps
-    the layout (a cell plan, which a fit revisits at many ``kappa``)
-    plans each sum once.
+    ``0 .. T-1``: the column of the sums' (sets x T) log scale products
+    that it reads.  Which pairs share a theta is the caller's choice (a
+    product model groups them by the links' scale choices, and with two
+    equal links puts unit x boosted and boosted x unit on one, see
+    :mod:`prodfade.pdist`).  The arrays are read-only, and each row plan
+    is built on first use and kept with the layout, so a caller that
+    keeps the layout (a cell plan, which a fit revisits at many
+    ``kappa``) plans each sum once.
     """
 
     def __init__(self, shapes_a, shapes_b, theta_of_pair):
         self.shapes_a, self.shapes_b, self.theta = (
             np.array(v, dtype=np.int64) for v in (shapes_a, shapes_b, theta_of_pair))
-        self.first = np.unique(self.theta, return_index=True)[1]
-        for arr in (self.shapes_a, self.shapes_b, self.theta, self.first):
+        for arr in (self.shapes_a, self.shapes_b, self.theta):
             arr.setflags(write=False)
 
     @cached_property
@@ -181,26 +178,6 @@ class Pairs:
         merge, first = _merge_rows(self.theta, a, b)
         return _UPlan(np.arange(merge.size), merge, self.theta[first], a[first], b[first],
                       first.size, {})
-
-
-#: ``pair_layout(shapes_a, shapes_b, theta_of_pair)``: the :class:`Pairs`
-#: the sums take.
-pair_layout = Pairs
-
-
-def _prepare(weights, log_scales, x, pairs):
-    """Batched engine arguments of one of the three public sums.
-
-    Returns the weights and distinct log scales of ``pairs`` with a
-    leading batch axis, the points (``ln x`` or ``s``) as a flat float
-    array, and whether the call was unbatched (1-d ``weights``).
-    """
-    weights = np.asarray(weights, dtype=float)
-    log_scales = np.asarray(log_scales, dtype=float)
-    single = weights.ndim == 1
-    if single:
-        weights, log_scales = weights[None], log_scales[None]
-    return weights, log_scales.take(pairs.first, axis=1), np.asarray(x, dtype=float), single
 
 
 def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
@@ -271,47 +248,41 @@ def _bessel_rows(plan, log_thetas, log_x, shift=False):
 _shifted_bessel_rows = partial(_bessel_rows, shift=True)
 
 
-def weighted_cdf_sum(weights, shapes_a, shapes_b, log_scales, log_x, pairs):
-    """Signed-weighted product-kernel distribution function at the log points ``log_x``.
+def weighted_cdf_sum(weights, shapes_a, shapes_b, log_thetas, log_x, pairs):
+    """Signed-weighted product-kernel distribution functions at the log points ``log_x``.
 
-    ``log_x`` holds ``ln x`` of points ``x > 0``, any finite float.
-    Computes ``1 - sum_p w_p S_p(x)`` where ``S_p`` is the finite
-    Bessel series of kernel ``p`` (``shapes_a[p]`` terms, truncation
-    indices ``k = 0 .. shapes_a[p]-1``).  The ``1 - ...`` form is exact
-    because the weights sum to one.  Series terms that are the same
-    kernel ``(theta, k, shapes_b)`` are summed once, with their pair
-    weights added.  Returns the raw signed result; the caller decides
-    how to range-check it.
-
-    ``pairs`` (from :func:`pair_layout`) is the layout of the pairs'
-    shapes ``shapes_a``/``shapes_b`` and says which pairs share a
-    ``theta``; the first pair of each shared ``theta`` gives its log
-    scale.  ``weights`` and ``log_scales`` may carry a leading axis of
-    parameter sets over the one layout, and the result then has one row
-    per set.
+    ``weights`` (sets x pairs) and ``log_thetas`` (sets x distinct
+    ``theta`` of the :class:`Pairs` layout ``pairs``) hold each
+    parameter set's pair weights and log scale products; ``log_x``, a
+    flat float array, holds ``ln x`` of points ``x > 0``, any finite
+    float.  Row ``i`` of the (sets x points) result is ``1 - sum_p
+    w_ip S_p(x)``, where ``S_p`` is the finite Bessel series of kernel
+    ``p`` (``pairs.shapes_a[p]`` terms, truncation indices ``k = 0 ..
+    shapes_a[p]-1``).  The ``1 - ...`` form is exact because the weights
+    sum to one.  Series terms that are the same kernel ``(theta, k,
+    shapes_b)`` are summed once, with their pair weights added.  Returns
+    the raw signed result; the caller decides how to range-check it.
+    ``shapes_a`` and ``shapes_b`` are not read: the shapes are the
+    layout's.
     """
-    w, log_thetas, log_x, single = _prepare(weights, log_scales, log_x, pairs)
-    total = _eval_blocks(pairs.cdf, w, log_thetas, log_x, _bessel_rows)
-    np.subtract(1.0, total, out=total)
-    return total[0] if single else total
+    total = _eval_blocks(pairs.cdf, weights, log_thetas, log_x, _bessel_rows)
+    return np.subtract(1.0, total, out=total)
 
 
-def weighted_pdf_sum(weights, shapes_a, shapes_b, log_scales, log_x, pairs):
-    """Signed-weighted product-kernel density at the log points ``log_x``.
+def weighted_pdf_sum(weights, shapes_a, shapes_b, log_thetas, log_x, pairs):
+    """Signed-weighted product-kernel densities at the log points ``log_x``.
 
     One Bessel term per kernel, evaluated in log space; the exponent
     ``expo - 1`` and the trailing ``- ln theta`` reproduce
     ``x^(expo-1) / theta^expo`` without forming either power.  May dip
     a few ulp below zero where signed kernels cancel; returned as
-    computed.  Points, ``pairs`` and batches as in :func:`weighted_cdf_sum`.
+    computed.  Arguments and result as in :func:`weighted_cdf_sum`.
     """
-    w, log_thetas, log_x, single = _prepare(weights, log_scales, log_x, pairs)
-    total = _eval_blocks(pairs.pdf, w, log_thetas, log_x, _shifted_bessel_rows)
-    return total[0] if single else total
+    return _eval_blocks(pairs.pdf, weights, log_thetas, log_x, _shifted_bessel_rows)
 
 
-def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pairs):
-    """Signed-weighted product-kernel Laplace transform ``E[exp(s Z)]`` at ``s < 0``.
+def weighted_mgf_sum(weights, shapes_a, shapes_b, log_thetas, s, u_times_xa, pairs):
+    """Signed-weighted product-kernel Laplace transforms ``E[exp(s Z)]`` at ``s < 0``.
 
     Pair ``p`` contributes ``y^ma U(ma, 1 + ma - mb, y)`` at
     ``y = -1 / (s theta_p)``.  Pairs that are the same kernel, on the
@@ -324,8 +295,9 @@ def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pai
     kernels and their sum are kept in long double and rounded once:
     where signed pairs cancel (a thousandfold and more at large
     ``|s|``), double rounding of each merged weight and kernel would
-    cost digits.  Returns the raw signed result.  ``pairs`` and batches as in
-    :func:`weighted_cdf_sum`.
+    cost digits.  Returns the raw signed result.  The other arguments
+    and the result as in :func:`weighted_cdf_sum`, with the flat points
+    ``s`` in place of ``log_x``.
     """
     def rows(plan, log_thetas, s):
         sets = log_thetas.shape[0]
@@ -336,6 +308,4 @@ def weighted_mgf_sum(weights, shapes_a, shapes_b, log_scales, s, u_times_xa, pai
         u = u_times_xa(np.tile(plan.a, sets), np.tile(plan.b, sets), y.reshape(-1, s.size))
         return u.reshape(y.shape)
 
-    w, log_thetas, s, single = _prepare(weights, log_scales, s, pairs)
-    total = _eval_blocks(pairs.mgf, w, log_thetas, s, rows, np.longdouble).astype(float)
-    return total[0] if single else total
+    return _eval_blocks(pairs.mgf, weights, log_thetas, s, rows, np.longdouble).astype(float)

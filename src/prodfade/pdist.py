@@ -16,8 +16,8 @@ picks a parameter set's plan within its cell, for a model and for each
 set of a batch alike: each link's form (a link collapses to one Gamma
 term at kappa near 0, :func:`~prodfade.mixture._collapsed`) and whether
 the links are tied.  Each cell and key has a cached plan
-(:class:`_CellPlan`) of the pairs, their scale choices and their layout,
-which keeps the engine's row plans (:class:`~prodfade.gammagamma.Pairs`).
+(:class:`_CellPlan`) of the pairs' layout, which keeps the engine's row
+plans (:class:`~prodfade.gammagamma.Pairs`), and each scale product's columns.
 Parameter sets only re-weigh it, by one call of the long-double weight
 formula for both links and one loop of checks (:meth:`_CellPlan.weigh`),
 so a :class:`ProductModel` builds no mixture, and both fits weigh each
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .gammagamma import pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
+from .gammagamma import Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
     WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _collapsed, _link_layout, _link_terms,
     _links_layout, _log_points, _points, _positive, expand, sample_single,
@@ -56,13 +56,14 @@ class _CellPlan:
     of :func:`_plan_key`: each link's form and the tie.  ``links`` holds
     each link's ``(mu, m, collapsed)``.  Pair ``p`` is term ``p // n_b``
     of link a and ``p % n_b`` of link b, each link's terms in layout order,
-    or reversed where ``mu > m``.  Pairs of one choice of the two terms'
-    scales (unit or boosted) share a ``theta`` of ``pairs``, the layout
-    (:class:`~prodfade.gammagamma.Pairs`) that builds and keeps the
-    engine's row plans; a tied plan, of two equal links, gives unit x
-    boosted and boosted x unit one ``theta``, as they are one scale
-    product bit for bit.  The arrays are read-only, as every model and
-    candidate of the cell shares them.
+    or reversed where ``mu > m``.  ``pairs``, the layout
+    (:class:`~prodfade.gammagamma.Pairs`), holds the pairs' shapes and
+    builds and keeps the engine's row plans.  Pairs of one choice of the
+    two terms' scales (unit or boosted) share a ``theta`` of it, which
+    :meth:`weigh` forms once from two scale columns; a tied plan, of two
+    equal links, gives unit x boosted and boosted x unit one ``theta``,
+    as they are one scale product bit for bit.  The arrays are
+    read-only, as every model and candidate of the cell shares them.
     """
 
     def __init__(self, cell, key):
@@ -76,20 +77,21 @@ class _CellPlan:
         term_a, term_b = (np.arange(lay.shapes.size)[::-1 if mu > m else 1]
                           for (mu, m, _), lay in zip(self.links, (lay_a, lay_b)))
         self.ia = np.repeat(term_a, term_b.size)
-        self.ib = np.tile(term_b, term_a.size)
-        self.shapes_a, self.shapes_b = lay_a.shapes[self.ia], lay_b.shapes[self.ib]
-        self.choice_a, self.choice_b = lay_a.boosted[self.ia], lay_b.boosted[self.ib]
-        choice = self.choice_a + self.choice_b if key >= 4 else 2 * self.choice_a + self.choice_b
-        self.pairs = pair_layout(self.shapes_a, self.shapes_b,
-                                 np.unique(choice, return_inverse=True)[1])
-        # link b's pair columns in the joint weights and (sets x 4) scales, and
-        # each link's first and last used scale column
+        ib = np.tile(term_b, term_a.size)
+        choice_a, choice_b = lay_a.boosted[self.ia], lay_b.boosted[ib]
+        choice = choice_a + choice_b if key >= 4 else 2 * choice_a + choice_b
+        _, first, theta = np.unique(choice, return_index=True, return_inverse=True)
+        self.pairs = Pairs(lay_a.shapes[self.ia], lay_b.shapes[ib], theta)
+        # link b's pair columns in the joint weights, each theta's two columns
+        # of the (sets x 4) scales, from its first pair, and each link's first
+        # and last used scale column
         self._na = lay_a.shapes.size
-        self._wb, self._sb = self._na + self.ib, 2 + self.choice_b
+        self._wb = self._na + ib
+        self._ta, self._tb = choice_a[first], 2 + choice_b[first]
         self._used = [(2 * i + int(lay.boosted.min()), 2 * i + int(lay.boosted.max()))
                       for i, lay in enumerate((lay_a, lay_b))]
         self._log_gains = {}
-        for arr in (self.ia, self.ib, self.shapes_a, self.shapes_b, self.choice_a, self.choice_b):
+        for arr in (self.ia, self._wb, self._ta, self._tb):
             arr.setflags(write=False)
 
     def log_gain(self, order):
@@ -98,7 +100,7 @@ class _CellPlan:
         factorials' ``ln (ka + j)(kb + j)``, accumulated), made once, read-only."""
         gain = self._log_gains.get(order)
         if gain is None:
-            ka, kb = self.shapes_a, self.shapes_b
+            ka, kb = self.pairs.shapes_a, self.pairs.shapes_b
             if order == 0.5:
                 gain = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
                                  for pair in zip(ka.tolist(), kb.tolist())])
@@ -114,15 +116,17 @@ class _CellPlan:
         """``ln E[Z^order]`` of sets weighed on this plan: per set, the largest
         of the pairs' log terms ``order ln theta`` plus their :meth:`log_gain`,
         plus the log of the pairs' ``w exp(term - largest)`` summed by
-        ``math.fsum``, which no scale can overflow; NaN where it is not > 0."""
-        lt = order * lth + self.log_gain(order)
+        ``math.fsum``, which no scale can overflow; NaN where it is not > 0.
+        ``w`` and ``lth`` are as :meth:`weigh` gives them."""
+        lt = order * lth.take(self.pairs.theta, axis=1) + self.log_gain(order)
         top = lt.max(axis=1, initial=-math.inf)
         sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
         return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
 
     def weigh(self, means, kappas):
-        """Pair weights and log scale products (sets x pairs) of parameter
-        sets, and per set ``None`` or the exception that refuses it.
+        """Pair weights (sets x pairs) and log scale products (sets x distinct
+        theta of ``pairs``) of parameter sets, what the kernel sums take, and
+        per set ``None`` or the exception that refuses it.
 
         ``means`` and ``kappas`` (2 x sets) hold each link's mean powers and
         kappas, and one :func:`~prodfade.mixture._link_terms` call weighs
@@ -132,12 +136,12 @@ class _CellPlan:
         least double included) past the largest double, or whose log leaves
         1e-12 of ``ln mean_a + ln mean_b``.
         """
-        terms, scales = _link_terms(self._joint, means.T, kappas.T)
-        terms, scales = terms.astype(float), scales.reshape(-1, 4)
-        w = terms.take(self.ia, axis=1) * terms.take(self._wb, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' scales and means
+        with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' terms and means
+            terms, scales = _link_terms(self._joint, means.T, kappas.T)
+            terms, scales = terms.astype(float), scales.reshape(-1, 4)
+            w = terms.take(self.ia, axis=1) * terms.take(self._wb, axis=1)
             log_scales = np.log(scales)
-            lth = log_scales.take(self.choice_a, axis=1) + log_scales.take(self._sb, axis=1)
+            lth = log_scales.take(self._ta, axis=1) + log_scales.take(self._tb, axis=1)
             log_means, ln_means = self.log_moments(w, lth, 1), np.log(means).tolist()
         na, (a0, a1), (b0, b1) = self._na, *self._used
         refusals = []
@@ -192,14 +196,15 @@ def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
 
 @lru_cache(maxsize=1024)
 def _weighed_model(cell, mean_a, kappa_a, mean_b, kappa_b):
-    """A model's plan and one-set :meth:`_CellPlan.weigh` (read-only weights
-    and log scale products, and refusal), cached for models that revisit sets."""
+    """A model's plan and one-set :meth:`_CellPlan.weigh` (read-only one-row
+    weights and log scale products, and refusal), cached for models that
+    revisit sets."""
     plan = _cell_plan(cell, _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b))
     means, kappas = np.array([[mean_a], [mean_b]]), np.array([[kappa_a], [kappa_b]])
     w, lth, (refusal,) = plan.weigh(means, kappas)
     for arr in w, lth:
         arr.setflags(write=False)
-    return plan, w[0], lth[0], refusal
+    return plan, w, lth, refusal
 
 
 def _cdf_in_range(raw):
@@ -252,7 +257,8 @@ def _cdf_rows_at(z):
     log_z = np.log(_points(z, "> 0", "cdf rows require finite z > 0")[0])
 
     def rows(plan, w, lth):
-        raw = weighted_cdf_sum(w, plan.shapes_a, plan.shapes_b, lth, log_z, plan.pairs)
+        raw = weighted_cdf_sum(w, plan.pairs.shapes_a, plan.pairs.shapes_b, lth, log_z,
+                               plan.pairs)
         keep = _cdf_in_range(raw)
         return raw.clip(0.0, 1.0, out=raw), keep
 
@@ -284,7 +290,7 @@ def _envelope_pdf(plan, w, lth, scales, r, log_r2):
          for scale, half in zip(scales.tolist(), plan.log_moments(w, lth, 0.5))]
     good = [0.0 < v < math.inf for v in c]
     lt = lth + np.array([2.0 * math.log(v) if ok else 0.0 for v, ok in zip(c, good)])[:, None]
-    out = weighted_pdf_sum(w, plan.shapes_a, plan.shapes_b, lt, log_r2, plan.pairs)
+    out = weighted_pdf_sum(w, plan.pairs.shapes_a, plan.pairs.shapes_b, lt, log_r2, plan.pairs)
     out *= r
     out *= 2.0
     return out, np.array(good, dtype=bool) & np.isfinite(out).all(axis=-1)
@@ -349,8 +355,7 @@ class ProductModel:
             (link_a.mu, link_a.m, link_b.mu, link_b.m),
             link_a.mean_power, link_a.kappa, link_b.mean_power, link_b.kappa)
         if refusal is not None:
-            raise refusal.with_traceback(None)
-        self._ka, self._kb = self._plan.shapes_a, self._plan.shapes_b
+            raise type(refusal)(*refusal.args)
 
     @cached_property
     def mixture_a(self):
@@ -390,8 +395,9 @@ class ProductModel:
         computed rather than clipped.
         """
         z, _, shaped = _points(z, "> 0", "pdf requires finite z > 0")
-        out = weighted_pdf_sum(self._w, self._ka, self._kb, self._lth, np.log(z),
-                               self._plan.pairs)
+        pairs = self._plan.pairs
+        (out,) = weighted_pdf_sum(self._w, pairs.shapes_a, pairs.shapes_b, self._lth, np.log(z),
+                                  pairs)
         if not _all_finite(out):
             raise ArithmeticError(
                 "product pdf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
@@ -411,7 +417,8 @@ class ProductModel:
     def _cdf_at_logs(self, log_z):
         """Range-checked and clipped cdf at the points ``exp(log_z)``, of
         finite logs ``log_z``."""
-        raw = weighted_cdf_sum(self._w, self._ka, self._kb, self._lth, log_z, self._plan.pairs)
+        pairs = self._plan.pairs
+        (raw,) = weighted_cdf_sum(self._w, pairs.shapes_a, pairs.shapes_b, self._lth, log_z, pairs)
         if not _cdf_in_range(raw):
             worst = raw[np.argmax(np.abs(raw - 0.5))]
             raise ArithmeticError(
@@ -429,8 +436,9 @@ class ProductModel:
         overflow to inf, where ``x^a U`` takes its limit 1.
         """
         s, _, shaped = _points(s, "< 0", "mgf requires finite s < 0")
-        out = weighted_mgf_sum(self._w, self._ka, self._kb, self._lth, s, tricomi_u_times_xa,
-                               self._plan.pairs)
+        pairs = self._plan.pairs
+        (out,) = weighted_mgf_sum(self._w, pairs.shapes_a, pairs.shapes_b, self._lth, s,
+                                  tricomi_u_times_xa, pairs)
         if not _all_finite(out):
             raise ArithmeticError(
                 "product mgf is not finite; abs_weight_sum=%.3g" % (self.abs_weight_sum,)
@@ -447,7 +455,7 @@ class ProductModel:
         """
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
-        (log_total,) = self._plan.log_moments(self._w[None], self._lth[None], int(n))
+        (log_total,) = self._plan.log_moments(self._w, self._lth, int(n))
         if not log_total <= _LOG_DBL_MAX:
             raise OverflowError("moment of order %d overflows double precision" % (n,))
         return math.exp(log_total)
@@ -456,7 +464,7 @@ class ProductModel:
     def sqrt_mean(self):
         """``E[sqrt(Z)]`` in closed form: the pairs' half moments summed on
         the cell plan, as the pdf fit sums them (:func:`envelope_pdf_rows`)."""
-        return math.exp(self._plan.log_moments(self._w[None], self._lth[None], 0.5)[0])
+        return math.exp(self._plan.log_moments(self._w, self._lth, 0.5)[0])
 
     def sample(self, rng, n):
         """Draw ``n`` product variates.
@@ -504,8 +512,8 @@ class EnvelopeModel:
         density is 0 where ``(r/c)^2`` passes the largest double."""
         r, _, shaped = _envelope_points(r)
         p = self.product
-        out, ok = _envelope_pdf(p._plan, p._w[None], p._lth[None],
-                                np.array([self.envelope_scale]), r, 2.0 * np.log(r))
+        out, ok = _envelope_pdf(p._plan, p._w, p._lth, np.array([self.envelope_scale]), r,
+                                2.0 * np.log(r))
         if not ok.all():
             raise ArithmeticError("envelope pdf is not finite; abs_weight_sum=%.3g"
                                   % (p.abs_weight_sum,))

@@ -168,3 +168,20 @@ def test_no_edge_of_range_guard_comes_back():
                     and any(kw.arg == "over" for kw in node.keywords)):
                 found.append("%s:%d np.errstate(over=...)" % (path.name, node.lineno))
     assert not found
+
+
+def test_no_per_pair_scale_or_unbatched_sum_comes_back():
+    # The kernel sums take (sets x distinct theta) log scale products and
+    # batches alone, so no module defines or reads the per-pair picking
+    # (Pairs.first, read as an attribute), the unbatched adapter
+    # (_prepare) or the layout alias (pair_layout).
+    gone = {"pair_layout", "_prepare", "first"}
+    found = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None)}
+            if not isinstance(node, ast.Attribute):
+                names = {getattr(node, field, None) for field in ("id", "name")} - {"first"}
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in sorted(gone & names)]
+    assert not found

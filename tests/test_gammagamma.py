@@ -7,7 +7,7 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from prodfade.gammagamma import (
-    pair_layout, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum,
+    Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum,
 )
 from prodfade.mixture import ShadowedParams
 from prodfade.pdist import ProductModel
@@ -189,13 +189,13 @@ def test_domain_validation():
 
 def test_weighted_sums_reduce_to_single_term():
     p = gamma_product(3, 4, 0.8, 1.1)
-    log_scale = np.array([math.log(0.8) + math.log(1.1)])
+    log_scale = np.array([[math.log(0.8) + math.log(1.1)]])
     x = np.geomspace(0.1, 20.0, 11)
-    w, sa, sb = np.array([1.0]), np.array([3]), np.array([4])
-    pairs = pair_layout(sa, sb, [0])
-    pdf = weighted_pdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
+    w, sa, sb = np.array([[1.0]]), np.array([3]), np.array([4])
+    pairs = Pairs(sa, sb, [0])
+    (pdf,) = weighted_pdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
     np.testing.assert_allclose(pdf, p.pdf(x), rtol=1e-13)
-    raw = weighted_cdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
+    (raw,) = weighted_cdf_sum(w, sa, sb, log_scale, np.log(x), pairs)
     np.testing.assert_allclose(raw, p.cdf(x), rtol=1e-11, atol=1e-15)
 
 
@@ -203,16 +203,16 @@ def test_weighted_sums_two_terms_additive():
     # A half/half mixture of two kernels must equal the average of the
     # two single-kernel evaluations.
     x = np.geomspace(0.2, 8.0, 7)
-    w = np.array([0.5, 0.5])
+    w = np.array([[0.5, 0.5]])
     sa = np.array([2, 3])
     sb = np.array([1, 5])
-    ls = np.array([0.0, math.log(0.5)])
-    pairs = pair_layout(sa, sb, np.arange(2))
-    pdf = weighted_pdf_sum(w, sa, sb, ls, np.log(x), pairs)
+    ls = np.array([[0.0, math.log(0.5)]])
+    pairs = Pairs(sa, sb, np.arange(2))
+    (pdf,) = weighted_pdf_sum(w, sa, sb, ls, np.log(x), pairs)
     p1 = gamma_product(2, 1, 1.0, 1.0)
     p2 = gamma_product(3, 5, 1.0, 0.5)
     np.testing.assert_allclose(pdf, 0.5 * p1.pdf(x) + 0.5 * p2.pdf(x), rtol=1e-12)
-    cdf = weighted_cdf_sum(w, sa, sb, ls, np.log(x), pairs)
+    (cdf,) = weighted_cdf_sum(w, sa, sb, ls, np.log(x), pairs)
     np.testing.assert_allclose(cdf, 0.5 * p1.cdf(x) + 0.5 * p2.cdf(x), rtol=1e-11)
 
 
@@ -233,7 +233,7 @@ def test_large_shape_tail_is_finite_and_monotone():
 def test_cdf_rejects_nan_kernel_sum(monkeypatch):
     p = gamma_product(2, 3, 1.0, 1.0)
     monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum",
-                        lambda *args: np.full(np.shape(args[4]), np.nan))
+                        lambda *args: np.full((1, np.size(args[4])), np.nan))
     with pytest.raises(ArithmeticError):
         p.cdf([0.1, 1.0])
 
@@ -241,7 +241,7 @@ def test_cdf_rejects_nan_kernel_sum(monkeypatch):
 def test_pdf_rejects_nan_kernel_sum(monkeypatch):
     p = gamma_product(2, 3, 1.0, 1.0)
     monkeypatch.setattr("prodfade.pdist.weighted_pdf_sum",
-                        lambda *args: np.full(np.shape(args[4]), np.nan))
+                        lambda *args: np.full((1, np.size(args[4])), np.nan))
     with pytest.raises(ArithmeticError):
         p.pdf([0.1, 1.0])
 
@@ -255,7 +255,9 @@ def _pair_by_pair(model, z):
     cdf_sum = np.zeros_like(z)
     pdf = np.zeros_like(z)
     pdf_abs = np.zeros_like(z)
-    for w, ka, kb, lth in zip(model._w, model._ka, model._kb, model._lth):
+    pairs = model._plan.pairs
+    for w, ka, kb, lth in zip(model._w[0], pairs.shapes_a, pairs.shapes_b,
+                              model._lth[0].take(pairs.theta)):
         u = z / math.exp(lth)
         arg = 2.0 * np.sqrt(u)
         for k in range(ka):
@@ -278,11 +280,12 @@ def test_merged_rows_match_pair_by_pair_sum():
     assert np.unique(model._lth).size == 4
     z = np.geomspace(1e-6, 20.0, 60)
     cdf, pdf, pdf_abs = _pair_by_pair(model, z)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
-                           model._plan.pairs)
+    pairs = model._plan.pairs
+    (raw,) = weighted_cdf_sum(model._w, pairs.shapes_a, pairs.shapes_b, model._lth, np.log(z),
+                              pairs)
     np.testing.assert_allclose(raw, cdf, rtol=0, atol=5e-14)
-    got = weighted_pdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
-                           model._plan.pairs)
+    (got,) = weighted_pdf_sum(model._w, pairs.shapes_a, pairs.shapes_b, model._lth, np.log(z),
+                              pairs)
     assert np.all(np.abs(got - pdf) <= 3e-14 * pdf_abs)
 
 
@@ -330,14 +333,16 @@ def test_merged_cdf_rows_match_mpmath(mu, m, kappa):
     link = ShadowedParams(1.0, kappa, mu, m)
     model = ProductModel(link, link)
     z = np.geomspace(1e-4, 10.0, 8)
-    raw = weighted_cdf_sum(model._w, model._ka, model._kb, model._lth, np.log(z),
-                           model._plan.pairs)
+    pairs = model._plan.pairs
+    (raw,) = weighted_cdf_sum(model._w, pairs.shapes_a, pairs.shapes_b, model._lth, np.log(z),
+                              pairs)
     tol = 1e-15 * model.abs_weight_sum + 2e-14
     with mpmath.workdps(40):
         for zi, got in zip(z, raw):
             bessel = {}     # (ln theta, order) -> u, K_order(2 sqrt(u))
             total = mpmath.mpf(0)
-            for w, ka, kb, lth in zip(model._w, model._ka, model._kb, model._lth):
+            for w, ka, kb, lth in zip(model._w[0], pairs.shapes_a, pairs.shapes_b,
+                                      model._lth[0].take(pairs.theta)):
                 for k in range(int(ka)):
                     key = (float(lth), abs(int(kb) - k))
                     if key not in bessel:
@@ -366,9 +371,11 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     assert refusals == [None] * 4
     z = np.geomspace(1e-5, 30.0, 37)
     for engine in (weighted_cdf_sum, weighted_pdf_sum):
-        batch = engine(w, plan.shapes_a, plan.shapes_b, lth, np.log(z), plan.pairs)
+        pairs = plan.pairs
+        batch = engine(w, pairs.shapes_a, pairs.shapes_b, lth, np.log(z), pairs)
         for i in range(4):
-            alone = engine(w[i], plan.shapes_a, plan.shapes_b, lth[i], np.log(z), plan.pairs)
+            (alone,) = engine(w[i:i + 1], pairs.shapes_a, pairs.shapes_b, lth[i:i + 1], np.log(z),
+                              pairs)
             assert np.array_equal(batch[i], alone)
     rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
     assert ok.all()
@@ -393,12 +400,13 @@ def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     w, lth, refusals = plan.weigh(np.ones((2, 2)), np.array((kappas_a, kappas_b)))
     assert refusals == [None, None]
     s = -np.geomspace(1e-3, 1e3, 9)
-    batch = weighted_mgf_sum(w, plan.shapes_a, plan.shapes_b, lth, s, tricomi_u_times_xa,
-                             plan.pairs)
+    pairs = plan.pairs
+    batch = weighted_mgf_sum(w, pairs.shapes_a, pairs.shapes_b, lth, s, tricomi_u_times_xa,
+                             pairs)
     assert batch.shape == (2, s.size)
     for i in range(2):
-        alone = weighted_mgf_sum(w[i], plan.shapes_a, plan.shapes_b, lth[i], s,
-                                 tricomi_u_times_xa, plan.pairs)
+        (alone,) = weighted_mgf_sum(w[i:i + 1], pairs.shapes_a, pairs.shapes_b, lth[i:i + 1], s,
+                                    tricomi_u_times_xa, pairs)
         assert np.array_equal(batch[i], alone)
         model = ProductModel(ShadowedParams(1.0, kappas_a[i], 6, 2),
                              ShadowedParams(1.0, kappas_b[i], 4, 1))
@@ -421,11 +429,11 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
     for i in range(4):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
                              ShadowedParams(means_b[i], kappas_b[i], 6, 2))
-        thetas.append(model._plan.pairs.first.size)
+        thetas.append(model._lth.shape[1])
         assert np.array_equal(rows[i], model.cdf(z))
     assert thetas == [3, 4, 3, 1]
     plan = _cell_plan((6, 2, 6, 2), 4)     # the tied key
-    for arr in (plan.ia, plan.shapes_a, plan.choice_b, plan.pairs.first, plan.log_gain(1)):
+    for arr in (plan.ia, plan.pairs.shapes_a, plan._tb, plan.pairs.theta, plan.log_gain(1)):
         assert not arr.flags.writeable
 
 

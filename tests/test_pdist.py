@@ -107,7 +107,7 @@ def test_pair_weights():
         p = make(pa, pb)
         assert p.pair_count == p.mixture_a.weights.size * p.mixture_b.weights.size
         # The signed pair weights always sum to exactly one.
-        np.testing.assert_allclose(math.fsum(p._w.tolist()), 1.0, atol=1e-12)
+        np.testing.assert_allclose(math.fsum(p._w[0].tolist()), 1.0, atol=1e-12)
 
 
 def test_abs_weight_sum_regression():
@@ -163,7 +163,8 @@ def test_mgf_signed_model_matches_mpmath_pair_sum():
     for sj in s:
         acc = mpmath.mpf(0)
         with mpmath.workdps(50):
-            for w, ma, mb, lth in zip(p._w, p._ka, p._kb, p._lth):
+            for w, ma, mb, lth in zip(p._w[0], p._plan.pairs.shapes_a, p._plan.pairs.shapes_b,
+                                      p._lth[0].take(p._plan.pairs.theta)):
                 y = -mpmath.exp(-mpmath.mpf(lth)) / mpmath.mpf(sj)
                 with mpmath.workdps(30):
                     u = y ** int(ma) * mpmath.hyperu(int(ma), 1 + int(ma) - int(mb), y)
@@ -194,7 +195,8 @@ def test_mgf_of_positive_models_matches_mpmath_pair_sum(name):
         for sj in s:
             kernels = {}
             acc = mpmath.mpf(0)
-            for w, ma, mb, lth in zip(p._w, p._ka, p._kb, p._lth):
+            for w, ma, mb, lth in zip(p._w[0], p._plan.pairs.shapes_a, p._plan.pairs.shapes_b,
+                                      p._lth[0].take(p._plan.pairs.theta)):
                 a, b = max(int(ma), int(mb)), 1 + abs(int(ma) - int(mb))
                 if (lth, a, b) not in kernels:
                     y = -mpmath.exp(-mpmath.mpf(lth)) / mpmath.mpf(sj)
@@ -259,7 +261,7 @@ def test_cdf_rejects_nan_kernel_sum(monkeypatch):
     # < and > alone would pass it on to the clip.
     p = make(LINK_AA, LINK_AA)
     monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum",
-                        lambda *args: np.full(np.shape(args[4]), np.nan))
+                        lambda *args: np.full((1, np.size(args[4])), np.nan))
     with pytest.raises(ArithmeticError):
         p.cdf([0.1, 1.0])
 
@@ -268,7 +270,7 @@ def test_pdf_rejects_nan_kernel_sum(monkeypatch):
     p = make(LINK_AA, LINK_AA)
     env = EnvelopeModel(p, 1.0)
     monkeypatch.setattr("prodfade.pdist.weighted_pdf_sum",
-                        lambda *args: np.full(np.shape(args[4]), np.nan))
+                        lambda *args: np.full((1, np.size(args[4])), np.nan))
     with pytest.raises(ArithmeticError):
         p.pdf([0.1, 1.0])
     with pytest.raises(ArithmeticError):
@@ -321,7 +323,7 @@ def test_cdf_range_check_sees_one_bad_point(monkeypatch, value, clipped):
     # check; smaller excursions are clipped.
     p = make(LINK_AA, LINK_AA)
     raw = np.array([0.0, 0.25, value, 1.0])
-    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", lambda *args: raw.copy())
+    monkeypatch.setattr("prodfade.pdist.weighted_cdf_sum", lambda *args: raw[None].copy())
     z = [0.1, 0.2, 0.3, 0.4]
     if clipped is None:
         with pytest.raises(ArithmeticError):
@@ -456,16 +458,15 @@ def test_batches_refuse_exactly_the_sets_whose_models_refuse():
     # mean of 0 or inf, the collapse cliff's weight-sum miss and a mean
     # that overflows.  Building each set's model raises its class and
     # message; both batch evaluators flag exactly those sets, give them
-    # fill rows, and give every other set its model's bits.  An inf
-    # kappa divides inf by inf in the weight formula of its refused set.
+    # fill rows, and give every other set its model's bits, with no
+    # warning on the way.
     from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
 
     means_a, kappas_a, means_b, kappas_b = (np.array(v) for v in list(zip(*REFUSAL_BATCH))[:4])
     z, r = np.geomspace(1e-5, 30.0, 23), np.geomspace(1e-3, 8.0, 19)
     scales = np.linspace(0.8, 1.6, len(REFUSAL_BATCH))
-    with np.errstate(invalid="ignore"):
-        rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
-        env_rows, env_ok = envelope_pdf_rows((6, 2, 4, 1), kappas_a, kappas_b, scales, r)
+    rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
+    env_rows, env_ok = envelope_pdf_rows((6, 2, 4, 1), kappas_a, kappas_b, scales, r)
     # an envelope set's links have mean power 1, so only its kappas refuse it
     env_refused = [not all(0.0 <= k < math.inf and k != CLIFF for k in pair)
                    for pair in zip(kappas_a.tolist(), kappas_b.tolist())]
@@ -487,6 +488,20 @@ def test_batches_refuse_exactly_the_sets_whose_models_refuse():
         else:
             model = build(mean_a=1.0, mean_b=1.0)
             assert np.array_equal(env_rows[i], EnvelopeModel(model, scales[i]).pdf(r))
+
+
+def test_each_failed_build_raises_its_own_refusal():
+    # Builds of one refused parameter set share a cached weighing, but each
+    # raises a fresh exception, so a refusal a caller holds keeps its
+    # traceback when the set is built again.
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            ProductModel(ShadowedParams(1.0, CLIFF, 6, 2), ShadowedParams(1.0, 0.5, 4, 1))
+        raised.append(info.value)
+    first, second = raised
+    assert first is not second
+    assert type(first) is type(second) and str(first) == str(second)
 
 
 def test_empty_batches_give_empty_rows():
@@ -721,7 +736,9 @@ def test_envelope_pdf_and_sqrt_mean_match_50_digit_pair_sums():
     s = 1.3
     with mpmath.workdps(50):
         terms = [(mpmath.mpf(float(w)), int(ka), int(kb), mpmath.exp(mpmath.mpf(float(lth))))
-                 for w, ka, kb, lth in zip(p._w, p._ka, p._kb, p._lth)]
+                 for w, ka, kb, lth in zip(p._w[0], p._plan.pairs.shapes_a,
+                                           p._plan.pairs.shapes_b,
+                                           p._lth[0].take(p._plan.pairs.theta))]
         half = mpmath.fsum(w * mpmath.gamma(ka + 0.5) * mpmath.gamma(kb + 0.5) * mpmath.sqrt(th)
                            / (mpmath.gamma(ka) * mpmath.gamma(kb)) for w, ka, kb, th in terms)
         assert abs(p.sqrt_mean / half - 1) <= 1.5e-15

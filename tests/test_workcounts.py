@@ -68,7 +68,7 @@ def test_one_argument_row_per_distinct_theta(climbs, name, kind):
     assert np.unique(model._lth).size == DISTINCT_THETA[name]
     # signed2's equal links make unit x boosted and boosted x unit one
     # theta of its plan
-    assert model._plan.pairs.first.size == DISTINCT_THETA[name]
+    assert model._lth.shape[1] == DISTINCT_THETA[name]
     getattr(model, kind)(Z)
     assert [rows for rows, _ in climbs] == [DISTINCT_THETA[name]]
     if (name, kind) in RUNGS:
