@@ -4,9 +4,10 @@ Two estimation procedures are provided, both built on one exhaustive
 search over the integer shape parameters with a bounded continuous
 search inside each integer cell.  Each fit hands the search its vector
 of model-minus-data residuals, weighed a batch of candidates at a time on
-the cell's cached plan, on points prepared once per fit, with no model built
-(:func:`prodfade.pdist.product_cdf_rows`, :func:`prodfade.pdist.envelope_pdf_rows`);
-the search minimizes a norm of it:
+the cell's cached plan, with no model built, by the evaluator it builds
+once per fit on its points (:func:`prodfade.pdist._cdf_rows_at`,
+:func:`prodfade.pdist._envelope_rows_at`); the search minimizes a norm
+of it:
 
 * :func:`fit_cdf` minimizes the modified Kolmogorov-Smirnov error
 
@@ -243,7 +244,9 @@ def thin_empirical(empirical, max_points, min_cdf=None):
         idx = np.clip(idx, 0, logf.size - 1)
         left = np.clip(idx - 1, 0, logf.size - 1)
         take_left = np.abs(logf[left] - targets) < np.abs(logf[idx] - targets)
-        idx = np.unique(np.where(take_left, left, idx))
+        idx = np.where(take_left, left, idx)
+        idx[-1] = logf.size - 1   # not the first point of a flat run that ends the curve
+        idx = np.unique(idx)
         x, f_emp = x[idx], f_emp[idx]
     return EmpiricalDistribution(
         "cdf", x, f_emp,
@@ -616,12 +619,12 @@ def _visited_cells(config):
     return list(cells)
 
 
-def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
+def _search_cells(config, residuals, norm, level_name, level, tail=None):
     """Grid search shared by both fits; returns the search trace.
 
-    ``make_residuals(mu, mu_hat, m, m_hat)`` returns the cell's batched
-    ``residuals(kappas, kappa_hats, levels)``: given arrays of one value
-    per candidate, a (candidates x residuals) array of model minus data
+    ``residuals(cell, kappas, kappa_hats, levels)``, with ``cell`` in
+    pdist's order ``(mu, m, mu_hat, m_hat)`` and arrays of one value per
+    candidate, gives a (candidates x residuals) array of model minus data
     values, and per candidate whether it could be evaluated; both fits
     weigh a batch on the cell's plan in one engine call.  ``norm`` turns
     each row into the objective: ``_max_abs``, searched by bounded
@@ -668,7 +671,7 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
             ia = 0 if free_a else None
             ib = int(free_a) if free_b else None
         n_kappa = len({ia, ib} - {None})
-        residuals = make_residuals(mu, mu_hat, m, m_hat)
+        cell = (mu, m, mu_hat, m_hat)
         nfev = 0
 
         def unpack(thetas):
@@ -684,7 +687,7 @@ def _search_cells(config, make_residuals, norm, level_name, level, tail=None):
             overwrite ``r``), failed rows set to ``_OBJ_FAILURE``."""
             nonlocal nfev
             nfev += len(thetas)
-            r, ok = residuals(*unpack(thetas))
+            r, ok = residuals(cell, *unpack(thetas))
             values = norm(r)
             failed = ~(ok & np.isfinite(values))
             if failed.any():
@@ -770,21 +773,18 @@ def fit_cdf(empirical, config=None):
     scale0 = _positive("model scale", scale0)
     cdf_rows = _cdf_rows_at(x_eval)
 
-    def make_residuals(mu, mu_hat, m, m_hat):
-        def residuals(kappas, kappa_hats, scales):
-            sets = np.array((scales, kappas, np.ones(scales.size), kappa_hats))
-            err, ok = cdf_rows((mu, m, mu_hat, m_hat), sets)
-            np.maximum(err, _TINY_CDF, out=err)
-            np.log10(err, out=err)
-            err -= logf_emp
-            return err, ok
-        return residuals
+    def residuals(cell, kappas, kappa_hats, scales):
+        err, ok = cdf_rows(cell, np.array((scales, kappas, np.ones(scales.size), kappa_hats)))
+        np.maximum(err, _TINY_CDF, out=err)
+        np.log10(err, out=err)
+        err -= logf_emp
+        return err, ok
 
     def level(t):
         return scale0 if t is None else scale0 * math.exp(t)
 
     tail = (0.0, (-10.0, 10.0)) if config.fit_scale else None
-    trace = _search_cells(config, make_residuals, _max_abs, "total_scale", level, tail)
+    trace = _search_cells(config, residuals, _max_abs, "total_scale", level, tail)
     best = _select_winner(trace, config.tie_tol)
     model = ProductModel(
         ShadowedParams(best["total_scale"], best["kappa"], best["mu"], best["m"]),
@@ -838,18 +838,15 @@ def fit_pdf_mse(empirical, config=None):
     root_n = math.sqrt(r.size)
     pdf_rows = _envelope_rows_at(r)
 
-    def make_residuals(mu, mu_hat, m, m_hat):
-        def residuals(kappas, kappa_hats, scales):
-            ones = np.ones(scales.size)
-            sets = np.array((ones, kappas, ones, kappa_hats, scales))
-            err, ok = pdf_rows((mu, m, mu_hat, m_hat), sets)
-            err -= f_emp
-            err /= root_n
-            return err, ok
-        return residuals
+    def residuals(cell, kappas, kappa_hats, scales):
+        ones = np.ones(scales.size)
+        err, ok = pdf_rows(cell, np.array((ones, kappas, ones, kappa_hats, scales)))
+        err -= f_emp
+        err /= root_n
+        return err, ok
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
-    trace = _search_cells(config, make_residuals, _sum_squares, "envelope_scale",
+    trace = _search_cells(config, residuals, _sum_squares, "envelope_scale",
                           lambda t: t, tail)
     for entry in trace:
         entry["mse_percent"] = 100.0 * entry["objective"] / msq_emp

@@ -20,9 +20,10 @@ the links are tied.  Each cell and key has a cached plan
 plans (:class:`~prodfade.gammagamma.Pairs`), and each scale product's columns.
 Parameter sets only re-weigh it, by one call of the long-double weight
 formula for both links and one loop of checks (:meth:`_CellPlan.weigh`),
-so a :class:`ProductModel` builds no mixture, and both fits weigh each
-round's candidates in one pass (:func:`product_cdf_rows`,
-:func:`envelope_pdf_rows`), on points checked and logged once per fit.
+so a :class:`ProductModel` builds no mixture.  Both fits weigh each
+round's candidates in one pass, through the evaluators that
+:func:`_cdf_rows_at` and :func:`_envelope_rows_at` build once per fit
+on points checked and logged there.
 
 Also provided is the envelope view ``R = c sqrt(Z)`` used to match
 measured amplitude histograms, with ``E[R]`` a prescribed level.
@@ -216,7 +217,7 @@ def _cdf_in_range(raw):
 _WHOLE = slice(None)   # the index of a whole batch
 
 
-def _cell_rows(cell, sets, rows, size, fill):
+def _cell_rows(cell, sets, rows, size):
     """The one pass of both fits' evaluators.
 
     The rows of ``sets`` hold the means and kappas of link a, of link b,
@@ -226,12 +227,12 @@ def _cell_rows(cell, sets, rows, size, fill):
     call, giving their (sets x ``size``) values and whether each is
     valid; a call that raises (a Bessel order past ``MAX_BESSEL_ORDER``)
     refuses its group.  A one-key batch that passes, a fit round's usual
-    case, is neither gathered nor copied.  Returns the values, ``fill``
+    case, is neither gathered nor copied.  Returns the values, 0.0
     where a set is refused, and whether each set was evaluated.
     """
     keys = _plan_key(cell, *sets[:4])
     distinct = sorted(set(keys.tolist()))
-    out, ok = np.full((keys.size, size), fill), np.zeros(keys.size, dtype=bool)
+    out, ok = np.zeros((keys.size, size)), np.zeros(keys.size, dtype=bool)
     for key in distinct:
         group = _WHOLE if len(distinct) == 1 else (keys == key).nonzero()[0]
         plan = _cell_plan(cell, key)
@@ -244,7 +245,7 @@ def _cell_rows(cell, sets, rows, size, fill):
         except (ArithmeticError, ValueError):
             continue
         if group is weighed is _WHOLE:
-            values[~keep] = fill
+            values[~keep] = 0.0
             return values, keep
         kept = np.arange(keys.size)[group][weighed][keep]
         out[kept], ok[kept] = values[keep], True
@@ -252,8 +253,16 @@ def _cell_rows(cell, sets, rows, size, fill):
 
 
 def _cdf_rows_at(z):
-    """:func:`product_cdf_rows` at the points ``z``, checked and logged once:
-    ``rows(cell, sets)`` of a (4 x sets) array, which the cdf fit calls."""
+    """The cdf fit's evaluator at the points ``z``: ``rows(cell, sets)``.
+
+    ``z`` is checked as ``ProductModel.cdf`` checks its points, finite
+    and > 0 here (``ValueError``), and logged once.  ``cell`` is
+    ``(mu_a, m_a, mu_b, m_b)`` and ``sets`` a (4 x sets) array of link
+    a's mean powers and kappas, then link b's.  Returns a (sets x points)
+    array and whether each set was evaluated: row ``i`` is, bit for bit,
+    ``ProductModel(link_a, link_b).cdf(z)`` at set ``i``, and 0.0 where
+    that model, or its cdf, raises a numerical or validation error.
+    """
     log_z = np.log(_points(z, "> 0", "cdf rows require finite z > 0")[0])
 
     def rows(plan, w, lth):
@@ -262,22 +271,7 @@ def _cdf_rows_at(z):
         keep = _cdf_in_range(raw)
         return raw.clip(0.0, 1.0, out=raw), keep
 
-    return partial(_cell_rows, rows=rows, size=log_z.size, fill=1.0)
-
-
-def product_cdf_rows(cell, means_a, kappas_a, means_b, kappas_b, z):
-    """Distribution functions of many products of one integer cell.
-
-    ``cell`` is ``(mu_a, m_a, mu_b, m_b)``; the other arguments but
-    ``z`` are float arrays of one length, one parameter set per
-    element, and ``z`` a flat float array of finite points ``> 0``,
-    checked as the model checks its points (``ValueError``).  Returns a
-    (sets x points) array and, per set, whether it could be evaluated:
-    row ``i`` is ``ProductModel(link_a, link_b).cdf(z)`` at set ``i``,
-    range-checked and clipped as there, or all ones where that model,
-    or its cdf, raises a numerical or validation error.
-    """
-    return _cdf_rows_at(z)(cell, np.array((means_a, kappas_a, means_b, kappas_b)))
+    return partial(_cell_rows, rows=rows, size=log_z.size)
 
 
 def _envelope_pdf(plan, w, lth, scales, r, log_r2):
@@ -301,24 +295,17 @@ _envelope_points = partial(_points, domain="> 0", message="envelope pdf requires
 
 
 def _envelope_rows_at(r):
-    """:func:`envelope_pdf_rows` at the points ``r``, checked and logged once:
-    ``rows(cell, sets)`` of a (5 x sets) array, which the pdf fit calls."""
+    """The pdf fit's evaluator at the points ``r``: ``rows(cell, sets)``.
+
+    As :func:`_cdf_rows_at`, with ``r`` checked as ``EnvelopeModel.pdf``
+    checks its points, and a fifth row of ``sets`` holding each set's
+    envelope scale: row ``i`` is, bit for bit,
+    ``EnvelopeModel(ProductModel(link_a, link_b), scale).pdf(r)``, and
+    0.0 where that model, or its pdf, raises.
+    """
     r = _envelope_points(r)[0]
     return partial(_cell_rows, rows=partial(_envelope_pdf, r=r, log_r2=2.0 * np.log(r)),
-                   size=r.size, fill=math.nan)
-
-
-def envelope_pdf_rows(cell, kappas_a, kappas_b, scales, r):
-    """Envelope densities of many unit-mean products of one integer cell.
-
-    As :func:`product_cdf_rows`, with links of mean power 1 and each
-    set's envelope scale in ``scales``: row ``i`` is, bit for bit,
-    ``EnvelopeModel(ProductModel(link_a, link_b), scales[i]).pdf(r)``,
-    or NaN where that model, or its pdf, raises.  The points are checked
-    as that model checks them (``ValueError``).
-    """
-    ones = np.ones(scales.size)
-    return _envelope_rows_at(r)(cell, np.array((ones, kappas_a, ones, kappas_b, scales)))
+                   size=r.size)
 
 
 class ProductModel:
@@ -326,9 +313,9 @@ class ProductModel:
 
     The pairs and their engine plans come from the cached
     :class:`_CellPlan` of the links' integer cell, in a fixed order, and
-    the parameters only weigh them; the fits weigh whole
-    batches of parameter sets on the same plans
-    (:func:`product_cdf_rows`, :func:`envelope_pdf_rows`).
+    the parameters only weigh them; the fits weigh whole batches of
+    parameter sets on the same plans (:func:`_cdf_rows_at`,
+    :func:`_envelope_rows_at`).
 
     Parameters
     ----------
@@ -463,7 +450,7 @@ class ProductModel:
     @cached_property
     def sqrt_mean(self):
         """``E[sqrt(Z)]`` in closed form: the pairs' half moments summed on
-        the cell plan, as the pdf fit sums them (:func:`envelope_pdf_rows`)."""
+        the cell plan, as the pdf fit sums them (:func:`_envelope_rows_at`)."""
         return math.exp(self._plan.log_moments(self._w, self._lth, 0.5)[0])
 
     def sample(self, rng, n):
@@ -507,9 +494,10 @@ class EnvelopeModel:
         return self.envelope_scale
 
     def pdf(self, r):
-        """Envelope density over finite ``r > 0``, a one-set
-        :func:`envelope_pdf_rows`: ``r^2`` need not be a double, and the
-        density is 0 where ``(r/c)^2`` passes the largest double."""
+        """Envelope density over finite ``r > 0``, the one-set sum of the
+        pdf fit's rows (:func:`_envelope_rows_at`): ``r^2`` need not be a
+        double, and the density is 0 where ``(r/c)^2`` passes the largest
+        double."""
         r, _, shaped = _envelope_points(r)
         p = self.product
         out, ok = _envelope_pdf(p._plan, p._w, p._lth, np.array([self.envelope_scale]), r,

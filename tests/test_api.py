@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import inspect
 import pkgutil
 from functools import partial
@@ -185,3 +185,49 @@ def test_no_per_pair_scale_or_unbatched_sum_comes_back():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in sorted(gone & names)]
     assert not found
+
+
+def test_one_batch_path_for_fit_rounds():
+    # Both fits score a round through the evaluators they build once per
+    # fit (pdist._cdf_rows_at, _envelope_rows_at), with one residuals
+    # function each: no module defines or reads the per-field batch
+    # wrappers or a per-cell residual factory, and _cell_rows takes no
+    # fill value, as a refused set's row is 0.0.
+    gone = {"product_cdf_rows", "envelope_pdf_rows", "make_residuals"}
+    found = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in sorted(gone & names)]
+            if isinstance(node, ast.FunctionDef) and node.name == "_cell_rows":
+                found += ["%s:%d _cell_rows(%s)" % (path.name, node.lineno, arg.arg)
+                          for arg in node.args.args + node.args.kwonlyargs
+                          if arg.arg == "fill"]
+            if isinstance(node, ast.keyword) and node.arg == "fill":
+                found.append("%s:%d fill=" % (path.name, node.lineno))
+    assert not found
+
+
+def test_benchmark_tracer_patches_every_entry_point():
+    # perfbench/tracer.py wraps library names by module path; a refactor
+    # that moves one leaves it unpatched, and its counters read 0.  Every
+    # name must patch, and a signed product's cdf, pdf and mgf must each
+    # reach a counted kernel call.  The patches are undone afterwards.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert tracer.unpatched == []
+        model = ProductModel(ShadowedParams(1.0, 1.0, 6, 2), ShadowedParams(1.0, 0.5, 4, 1))
+        z = np.geomspace(1e-3, 10.0, 5)
+        model.cdf(z), model.pdf(z), model.mgf(-z)
+    finally:
+        tracer.restore()
+    for counter in ("gammagamma.weighted_cdf_sum.row_points",
+                    "gammagamma.weighted_pdf_sum.row_points", "specfun.tricomi_u_times_xa.points"):
+        assert tracer.counts[counter] > 0, counter
+    assert ProductModel.cdf.__name__ == "cdf" and not hasattr(ProductModel.cdf, "__wrapped__")

@@ -133,6 +133,17 @@ def test_thinning_keeps_endpoints_and_error():
             thin_empirical(shifted, bad)
 
 
+def test_thinning_keeps_the_last_point_of_a_flat_run():
+    # A measured curve may reach 1 before its last point.  The last target
+    # is the run's value, so a search lands on the run's first point; the
+    # thinned curve must still end at the last admissible point.
+    x = np.arange(1.0, 101.0)
+    curve = EmpiricalDistribution("cdf", x, np.minimum(np.linspace(0.01, 1.2, 100), 1.0))
+    thin = thin_empirical(curve, 10)
+    assert thin.x[0] == 1.0 and thin.x[-1] == 100.0 and thin.values[-1] == 1.0
+    assert len(thin) <= 10 and np.all(np.diff(thin.x) > 0)
+
+
 def test_histogram_pdf_from_samples():
     rng = np.random.default_rng(9)
     emp = histogram_pdf_from_samples(rng.gamma(3.0, 1.0, 20_000), bins=60)

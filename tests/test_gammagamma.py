@@ -360,7 +360,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
     # and summed by one batched call: each row is the single call's
     # result, bit for bit, whole-grid or chunked; and the cdf fit's rows
     # are the models' own cdf values.
-    from prodfade.pdist import _cell_plan, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _cell_plan
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
@@ -377,7 +377,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
             (alone,) = engine(w[i:i + 1], pairs.shapes_a, pairs.shapes_b, lth[i:i + 1], np.log(z),
                               pairs)
             assert np.array_equal(batch[i], alone)
-    rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
+    rows, ok = _cdf_rows_at(z)((6, 2, 4, 1), np.array((means_a, kappas_a, means_b, kappas_b)))
     assert ok.all()
     for i in range(4):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
@@ -418,12 +418,12 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
     # unit x boosted and boosted x unit are one theta, as their models
     # do; the other sets of the same call keep four.  Each row is its
     # model's cdf, bit for bit, and the shared plan is read-only.
-    from prodfade.pdist import _cell_plan, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _cell_plan
 
     means_a, kappas_a = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.0, 1.0, 0.3, 0.0])
     means_b, kappas_b = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.0, 0.5, 0.3, 0.0])
     z = np.geomspace(1e-5, 30.0, 37)
-    rows, ok = product_cdf_rows((6, 2, 6, 2), means_a, kappas_a, means_b, kappas_b, z)
+    rows, ok = _cdf_rows_at(z)((6, 2, 6, 2), np.array((means_a, kappas_a, means_b, kappas_b)))
     assert ok.all()
     thetas = []
     for i in range(4):
@@ -443,14 +443,16 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     # plain set's plan: mean power -1, and a product mean that overflows
     # (1e200 x 1e200, refused without a warning).  Each set's row is
     # its model's cdf, bit for bit, and only the refused sets are not
-    # ok, their rows all ones.  The plain and refused sets alone make a
+    # ok, their rows all 0.0.  The plain and refused sets alone make a
     # one-plan batch, which gives them the same rows.
-    from prodfade.pdist import product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at
 
-    means_a, kappas_a = np.array([1.0, 1.0, 2.0, -1.0, 1e200]), np.array([1.0, 0.0, 0.3, 1.0, 1.0])
-    means_b, kappas_b = np.array([1.0, 1.0, 2.0, 1.0, 1e200]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
+    sets = np.array(([1.0, 1.0, 2.0, -1.0, 1e200], [1.0, 0.0, 0.3, 1.0, 1.0],
+                     [1.0, 1.0, 2.0, 1.0, 1e200], [0.5, 2.0, 0.3, 0.5, 0.5]))
+    means_a, kappas_a, means_b, kappas_b = sets
     z = np.geomspace(1e-5, 30.0, 37)
-    rows, ok = product_cdf_rows((6, 2, 6, 2), means_a, kappas_a, means_b, kappas_b, z)
+    rows_at = _cdf_rows_at(z)
+    rows, ok = rows_at((6, 2, 6, 2), sets)
     assert ok.tolist() == [True, True, True, False, False]
     for i in range(3):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
@@ -461,9 +463,8 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     with pytest.raises(OverflowError):
         ProductModel(ShadowedParams(means_a[4], kappas_a[4], 6, 2),
                      ShadowedParams(means_b[4], kappas_b[4], 6, 2))
-    assert np.array_equal(rows[3:], np.ones((2, z.size)))
+    assert np.array_equal(rows[3:], np.zeros((2, z.size)))
     pick = [0, 3, 4]
-    alone, alone_ok = product_cdf_rows((6, 2, 6, 2), means_a[pick], kappas_a[pick],
-                                       means_b[pick], kappas_b[pick], z)
+    alone, alone_ok = rows_at((6, 2, 6, 2), sets[:, pick])
     assert alone_ok.tolist() == [True, False, False]
     assert np.array_equal(alone, rows[pick])

@@ -377,7 +377,7 @@ def test_product_kernels_look_up_no_special_function(monkeypatch):
     import scipy
 
     from prodfade.mixture import cdf_single
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
     no_special = types.ModuleType("no_special")
     no_special.__getattr__ = _refuse_lookup
@@ -396,10 +396,12 @@ def test_product_kernels_look_up_no_special_function(monkeypatch):
         assert np.all(np.isfinite(p.pdf(z))) and np.all(np.isfinite(p.cdf(z)))
         env = EnvelopeModel(p, 1.3)
         assert np.all(np.isfinite(env.pdf(z))) and np.all(np.isfinite(env.cdf(z)))
-    means, kappas = np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.5, 4.0])
-    rows, ok = product_cdf_rows((1, 2, 2, 1), means, kappas, means[::-1], kappas[::-1], z)
+    means, kappas, ones = np.array([1.0, 2.0, 0.5]), np.array([0.0, 1.5, 4.0]), np.ones(3)
+    rows, ok = _cdf_rows_at(z)((1, 2, 2, 1), np.array((means, kappas, means[::-1],
+                                                        kappas[::-1])))
     assert ok.all() and np.all(np.isfinite(rows))
-    rows, ok = envelope_pdf_rows((1, 2, 2, 1), kappas, kappas[::-1], means, z)
+    rows, ok = _envelope_rows_at(z)((1, 2, 2, 1), np.array((ones, kappas, ones, kappas[::-1],
+                                                             means)))
     assert ok.all() and np.all(np.isfinite(rows))
 
 
@@ -409,16 +411,18 @@ def test_envelope_batch_gives_each_set_its_models_bits():
     # the plan's weighing refuses (kappa -1) and one whose envelope
     # constant is refused (scale 0), which shares its plan's call with
     # the plain set.  Each set's row is its EnvelopeModel's pdf, bit for
-    # bit; only the refused sets are not ok, their rows NaN, and no
+    # bit; only the refused sets are not ok, their rows 0.0, and no
     # warning is raised.
-    from prodfade.pdist import envelope_pdf_rows
+    from prodfade.pdist import _envelope_rows_at
 
-    kappas_a, kappas_b = np.array([1.0, 0.0, 0.3, -1.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
-    scales = np.array([1.3, 0.8, 2.0, 1.0, 0.0])
+    sets = np.array((np.ones(5), [1.0, 0.0, 0.3, -1.0, 1.0], np.ones(5),
+                     [0.5, 2.0, 0.3, 0.5, 0.5], [1.3, 0.8, 2.0, 1.0, 0.0]))
+    kappas_a, kappas_b, scales = sets[1], sets[3], sets[4]
     r = np.geomspace(1e-3, 8.0, 37)
+    rows_at = _envelope_rows_at(r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, ok = envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+        rows, ok = rows_at((6, 2, 6, 2), sets)
     assert ok.tolist() == [True, True, True, False, False]
     for i in range(3):
         env = EnvelopeModel(ProductModel(ShadowedParams(1.0, kappas_a[i], 6, 2),
@@ -428,12 +432,10 @@ def test_envelope_batch_gives_each_set_its_models_bits():
         ShadowedParams(1.0, kappas_a[3], 6, 2)
     with pytest.raises(ValueError):
         EnvelopeModel(make((1.0, 1.0, 6, 2), (1.0, 0.5, 6, 2)), scales[4])
-    assert np.isnan(rows[3:]).all()
-    pick = [0, 4]
-    alone, alone_ok = envelope_pdf_rows((6, 2, 6, 2), kappas_a[pick], kappas_b[pick],
-                                        scales[pick], r)
+    assert (rows[3:] == 0.0).all()
+    alone, alone_ok = rows_at((6, 2, 6, 2), sets[:, [0, 4]])
     assert alone_ok.tolist() == [True, False]
-    assert np.array_equal(alone[0], rows[0]) and np.isnan(alone[1]).all()
+    assert np.array_equal(alone[0], rows[0]) and (alone[1] == 0.0).all()
 
 
 CLIFF = float(np.nextafter(1e-12, 1.0))
@@ -458,15 +460,17 @@ def test_batches_refuse_exactly_the_sets_whose_models_refuse():
     # mean of 0 or inf, the collapse cliff's weight-sum miss and a mean
     # that overflows.  Building each set's model raises its class and
     # message; both batch evaluators flag exactly those sets, give them
-    # fill rows, and give every other set its model's bits, with no
+    # rows of 0.0, and give every other set its model's bits, with no
     # warning on the way.
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
-    means_a, kappas_a, means_b, kappas_b = (np.array(v) for v in list(zip(*REFUSAL_BATCH))[:4])
+    sets = np.array(list(zip(*REFUSAL_BATCH))[:4])
+    kappas_a, kappas_b = sets[1], sets[3]
     z, r = np.geomspace(1e-5, 30.0, 23), np.geomspace(1e-3, 8.0, 19)
-    scales = np.linspace(0.8, 1.6, len(REFUSAL_BATCH))
-    rows, ok = product_cdf_rows((6, 2, 4, 1), means_a, kappas_a, means_b, kappas_b, z)
-    env_rows, env_ok = envelope_pdf_rows((6, 2, 4, 1), kappas_a, kappas_b, scales, r)
+    ones, scales = np.ones(len(REFUSAL_BATCH)), np.linspace(0.8, 1.6, len(REFUSAL_BATCH))
+    rows, ok = _cdf_rows_at(z)((6, 2, 4, 1), sets)
+    env_rows, env_ok = _envelope_rows_at(r)((6, 2, 4, 1),
+                                            np.array((ones, kappas_a, ones, kappas_b, scales)))
     # an envelope set's links have mean power 1, so only its kappas refuse it
     env_refused = [not all(0.0 <= k < math.inf and k != CLIFF for k in pair)
                    for pair in zip(kappas_a.tolist(), kappas_b.tolist())]
@@ -482,9 +486,9 @@ def test_batches_refuse_exactly_the_sets_whose_models_refuse():
             with pytest.raises(refusal[0]) as info:
                 build()
             assert str(info.value) == refusal[1]
-            assert (rows[i] == 1.0).all()
+            assert (rows[i] == 0.0).all()
         if env_refused[i]:
-            assert np.isnan(env_rows[i]).all()
+            assert (env_rows[i] == 0.0).all()
         else:
             model = build(mean_a=1.0, mean_b=1.0)
             assert np.array_equal(env_rows[i], EnvelopeModel(model, scales[i]).pdf(r))
@@ -507,13 +511,13 @@ def test_each_failed_build_raises_its_own_refusal():
 def test_empty_batches_give_empty_rows():
     # Zero parameter sets give (0, points) rows and (0,) flags, with no
     # warning, on a cell whose sets could take any of its plans.
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
-    none, z = np.empty(0), np.geomspace(1e-3, 5.0, 7)
+    z = np.geomspace(1e-3, 5.0, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batches = [product_cdf_rows((6, 2, 6, 2), none, none, none, none, z),
-                   envelope_pdf_rows((6, 2, 6, 2), none, none, none, z)]
+        batches = [_cdf_rows_at(z)((6, 2, 6, 2), np.empty((4, 0))),
+                   _envelope_rows_at(z)((6, 2, 6, 2), np.empty((5, 0)))]
     for rows, ok in batches:
         assert rows.shape == (0, z.size) and ok.shape == (0,) and ok.dtype == bool
 
@@ -526,10 +530,10 @@ def test_envelope_batch_makes_one_call_per_plan_group(monkeypatch):
     # refused there), with the rows and flags of the batch unchanged.
     from prodfade import pdist
 
-    kappas_a, kappas_b = np.array([1.0, 0.0, 0.3, -1.0, 1.0]), np.array([0.5, 2.0, 0.3, 0.5, 0.5])
-    scales = np.array([1.3, 0.8, 2.0, 1.0, 0.0])
+    sets = np.array((np.ones(5), [1.0, 0.0, 0.3, -1.0, 1.0], np.ones(5),
+                     [0.5, 2.0, 0.3, 0.5, 0.5], [1.3, 0.8, 2.0, 1.0, 0.0]))
     r = np.geomspace(1e-3, 8.0, 37)
-    rows, ok = pdist.envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+    rows, ok = pdist._envelope_rows_at(r)((6, 2, 6, 2), sets)
     carried, envelope_pdf = [], pdist._envelope_pdf
 
     def recording(plan, w, *args, **kwargs):
@@ -537,23 +541,23 @@ def test_envelope_batch_makes_one_call_per_plan_group(monkeypatch):
         return envelope_pdf(plan, w, *args, **kwargs)
 
     monkeypatch.setattr(pdist, "_envelope_pdf", recording)
-    again, again_ok = pdist.envelope_pdf_rows((6, 2, 6, 2), kappas_a, kappas_b, scales, r)
+    again, again_ok = pdist._envelope_rows_at(r)((6, 2, 6, 2), sets)
     assert carried == [2, 1, 1]
-    assert np.array_equal(again, rows, equal_nan=True) and np.array_equal(again_ok, ok)
+    assert np.array_equal(again, rows) and np.array_equal(again_ok, ok)
 
 
 @pytest.mark.parametrize("cell", [(1, 1, 2, 2), (6, 2, 6, 2)])
 def test_batches_of_refused_sets_give_fill_rows(cell):
     # Every set refused by its plan's weighing (kappa -1), on a one-pair
-    # and a many-pair cell: fill rows and False flags, with no warning.
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    # and a many-pair cell: rows of 0.0 and False flags, with no warning.
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
     ones, bad, z = np.ones(2), np.full(2, -1.0), np.geomspace(1e-3, 5.0, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cdf_rows, cdf_ok = product_cdf_rows(cell, ones, bad, ones, ones, z)
-        pdf_rows, pdf_ok = envelope_pdf_rows(cell, bad, ones, ones, z)
-    assert (cdf_rows == 1.0).all() and np.isnan(pdf_rows).all()
+        cdf_rows, cdf_ok = _cdf_rows_at(z)(cell, np.array((ones, bad, ones, ones)))
+        pdf_rows, pdf_ok = _envelope_rows_at(z)(cell, np.array((ones, bad, ones, ones, ones)))
+    assert (cdf_rows == 0.0).all() and (pdf_rows == 0.0).all()
     assert cdf_rows.shape == pdf_rows.shape == (2, z.size)
     assert cdf_ok.tolist() == pdf_ok.tolist() == [False, False]
 
@@ -563,9 +567,9 @@ def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
     # (1, 4, 1, 4) (both kappas 0, orders <= 1) still evaluates, and the
     # full plan (cdf orders up to 4, pdf up to 3) raises.  A batch that
     # mixes the two gives the collapsed sets their models' bits and the
-    # full-plan sets fill and False, and raises nothing.
+    # full-plan sets rows of 0.0 and False, and raises nothing.
     from prodfade import specfun
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
     monkeypatch.setattr(specfun, "MAX_BESSEL_ORDER", 2)
     kappas_a, kappas_b = np.array([0.0, 1.0, 0.0, 0.5]), np.array([0.0, 2.0, 0.0, 0.5])
@@ -573,15 +577,18 @@ def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
     z, r = np.geomspace(1e-4, 20.0, 19), np.geomspace(1e-3, 6.0, 17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cdf_rows, cdf_ok = product_cdf_rows((1, 4, 1, 4), means, kappas_a, means, kappas_b, z)
-        pdf_rows, pdf_ok = envelope_pdf_rows((1, 4, 1, 4), kappas_a, kappas_b, scales, r)
+        cdf_rows, cdf_ok = _cdf_rows_at(z)((1, 4, 1, 4),
+                                           np.array((means, kappas_a, means, kappas_b)))
+        pdf_rows, pdf_ok = _envelope_rows_at(r)((1, 4, 1, 4), np.array((np.ones(4), kappas_a,
+                                                                        np.ones(4), kappas_b,
+                                                                        scales)))
     assert cdf_ok.tolist() == pdf_ok.tolist() == [True, False, True, False]
     for i in (0, 2):
         model = make((means[i], kappas_a[i], 1, 4), (means[i], kappas_b[i], 1, 4))
         assert np.array_equal(cdf_rows[i], model.cdf(z))
         unit = make((1.0, kappas_a[i], 1, 4), (1.0, kappas_b[i], 1, 4))
         assert np.array_equal(pdf_rows[i], EnvelopeModel(unit, scales[i]).pdf(r))
-    assert (cdf_rows[[1, 3]] == 1.0).all() and np.isnan(pdf_rows[[1, 3]]).all()
+    assert (cdf_rows[[1, 3]] == 0.0).all() and (pdf_rows[[1, 3]] == 0.0).all()
     with pytest.raises(ValueError, match="Bessel order"):
         make((1.0, 1.0, 1, 4), (1.0, 2.0, 1, 4)).cdf(z)
 
@@ -604,7 +611,8 @@ def test_an_envelope_argument_underflow_gives_its_set_density_zero(monkeypatch):
     product = make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, ok = pdist.envelope_pdf_rows((1, 4, 2, 1), ones, ones, scales, r)
+        rows, ok = pdist._envelope_rows_at(r)((1, 4, 2, 1), np.array((ones, ones, ones, ones,
+                                                                      scales)))
         assert carried == [2] and ok.tolist() == [True, True]
         far = EnvelopeModel(product, 1e300).pdf(r)
     assert np.array_equal(rows[0], EnvelopeModel(product, 1.0).pdf(r))
@@ -616,14 +624,14 @@ def test_a_product_mean_below_the_double_range_is_evaluated():
     # a double and not as a log: the model and the cdf batch check the
     # mean by its log, and at z = 1 and 1e300, where the Bessel arguments
     # pass the largest double, the cdf takes its limit 1, with no warning.
-    from prodfade.pdist import product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at
 
     z, tiny, ones = np.array([1.0, 1e300]), np.array([1e-300]), np.ones(1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = make((1e-300, 1.0, 1, 4), (1e-300, 1.0, 2, 1))
         assert model.cdf(z).tolist() == [1.0, 1.0]
-        rows, ok = product_cdf_rows((1, 4, 2, 1), tiny, ones, tiny, ones, z)
+        rows, ok = _cdf_rows_at(z)((1, 4, 2, 1), np.array((tiny, ones, tiny, ones)))
     assert ok.all() and rows.tolist() == [[1.0, 1.0]]
 
 
@@ -644,14 +652,15 @@ def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
     # sum to one, so the mixture, the model and the batches all refuse it
     # (ROADMAP item 1).
     from prodfade.mixture import KAPPA_ZERO_TOL
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
     kappas = np.array([0.0, KAPPA_ZERO_TOL / 2, KAPPA_ZERO_TOL,
                        np.nextafter(KAPPA_ZERO_TOL, 1.0)])
     other, ones, half = ShadowedParams(1.0, 0.5, 4, 1), np.ones(4), np.full(4, 0.5)
     z, r = np.geomspace(1e-5, 30.0, 23), np.geomspace(1e-3, 5.0, 17)
-    cdf_rows, cdf_ok = product_cdf_rows((mu, m, 4, 1), ones, kappas, ones, half, z)
-    pdf_rows, pdf_ok = envelope_pdf_rows((mu, m, 4, 1), kappas, half, np.full(4, 1.3), r)
+    cdf_rows, cdf_ok = _cdf_rows_at(z)((mu, m, 4, 1), np.array((ones, kappas, ones, half)))
+    pdf_rows, pdf_ok = _envelope_rows_at(r)((mu, m, 4, 1),
+                                            np.array((ones, kappas, ones, half, np.full(4, 1.3))))
     for i, kappa in enumerate(kappas.tolist()):
         link = ShadowedParams(1.0, kappa, mu, m)
         if mu > m and kappa > KAPPA_ZERO_TOL:
@@ -694,26 +703,26 @@ def test_batch_evaluators_check_their_points_as_the_models_do(point):
     # refused sets, no density of a wrong sign.  1e-170 is a valid point
     # of both, whose envelope square underflows to 0 and whose log does
     # not: each batch gives its model's bits.
-    from prodfade.pdist import envelope_pdf_rows, product_cdf_rows
+    from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
-    one = np.ones(1)
+    one = np.ones((4, 1))
     pts = np.array([point, 1.0])
     env = EnvelopeModel(make((1.0, 1.0, 1, 4), (1.0, 1.0, 2, 1)), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if point == 1e-170:
-            rows, ok = product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
+            rows, ok = _cdf_rows_at(pts)((1, 4, 2, 1), one)
             assert ok.all() and np.array_equal(rows[0], env.product.cdf(pts))
-            rows, ok = envelope_pdf_rows((1, 4, 2, 1), one, one, one, pts)
+            rows, ok = _envelope_rows_at(pts)((1, 4, 2, 1), np.ones((5, 1)))
             assert ok.all() and np.array_equal(rows[0], env.pdf(pts)) and (rows[0] > 0.0).all()
             return
         with pytest.raises(ValueError, match="envelope pdf requires finite r") as batch:
-            envelope_pdf_rows((1, 4, 2, 1), one, one, one, pts)
+            _envelope_rows_at(pts)
         with pytest.raises(ValueError) as model:
             env.pdf(pts)
         assert str(batch.value) == str(model.value)
         with pytest.raises(ValueError, match="finite z > 0"):
-            product_cdf_rows((1, 4, 2, 1), one, one, one, one, pts)
+            _cdf_rows_at(pts)
 
 
 @pytest.mark.parametrize("pair", MODEL_PAIRS + [((1.0, 1.0, 6, 2), (1.0, 0.5, 4, 1)),

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from prodfade.mixture import KAPPA_ZERO_TOL, ShadowedParams
-from prodfade.pdist import EnvelopeModel, ProductModel
+from prodfade.mixture import KAPPA_ZERO_TOL, ShadowedParams, expand
+from prodfade.pdist import CDF_RANGE_TOL, EnvelopeModel, ProductModel
 
 EPS = np.finfo(float).eps
 
@@ -118,3 +118,130 @@ def test_envelope_pdf_is_the_power_pdf_transformed(link_a, link_b, envelope_scal
     expected = 2 * r / c ** 2 * model.pdf(r ** 2 / c ** 2)
     bound = 8 * EPS * (abs(math.log(c)) + 8) * model.abs_weight_sum
     assert np.all(np.abs(EnvelopeModel(model, envelope_scale).pdf(r) / expected - 1) <= bound)
+
+
+@pytest.mark.parametrize("envelope_scale", [1e-3, 1.3, 1e3])
+@pytest.mark.parametrize("link_a, link_b", PROPERTY_CELLS)
+def test_envelope_cdf_is_the_power_cdf_transformed(link_a, link_b, envelope_scale):
+    # R = c sqrt(Z) has F_R(r) = F_Z(r^2 / c^2).  The envelope takes the
+    # log point 2 ln r - 2 ln c and the reference squares r / c, so the
+    # scale law's bound holds, absolute on F: 8 eps (|ln c| + 8)
+    # abs_weight_sum.
+    model = _model(link_a, link_b)
+    c = envelope_scale / model.sqrt_mean
+    r = c * np.sqrt(Z)
+    bound = 8 * EPS * (abs(math.log(c)) + 8) * model.abs_weight_sum
+    envelope = EnvelopeModel(model, envelope_scale).cdf(r)
+    assert np.all(np.abs(envelope - model.cdf((r / c) ** 2)) <= bound)
+
+
+# Continuity in kappa away from the collapse: link a's kappa and the
+# next kappa (1 + 1e-9), against link b (1.0, 0.5, 1, 3), on z over
+# 1e-4..20.  Link a is positive ((1, 4), (2, 5)) or signed (mu > m).
+KAPPA_STEP = 1e-9
+CONTINUITY_Z = np.geomspace(1e-4, 20.0, 25)
+CONTINUITY_LINKS = [(1, 4), (2, 5), (6, 2), (3, 1), (4, 1), (12, 1)]
+# Signed links refused at small kappa, with the class each raises: their
+# weights miss the sum (ValueError), or the product's log mean leaves
+# ln mean_a + ln mean_b by more than 1e-12 (ArithmeticError).
+CONTINUITY_REFUSED = {
+    (6, 2, 1e-6): ValueError, (6, 2, 1e-3): ValueError,
+    (3, 1, 1e-6): ValueError, (3, 1, 1e-3): ValueError,
+    (4, 1, 1e-6): ValueError, (4, 1, 1e-3): ArithmeticError,
+    (12, 1, 1e-6): ValueError, (12, 1, 1e-3): ValueError,
+}
+
+
+def _strict_xfails(cells, reason):
+    """``(params, exc)`` pairs as parameters, those with an ``exc`` marked
+    to fail with exactly that class."""
+    return [pytest.param(*params, marks=pytest.mark.xfail(raises=exc, strict=True,
+                                                          reason=reason))
+            if exc else params for params, exc in cells]
+
+
+@pytest.mark.parametrize("mu, m, kappa", _strict_xfails(
+    (((mu, m, kappa), CONTINUITY_REFUSED.get((mu, m, kappa)))
+     for mu, m in CONTINUITY_LINKS for kappa in (1e-6, 1e-3, 0.1, 1.0, 10.0)),
+    "a mu > m link is refused at small kappa (ROADMAP item 1)"))
+def test_cdf_is_continuous_in_kappa(mu, m, kappa):
+    # F moves by its sensitivity |d ln F / d ln kappa| times the step,
+    # below 0.6 on these cells, so 4 KAPPA_STEP F bounds it, plus the
+    # signed sum's absolute rounding, 8 eps abs_weight_sum (the signed
+    # (6, 2) at kappa 0.1 moves 2e-8 relative to F, 4e-12 absolute, which
+    # is that rounding at abs_weight_sum 9.4e3).
+    other = ShadowedParams(1.0, 0.5, 1, 3)
+    model = ProductModel(ShadowedParams(1.0, kappa, mu, m), other)
+    moved = ProductModel(ShadowedParams(1.0, kappa * (1 + KAPPA_STEP), mu, m), other)
+    cdf = model.cdf(CONTINUITY_Z)
+    bound = 4 * KAPPA_STEP * cdf + 8 * EPS * model.abs_weight_sum
+    assert np.all(np.abs(moved.cdf(CONTINUITY_Z) - cdf) <= bound)
+
+
+# The domain grids of the ROADMAP Baseline: single-link cdfs at kappa in
+# {0.01, 0.1, 1} and ProductModel(p, p) cdfs at kappa in {0.1, 1, 5, 20},
+# mu, m <= 12, unit mean, on 200 log points over 1e-7..20.
+DOMAIN_Z = np.geomspace(1e-7, 20.0, 200)
+SINGLE_KAPPAS, PRODUCT_KAPPAS = (0.01, 0.1, 1.0), (0.1, 1.0, 5.0, 20.0)
+# The cells that fail today, as (kappa, mu, m values, class): the weights
+# of a mu > m link miss the sum (ValueError), or the cdf leaves [0, 1] or
+# the product's log mean its closed form (ArithmeticError).  Every one
+# has mu > m and kappa <= 0.1; ROADMAP item 1 should flip them.
+SINGLE_DEFECTS = [
+    (0.01, 4, [2], ArithmeticError),
+    (0.01, 5, [2, 3], ArithmeticError),
+    (0.01, 5, [4], ValueError),
+    *[(0.01, mu, range(1, mu), ValueError) for mu in range(6, 13)],
+    (0.1, 6, [5], ValueError),
+    (0.1, 7, range(3, 7), ValueError),
+    (0.1, 8, range(2, 8), ValueError),
+    (0.1, 9, [2], ArithmeticError),
+    (0.1, 9, range(3, 9), ValueError),
+    *[(0.1, mu, range(2, mu), ValueError) for mu in (10, 11, 12)],
+]
+PRODUCT_DEFECTS = [row for row in SINGLE_DEFECTS if row[0] == 0.1] + [
+    (0.1, 4, [2, 3], ArithmeticError),
+    (0.1, 5, [2, 3, 4], ArithmeticError),
+    (0.1, 6, [2, 3, 4], ArithmeticError),
+    (0.1, 7, [2], ArithmeticError),
+    *[(0.1, mu, [1], ArithmeticError) for mu in (8, 9, 10, 11, 12)],
+]
+KNOWN_DEFECTS = {(kind, mu, m, kappa): exc
+                 for kind, rows in (("single", SINGLE_DEFECTS), ("product", PRODUCT_DEFECTS))
+                 for kappa, mu, ms, exc in rows for m in ms}
+
+
+def _domain_cdf(kind, mu, m, kappa):
+    """The cdf of a domain-grid cell on DOMAIN_Z, checked: in [0, 1] and
+    falling by no more than CDF_RANGE_TOL between points."""
+    link = ShadowedParams(1.0, kappa, mu, m)
+    model = expand(link) if kind == "single" else ProductModel(link, link)
+    cdf = model.cdf(DOMAIN_Z)
+    assert 0.0 <= cdf.min() and cdf.max() <= 1.0, (kind, mu, m, kappa)
+    assert np.all(np.diff(cdf) >= -CDF_RANGE_TOL), (kind, mu, m, kappa)
+
+
+@pytest.mark.parametrize("kind, mu, m, kappa", _strict_xfails(
+    KNOWN_DEFECTS.items(), "a mu > m cell that fails today (ROADMAP item 1)"))
+def test_known_domain_defect(kind, mu, m, kappa):
+    # Strict: a cell that stops failing, or raises what its listed class
+    # does not cover, fails the run, and leaves KNOWN_DEFECTS.  pytest
+    # formats the traceback of every failure, an expected one too, so the
+    # refusal is raised anew from here: one frame to format, not the
+    # library's.
+    try:
+        _domain_cdf(kind, mu, m, kappa)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(*exc.args) from None
+
+
+def test_every_other_domain_cell_gives_a_cdf():
+    cells = [("single", mu, m, kappa) for kappa in SINGLE_KAPPAS
+             for mu in range(1, 13) for m in range(1, 13)]
+    cells += [("product", mu, m, kappa) for kappa in PRODUCT_KAPPAS
+              for mu in range(1, 13) for m in range(1, 13)]
+    for cell in cells:
+        if cell not in KNOWN_DEFECTS:
+            _domain_cdf(*cell)
+    # 105 of the 432 single-link cells and 59 of the 576 products fail
+    assert sum(cell in KNOWN_DEFECTS for cell in cells) == len(KNOWN_DEFECTS) == 105 + 59
