@@ -224,7 +224,9 @@ def test_benchmark_tracer_patches_every_entry_point():
         assert tracer.unpatched == []
         model = ProductModel(ShadowedParams(1.0, 1.0, 6, 2), ShadowedParams(1.0, 0.5, 4, 1))
         z = np.geomspace(1e-3, 10.0, 5)
-        model.cdf(z), model.pdf(z), model.mgf(-z)
+        model.cdf(z)
+        model.pdf(z)
+        model.mgf(-z)
     finally:
         tracer.restore()
     for counter in ("gammagamma.weighted_cdf_sum.row_points",
