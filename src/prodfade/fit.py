@@ -57,6 +57,10 @@ __all__ = [
 
 _OBJ_FAILURE = 1e9  # returned when a candidate model cannot be evaluated
 _TINY_CDF = 1e-300
+#: fit_cdf's Nelder-Mead stops on this absolute spread of its simplex in each coordinate.
+_SIMPLEX_XATOL = 1e-4
+#: fit_pdf_mse's least squares stops on a step this small relative to the parameters' norm.
+_LEAST_SQUARES_XTOL = 1e-4
 
 
 class EmpiricalDistribution:
@@ -274,14 +278,14 @@ class SearchConfig:
     hold the same values as the unhatted ones, each mirror pair of
     cells, one law with the links swapped, is fitted once.
 
-    ``kappa_tol`` is the step below which a local search stops: the
-    absolute spread of the Nelder-Mead simplex in :func:`fit_cdf`, and
-    in :func:`fit_pdf_mse` the step length relative to the parameter
-    norm (``xtol`` of ``scipy.optimize.least_squares``).
+    Each local search stops on its own fixed step, 1e-4: :func:`fit_cdf`'s
+    Nelder-Mead on a simplex within ``_SIMPLEX_XATOL`` in each coordinate,
+    :func:`fit_pdf_mse`'s least squares on a step of ``_LEAST_SQUARES_XTOL``
+    relative to the parameters' norm.
 
-    ``kappa_range`` is finite, ``kappa_tol`` finite and > 0,
-    ``max_points`` an integer >= 2 and ``min_cdf``, when given, in
-    (0, 1]; anything else raises ``ValueError`` here.
+    ``kappa_range`` is finite, ``max_points`` an integer >= 2 and
+    ``min_cdf``, when given, in (0, 1]; anything else raises
+    ``ValueError`` here.
 
     ``tie_tol`` declares two integer cells equal in fit quality when
     their objectives differ by less than this amount; the winner among
@@ -304,7 +308,6 @@ class SearchConfig:
     total_scale: float = None
     envelope_scale_range: tuple = None
     n_starts: int = 5
-    kappa_tol: float = 1e-4
     max_points: int = 200
     min_cdf: float = None
     tie_tol: float = 1e-3
@@ -316,10 +319,6 @@ class SearchConfig:
             raise ValueError("kappa_range must satisfy 0 <= lo < hi < inf")
         object.__setattr__(self, "kappa_range", (lo, hi))
         object.__setattr__(self, "n_starts", _as_int("n_starts", self.n_starts))
-        kappa_tol = float(self.kappa_tol)
-        if not (math.isfinite(kappa_tol) and kappa_tol > 0.0):
-            raise ValueError("kappa_tol must be finite and > 0, got %r" % (self.kappa_tol,))
-        object.__setattr__(self, "kappa_tol", kappa_tol)
         max_points = _as_int("max_points", self.max_points)
         if max_points < 2:
             raise ValueError("max_points must be >= 2, got %d" % max_points)
@@ -362,14 +361,14 @@ class FitResult:
     ``search_trace`` holds one entry per visited integer cell: the cell,
     the best continuous parameters found in it, its objective value,
     ``converged``, whether the local search behind that value stopped on
-    its tolerances (Nelder-Mead in :func:`fit_cdf`, least squares in
-    :func:`fit_pdf_mse`), and ``nfev``, the residual calls made in the
-    cell, finite-difference Jacobian steps included.  A cell none of
-    whose candidates could be evaluated has objective ``1e9``.  The
-    entries appear in visit order regardless of
-    which cell won.  With equal grids only one cell of each mirror pair
-    is visited, and the kappa of an untied link with ``mu == m`` is 0
-    (see :class:`SearchConfig`).
+    its tolerances (``_SIMPLEX_XATOL`` in :func:`fit_cdf`,
+    ``_LEAST_SQUARES_XTOL`` in :func:`fit_pdf_mse`; see :class:`SearchConfig`),
+    and ``nfev``, the residual calls made in the cell, finite-difference
+    Jacobian steps included.  A cell none of whose candidates could be
+    evaluated has objective ``1e9``.  The entries appear in visit order
+    regardless of which cell won.  With equal grids only one cell of each
+    mirror pair is visited, and the kappa of an untied link with ``mu ==
+    m`` is 0 (see :class:`SearchConfig`).
     """
 
     model: ProductModel
@@ -559,28 +558,28 @@ def _sum_squares(r):
     return np.array([row @ row for row in r])
 
 
-def _nelder_mead_cell(evaluate, starts, bounds, kappa_tol):
+def _nelder_mead_cell(evaluate, starts, bounds):
     """Best of bounded Nelder-Mead runs on the objective ``evaluate(thetas)[1]``.
 
     The runs from all starts advance in lockstep (:func:`minimize`), so
-    each round scores its candidates in one batched call.  Returns
-    ``(theta, value, converged)``.
+    each round scores its candidates in one batched call, and stops on
+    ``_SIMPLEX_XATOL``.  Returns ``(theta, value, converged)``.
     """
     best = (None, math.inf, False)
     for res in minimize(lambda thetas: evaluate(thetas)[1], starts, bounds,
-                        xatol=kappa_tol, fatol=1e-7, maxfev=600):
+                        xatol=_SIMPLEX_XATOL):
         if res.fun < best[1]:
             best = (res.x, res.fun, res.success)
     return best
 
 
-def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
+def _least_squares_cell(evaluate, starts, bounds):
     """Best of bounded least-squares runs on the residuals ``evaluate(thetas)[0]``.
 
     Trust-region reflective (Branch, Coleman & Li, SIAM J. Sci. Comput.
     21, 1999) with a forward-difference Jacobian, stopped when a step
-    is below ``kappa_tol`` relative to the parameters.  The solver asks
-    for one point per call, a one-row batch of ``evaluate``, and its
+    is below ``_LEAST_SQUARES_XTOL`` relative to the parameters.  The solver
+    asks for one point per call, a one-row batch of ``evaluate``, and its
     final residuals are normed as such a row.  Returns
     ``(theta, value, converged)``, ``value`` the sum of squares and
     ``converged`` whether the solver stopped on a tolerance.
@@ -590,7 +589,7 @@ def _least_squares_cell(evaluate, starts, bounds, kappa_tol):
     for theta0 in starts:
         res = least_squares(
             lambda theta: evaluate(theta[None])[0][0], np.asarray(theta0, dtype=float),
-            bounds=(lower, upper), method="trf", x_scale="jac", xtol=kappa_tol,
+            bounds=(lower, upper), method="trf", x_scale="jac", xtol=_LEAST_SQUARES_XTOL,
         )
         value = float(_sum_squares(res.fun[None])[0])
         if value < best[1]:
@@ -701,7 +700,7 @@ def _search_cells(config, residuals, norm, level_name, level, tail=None):
             starts = dict.fromkeys(tuple([k0] * n_kappa + tail_start)
                                    for k0 in config.kappa_starts())
             bounds = [config.kappa_range] * n_kappa + tail_bounds
-            theta, value, ok = search(evaluate, starts, bounds, config.kappa_tol)
+            theta, value, ok = search(evaluate, starts, bounds)
         kap, kaph, lev = (float(v[0]) for v in unpack(np.array([theta], dtype=float)))
         if (mu, m) == (mu_hat, m_hat) and kap < kaph:
             kap, kaph = kaph, kap

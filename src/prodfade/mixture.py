@@ -33,6 +33,8 @@ from operator import index as _as_index
 
 import numpy as np
 
+from .specfun import _int_array
+
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 __all__ = [
@@ -274,6 +276,31 @@ def _link_terms(links, mean_power, kappa):
     return w, scales
 
 
+def _link_refusal(scales_ok, weight_sum, mean=1.0, kappa=0.0):
+    """``None`` or the ``ValueError`` that refuses a link: a ``mean`` power or ``kappa``
+    that :class:`ShadowedParams` would refuse, scales not all > 0 (``scales_ok``
+    false), or a weight sum ``weight_sum`` off 1 by more than ``WEIGHT_SUM_TOL``.
+    :class:`GammaMixture`, with no mean or kappa, takes the defaults, which pass."""
+    if not (0.0 < mean < math.inf and 0.0 <= kappa < math.inf):
+        return ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0" % (mean, kappa))
+    if not scales_ok:
+        return ValueError("all scales must be > 0")
+    dev = abs(weight_sum - 1.0)
+    return (ValueError("mixture weights must sum to 1 within %g (deviation %g)"
+                       % (WEIGHT_SUM_TOL, dev)) if dev > WEIGHT_SUM_TOL else None)
+
+
+def _cdf_in_range(raw, tol):
+    """Whether each row of raw cdf values lies in [0, 1] within ``tol``; NaN fails."""
+    return ((raw.min(axis=-1, initial=math.inf) >= -tol)
+            & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + tol))
+
+
+def _worst_cdf(raw):
+    """The raw cdf value furthest from 1/2: what a failed :func:`_cdf_in_range` reports."""
+    return raw[np.argmax(np.abs(raw - 0.5))]
+
+
 class GammaMixture:
     """A finite signed mixture of Gamma distributions.
 
@@ -292,7 +319,7 @@ class GammaMixture:
 
     def __init__(self, weights, shapes, scales):
         weights = np.asarray(weights, dtype=float)
-        shapes = np.asarray(shapes, dtype=np.int64)
+        shapes = _int_array("shapes", shapes)
         scales = np.asarray(scales, dtype=float)
         if not (weights.shape == shapes.shape == scales.shape) or weights.ndim != 1:
             raise ValueError("weights, shapes, scales must be 1-d arrays of equal length")
@@ -301,14 +328,8 @@ class GammaMixture:
         if shapes.min() < 1:
             raise ValueError("all shapes must be >= 1")
         # written so that NaN fails the check too
-        if not scales.min() > 0.0:
-            raise ValueError("all scales must be > 0")
-        dev = abs(math.fsum(weights.tolist()) - 1.0)
-        if dev > WEIGHT_SUM_TOL:
-            raise ValueError(
-                "mixture weights must sum to 1 within %g (deviation %g)"
-                % (WEIGHT_SUM_TOL, dev)
-            )
+        if (refusal := _link_refusal(scales.min() > 0.0, math.fsum(weights.tolist()))) is not None:
+            raise refusal
         for arr in (weights, shapes, scales):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -381,12 +402,9 @@ class GammaMixture:
         # fixed accumulation order keeps the signed sum bit-stable
         # under any caller-side chunking of x
         raw = np.einsum("r,rb->b", self.weights, per)
-        lo, hi = _span(raw)
-        if not (lo >= -WEIGHT_SUM_TOL and hi <= 1.0 + WEIGHT_SUM_TOL):
-            raise ArithmeticError(
-                "mixture cdf left [0, 1] beyond tolerance; worst value %r"
-                % (raw[np.argmax(np.abs(raw - 0.5))],)
-            )
+        if not _cdf_in_range(raw, WEIGHT_SUM_TOL):
+            raise ArithmeticError("mixture cdf left [0, 1] beyond tolerance; worst value %r"
+                                  % (_worst_cdf(raw),))
         return shaped(np.clip(raw, 0.0, 1.0))
 
     def moment(self, order):

@@ -36,8 +36,9 @@ import numpy as np
 
 from .gammagamma import Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
-    WEIGHT_SUM_TOL, ShadowedParams, _all_finite, _collapsed, _link_layout, _link_terms,
-    _links_layout, _log_points, _points, _positive, expand, sample_single,
+    ShadowedParams, _all_finite, _cdf_in_range, _collapsed, _link_layout, _link_refusal,
+    _link_terms, _links_layout, _log_points, _points, _positive, _worst_cdf, expand,
+    sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
@@ -150,8 +151,8 @@ class _CellPlan:
                 terms.tolist(), scales.tolist(), *means.tolist(), *kappas.tolist(), log_means,
                 *ln_means):
             sum_a, sum_b = math.fsum(row[:na]), math.fsum(row[na:])
-            refusal = (_link_refusal(mean_a, kappa_a, sc[a0] > 0.0 < sc[a1], sum_a)
-                       or _link_refusal(mean_b, kappa_b, sc[b0] > 0.0 < sc[b1], sum_b))
+            refusal = (_link_refusal(sc[a0] > 0.0 < sc[a1], sum_a, mean_a, kappa_a)
+                       or _link_refusal(sc[b0] > 0.0 < sc[b1], sum_b, mean_b, kappa_b))
             if refusal is None and log_mean > _LOG_DBL_MAX:
                 refusal = OverflowError("moment of order 1 overflows double precision")
             # written so that NaN fails the check too
@@ -160,18 +161,6 @@ class _CellPlan:
                                           "1e-12" % (log_mean, ln_a + ln_b))
             refusals.append(refusal)
         return w, lth, refusals
-
-
-def _link_refusal(mean, kappa, scales_ok, weight_sum):
-    """``None`` or the ``ValueError`` that refuses a link at ``mean``, ``kappa``, as
-    :class:`ShadowedParams` or :class:`~prodfade.mixture.GammaMixture` would."""
-    dev = abs(weight_sum - 1.0)
-    if not (0.0 < mean < math.inf and 0.0 <= kappa < math.inf):
-        return ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0" % (mean, kappa))
-    if not scales_ok:
-        return ValueError("all scales must be > 0")
-    return (ValueError("mixture weights must sum to 1 within %g (deviation %g)"
-                       % (WEIGHT_SUM_TOL, dev)) if dev > WEIGHT_SUM_TOL else None)
 
 
 #: The cached :class:`_CellPlan` of an integer cell and :func:`_plan_key`.
@@ -206,12 +195,6 @@ def _weighed_model(cell, mean_a, kappa_a, mean_b, kappa_b):
     for arr in w, lth:
         arr.setflags(write=False)
     return plan, w, lth, refusal
-
-
-def _cdf_in_range(raw):
-    """Whether each row of raw cdf values lies in [0, 1] within ``CDF_RANGE_TOL``; NaN fails."""
-    return ((raw.min(axis=-1, initial=math.inf) >= -CDF_RANGE_TOL)
-            & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
 
 
 _WHOLE = slice(None)   # the index of a whole batch
@@ -268,7 +251,7 @@ def _cdf_rows_at(z):
     def rows(plan, w, lth):
         raw = weighted_cdf_sum(w, plan.pairs.shapes_a, plan.pairs.shapes_b, lth, log_z,
                                plan.pairs)
-        keep = _cdf_in_range(raw)
+        keep = _cdf_in_range(raw, CDF_RANGE_TOL)
         return raw.clip(0.0, 1.0, out=raw), keep
 
     return partial(_cell_rows, rows=rows, size=log_z.size)
@@ -406,12 +389,9 @@ class ProductModel:
         finite logs ``log_z``."""
         pairs = self._plan.pairs
         (raw,) = weighted_cdf_sum(self._w, pairs.shapes_a, pairs.shapes_b, self._lth, log_z, pairs)
-        if not _cdf_in_range(raw):
-            worst = raw[np.argmax(np.abs(raw - 0.5))]
-            raise ArithmeticError(
-                "product cdf left [0, 1] beyond %g (worst %r); "
-                "abs_weight_sum=%.3g" % (CDF_RANGE_TOL, worst, self.abs_weight_sum)
-            )
+        if not _cdf_in_range(raw, CDF_RANGE_TOL):
+            raise ArithmeticError("product cdf left [0, 1] beyond %g (worst %r); abs_weight_sum"
+                                  "=%.3g" % (CDF_RANGE_TOL, _worst_cdf(raw), self.abs_weight_sum))
         return np.clip(raw, 0.0, 1.0, out=raw)
 
     def mgf(self, s):

@@ -388,13 +388,15 @@ def _u_laplace_times_xa(a, b, x, ln_gamma_a, refine, work):
 
 
 def _int_array(name, v):
-    """``v`` as an int64 array, or ValueError unless every entry is a finite integer."""
+    """``v`` as an int64 array; ``ValueError`` unless each entry is an integer in int64's range."""
     v = np.asarray(v)
+    if np.can_cast(v.dtype, np.int64):
+        return v.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):
         f = v.astype(float)
-        ok = np.isfinite(f).all() and np.array_equal(f, np.round(f))
+        ok = ((f >= -2.0 ** 63) & (f < 2.0 ** 63)).all() and np.array_equal(f, np.round(f))
     if not ok:
-        raise ValueError("tricomi_u_times_xa requires integer %s, got %r" % (name, v))
+        raise ValueError("%s must hold integers within the int64 range, got %r" % (name, v))
     return f.astype(np.int64)
 
 
@@ -509,7 +511,7 @@ def ln_gamma_ints(n):
     Looked up in a table of ``n = 1 ..`` the next power of two at or
     above ``max(n)``, made once per size.
     """
-    n = np.asarray(n, dtype=np.int64)
+    n = _int_array("n", n)
     if n.size and not n.min() >= 1:
         raise ValueError("ln_gamma_ints requires integers n >= 1")
     top = int(n.max(initial=1))

@@ -2,6 +2,8 @@ import ast
 import importlib.util
 import inspect
 import pkgutil
+import re
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -207,6 +209,62 @@ def test_one_batch_path_for_fit_rounds():
             if isinstance(node, ast.keyword) and node.arg == "fill":
                 found.append("%s:%d fill=" % (path.name, node.lineno))
     assert not found
+
+
+def test_one_owner_for_each_stopping_step_link_rule_and_cdf_range():
+    # Each search stops on its own fit module constant, not on kappa_tol,
+    # which meant an absolute simplex spread in one and a relative step in
+    # the other; mixture alone defines a link's acceptance and a raw cdf's
+    # range check, which pdist imports, so each refusal is written once,
+    # and pdist does not read the weight-sum tolerance.
+    found, messages = [], dict.fromkeys(("all scales must be > 0",
+                                         "mixture weights must sum to 1 within"), 0)
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for message in messages:
+            messages[message] += text.count(message)
+        for node in ast.walk(ast.parse(text)):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "arg")}
+            if "kappa_tol" in names:
+                found.append("%s:%d kappa_tol" % (path.name, node.lineno))
+            if (isinstance(node, ast.FunctionDef) and path.stem != "mixture"
+                    and node.name in ("_link_refusal", "_cdf_in_range")):
+                found.append("%s:%d def %s" % (path.name, node.lineno, node.name))
+            if path.stem == "pdist" and "WEIGHT_SUM_TOL" in names:
+                found.append("pdist.py:%d WEIGHT_SUM_TOL" % node.lineno)
+    assert not found
+    assert messages == dict.fromkeys(messages, 1)
+
+
+def test_declared_dependencies_cover_every_import():
+    # Every module that src/ imports, but the standard library and
+    # prodfade itself, is a declared dependency, and every one that tests/
+    # imports is a dependency or in the test extra (ROADMAP aim 3).
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+
+    runtime = names(project["dependencies"])
+    allowed = {"src": runtime, "tests": runtime | names(project["optional-dependencies"]["test"])}
+    undeclared = []
+    for folder, declared in allowed.items():
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                undeclared += ["%s:%d %s" % (path.relative_to(root), node.lineno, top)
+                               for top in (module.split(".")[0] for module in modules)
+                               if top not in sys.stdlib_module_names | {"prodfade"}
+                               and top.lower() not in declared]
+    assert not undeclared
 
 
 def test_benchmark_tracer_patches_every_entry_point():

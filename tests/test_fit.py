@@ -176,10 +176,6 @@ def test_search_config_validation_and_grids():
         # misleading "no candidate model ... could be evaluated"
         dict(kappa_range=(0.0, float("inf"))),
         dict(kappa_range=(0.0, float("nan"))),
-        dict(kappa_tol=-1.0),
-        dict(kappa_tol=0.0),
-        dict(kappa_tol=float("nan")),
-        dict(kappa_tol=float("inf")),
         dict(max_points=1),
         dict(max_points=2.5),
         dict(min_cdf=0.0),
@@ -191,8 +187,8 @@ def test_search_config_validation_and_grids():
 
 
 def test_search_config_accepts_edge_settings():
-    cfg = SearchConfig(kappa_range=(0, 1), kappa_tol=1e-12, max_points=2.0, min_cdf=1)
-    assert cfg.kappa_range == (0.0, 1.0) and cfg.kappa_tol == 1e-12
+    cfg = SearchConfig(kappa_range=(0, 1), max_points=2.0, min_cdf=1)
+    assert cfg.kappa_range == (0.0, 1.0)
     assert cfg.max_points == 2 and type(cfg.max_points) is int
     assert cfg.min_cdf == 1.0 and type(cfg.min_cdf) is float
 
@@ -539,8 +535,7 @@ def test_fit_pdf_mse_self_fit_is_exact():
     env = EnvelopeModel(make_product(1.5, 1, 2), 1.2)
     r = np.linspace(0.02, 4.0, 160)
     emp = EmpiricalDistribution("pdf", r, env.pdf(r))
-    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=3, tie_links=True,
-                       kappa_tol=1e-7)
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=3, tie_links=True)
     res = fit_pdf_mse(emp, cfg)
     assert res.objective == "mse_percent"
     assert res.objective_value <= 1e-10
@@ -556,8 +551,7 @@ def test_fit_pdf_mse_recovers_published_style_cell():
     env = EnvelopeModel(gen, 0.93)
     r = np.linspace(0.01, 3.2, 200)
     emp = EmpiricalDistribution("pdf", r, env.pdf(r))
-    cfg = SearchConfig(mu_grid=(1,), m_grid=(19,), m_hat_grid=(6,), n_starts=5,
-                       kappa_tol=1e-6)
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(19,), m_hat_grid=(6,), n_starts=5)
     res = fit_pdf_mse(emp, cfg)
     assert res.objective_value <= 1e-8
     np.testing.assert_allclose(res.model.link_a.kappa, 1.87, atol=1e-3)
@@ -579,7 +573,7 @@ def test_symmetric_cell_reports_canonical_kappa_order(kappas):
     env = EnvelopeModel(make_product(kappas[0], 1, 2, kappa_b=kappas[1]), 1.2)
     r = np.linspace(0.02, 4.0, 160)
     emp = EmpiricalDistribution("pdf", r, env.pdf(r))
-    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=3, kappa_tol=1e-7)
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), n_starts=3)
     res = fit_pdf_mse(emp, cfg)
     (entry,) = res.search_trace
     assert entry["kappa"] >= entry["kappa_hat"]

@@ -344,6 +344,15 @@ def test_mixture_rejects_inconsistent_arrays():
         GammaMixture([0.5, 0.5], [1, 2], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("shape", [1.5, np.nan, np.inf, 1e30, -1e30])
+def test_mixture_refuses_shapes_that_are_not_int64_integers(shape):
+    # A shape of 1.5 was truncated to 1, which made the mixture Gamma(1)
+    # (its cdf at 1.0 was 0.632); NaN, inf and 1e30 raised numpy's cast
+    # errors, one of them OverflowError.
+    with pytest.raises(ValueError, match="shapes must hold integers within the int64 range"):
+        GammaMixture([1.0], [shape], [1.0])
+
+
 def test_mixture_arrays_are_read_only():
     mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
     with pytest.raises(ValueError):

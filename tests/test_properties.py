@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodfade.mixture import KAPPA_ZERO_TOL, ShadowedParams, expand
 from prodfade.pdist import CDF_RANGE_TOL, EnvelopeModel, ProductModel
@@ -245,3 +247,56 @@ def test_every_other_domain_cell_gives_a_cdf():
             _domain_cdf(*cell)
     # 105 of the 432 single-link cells and 59 of the 576 products fail
     assert sum(cell in KNOWN_DEFECTS for cell in cells) == len(KNOWN_DEFECTS) == 105 + 59
+
+
+
+# ROADMAP item 12's domain strategy, shared with item 8's sweep.  A link
+# is (mu, m, kappa) with mu, m in 1..16 and kappa 0, KAPPA_ZERO_TOL, the
+# next double above it, or log-uniform in [1e-9, 50]; a mean power is
+# log-uniform in [1e-300, 1e300].  Only mu <= m is drawn: mu > m links
+# are refused at small kappa (CONTINUITY_REFUSED, KNOWN_DEFECTS), and
+# wait for ROADMAP item 1's positive series.
+KAPPAS = st.one_of(
+    st.sampled_from([0.0, KAPPA_ZERO_TOL, float(np.nextafter(KAPPA_ZERO_TOL, 1.0))]),
+    st.floats(-9.0, math.log10(50.0)).map(lambda e: 10.0 ** e),
+)
+LINKS = st.tuples(st.integers(1, 16), st.integers(1, 16), KAPPAS).map(
+    lambda link: (min(link[:2]), max(link[:2]), link[2]))
+MEAN_POWERS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+# 40 points over the law of Z, in units of its mean.
+LAW_SPAN = np.geomspace(1e-6, 1e2, 40)
+
+
+
+def _domain_models(link_a, link_b, mean_power):
+    """The product of a drawn link a at ``mean_power`` and a drawn link b at
+    unit mean, the product with the links swapped, and the points of LAW_SPAN."""
+    a = ShadowedParams(mean_power, link_a[2], *link_a[:2])
+    b = ShadowedParams(1.0, link_b[2], *link_b[:2])
+    return ProductModel(a, b), ProductModel(b, a), mean_power * LAW_SPAN
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(link_a=LINKS, link_b=LINKS, mean_power=MEAN_POWERS)
+def test_positive_domain_builds_a_rising_law(link_a, link_b, mean_power):
+    # The model builds, and on points spanning the law its cdf never
+    # falls by more than CDF_RANGE_TOL and its pdf is finite and >= 0.
+    # Swapping the links is not checked here: see the strict xfail below.
+    model, _, z = _domain_models(link_a, link_b, mean_power)
+    assert np.all(np.diff(model.cdf(z)) >= -CDF_RANGE_TOL)
+    pdf = model.pdf(z)
+    assert np.all(np.isfinite(pdf) & (pdf >= 0.0))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the cdf's absolute rounding grows with the kernels' shapes "
+                          "and |ln mean_power|, past 8 eps abs_weight_sum")
+def test_swapping_the_links_of_a_domain_draw_moves_the_cdf_by_8_eps():
+    # The first draw of the domain strategy that fails swapping the links
+    # within 8 eps abs_weight_sum, the bound the property cells above
+    # hold: Gamma(1) x Gamma(3) moves by 13 eps at z = 4.1e-6, where F =
+    # 6.2e-6.  Most draws fail it, so no assume can leave them out of the
+    # domain test; ROADMAP item 9's per-value error bound should replace
+    # the flat bound.
+    model, swapped, z = _domain_models((1, 1, 0.0), (3, 3, 0.0), 1.0)
+    assert np.all(np.abs(swapped.cdf(z) - model.cdf(z)) <= 8 * EPS * model.abs_weight_sum)

@@ -353,6 +353,19 @@ def test_ln_gamma_ints_follows_ln_gamma_int():
         ln_gamma_ints(np.array([3, 0]))
 
 
+def test_ln_gamma_ints_checks_its_integers():
+    # Entries were cast to int64, so [1.5, 3.9] gave ln Gamma(1) and
+    # ln Gamma(3) where ln_gamma_int(1.5) raises, and NaN and 1e30 raised
+    # numpy's cast errors.  Whole floats and narrower integer types pass.
+    assert ln_gamma_ints([3.0, 7.0]).tolist() == [ln_gamma_int(3), ln_gamma_int(7)]
+    assert ln_gamma_ints(np.array([3], dtype=np.int32)).tolist() == [ln_gamma_int(3)]
+    for bad in ([1.5, 3.9], [math.nan], [math.inf], [1e30], [2.0 ** 63]):
+        with pytest.raises(ValueError, match="n must hold integers within the int64 range"):
+            ln_gamma_ints(bad)
+    with pytest.raises(ValueError, match="a must hold integers within the int64 range"):
+        tricomi_u_times_xa(1.5, 1, 1.0)
+
+
 def test_guaranteed_accuracy_contract():
     # The module's stated guarantee: 1e-8 relative on K_n(x) for orders
     # up to MAX_BESSEL_ORDER and arguments in [1e-8, 700], checked in log
