@@ -249,7 +249,6 @@ def test_every_other_domain_cell_gives_a_cdf():
     assert sum(cell in KNOWN_DEFECTS for cell in cells) == len(KNOWN_DEFECTS) == 105 + 59
 
 
-
 # ROADMAP item 12's domain strategy, shared with item 8's sweep.  A link
 # is (mu, m, kappa) with mu, m in 1..16 and kappa 0, KAPPA_ZERO_TOL, the
 # next double above it, or log-uniform in [1e-9, 50]; a mean power is
@@ -265,7 +264,6 @@ LINKS = st.tuples(st.integers(1, 16), st.integers(1, 16), KAPPAS).map(
 MEAN_POWERS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 # 40 points over the law of Z, in units of its mean.
 LAW_SPAN = np.geomspace(1e-6, 1e2, 40)
-
 
 
 def _domain_models(link_a, link_b, mean_power):
