@@ -111,7 +111,6 @@ def _search_config(args, pdf_mode=False):
         "kappa_range": (0.0, args.kappa_max),
         "tie_links": args.tie_links,
         "n_starts": args.starts,
-        "max_points": args.max_points,
         "tie_tol": args.tie_tol,
     }
     if args.mu_hat is not None:
@@ -126,6 +125,7 @@ def _search_config(args, pdf_mode=False):
             kwargs["envelope_scale_range"] = (float(lo), float(hi))
     else:
         kwargs["fit_scale"] = args.fit_scale
+        kwargs["max_points"] = args.max_points
         if args.total_scale is not None:
             kwargs["total_scale"] = args.total_scale
         if args.min_cdf is not None:
@@ -224,8 +224,6 @@ def _add_fit_flags(sub, pdf_mode=False):
                           "mu and m")
     sub.add_argument("--starts", type=int, default=base.n_starts,
                      help="local-search starts per integer cell (default %(default)s)")
-    sub.add_argument("--max-points", type=int, default=base.max_points, dest="max_points",
-                     help="evaluation points kept after thinning (default %(default)s)")
     sub.add_argument("--tie-tol", type=float, default=base.tie_tol, dest="tie_tol",
                      help="objective margin treated as an equal-quality tie "
                           "(default %(default)s)")
@@ -235,6 +233,8 @@ def _add_fit_flags(sub, pdf_mode=False):
         sub.add_argument("--envelope-range", default=None, dest="envelope_range",
                          help="lo:hi bounds for the mean envelope level")
     else:
+        sub.add_argument("--max-points", type=int, default=base.max_points, dest="max_points",
+                         help="evaluation points kept after thinning (default %(default)s)")
         sub.add_argument("--fit-scale", action="store_true", dest="fit_scale",
                          help="optimize the power scale instead of pinning it")
         sub.add_argument("--total-scale", type=float, default=None, dest="total_scale",

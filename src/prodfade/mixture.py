@@ -12,8 +12,8 @@ closed Bessel-type law, so the product density is again a finite
 weighted sum.
 
 Weights are generated in extended precision and rounded once at the
-end; the rounded sum stays within 1e-12 of one across the supported
-parameter range, which downstream summations rely on.
+end.  A link whose rounded sum misses one by more than ``WEIGHT_SUM_TOL``
+is refused, as some mu > m links at kappa <= 0.1 are.
 
 A link's expansion has a kappa-free layout per integer ``(mu, m)``: the
 signed integer coefficient, the powers of ``base`` and ``dom``, the
@@ -33,11 +33,12 @@ from operator import index as _as_index
 
 import numpy as np
 
-from .specfun import _int_array
+from .specfun import _int_array, ln_gamma_ints
 
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 __all__ = [
+    "CDF_RANGE_TOL",
     "KAPPA_ZERO_TOL",
     "RICIAN_PROXY_M",
     "WEIGHT_SUM_TOL",
@@ -59,6 +60,10 @@ RICIAN_PROXY_M = 20
 
 #: Tolerance on |sum of weights - 1| after rounding to double.
 WEIGHT_SUM_TOL = 1e-12
+
+#: Tolerated excursion of a raw signed distribution function, a link's or
+#: a product's, outside [0, 1] before it is treated as a numerical failure.
+CDF_RANGE_TOL = 1e-10
 
 
 def _span(v):
@@ -279,26 +284,50 @@ def _link_terms(links, mean_power, kappa):
 def _link_refusal(scales_ok, weight_sum, mean=1.0, kappa=0.0):
     """``None`` or the ``ValueError`` that refuses a link: a ``mean`` power or ``kappa``
     that :class:`ShadowedParams` would refuse, scales not all > 0 (``scales_ok``
-    false), or a weight sum ``weight_sum`` off 1 by more than ``WEIGHT_SUM_TOL``.
-    :class:`GammaMixture`, with no mean or kappa, takes the defaults, which pass."""
+    false), or a weight sum ``weight_sum`` off 1 by more than ``WEIGHT_SUM_TOL``
+    or NaN.  :class:`GammaMixture`, with no mean or kappa, takes the defaults."""
     if not (0.0 < mean < math.inf and 0.0 <= kappa < math.inf):
         return ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0" % (mean, kappa))
     if not scales_ok:
         return ValueError("all scales must be > 0")
     dev = abs(weight_sum - 1.0)
     return (ValueError("mixture weights must sum to 1 within %g (deviation %g)"
-                       % (WEIGHT_SUM_TOL, dev)) if dev > WEIGHT_SUM_TOL else None)
+                       % (WEIGHT_SUM_TOL, dev)) if not dev <= WEIGHT_SUM_TOL else None)
 
 
-def _cdf_in_range(raw, tol):
-    """Whether each row of raw cdf values lies in [0, 1] within ``tol``; NaN fails."""
-    return ((raw.min(axis=-1, initial=math.inf) >= -tol)
-            & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + tol))
+def _cdf_in_range(raw):
+    """Whether each row of raw cdf values lies in [0, 1] within ``CDF_RANGE_TOL``; NaN fails."""
+    return ((raw.min(axis=-1, initial=math.inf) >= -CDF_RANGE_TOL)
+            & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
 
 
 def _worst_cdf(raw):
     """The raw cdf value furthest from 1/2: what a failed :func:`_cdf_in_range` reports."""
     return raw[np.argmax(np.abs(raw - 0.5))]
+
+
+def _log_gains(shapes, order):
+    """Per integer shape ``k``, ``ln Gamma(k + order) / Gamma(k)`` by ``math.lgamma``."""
+    return np.array([math.lgamma(k + order) - math.lgamma(k) for k in shapes.tolist()])
+
+
+def _log_sums(w, lt):
+    """Per row of weights ``w`` and log terms ``lt``, ``ln sum w exp(lt)``: the
+    largest term plus the log of the ``w exp(lt - largest)`` summed by
+    ``math.fsum``, which no scale can overflow; NaN where the sum is not > 0."""
+    top = lt.max(axis=-1, initial=-math.inf)
+    sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
+    return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
+
+
+def _moment(log_total, order):
+    """The moment of ``order`` whose :func:`_log_sums` is ``log_total``: raises
+    ``OverflowError`` past the largest double, ``ArithmeticError`` if NaN."""
+    if log_total > _LOG_DBL_MAX:
+        raise OverflowError("moment of order %s overflows double precision" % (order,))
+    if not log_total <= _LOG_DBL_MAX:
+        raise ArithmeticError("moment of order %s is not > 0" % (order,))
+    return math.exp(log_total)
 
 
 class GammaMixture:
@@ -358,25 +387,20 @@ class GammaMixture:
         may come out a hair below zero in cancellation-heavy corners,
         on the order of 1e-16, and is returned as computed.
         """
-        from scipy import special
-
         x, _, shaped = _points(x, ">= 0", "pdf requires finite x >= 0")
         out = np.zeros(x.shape)
         pos = x > 0.0
         if np.any(pos):
             xp = x[pos]
-            const = (
-                self.shapes * np.log(self.scales)
-                + special.gammaln(self.shapes)
-            )
+            const = self.shapes * np.log(self.scales) + ln_gamma_ints(self.shapes)
             with np.errstate(over="ignore"):    # x / scale past the double range: term 0
                 lt = (
                     np.multiply.outer(self.shapes - 1.0, np.log(xp))
                     - np.outer(1.0 / self.scales, xp)
                     - const[:, None]
                 )
-            # einsum: accumulation order per element is fixed regardless
-            # of batch size, keeping results bit-stable under chunking
+            # einsum reduces as the product's kernel sums do; a value's
+            # last bits may depend on the points around it
             out[pos] = np.einsum("r,rb->b", self.weights, np.exp(lt))
         if np.any(~pos):
             unit = self.shapes == 1
@@ -399,10 +423,8 @@ class GammaMixture:
         x, _, shaped = _points(x, ">= 0", "cdf requires finite x >= 0")
         with np.errstate(over="ignore"):    # x / scale past the double range: term 1
             per = special.gammainc(self.shapes[:, None], x[None, :] / self.scales[:, None])
-        # fixed accumulation order keeps the signed sum bit-stable
-        # under any caller-side chunking of x
-        raw = np.einsum("r,rb->b", self.weights, per)
-        if not _cdf_in_range(raw, WEIGHT_SUM_TOL):
+        raw = np.einsum("r,rb->b", self.weights, per)   # as in pdf
+        if not _cdf_in_range(raw):
             raise ArithmeticError("mixture cdf left [0, 1] beyond tolerance; worst value %r"
                                   % (_worst_cdf(raw),))
         return shaped(np.clip(raw, 0.0, 1.0))
@@ -412,21 +434,13 @@ class GammaMixture:
 
         Valid for any real ``order`` with ``order > -min(shapes)``;
         downstream users need integers (power moments) and 1/2
-        (envelope normalization).
+        (envelope normalization).  Summed and refused as the product's are.
         """
-        from scipy import special
-
         order = float(order)
         if not (math.isfinite(order) and order > -float(self.shapes.min())):
             raise ValueError("moment order must be finite and exceed -min(shape)")
-        lt = (
-            order * np.log(self.scales)
-            + special.gammaln(self.shapes + order)
-            - special.gammaln(self.shapes)
-        )
-        if lt.max() > _LOG_DBL_MAX:
-            raise OverflowError("mixture moment of order %g overflows" % (order,))
-        return math.fsum((self.weights * np.exp(lt)).tolist())
+        lt = order * np.log(self.scales) + _log_gains(self.shapes, order)
+        return _moment(_log_sums(self.weights[None], lt[None])[0], order)
 
 
 @lru_cache(maxsize=4096)

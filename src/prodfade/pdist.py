@@ -36,19 +36,13 @@ import numpy as np
 
 from .gammagamma import Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
-    ShadowedParams, _all_finite, _cdf_in_range, _collapsed, _link_layout, _link_refusal,
-    _link_terms, _links_layout, _log_points, _points, _positive, _worst_cdf, expand,
-    sample_single,
+    _LOG_DBL_MAX, CDF_RANGE_TOL, ShadowedParams, _all_finite, _cdf_in_range, _collapsed,
+    _link_layout, _link_refusal, _link_terms, _links_layout, _log_gains, _log_points, _log_sums,
+    _moment, _points, _positive, _worst_cdf, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
 __all__ = ["ProductModel", "EnvelopeModel"]
-
-_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
-
-#: Tolerated excursion of the raw signed distribution function outside
-#: [0, 1] before it is treated as a numerical failure.
-CDF_RANGE_TOL = 1e-10
 
 
 class _CellPlan:
@@ -98,14 +92,13 @@ class _CellPlan:
 
     def log_gain(self, order):
         """Per pair, ``ln Gamma(ka + order) Gamma(kb + order) / (Gamma(ka) Gamma(kb))``
-        at ``order`` 1/2 (from ``lgamma``) or an integer >= 1 (the rising
+        at ``order`` 1/2 (the links' ``_log_gains``) or an integer >= 1 (the rising
         factorials' ``ln (ka + j)(kb + j)``, accumulated), made once, read-only."""
         gain = self._log_gains.get(order)
         if gain is None:
             ka, kb = self.pairs.shapes_a, self.pairs.shapes_b
             if order == 0.5:
-                gain = np.array([sum(math.lgamma(k + 0.5) - math.lgamma(k) for k in pair)
-                                 for pair in zip(ka.tolist(), kb.tolist())])
+                gain = _log_gains(ka, 0.5) + _log_gains(kb, 0.5)
             else:
                 gain = np.log(ka * kb)
                 for j in range(1, order):
@@ -115,15 +108,11 @@ class _CellPlan:
         return gain
 
     def log_moments(self, w, lth, order):
-        """``ln E[Z^order]`` of sets weighed on this plan: per set, the largest
-        of the pairs' log terms ``order ln theta`` plus their :meth:`log_gain`,
-        plus the log of the pairs' ``w exp(term - largest)`` summed by
-        ``math.fsum``, which no scale can overflow; NaN where it is not > 0.
+        """``ln E[Z^order]`` of sets weighed on this plan: per set, the
+        :func:`~prodfade.mixture._log_sums` of the pairs' log terms ``order ln
+        theta`` plus their :meth:`log_gain`, NaN where the sum is not > 0.
         ``w`` and ``lth`` are as :meth:`weigh` gives them."""
-        lt = order * lth.take(self.pairs.theta, axis=1) + self.log_gain(order)
-        top = lt.max(axis=1, initial=-math.inf)
-        sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
-        return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
+        return _log_sums(w, order * lth.take(self.pairs.theta, axis=1) + self.log_gain(order))
 
     def weigh(self, means, kappas):
         """Pair weights (sets x pairs) and log scale products (sets x distinct
@@ -251,7 +240,7 @@ def _cdf_rows_at(z):
     def rows(plan, w, lth):
         raw = weighted_cdf_sum(w, plan.pairs.shapes_a, plan.pairs.shapes_b, lth, log_z,
                                plan.pairs)
-        keep = _cdf_in_range(raw, CDF_RANGE_TOL)
+        keep = _cdf_in_range(raw)
         return raw.clip(0.0, 1.0, out=raw), keep
 
     return partial(_cell_rows, rows=rows, size=log_z.size)
@@ -389,7 +378,7 @@ class ProductModel:
         finite logs ``log_z``."""
         pairs = self._plan.pairs
         (raw,) = weighted_cdf_sum(self._w, pairs.shapes_a, pairs.shapes_b, self._lth, log_z, pairs)
-        if not _cdf_in_range(raw, CDF_RANGE_TOL):
+        if not _cdf_in_range(raw):
             raise ArithmeticError("product cdf left [0, 1] beyond %g (worst %r); abs_weight_sum"
                                   "=%.3g" % (CDF_RANGE_TOL, _worst_cdf(raw), self.abs_weight_sum))
         return np.clip(raw, 0.0, 1.0, out=raw)
@@ -416,16 +405,13 @@ class ProductModel:
         """Integer moment ``E[Z^n]`` in closed form.
 
         Per pair, ``theta^n (ka)_n (kb)_n`` with the rising factorials
-        taken as exact integer products, summed in log space.  Raises
-        OverflowError if the moment leaves the double range (heavy-tailed
-        products overflow quickly in ``n``).
+        taken as exact integer products, summed in log space, and refused
+        by :func:`~prodfade.mixture._moment` (heavy-tailed products overflow
+        quickly in ``n``).
         """
         if not float(n).is_integer() or int(n) < 1:
             raise ValueError("moment order must be an integer >= 1, got %r" % (n,))
-        (log_total,) = self._plan.log_moments(self._w, self._lth, int(n))
-        if not log_total <= _LOG_DBL_MAX:
-            raise OverflowError("moment of order %d overflows double precision" % (n,))
-        return math.exp(log_total)
+        return _moment(self._plan.log_moments(self._w, self._lth, int(n))[0], int(n))
 
     @cached_property
     def sqrt_mean(self):

@@ -236,6 +236,58 @@ def test_one_owner_for_each_stopping_step_link_rule_and_cdf_range():
     assert messages == dict.fromkeys(messages, 1)
 
 
+def test_the_single_link_and_the_product_share_one_rule_each():
+    # mixture owns the cdf range tolerance, the log of the largest double,
+    # the log-space moment sum and its failure rule, which GammaMixture and
+    # pdist both call: a raw cdf's range check takes no tolerance, the
+    # weight-sum tolerance means the weight sum alone, mixture looks up
+    # scipy.special only for GammaMixture.cdf's incomplete gamma, and
+    # pdist's only fsums are weigh's per-link weight sums.
+    assigned, ranges, readers = [], [], {}
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                assigned += [(path.stem, target.id) for target in node.targets
+                             if getattr(target, "id", None) in ("CDF_RANGE_TOL", "_LOG_DBL_MAX")]
+            if isinstance(node, ast.FunctionDef) and node.name == "_cdf_in_range":
+                ranges.append([arg.arg for arg in node.args.args])
+        for name in ("WEIGHT_SUM_TOL", "special", "fsum"):
+            readers[path.stem, name] = set(_readers(tree, name))
+    assert sorted(assigned) == [("mixture", "CDF_RANGE_TOL"), ("mixture", "_LOG_DBL_MAX")]
+    assert ranges == [["raw"]]
+    assert {stem for (stem, name), where in readers.items()
+            if name == "WEIGHT_SUM_TOL" and where} == {"mixture"}
+    assert readers["mixture", "WEIGHT_SUM_TOL"] == {"_link_refusal"}
+    assert readers["mixture", "special"] == {"cdf"}
+    assert readers["pdist", "fsum"] == {"weigh"}
+
+
+def _unread_imports(tree):
+    """The names that ``tree`` imports and never reads, names listed in its
+    ``__all__`` counting as read."""
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return ["%d %s" % (line, name) for line, name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # A rule that moves leaves no stale import of its old owner behind.
+    unread = []
+    for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
+        unread += ["%s:%s" % (path.name, entry) for entry in _unread_imports(
+            ast.parse(path.read_text()))]
+    assert not unread
+
+
 def test_declared_dependencies_cover_every_import():
     # Every module that src/ imports, but the standard library and
     # prodfade itself, is a declared dependency, and every one that tests/

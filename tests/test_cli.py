@@ -452,6 +452,15 @@ def test_fit_flag_defaults_are_the_search_config_defaults(command):
     assert "(default 30)" in " ".join(sub.format_help().split())
 
 
+def test_fit_pdf_refuses_max_points(capsys):
+    # The pdf fit scores every point it reads, so only fit-cdf takes
+    # --max-points; fit-pdf refuses it as an unknown option.
+    with pytest.raises(SystemExit) as info:
+        main(["fit-pdf", "--data", "e.csv", "--out", "f.json", "--max-points", "7"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max-points 7" in capsys.readouterr().err
+
+
 def test_fit_cdf_cli_roundtrip(tmp_path, capsys):
     gen = ProductModel(ShadowedParams(1.0, 2.0, 1, 3), ShadowedParams(1.0, 2.0, 1, 3))
     draws = gen.sample(np.random.default_rng(21), 3000)

@@ -344,6 +344,23 @@ def test_mixture_rejects_inconsistent_arrays():
         GammaMixture([0.5, 0.5], [1, 2], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan, 0.5]])
+def test_mixture_refuses_a_nan_weight_sum(weights):
+    # |NaN - 1| > tol is False, so the weight check is written to fail NaN.
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        GammaMixture(weights, [1] * len(weights), [1.0] * len(weights))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_moment_whose_sum_is_not_positive_raises(order):
+    # 2 E[Gamma(1)^n] - E[Gamma(3)^n] is -1 at n = 1 and -8 at n = 2: no
+    # law's moment, so it is refused as the product's moments are.
+    mix = GammaMixture([2.0, -1.0], [1, 3], [1.0, 1.0])
+    with pytest.raises(ArithmeticError, match="is not > 0") as info:
+        mix.moment(order)
+    assert info.type is ArithmeticError
+
+
 @pytest.mark.parametrize("shape", [1.5, np.nan, np.inf, 1e30, -1e30])
 def test_mixture_refuses_shapes_that_are_not_int64_integers(shape):
     # A shape of 1.5 was truncated to 1, which made the mixture Gamma(1)
@@ -378,7 +395,7 @@ def test_cdf_rejects_nan(monkeypatch):
 
 def test_pdf_rejects_nan(monkeypatch):
     mix = expand(ShadowedParams(1.0, 1.0, 1, 2))
-    monkeypatch.setattr("scipy.special.gammaln",
+    monkeypatch.setattr("prodfade.mixture.ln_gamma_ints",
                         lambda a: np.full(np.shape(a), np.nan))
     with pytest.raises(ArithmeticError):
         mix.pdf([0.1, 1.0])
