@@ -26,7 +26,9 @@ of it:
   empirical envelope density and the model envelope density, reporting
   the result in percent of the mean squared empirical density.  A sum
   of squares is smooth, so the search is bounded nonlinear least
-  squares (trust-region reflective, finite-difference Jacobian).
+  squares (trust-region reflective, finite-difference Jacobian), which
+  scores the base and trial points one at a time and each Jacobian's
+  points in one batched call.
 
 Both searches are deterministic: integer cells are visited in a fixed
 order and the multi-start pattern inside each cell is a fixed spread
@@ -578,18 +580,35 @@ def _least_squares_cell(evaluate, starts, bounds):
 
     Trust-region reflective (Branch, Coleman & Li, SIAM J. Sci. Comput.
     21, 1999) with a forward-difference Jacobian, stopped when a step
-    is below ``_LEAST_SQUARES_XTOL`` relative to the parameters.  The solver
-    asks for one point per call, a one-row batch of ``evaluate``, and its
-    final residuals are normed as such a row.  Returns
-    ``(theta, value, converged)``, ``value`` the sum of squares and
-    ``converged`` whether the solver stopped on a tolerance.
+    is below ``_LEAST_SQUARES_XTOL`` relative to the parameters.  The
+    solver asks for its base and trial points one at a time, each a
+    one-row batch of ``evaluate``.  It maps its function over a
+    Jacobian's points through ``workers`` (SciPy >= 1.16), which scores
+    them all in one batch and hands each row back through the solver's
+    own function, so SciPy forms the differences and steps as it would
+    from one call per point, on the same bits.  The final residuals
+    are normed as a row.  Returns ``(theta, value, converged)``,
+    ``value`` the sum of squares and ``converged`` whether the solver
+    stopped on a tolerance.
     """
     lower, upper = np.array(bounds, dtype=float).T
+    scored = {}
+
+    def residuals(theta):
+        row = scored.pop(theta.tobytes(), None)
+        return evaluate(theta[None])[0][0] if row is None else row
+
+    def jacobian_points(fun, points):
+        points = list(points)
+        for point, row in zip(points, evaluate(np.array(points))[0]):
+            scored[point.tobytes()] = row
+        return [fun(point) for point in points]
+
     best = (None, math.inf, False)
     for theta0 in starts:
         res = least_squares(
-            lambda theta: evaluate(theta[None])[0][0], np.asarray(theta0, dtype=float),
-            bounds=(lower, upper), method="trf", x_scale="jac", xtol=_LEAST_SQUARES_XTOL,
+            residuals, np.asarray(theta0, dtype=float), bounds=(lower, upper), method="trf",
+            x_scale="jac", xtol=_LEAST_SQUARES_XTOL, workers=jacobian_points,
         )
         value = float(_sum_squares(res.fun[None])[0])
         if value < best[1]:
@@ -629,8 +648,9 @@ def _search_cells(config, residuals, norm, level_name, level, tail=None):
     each row into the objective: ``_max_abs``, searched by bounded
     Nelder-Mead runs in lockstep, which score whole rounds, or
     ``_sum_squares``, searched by bounded least squares, which passes
-    one-row batches.  The failure rule, the ``nfev`` count and the norm
-    are applied here, for both.  Every integer cell of
+    one-row batches for its base and trial points and one batch per
+    finite-difference Jacobian.  The failure rule, the ``nfev`` count
+    and the norm are applied here, for both.  Every integer cell of
     ``_visited_cells(config)`` gets one run from each kappa start, over
     the kappas its law depends on and, when ``tail`` gives its
     ``(start, bounds)``, a trailing ``t``.  ``level(t)`` (``level(None)``

@@ -22,7 +22,8 @@ to ``1e300``, and exact at ``ln(x/2) = -800`` and ``-2000``.
 
 ``x^a U(a, b, x)`` is one exp-sinh rule on the Laplace integral at
 every argument, for a whole (rows x points) batch of integer parameter
-rows at once.  It is within 1e-13 relative of 30-digit mpmath on the
+rows at once, each cell's terms formed only over the nodes that can
+reach its sum.  It is within 1e-13 relative of 30-digit mpmath on the
 tested grid: ``a`` up to 150, integer ``b`` on both sides of 1, ``x``
 from 1e-300 to 1e160 wherever the value is above 1e-300.  For ``a`` up
 to 30 and ``x`` from 1e-6 to 1e4 its median error is a third of an ulp.
@@ -49,9 +50,19 @@ MAX_BESSEL_ORDER = 256
 
 # Cap on nodes * cells of one exp-sinh sum in ``tricomi_u_times_xa``;
 # larger requests are summed in chunks of cells.  Each chunk holds four
-# (cells x nodes) work arrays, 0.8 MB at this cap: a 100k cap raised a
-# process's peak RSS by 1.7 MB over L's cdf and pdf, and ran 6% faster.
+# (cells x window) work arrays and one (cells x nodes) row of terms, at
+# most 1 MB at this cap: a 100k cap raised a process's peak RSS by
+# 1.7 MB over L's cdf and pdf, and ran 6% faster.
 _U_BLOCK_BUDGET = 25_000
+
+# The window of a cell's exp-sinh sum (see _u_windows): the probes are
+# every _U_STRIDE-th node out from the table's centre (times refine on a
+# refined table), and a tail is dropped where its bound is at most
+# _U_TAIL of a lower bound on the cell's sum.  A stride of 25 gives 8
+# probes a side on the 401-node table, and the benchmark's transforms
+# 4-7 distinct windows per call.
+_U_STRIDE = 25
+_U_TAIL = 2.0 ** -67
 
 
 # Largest n for which ln Gamma(n) goes through the exact big-integer
@@ -322,13 +333,121 @@ def _exp_sinh_table(refine):
     return (half_pi * np.sinh(t)).astype(float), (step * half_pi * np.cosh(t)).astype(float)
 
 
-def _u_laplace_times_xa(a, b, x, ln_gamma_a, refine, work):
+@lru_cache(maxsize=None)
+def _exp_sinh_probes(refine):
+    """Probe nodes of :func:`_exp_sinh_table` that bound its tails.
+
+    Every ``_U_STRIDE * refine``-th node out from the centre, the left
+    probes first, up from the table's start, then the right ones out to
+    its end, as many on each side; the centre is not a probe.  Returns
+    the probes' indices and the log weight of each probe's tail,
+    ``ln sum_{i <= j} w_i`` for a left probe ``j`` and
+    ``ln sum_{i >= j} w_i`` for a right one.
+    """
+    weights = _exp_sinh_table(refine)[1].astype(np.longdouble)
+    centre = weights.size // 2
+    steps = _U_STRIDE * refine * np.arange(1, centre // (_U_STRIDE * refine) + 1)
+    probes = np.concatenate([centre - steps[::-1], centre + steps])
+    tails = np.concatenate([np.cumsum(weights)[:centre], np.cumsum(weights[::-1])[centre::-1]])
+    return probes, np.log(tails[probes]).astype(float)
+
+
+def _u_peaks(a, b, x):
+    """Per cell of ``x^a U(a, b, x)``, ``b >= 1``: the rows ``a, d, c,
+    x + c, px, pc, sigma`` of :func:`_u_laplace_times_xa`, ``d = b - a - 1``."""
+    d = b - a - 1.0
+    # Positive root; where q > 0, the cancellation-free form of
+    # (root - q) / 2, written so that no intermediate overflows.
+    q = x - (b - 1.0)
+    root = np.hypot(q, 2.0 * np.sqrt(a) * np.sqrt(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(q > 0.0, a * (x / (0.5 * q + 0.5 * root)), 0.5 * (root - q))
+    # -h'' at the peak, with x c / (x + c)^2 taken as two ratios
+    xc = x + c
+    px, pc = x / xc, c / xc
+    sigma = np.minimum(2.0, 1.0 / np.sqrt(c - d * px * pc))
+    return np.stack([a, d, c, xc, px, pc, sigma])
+
+
+def _u_exponents(peaks, nodes, work):
+    """``h(v) - h(c)`` of each cell of ``peaks`` (:func:`_u_peaks`) at the
+    nodes ``v = ln c + sigma s``, into ``work[2]`` of the scratch ``work``
+    of shape ``(4, cells, nodes)``.  Elementwise, so a (cell, node) value
+    does not depend on the other cells and nodes of the call."""
+    a, d, c, xc, px, pc, sigma = peaks[:, :, None]
+    t, ce, lr, tmp = work
+    np.multiply(sigma, nodes, out=t)
+    np.expm1(t, out=ce)
+    ce *= c
+    # ln(px + pc e^t) is log1p(pc expm1(t)) where that argument is above
+    # -1/2: around and right of the peak.  Further left, a prefix of each
+    # cell's nodes, 1 + pc expm1(t) has lost the small px + pc e^t, which
+    # is formed directly instead.
+    np.divide(ce, xc, out=lr)
+    left = lr < -0.5
+    with np.errstate(divide="ignore"):
+        np.log1p(lr, out=lr)
+    k = int(np.count_nonzero(left.any(axis=0)))
+    if k:
+        ln_r = np.exp(t[:, :k], out=tmp[:, :k])
+        ln_r *= pc
+        ln_r += px
+        np.log(ln_r, out=ln_r)
+        np.copyto(lr[:, :k], ln_r, where=left[:, :k])
+    lr *= d
+    lr -= ce
+    t *= a
+    lr += t
+    return lr
+
+
+def _u_windows(peaks, refine, buf):
+    """Each cell's node window ``[lo, hi)`` of the ``refine`` table, from
+    its exponents at the probes of :func:`_exp_sinh_probes` alone.
+
+    ``h`` has one peak, at the centre node, so a cell's exponent falls
+    steadily from there out to each end of the table, and the terms
+    from a probe ``j`` outward sum to at most ``e^{h(v_j) - h(c)}``
+    times the weight of ``j``'s tail.  A side's window ends before the
+    innermost probe of the outermost run of probes whose bound is at
+    most ``_U_TAIL`` times the sum of the probes' and the centre's
+    terms, itself below the cell's node sum ``S``.  The two tails a
+    cell drops then total at most ``2^-66 S``, under a quarter of a
+    long double ulp of ``S`` (an ulp exceeds ``2^-64 S``), with room for
+    the rounding of the terms.  The probes depend on ``refine`` alone,
+    so a window depends on its cell alone.  ``buf`` is flat scratch
+    space of ``4 * max(_U_BLOCK_BUDGET, probes)`` floats or more.
+    """
+    probes, ln_tail = _exp_sinh_probes(refine)
+    steps = probes.size // 2
+    nodes, weights = _exp_sinh_table(refine)
+    drop = np.empty((peaks.shape[1], probes.size), dtype=bool)
+    block = max(1, _U_BLOCK_BUDGET // probes.size)
+    for start in range(0, peaks.shape[1], block):
+        cells = peaks[:, start:start + block]
+        work = buf[:4 * cells.shape[1] * probes.size].reshape(4, cells.shape[1], probes.size)
+        lr = _u_exponents(cells, nodes[probes], work)
+        terms = np.multiply(np.exp(lr, out=work[0]), weights[probes], out=work[0])
+        floor = terms.sum(axis=1)
+        floor += weights[nodes.size // 2]
+        np.log(floor, out=floor)
+        floor += math.log(_U_TAIL)
+        lr += ln_tail
+        np.less_equal(lr, floor[:, None], out=drop[start:start + block])
+    # runs of drops at each end: leading on the left, trailing on the right
+    lead = np.logical_and.accumulate(drop[:, :steps], axis=1).sum(axis=1)
+    trail = np.logical_and.accumulate(drop[:, :steps - 1:-1], axis=1).sum(axis=1)
+    lo = np.concatenate([[0], probes[:steps] + 1])[lead]
+    hi = np.concatenate([[nodes.size], probes[:steps - 1:-1]])[trail]
+    return lo, hi
+
+
+def _u_laplace_times_xa(a, b, x, ln_gamma_a, refine):
     """``x^a U(a, b, x)`` per cell, ``b >= 1`` and finite ``x > 0``, by the exp-sinh rule.
 
     ``a``, ``b`` and ``x`` are equal-length float arrays, one entry per
-    cell, and ``ln_gamma_a = ln Gamma(a)`` in long double; ``work`` is
-    scratch space of shape ``(4, cells, nodes)``.  Substituting
-    ``u = x t`` in
+    cell, and ``ln_gamma_a = ln Gamma(a)`` in long double; every cell
+    takes the table of ``refine``.  Substituting ``u = x t`` in
     ``U = (1/Gamma(a)) int_0^inf e^{-xt} t^(a-1) (1+t)^(b-a-1) dt``
     and then ``u = e^v`` gives ``x^a U = (1/Gamma(a)) int e^{h(v)} dv``
     with ``h(v) = -u + (b-a-1) ln(1 + u/x) + a ln u``, a single peak at
@@ -341,47 +460,36 @@ def _u_laplace_times_xa(a, b, x, ln_gamma_a, refine, work):
     ``px = x / (x + c)`` and ``pc = c / (x + c)``; ``h(c)`` itself, one
     value per cell, is formed in long double, as are the node sums and
     the result.
+
+    Each cell's terms are formed only in its window of nodes
+    (:func:`_u_windows`), which leaves out the tails that cannot reach
+    its long double sum, about two fifths of the table on the
+    benchmark's transforms.  The cells run in groups that share a
+    window, in chunks of at most ``_U_BLOCK_BUDGET`` nodes x cells.  A
+    cell's node sum is a long double sum over one contiguous row of the
+    whole table, zero outside the window: so a cell gets the same bits
+    however the cells are batched, and, on every grid tested, the bits
+    of the whole table's sum.
     """
-    d = b - a - 1.0
-    # Positive root; where q > 0, the cancellation-free form of
-    # (root - q) / 2, written so that no intermediate overflows.
-    q = x - (b - 1.0)
-    root = np.hypot(q, 2.0 * np.sqrt(a) * np.sqrt(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(q > 0.0, a * (x / (0.5 * q + 0.5 * root)), 0.5 * (root - q))
-    # -h'' at the peak, with x c / (x + c)^2 taken as two ratios
-    px, pc = x / (x + c), c / (x + c)
-    curv = c - d * px * pc
-    sigma = np.minimum(2.0, 1.0 / np.sqrt(curv))
     nodes, weights = _exp_sinh_table(refine)
-    col = np.s_[:, None]
-    t, ce, lr, tmp = work
-    np.multiply(sigma[col], nodes, out=t)
-    np.expm1(t, out=ce)
-    ce *= c[col]
-    # ln(px + pc e^t) is log1p(pc expm1(t)) where that argument is above
-    # -1/2: around and right of the peak.  Further left, a prefix of each
-    # cell's nodes, 1 + pc expm1(t) has lost the small px + pc e^t, which
-    # is formed directly instead.
-    np.divide(ce, (x + c)[col], out=lr)
-    left = lr < -0.5
-    with np.errstate(divide="ignore"):
-        np.log1p(lr, out=lr)
-    k = int(np.count_nonzero(left.any(axis=0)))
-    if k:
-        ln_r = np.exp(t[:, :k], out=tmp[:, :k])
-        ln_r *= pc[col]
-        ln_r += px[col]
-        np.log(ln_r, out=ln_r)
-        np.copyto(lr[:, :k], ln_r, where=left[:, :k])
-    lr *= d[col]
-    lr -= ce
-    t *= a[col]
-    lr += t
-    terms = np.exp(lr, out=lr)
-    # Each cell's node sum is a long double sum over one contiguous row,
-    # which gives a cell the same bits however the cells are batched.
-    total = np.multiply(terms, weights, out=terms).sum(axis=1, dtype=np.longdouble)
+    peaks = _u_peaks(a, b, x)
+    buf = np.empty(4 * max(_U_BLOCK_BUDGET, nodes.size))
+    lo, hi = _u_windows(peaks, refine, buf)
+    total = np.empty(a.size, dtype=np.longdouble)
+    key = lo * (nodes.size + 1) + hi
+    order = np.argsort(key, kind="stable")
+    block = max(1, _U_BLOCK_BUDGET // nodes.size)
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        window = np.s_[lo[group[0]]:hi[group[0]]]
+        width = window.stop - window.start
+        rows = np.zeros((min(group.size, block), nodes.size))
+        for start in range(0, group.size, block):
+            i = group[start:start + block]
+            work = buf[:4 * i.size * width].reshape(4, i.size, width)
+            terms = np.exp(_u_exponents(peaks[:, i], nodes[window], work), out=work[2])
+            np.multiply(terms, weights[window], out=rows[:i.size, window])
+            total[i] = rows[:i.size].sum(axis=1, dtype=np.longdouble)
+    d, c, sigma = peaks[1], peaks[2], peaks[6]
     cl = c.astype(np.longdouble)
     hc = a * np.log(cl) + d * np.log1p(cl / x) - cl
     return np.exp(hc - ln_gamma_a) * sigma * total
@@ -410,7 +518,10 @@ def tricomi_u_times_xa(a, b, x):
     gives the limit 1; every other (row, point) cell goes through one
     exp-sinh rule on the Laplace integral, all cells at once, after
     Kummer's relation ``U(a, b, x) = x^(1-b) U(a-b+1, 2-b, x)`` has
-    mapped ``b < 1`` to ``b >= 2``.  The library ``hyperu`` is not used:
+    mapped ``b < 1`` to ``b >= 2``.  Each cell evaluates the rule's
+    terms only in the window of nodes that can reach its sum, found
+    from the cell alone: the tails it leaves out total under a quarter
+    of a long double ulp of the sum.  The library ``hyperu`` is not used:
     it returns NaN for small ``x`` with integer ``b >= 2`` and silently
     wrong values for first parameters beyond ~10 at moderate arguments.
 
@@ -471,14 +582,8 @@ def tricomi_u_times_xa(a, b, x):
             1.0, np.ceil(0.5 * (np.log(ca[flat]) - np.log(cx[flat])) / 11.0))
         vals = np.empty(row.size, dtype=np.longdouble)
         for r in np.unique(refine).tolist():
-            pick = np.flatnonzero(refine == r)
-            nodes = _exp_sinh_table(int(r))[0].size
-            block = min(pick.size, max(1, _U_BLOCK_BUDGET // nodes))
-            work = np.empty((4, block, nodes))
-            for start in range(0, pick.size, block):
-                i = pick[start:start + block]
-                vals[i] = _u_laplace_times_xa(ca[i], cb[i], cx[i], ln_gamma[row[i]], int(r),
-                                              work[:, :i.size])
+            i = np.flatnonzero(refine == r)
+            vals[i] = _u_laplace_times_xa(ca[i], cb[i], cx[i], ln_gamma[row[i]], int(r))
         out[row, col] = vals
     out = out.reshape(shape)
     return out[()] if shape == () else out

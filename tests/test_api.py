@@ -319,6 +319,24 @@ def test_declared_dependencies_cover_every_import():
     assert not undeclared
 
 
+def test_declared_scipy_floor_covers_least_squares_workers():
+    # The pdf fit passes least_squares a workers map, which SciPy took
+    # from 1.16 on; an older SciPy raises TypeError on it.  The declared
+    # floor must be at least that release while fit passes it (ROADMAP
+    # aim 3: floors match the APIs called).
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    tree = ast.parse((root / "src" / "prodfade" / "fit.py").read_text())
+    passes_workers = any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "least_squares"
+        and any(k.arg == "workers" for k in node.keywords) for node in ast.walk(tree))
+    assert passes_workers
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    (floor,) = [re.fullmatch(r"scipy>=(\d+)\.(\d+)(?:\.\d+)?", req.replace(" ", ""))
+                for req in project["dependencies"] if req.lower().startswith("scipy")]
+    assert floor is not None and tuple(map(int, floor.groups())) >= (1, 16)
+
+
 def test_benchmark_tracer_patches_every_entry_point():
     # perfbench/tracer.py wraps library names by module path; a refactor
     # that moves one leaves it unpatched, and its counters read 0.  Every

@@ -476,6 +476,53 @@ def test_fit_looks_up_least_squares_in_the_fit_module(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("cell", [(1, 1, 1, 2), (1, 1, 2, 2), (2, 1, 1, 2)])
+def test_batched_jacobian_gives_the_one_point_per_call_trace(monkeypatch, cell):
+    # The pdf fit scores each finite-difference Jacobian's points in one
+    # evaluator call and hands the rows back through the solver's own
+    # function.  Without ``workers`` SciPy asks for one point per call;
+    # every field of the trace, nfev and converged included, must be the
+    # same.  Cells (mu, mu_hat, m, m_hat): kappa held at 0 with kappa_hat
+    # free; two free kappas; and kappa ending at the bound of 50, where
+    # SciPy steps to one side only.
+    gen = make_product(1.5, 1, 2)
+    r = np.linspace(0.02, 4.0, 60)
+    emp = EmpiricalDistribution("pdf", r, EnvelopeModel(gen, 1.2).pdf(r))
+    mu, mu_hat, m, m_hat = cell
+    cfg = SearchConfig(mu_grid=(mu,), mu_hat_grid=(mu_hat,), m_grid=(m,), m_hat_grid=(m_hat,),
+                       n_starts=2)
+    calls = []
+    rows_at = prodfade.fit._envelope_rows_at
+
+    def counting_rows_at(points):
+        rows = rows_at(points)
+
+        def counted(cell, sets):
+            calls.append(np.shape(sets)[1])
+            return rows(cell, sets)
+
+        return counted
+
+    monkeypatch.setattr(prodfade.fit, "_envelope_rows_at", counting_rows_at)
+    batched = fit_pdf_mse(emp, cfg)
+    batched_calls, calls[:] = list(calls), []
+    least_squares = prodfade.fit.least_squares
+
+    def one_point_per_call(*args, workers=None, **kwargs):
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(prodfade.fit, "least_squares", one_point_per_call)
+    single = fit_pdf_mse(emp, cfg)
+    assert set(calls) == {1} and max(batched_calls) > 1
+    assert sum(batched_calls) == sum(calls) == batched.search_trace[0]["nfev"]
+    assert batched.search_trace == single.search_trace
+    assert batched.envelope_scale == single.envelope_scale
+    assert batched.objective_value == single.objective_value
+    if cell == (2, 1, 1, 2):
+        # within a forward step of the bound: SciPy's steps there go back
+        assert 0.0 <= 50.0 - batched.search_trace[0]["kappa"] < 1e-8
+
+
 def _failing_envelope(monkeypatch, fails):
     """Make the envelope densities of products whose second link has
     ``m`` in ``fails`` raise, in the engine call that weighs them on the

@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from prodfade import specfun
 from prodfade.specfun import (
     MAX_BESSEL_ORDER,
     ln_gamma_int,
@@ -245,6 +246,58 @@ def test_u_grid_per_row_gives_each_row_the_bits_of_its_own_call():
         tricomi_u_times_xa(a, b, x[:-1])
     with pytest.raises(ValueError):
         tricomi_u_times_xa(a[0], b[0], x)
+
+
+U_WINDOW_ROWS = [(a, b) for a in (1, 9, 100, 150) for b in sorted({1, 2, a + 2, 40})]
+U_WINDOW_X = np.geomspace(1e-8, 1e8, 33)
+
+
+def _spy_windows(monkeypatch, whole=False):
+    """Record each call's cell windows; with ``whole``, make every cell
+    sum its whole table, the rule before the windows."""
+    seen = []
+    windows = specfun._u_windows
+
+    def spy(peaks, refine, buf):
+        lo, hi = windows(peaks, refine, buf)
+        size = specfun._exp_sinh_table(refine)[0].size
+        if whole:
+            lo, hi = np.zeros_like(lo), np.full_like(hi, size)
+        seen.append((refine, size, lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(specfun, "_u_windows", spy)
+    return seen
+
+
+def test_u_windows_give_the_whole_table_bits(monkeypatch):
+    # A cell's sum runs over its window of nodes, the tails dropped only
+    # where their total is below a quarter of a long double ulp of the
+    # sum; the terms outside the window are zero in the row's long double
+    # sum.  On this grid, which takes a refined table at b = 1 and tiny
+    # x, every value is the whole table's to the last long double bit.
+    a, b = (np.array(col) for col in zip(*U_WINDOW_ROWS))
+    seen = _spy_windows(monkeypatch)
+    windowed = tricomi_u_times_xa(a, b, U_WINDOW_X)
+    kept = sum(int((hi - lo).sum()) for _, _, lo, hi in seen)
+    table = sum(size * lo.size for _, size, lo, _ in seen)
+    assert {refine for refine, *_ in seen} == {1, 2}
+    assert kept < 0.75 * table
+    _spy_windows(monkeypatch, whole=True)
+    whole = tricomi_u_times_xa(a, b, U_WINDOW_X)
+    assert np.array_equal(windowed, whole)
+
+
+def test_u_cell_bits_do_not_depend_on_the_windows_batched_with_it(monkeypatch):
+    # Every cell of the grid alone, and batched with cells of other
+    # windows and other tables: the same bits.
+    a, b = (np.array(col) for col in zip(*U_WINDOW_ROWS))
+    seen = _spy_windows(monkeypatch)
+    batched = tricomi_u_times_xa(a, b, U_WINDOW_X)
+    assert len({(refine, l, h) for refine, _, lo, hi in seen for l, h in zip(lo, hi)}) > 5
+    for r, (ai, bi) in enumerate(U_WINDOW_ROWS):
+        alone = [tricomi_u_times_xa(ai, bi, xj) for xj in U_WINDOW_X]
+        assert np.array_equal(batched[r], alone), (ai, bi)
 
 
 def test_kummer_symmetry_of_the_mgf_kernel():

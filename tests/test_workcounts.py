@@ -244,8 +244,10 @@ def test_a_round_weighs_its_plan_group_in_one_formula_call(monkeypatch):
 def test_a_fit_checks_and_logs_its_points_once(monkeypatch, small_fit_data, small_envelope_data,
                                                kind):
     # The points are checked, by the models' rule, and logged when a fit
-    # starts; its rounds, many, take them prepared.
-    checks, residual_calls = [], []
+    # starts; its rounds, many, take them prepared.  The parameter sets
+    # scored are counted, not the evaluator calls, as the pdf fit scores
+    # each finite-difference Jacobian's sets in one call.
+    checks, scored = [], []
     for name in ("_points", "_envelope_points"):
         check = getattr(prodfade.pdist, name)
 
@@ -260,9 +262,9 @@ def test_a_fit_checks_and_logs_its_points_once(monkeypatch, small_fit_data, smal
     def recording(points):
         rows = make_rows(points)
 
-        def counted(*args):
-            residual_calls.append(1)
-            return rows(*args)
+        def counted(cell, sets):
+            scored.append(np.shape(sets)[1])
+            return rows(cell, sets)
 
         return counted
 
@@ -271,7 +273,7 @@ def test_a_fit_checks_and_logs_its_points_once(monkeypatch, small_fit_data, smal
         fit_cdf(small_fit_data, _small_config(mu_grid=(1,), m_grid=(2, 3)))
     else:
         fit_pdf_mse(small_envelope_data, SearchConfig(mu_grid=(1,), m_grid=(3,), n_starts=1))
-    assert len(residual_calls) > 20
+    assert sum(scored) > 20
     assert len(checks) == 1
 
 
