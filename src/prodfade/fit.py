@@ -423,7 +423,8 @@ def _nelder_mead(x0, lower, upper, xatol, fatol, maxfev):
     bounds = list(zip(lower, upper))
 
     def clip(point):
-        return [min(max(v, lo), hi) for v, (lo, hi) in zip(point, bounds)]
+        # min(max(v, lo), hi), NaN and signed zeros included, without the calls
+        return [lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(point, bounds)]
 
     x0 = clip(x0)
     sim = [list(x0)]
@@ -637,14 +638,19 @@ def _visited_cells(config):
     return list(cells)
 
 
-def _search_cells(config, residuals, norm, level_name, level, tail=None):
+def _search_cells(config, residuals, level_row, norm, level_name, level, tail=None):
     """Grid search shared by both fits; returns the search trace.
 
-    ``residuals(cell, kappas, kappa_hats, levels)``, with ``cell`` in
-    pdist's order ``(mu, m, mu_hat, m_hat)`` and arrays of one value per
-    candidate, gives a (candidates x residuals) array of model minus data
-    values, and per candidate whether it could be evaluated; both fits
-    weigh a batch on the cell's plan in one engine call.  ``norm`` turns
+    ``residuals(cell, sets)``, with ``cell`` in pdist's order ``(mu, m,
+    mu_hat, m_hat)`` and ``sets`` the candidates as pdist's evaluators
+    take them, a column each (link a's mean power and kappa, link b's,
+    and further rows), gives a (candidates x residuals) array of model
+    minus data values, and per candidate whether it could be evaluated;
+    both fits weigh a batch on the cell's plan in one engine call.  The
+    candidates' level is row ``level_row`` of ``sets`` (0, link a's mean
+    power, or 4, a fifth row), and the other mean powers are 1.  Each
+    round's ``sets`` is one copy of the cell's constant column, with
+    the searched kappas and the level written in.  ``norm`` turns
     each row into the objective: ``_max_abs``, searched by bounded
     Nelder-Mead runs in lockstep, which score whole rounds, or
     ``_sum_squares``, searched by bounded least squares, which passes
@@ -692,25 +698,35 @@ def _search_cells(config, residuals, norm, level_name, level, tail=None):
         n_kappa = len({ia, ib} - {None})
         cell = (mu, m, mu_hat, m_hat)
         nfev = 0
+        # the sets of every candidate: held kappas 0.0, mean powers 1 and a
+        # level without a tail, one column; then each searched kappa's row
+        # and the column of the search vector that fills it
+        column = np.ones((max(4, level_row + 1), 1))
+        column[1::2] = 0.0
+        if tail is None:
+            column[level_row] = level(None)
+        searched = [(row, i) for row, i in ((1, ia), (3, ib)) if i is not None]
 
-        def unpack(thetas):
-            """Kappas and levels, one array each, of the rows of ``thetas``."""
-            held = np.zeros(len(thetas))
-            levels = (np.full(len(thetas), level(None)) if tail is None
-                      else np.array([level(t) for t in thetas[:, -1].tolist()]))
-            return (held if ia is None else thetas[:, ia], held if ib is None else thetas[:, ib],
-                    levels)
+        def candidates(thetas):
+            """The evaluator's sets of the rows of ``thetas``."""
+            sets = column.repeat(len(thetas), axis=1)
+            for row, i in searched:
+                sets[row] = thetas[:, i]
+            if tail is not None:
+                sets[level_row] = [level(t) for t in thetas[:, -1].tolist()]
+            return sets
 
         def evaluate(thetas):
             """``(r, norm(r))`` at the rows of ``thetas`` (``norm`` may
-            overwrite ``r``), failed rows set to ``_OBJ_FAILURE``."""
+            overwrite ``r``), failed rows set to ``_OBJ_FAILURE``, the
+            values as a list."""
             nonlocal nfev
             nfev += len(thetas)
-            r, ok = residuals(cell, *unpack(thetas))
-            values = norm(r)
-            failed = ~(ok & np.isfinite(values))
-            if failed.any():
-                r[failed] = values[failed] = _OBJ_FAILURE
+            r, ok = residuals(cell, candidates(thetas))
+            values = norm(r).tolist()
+            for i, good in enumerate(ok.tolist()):
+                if not (good and math.isfinite(values[i])):
+                    r[i] = values[i] = _OBJ_FAILURE
             return r, values
 
         if n_kappa == 0 and tail is None:
@@ -721,7 +737,8 @@ def _search_cells(config, residuals, norm, level_name, level, tail=None):
                                    for k0 in config.kappa_starts())
             bounds = [config.kappa_range] * n_kappa + tail_bounds
             theta, value, ok = search(evaluate, starts, bounds)
-        kap, kaph, lev = (float(v[0]) for v in unpack(np.array([theta], dtype=float)))
+        final = candidates(np.array([theta], dtype=float))[:, 0].tolist()
+        kap, kaph, lev = final[1], final[3], final[level_row]
         if (mu, m) == (mu_hat, m_hat) and kap < kaph:
             kap, kaph = kaph, kap
         trace.append({
@@ -792,8 +809,8 @@ def fit_cdf(empirical, config=None):
     scale0 = _positive("model scale", scale0)
     cdf_rows = _cdf_rows_at(x_eval)
 
-    def residuals(cell, kappas, kappa_hats, scales):
-        err, ok = cdf_rows(cell, np.array((scales, kappas, np.ones(scales.size), kappa_hats)))
+    def residuals(cell, sets):
+        err, ok = cdf_rows(cell, sets)
         np.maximum(err, _TINY_CDF, out=err)
         np.log10(err, out=err)
         err -= logf_emp
@@ -803,7 +820,7 @@ def fit_cdf(empirical, config=None):
         return scale0 if t is None else scale0 * math.exp(t)
 
     tail = (0.0, (-10.0, 10.0)) if config.fit_scale else None
-    trace = _search_cells(config, residuals, _max_abs, "total_scale", level, tail)
+    trace = _search_cells(config, residuals, 0, _max_abs, "total_scale", level, tail)
     best = _select_winner(trace, config.tie_tol)
     model = ProductModel(
         ShadowedParams(best["total_scale"], best["kappa"], best["mu"], best["m"]),
@@ -857,15 +874,14 @@ def fit_pdf_mse(empirical, config=None):
     root_n = math.sqrt(r.size)
     pdf_rows = _envelope_rows_at(r)
 
-    def residuals(cell, kappas, kappa_hats, scales):
-        ones = np.ones(scales.size)
-        err, ok = pdf_rows(cell, np.array((ones, kappas, ones, kappa_hats, scales)))
+    def residuals(cell, sets):
+        err, ok = pdf_rows(cell, sets)
         err -= f_emp
         err /= root_n
         return err, ok
 
     tail = (min(max(r_mean, s_lo), s_hi), (s_lo, s_hi))
-    trace = _search_cells(config, residuals, _sum_squares, "envelope_scale",
+    trace = _search_cells(config, residuals, 4, _sum_squares, "envelope_scale",
                           lambda t: t, tail)
     for entry in trace:
         entry["mse_percent"] = 100.0 * entry["objective"] / msq_emp

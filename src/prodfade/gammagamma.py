@@ -189,9 +189,13 @@ def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
     gives the (sets x rows x points) array of kernel values at one
     block of points.  Merged row weights are summed in pair order, in
     ``dtype``: double through ``np.bincount``, long double through
-    ``np.add.at``.  Chunked over ``x``, and then over the sets, so that a
-    block holds at most the block budget of the plan's ``width`` cells
-    per point and set; the chunks over ``x`` do not depend on the sets.
+    ``np.add.at``.  A call whose sets and points fit the block budget of
+    the plan's ``width`` cells per point and set, as a fit round's does,
+    is one ``rows`` call and one einsum, whose result is returned as it
+    is.  Larger calls are chunked over ``x``, and then over the sets, so
+    that a block holds at most that budget; the chunks over ``x`` do not
+    depend on the sets, and each chunk's einsum is the one a call of that
+    chunk alone makes.
     """
     sets, rows_per_set = weights.shape[0], plan.theta.size
     w = weights.take(plan.source, axis=1)
@@ -204,14 +208,16 @@ def _eval_blocks(plan, weights, log_thetas, x, rows, dtype=float):
         wt = np.zeros(sets * rows_per_set, dtype)
         np.add.at(wt, at, w.ravel())
     wt = wt.reshape(sets, rows_per_set)
-    block = max(1, _BLOCK_BUDGET // plan.width)
-    group = max(1, _BLOCK_BUDGET // (plan.width * max(1, min(block, x.size))))
-    out = np.empty((sets, x.size), dtype)
     # einsum, not BLAS gemv, which re-blocks the reduction with matrix
     # size.  einsum's order is fixed for a given block width, so one grid
     # gives the same bits on every run and in every batch; a point's last
     # bit can still differ between grids of different length, because a
     # block's SIMD lanes and its tail round differently.
+    if 0 < sets * x.size * plan.width <= _BLOCK_BUDGET:
+        return np.einsum("sr,srb->sb", wt, rows(plan, log_thetas, x))
+    block = max(1, _BLOCK_BUDGET // plan.width)
+    group = max(1, _BLOCK_BUDGET // (plan.width * max(1, min(block, x.size))))
+    out = np.empty((sets, x.size), dtype)
     for first_set in range(0, sets, group):
         sl = slice(first_set, first_set + group)
         for start in range(0, x.size, block):
@@ -227,9 +233,10 @@ def _bessel_rows(plan, log_thetas, log_x, shift=False):
     Every row of one ``theta`` shares the Bessel argument, whose half
     has the log ``(ln x - ln theta) / 2``, so one log-space recurrence
     climb over the ((sets x distinct theta) x points) matrix of those
-    logs serves every set, row and order at once; each rung is kept,
-    and every row then gathers its own.  With ``shift``, each row's
-    ``ln theta`` is subtracted after the other terms.
+    logs serves every set, row and order at once, and stops at the
+    rows' highest order; each rung is kept, and every row then gathers
+    its own.  With ``shift``, each row's ``ln theta`` is subtracted
+    after the other terms.
     """
     lu = log_x - log_thetas[:, :, None]   # (sets, distinct theta, points)
     rungs = np.empty((lu.shape[0], plan.max_order + 1) + lu.shape[1:])

@@ -112,7 +112,11 @@ class _CellPlan:
         :func:`~prodfade.mixture._log_sums` of the pairs' log terms ``order ln
         theta`` plus their :meth:`log_gain`, NaN where the sum is not > 0.
         ``w`` and ``lth`` are as :meth:`weigh` gives them."""
-        return _log_sums(w, order * lth.take(self.pairs.theta, axis=1) + self.log_gain(order))
+        lt = lth.take(self.pairs.theta, axis=1)
+        if order != 1:
+            lt *= order
+        lt += self.log_gain(order)
+        return _log_sums(w, lt)
 
     def weigh(self, means, kappas):
         """Pair weights (sets x pairs) and log scale products (sets x distinct
@@ -157,19 +161,19 @@ _cell_plan = lru_cache(maxsize=1024)(_CellPlan)
 
 
 def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
-    """The rule that picks a product's plan, for parameter sets of the
-    integer ``cell``: floats give a model's key, arrays a batch's.
+    """The rule that picks a product's plan, for a parameter set of the
+    integer ``cell``, of floats: a model's, or each one of a batch.
 
     The key is ``2 zero_a + zero_b + 4 tied``: each link's form, from
     :func:`~prodfade.mixture._collapsed`, and whether the two links are
     equal, ``mu > m`` and not collapsed, where unit x boosted and boosted
-    x unit are one scale product.  The operators serve floats and arrays.
+    x unit are one scale product.
     """
     mu_a, m_a, mu_b, m_b = cell
     zero_a = _collapsed(kappa_a)
     key = 2 * zero_a + _collapsed(kappa_b)
     if mu_a == mu_b and m_a == m_b and mu_a > m_a:
-        key += 4 * ((mean_a == mean_b) & (kappa_a == kappa_b) & (zero_a ^ True))
+        key += 4 * (mean_a == mean_b and kappa_a == kappa_b and not zero_a)
     return key
 
 
@@ -186,42 +190,55 @@ def _weighed_model(cell, mean_a, kappa_a, mean_b, kappa_b):
     return plan, w, lth, refusal
 
 
-_WHOLE = slice(None)   # the index of a whole batch
-
-
 def _cell_rows(cell, sets, rows, size):
     """The one pass of both fits' evaluators.
 
     The rows of ``sets`` hold the means and kappas of link a, of link b,
-    and any further values, a parameter set per column.  Each plan's
-    group (:func:`_plan_key`) is weighed by one :meth:`_CellPlan.weigh`,
-    and its sets that pass go to one ``rows(plan, w, lth, *further)``
-    call, giving their (sets x ``size``) values and whether each is
-    valid; a call that raises (a Bessel order past ``MAX_BESSEL_ORDER``)
-    refuses its group.  A one-key batch that passes, a fit round's usual
-    case, is neither gathered nor copied.  Returns the values, 0.0
-    where a set is refused, and whether each set was evaluated.
+    and any further values, a parameter set per column.  A batch of one
+    plan (:func:`_plan_key`), a fit round's usual case, is weighed by one
+    :meth:`_CellPlan.weigh`, with its checks, and its sets that pass go
+    to one ``rows(plan, w, lth, *further)`` call, giving their (sets x
+    ``size``) values and whether each is valid; a call that raises (a
+    Bessel order past ``MAX_BESSEL_ORDER``) refuses them all.  When
+    every set passes and is valid, that call's values are returned as
+    they are; otherwise they are placed in a zeroed array.  A batch of
+    several plans is split into one such batch per plan, in key order.
+    A fit round of one plan so pays its sets' plan keys, taken on
+    floats, one weigh with its checks and one ``rows`` call: one Bessel
+    climb, to its rows' highest order, and one einsum.  Returns the
+    values, 0.0 where a set is refused, and whether each set was
+    evaluated.
     """
-    keys = _plan_key(cell, *sets[:4])
-    distinct = sorted(set(keys.tolist()))
-    out, ok = np.zeros((keys.size, size)), np.zeros(keys.size, dtype=bool)
-    for key in distinct:
-        group = _WHOLE if len(distinct) == 1 else (keys == key).nonzero()[0]
-        plan = _cell_plan(cell, key)
-        part = sets if group is _WHOLE else sets.take(group, axis=1)
-        w, lth, refusals = plan.weigh(part[0:4:2], part[1:4:2])
-        passed = [i for i, r in enumerate(refusals) if r is None]
-        weighed = _WHOLE if len(passed) == len(refusals) else passed
-        try:
-            values, keep = rows(plan, w[weighed], lth[weighed], *part[4:, weighed])
-        except (ArithmeticError, ValueError):
-            continue
-        if group is weighed is _WHOLE:
-            values[~keep] = 0.0
-            return values, keep
-        kept = np.arange(keys.size)[group][weighed][keep]
-        out[kept], ok[kept] = values[keep], True
+    keys = [_plan_key(cell, *column) for column in zip(*sets[:4].tolist())]
+    distinct = set(keys)
+    if len(distinct) != 1:
+        out, ok = np.zeros((len(keys), size)), np.zeros(len(keys), dtype=bool)
+        for key in sorted(distinct):
+            group = [i for i, k in enumerate(keys) if k == key]
+            out[group], ok[group] = _cell_rows(cell, sets[:, group], rows, size)
+        return out, ok
+    plan = _cell_plan(cell, distinct.pop())
+    w, lth, refusals = plan.weigh(sets[0:4:2], sets[1:4:2])
+    passed = [i for i, refusal in enumerate(refusals) if refusal is None]
+    if len(passed) < len(keys):
+        w, lth, sets = w[passed], lth[passed], sets[:, passed]
+    try:
+        values, keep = rows(plan, w, lth, *sets[4:])
+    except (ArithmeticError, ValueError):
+        values, keep = np.zeros((len(passed), size)), np.zeros(len(passed), dtype=bool)
+    if len(passed) == len(keys) and keep.all():
+        return values, keep
+    out, ok = np.zeros((len(keys), size)), np.zeros(len(keys), dtype=bool)
+    kept = np.array(passed, dtype=np.intp)[keep]
+    out[kept], ok[kept] = values[keep], True
     return out, ok
+
+
+def _clip_unit(raw):
+    """Raw cdf values ``1 - sum`` clipped into [0, 1], in place: by two
+    ufuncs, not ``np.clip``'s Python wrapper; they differ from it only
+    at -0.0, which ``1 - sum`` never is."""
+    return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
 
 def _cdf_rows_at(z):
@@ -241,7 +258,7 @@ def _cdf_rows_at(z):
         raw = weighted_cdf_sum(w, plan.pairs.shapes_a, plan.pairs.shapes_b, lth, log_z,
                                plan.pairs)
         keep = _cdf_in_range(raw)
-        return raw.clip(0.0, 1.0, out=raw), keep
+        return _clip_unit(raw), keep
 
     return partial(_cell_rows, rows=rows, size=log_z.size)
 
@@ -381,7 +398,7 @@ class ProductModel:
         if not _cdf_in_range(raw):
             raise ArithmeticError("product cdf left [0, 1] beyond %g (worst %r); abs_weight_sum"
                                   "=%.3g" % (CDF_RANGE_TOL, _worst_cdf(raw), self.abs_weight_sum))
-        return np.clip(raw, 0.0, 1.0, out=raw)
+        return _clip_unit(raw)
 
     def mgf(self, s):
         """``E[exp(s Z)]`` over ``s < 0``.

@@ -253,10 +253,11 @@ def log_bessel_k_ladder(log_half, max_order):
     Seeds from ``ln K_0`` and ``ln K_1`` of :func:`_log_bessel_k01`,
     numpy alone, and climbs the three-term recurrence
     ``K_{n+1} = K_{n-1} + (2n/x) K_n`` in log space, with ``2/x`` formed
-    once as ``exp(-ln(x/2))``.  Since ``K_n`` is increasing in the
-    order, the correction ``exp(l_{n-1} - l_n)`` never exceeds one and
-    the recurrence cannot overflow, which is what makes high-order tail
-    evaluations safe.  Past :data:`_LOG_HALF_LIMIT` at either end, the
+    once as ``exp(-ln(x/2))`` when ``max_order`` asks for a rung above
+    the seeds; a climb to order 0 or 1 is its seeds alone.  Since
+    ``K_n`` is increasing in the order, the correction ``exp(l_{n-1} -
+    l_n)`` never exceeds one and the recurrence cannot overflow, which is
+    what makes high-order tail evaluations safe.  Past :data:`_LOG_HALF_LIMIT` at either end, the
     seeds take ``ln(x/2)`` at the limit (``x -> inf``) or each rung adds
     ``ln n - ln(x/2)``, so ``x`` need not be a double.
     Yielding every rung lets sum evaluators harvest a whole family of
@@ -264,7 +265,10 @@ def log_bessel_k_ladder(log_half, max_order):
 
     Each rung is yielded as a new array of the shape of ``log_half``,
     which is not written.  A climb from the same log arguments as the
-    one before it, bit for bit, reuses that climb's seeds.
+    one before it, bit for bit, reuses that climb's seeds.  A climb from
+    other arguments, such as each fit round's, pays for the cache a
+    comparison of its first argument and, with at most
+    :data:`_SEED_BLOCK` arguments, a copy of them and of their seeds.
 
     Parameters
     ----------
@@ -282,7 +286,10 @@ def log_bessel_k_ladder(log_half, max_order):
 
     global _last_seeds
     last_lh, last_lk = _last_seeds
-    if last_lh.shape == lh.shape and (last_lh == lh).all():
+    # a fit round's new arguments mostly differ in the first, which is
+    # compared on its own before all of them
+    if (last_lh.shape == lh.shape and (not lh.size or last_lh.flat[0] == lh.flat[0])
+            and (last_lh == lh).all()):
         lprev, lcur = last_lk.copy()
     else:
         lprev, lcur = lk = _log_bessel_k01(lh)
@@ -292,6 +299,8 @@ def log_bessel_k_ladder(log_half, max_order):
     if max_order == 0:
         return
     yield 1, lcur
+    if max_order == 1:
+        return
     two_over_x = np.negative(lh)
     tiny = None
     if lo < -_LOG_HALF_LIMIT:

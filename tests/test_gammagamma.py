@@ -442,10 +442,12 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     # a tied one (two equal links) and two its checks refuse, on the
     # plain set's plan: mean power -1, and a product mean that overflows
     # (1e200 x 1e200, refused without a warning).  Each set's row is
-    # its model's cdf, bit for bit, and only the refused sets are not
-    # ok, their rows all 0.0.  The plain and refused sets alone make a
-    # one-plan batch, which gives them the same rows.
-    from prodfade.pdist import _cdf_rows_at
+    # its model's cdf, byte for byte (so a signed zero counts), and only
+    # the refused sets are not ok, their rows all +0.0.  The plain and
+    # refused sets alone make a one-plan batch, which gives them the
+    # same rows.  Weighed together, each plan's group on its plan, every
+    # set gets the refusal, class and message, that it gets weighed alone.
+    from prodfade.pdist import _cdf_rows_at, _cell_plan, _plan_key
 
     sets = np.array(([1.0, 1.0, 2.0, -1.0, 1e200], [1.0, 0.0, 0.3, 1.0, 1.0],
                      [1.0, 1.0, 2.0, 1.0, 1e200], [0.5, 2.0, 0.3, 0.5, 0.5]))
@@ -457,14 +459,48 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     for i in range(3):
         model = ProductModel(ShadowedParams(means_a[i], kappas_a[i], 6, 2),
                              ShadowedParams(means_b[i], kappas_b[i], 6, 2))
-        assert np.array_equal(rows[i], model.cdf(z))
+        assert rows[i].tobytes() == model.cdf(z).tobytes()
     with pytest.raises(ValueError):
         ShadowedParams(means_a[3], kappas_a[3], 6, 2)
     with pytest.raises(OverflowError):
         ProductModel(ShadowedParams(means_a[4], kappas_a[4], 6, 2),
                      ShadowedParams(means_b[4], kappas_b[4], 6, 2))
-    assert np.array_equal(rows[3:], np.zeros((2, z.size)))
+    assert rows[3:].tobytes() == np.zeros((2, z.size)).tobytes()
     pick = [0, 3, 4]
     alone, alone_ok = rows_at((6, 2, 6, 2), sets[:, pick])
     assert alone_ok.tolist() == [True, False, False]
-    assert np.array_equal(alone, rows[pick])
+    assert alone.tobytes() == rows[pick].tobytes()
+    keys = np.array([_plan_key((6, 2, 6, 2), *column) for column in sets.T.tolist()])
+    assert keys[3:].tolist() == [keys[0]] * 2 and len(set(keys.tolist())) == 3
+    refused = []
+    for key in set(keys.tolist()):
+        group = (keys == key).nonzero()[0]
+        plan = _cell_plan((6, 2, 6, 2), key)
+        _, _, together = plan.weigh(sets[0:4:2, group], sets[1:4:2, group])
+        for i, refusal in zip(group.tolist(), together):
+            (single,) = plan.weigh(sets[0:4:2, i:i + 1], sets[1:4:2, i:i + 1])[2]
+            assert type(refusal) is type(single) and str(refusal) == str(single), i
+            refused += [i] if refusal is not None else []
+    assert sorted(refused) == [3, 4]
+
+
+def test_one_plan_round_gives_each_set_its_models_bytes():
+    # A fit round's usual batch: one plan key, every set passes its
+    # checks and lies in range.  The evaluator returns the engine's rows
+    # as they are, and each is its model's cdf, byte for byte, as a
+    # one-set batch gives it too.
+    from prodfade.pdist import _cdf_rows_at, _plan_key
+
+    cell = (1, 2, 2, 1)
+    sets = np.array(([1.0, 0.7, 1.3], [0.2, 1.5, 6.0], [1.0, 1.0, 1.0], [0.4, 3.0, 12.0]))
+    assert {_plan_key(cell, *column) for column in sets.T.tolist()} == {0}
+    z = np.geomspace(1e-4, 30.0, 41)
+    rows_at = _cdf_rows_at(z)
+    rows, ok = rows_at(cell, sets)
+    assert ok.tolist() == [True] * 3
+    for i in range(3):
+        model = ProductModel(ShadowedParams(sets[0, i], sets[1, i], 1, 2),
+                             ShadowedParams(sets[2, i], sets[3, i], 2, 1))
+        assert rows[i].tobytes() == model.cdf(z).tobytes()
+        alone, alone_ok = rows_at(cell, sets[:, i:i + 1])
+        assert alone_ok.tolist() == [True] and alone.tobytes() == rows[i].tobytes()

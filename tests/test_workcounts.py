@@ -209,6 +209,23 @@ def test_a_cell_makes_one_cdf_engine_call_per_round(monkeypatch, rounds):
     assert sum(calls) == entry["nfev"] > 2 * len(calls)
 
 
+def test_a_fit_round_climbs_once(climbs, rounds, small_fit_data):
+    # With kappa_range away from 0 every round of a cell is one plan
+    # group, and each round makes exactly one ladder climb: one argument
+    # row per candidate and distinct theta, and the rungs up to the
+    # plan's highest Bessel order.  The cell has a mu > m link, so two
+    # thetas, and its rows reach order 1.  The fit climbs nowhere else.
+    cell = (1, 2, 2, 1)
+    cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), mu_hat_grid=(2,), m_hat_grid=(1,), n_starts=3,
+                       max_points=30, min_cdf=1e-3, kappa_range=(0.01, 50.0))
+    (entry,) = fit_cdf(small_fit_data, cfg).search_trace
+    pairs = prodfade.pdist._cell_plan(cell, 0).pairs
+    thetas, rungs = int(pairs.theta.max()) + 1, pairs.cdf.max_order + 1
+    assert (thetas, rungs) == (2, 2)
+    assert len(rounds) > 20 and sum(rounds) == entry["nfev"]
+    assert climbs == [[n * thetas, rungs] for n in rounds]
+
+
 def test_a_round_weighs_its_plan_group_in_one_formula_call(monkeypatch):
     # With kappa_range away from 0 each round is one plan group, so one
     # long-double weight-formula call weighs both links of all the
