@@ -211,16 +211,16 @@ class ShadowedParams:
 _Layout = namedtuple("_Layout", "coef base_pow dom_pow shapes boosted")
 
 
-def _collapsed(kappa):
-    """The rule that picks a link's form: whether a link at ``kappa``, a
-    float or an array, collapses to the single term Gamma(mu, unit)."""
-    return kappa <= KAPPA_ZERO_TOL
+def _link_form(mu, m, kappa):
+    """The rule that picks a link's form: its :func:`_link_layout` key ``(mu, m,
+    collapsed)``, collapsed to the single term Gamma(mu, unit) at a float kappa near 0."""
+    return mu, m, kappa <= KAPPA_ZERO_TOL
 
 
 @lru_cache(maxsize=1024)
 def _link_layout(mu, m, zero):
-    """Term layout of the expansion of an integer ``(mu, m)`` link, or,
-    with ``zero``, of its collapse (:func:`_collapsed`).
+    """Term layout of a :func:`_link_form` key: the expansion of an integer
+    ``(mu, m)`` link, or, with ``zero``, its collapse.
 
     The mu > m table's leading term has an exact zero weight; it is left
     out here, as :func:`expand` would prune it.  The arrays are read-only.
@@ -246,8 +246,8 @@ def _link_layout(mu, m, zero):
 
 
 def _links_layout(links):
-    """The layout of one :func:`_link_terms` call over ``links``, each ``(mu, m,
-    zero)``: their :func:`_link_layout` coefficients and powers side by side, each
+    """The layout of one :func:`_link_terms` call over ``links``, :func:`_link_form`
+    keys: their :func:`_link_layout` coefficients and powers side by side, each
     term's link, each link's ``mu`` and ``m`` (long double), and the forms if any is zero."""
     layouts = [_link_layout(*link) for link in links]
     mu, m, zero = (np.array(v) for v in zip(*links))
@@ -281,16 +281,26 @@ def _link_terms(links, mean_power, kappa):
     return w, scales
 
 
-def _link_refusal(scales_ok, weight_sum, mean=1.0, kappa=0.0):
+def _weight_sum(terms):
+    """``math.fsum`` of a list of signed terms, NaN where one is not finite or
+    the sum overflows (where fsum would raise or give an infinity)."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):     # past the largest double, or inf + -inf
+        return math.nan
+    return total if math.isfinite(total) else math.nan
+
+
+def _link_refusal(scales_ok, weights, mean=1.0, kappa=0.0):
     """``None`` or the ``ValueError`` that refuses a link: a ``mean`` power or ``kappa``
     that :class:`ShadowedParams` would refuse, scales not all > 0 (``scales_ok``
-    false), or a weight sum ``weight_sum`` off 1 by more than ``WEIGHT_SUM_TOL``
-    or NaN.  :class:`GammaMixture`, with no mean or kappa, takes the defaults."""
+    false), or ``weights`` (a list) whose :func:`_weight_sum` misses 1 by more than
+    ``WEIGHT_SUM_TOL``, or is NaN.  :class:`GammaMixture` takes the default mean and kappa."""
     if not (0.0 < mean < math.inf and 0.0 <= kappa < math.inf):
         return ValueError("mean power %r and kappa %r must be finite, > 0 and >= 0" % (mean, kappa))
     if not scales_ok:
         return ValueError("all scales must be > 0")
-    dev = abs(weight_sum - 1.0)
+    dev = abs(_weight_sum(weights) - 1.0)
     return (ValueError("mixture weights must sum to 1 within %g (deviation %g)"
                        % (WEIGHT_SUM_TOL, dev)) if not dev <= WEIGHT_SUM_TOL else None)
 
@@ -299,6 +309,12 @@ def _cdf_in_range(raw):
     """Whether each row of raw cdf values lies in [0, 1] within ``CDF_RANGE_TOL``; NaN fails."""
     return ((raw.min(axis=-1, initial=math.inf) >= -CDF_RANGE_TOL)
             & (raw.max(axis=-1, initial=-math.inf) <= 1.0 + CDF_RANGE_TOL))
+
+
+def _clip_unit(raw):
+    """Raw cdf values clipped into [0, 1] in place, by two ufuncs, not ``np.clip``'s
+    Python wrapper: they differ from it only at -0.0, which no cdf sum gives."""
+    return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
 
 def _worst_cdf(raw):
@@ -314,9 +330,9 @@ def _log_gains(shapes, order):
 def _log_sums(w, lt):
     """Per row of weights ``w`` and log terms ``lt``, ``ln sum w exp(lt)``: the
     largest term plus the log of the ``w exp(lt - largest)`` summed by
-    ``math.fsum``, which no scale can overflow; NaN where the sum is not > 0."""
+    :func:`_weight_sum`, which no scale can overflow; NaN where the sum is not > 0."""
     top = lt.max(axis=-1, initial=-math.inf)
-    sums = [math.fsum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
+    sums = [_weight_sum(row) for row in (w * np.exp(lt - top[:, None])).tolist()]
     return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
 
 
@@ -357,7 +373,7 @@ class GammaMixture:
         if shapes.min() < 1:
             raise ValueError("all shapes must be >= 1")
         # written so that NaN fails the check too
-        if (refusal := _link_refusal(scales.min() > 0.0, math.fsum(weights.tolist()))) is not None:
+        if (refusal := _link_refusal(scales.min() > 0.0, weights.tolist())) is not None:
             raise refusal
         for arr in (weights, shapes, scales):
             arr.setflags(write=False)
@@ -427,7 +443,7 @@ class GammaMixture:
         if not _cdf_in_range(raw):
             raise ArithmeticError("mixture cdf left [0, 1] beyond tolerance; worst value %r"
                                   % (_worst_cdf(raw),))
-        return shaped(np.clip(raw, 0.0, 1.0))
+        return shaped(_clip_unit(raw))
 
     def moment(self, order):
         """Fractional moment ``E[X^order]`` in closed form.
@@ -463,14 +479,15 @@ def expand(params):
     """
     if not isinstance(params, ShadowedParams):
         raise TypeError("expand expects ShadowedParams, got %r" % type(params).__name__)
-    link = params.mu, params.m, _collapsed(params.kappa)
+    link = _link_form(params.mu, params.m, params.kappa)
     w, (scales,) = _link_terms(_links_layout([link]), [params.mean_power], [params.kappa])
     shapes, which = _link_layout(*link)[3:]
     if np.count_nonzero(w) < w.size:
         keep = w != 0.0
         w, shapes, which = w[keep], shapes[keep], which[keep]
     order = (-np.abs(w)).argsort(kind="stable")
-    return GammaMixture(w[order].astype(float), shapes[order], scales[which[order]])
+    with np.errstate(over="ignore"):    # weights past the double range: their sum is NaN
+        return GammaMixture(w[order].astype(float), shapes[order], scales[which[order]])
 
 
 def pdf_single(params, x):

@@ -11,13 +11,13 @@ and likewise for the distribution function, Laplace transform and moments.
 The pair weights are signed whenever a factor has ``mu > m``; their absolute
 sum is the cancellation indicator exposed as ``abs_weight_sum``.
 
-The pairs depend on the integer cell alone.  One rule, :func:`_plan_key`,
-picks a parameter set's plan within its cell, for a model and for each
-set of a batch alike: each link's form (a link collapses to one Gamma
-term at kappa near 0, :func:`~prodfade.mixture._collapsed`) and whether
-the links are tied.  Each cell and key has a cached plan
-(:class:`_CellPlan`) of the pairs' layout, which keeps the engine's row
-plans (:class:`~prodfade.gammagamma.Pairs`), and each scale product's columns.
+The pairs depend on the two links' forms alone.  One rule,
+:func:`_plan_key`, picks a parameter set's plan, for a model and for each
+set of a batch alike: the links' layout keys, from the one form rule
+:func:`~prodfade.mixture._link_form`, and whether they are tied.  Each key
+has a cached plan (:class:`_CellPlan`) of the pairs' layout, which keeps
+the engine's row plans (:class:`~prodfade.gammagamma.Pairs`), and each
+scale product's columns.
 Parameter sets only re-weigh it, by one call of the long-double weight
 formula for both links and one loop of checks (:meth:`_CellPlan.weigh`),
 so a :class:`ProductModel` builds no mixture.  Both fits weigh each
@@ -36,9 +36,9 @@ import numpy as np
 
 from .gammagamma import Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_sum
 from .mixture import (
-    _LOG_DBL_MAX, CDF_RANGE_TOL, ShadowedParams, _all_finite, _cdf_in_range, _collapsed,
-    _link_layout, _link_refusal, _link_terms, _links_layout, _log_gains, _log_points, _log_sums,
-    _moment, _points, _positive, _worst_cdf, expand, sample_single,
+    _LOG_DBL_MAX, CDF_RANGE_TOL, ShadowedParams, _all_finite, _cdf_in_range, _clip_unit,
+    _link_form, _link_layout, _link_refusal, _link_terms, _links_layout, _log_gains, _log_points,
+    _log_sums, _moment, _points, _positive, _worst_cdf, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
@@ -46,36 +46,33 @@ __all__ = ["ProductModel", "EnvelopeModel"]
 
 
 class _CellPlan:
-    """Kappa-free plan of the products of one integer cell.
+    """Kappa-free plan of the products of two links' forms.
 
-    One plan per integer ``cell`` ``(mu_a, m_a, mu_b, m_b)`` and ``key``
-    of :func:`_plan_key`: each link's form and the tie.  ``links`` holds
-    each link's ``(mu, m, collapsed)``.  Pair ``p`` is term ``p // n_b``
-    of link a and ``p % n_b`` of link b, each link's terms in layout order,
-    or reversed where ``mu > m``.  ``pairs``, the layout
-    (:class:`~prodfade.gammagamma.Pairs`), holds the pairs' shapes and
-    builds and keeps the engine's row plans.  Pairs of one choice of the
-    two terms' scales (unit or boosted) share a ``theta`` of it, which
-    :meth:`weigh` forms once from two scale columns; a tied plan, of two
-    equal links, gives unit x boosted and boosted x unit one ``theta``,
-    as they are one scale product bit for bit.  The arrays are
-    read-only, as every model and candidate of the cell shares them.
+    One plan per :func:`_plan_key` ``(link_a, link_b, tied)``: each link's
+    layout key ``(mu, m, collapsed)`` (:func:`~prodfade.mixture._link_form`)
+    and the tie.  Pair ``p`` is term ``p // n_b`` of link a and ``p % n_b``
+    of link b, each link's terms in layout order, or reversed where ``mu >
+    m``.  ``pairs``, the layout (:class:`~prodfade.gammagamma.Pairs`), holds
+    the pairs' shapes and builds and keeps the engine's row plans.  Pairs of
+    one choice of the two terms' scales (unit or boosted) share a ``theta``
+    of it, which :meth:`weigh` forms once from two scale columns; a tied
+    plan, of two equal links, gives unit x boosted and boosted x unit one
+    ``theta``, as they are one scale product bit for bit.  The arrays are
+    read-only, as every model and candidate of the two forms shares them.
     """
 
-    def __init__(self, cell, key):
-        mu_a, m_a, mu_b, m_b = cell
-        self.links = (mu_a, m_a, key & 2 > 0), (mu_b, m_b, key & 1 > 0)
-        lay_a, lay_b = (_link_layout(*link) for link in self.links)
-        self._joint = _links_layout(self.links)
+    def __init__(self, link_a, link_b, tied):
+        lay_a, lay_b = _link_layout(*link_a), _link_layout(*link_b)
+        self._joint = _links_layout((link_a, link_b))
         # a mu > m link's terms in reverse layout order, in which its
         # weights fall in magnitude (strictly at small kappa): the signed
         # sums then add dominant terms first, as the mixtures' order did
         term_a, term_b = (np.arange(lay.shapes.size)[::-1 if mu > m else 1]
-                          for (mu, m, _), lay in zip(self.links, (lay_a, lay_b)))
+                          for (mu, m, _), lay in ((link_a, lay_a), (link_b, lay_b)))
         self.ia = np.repeat(term_a, term_b.size)
         ib = np.tile(term_b, term_a.size)
         choice_a, choice_b = lay_a.boosted[self.ia], lay_b.boosted[ib]
-        choice = choice_a + choice_b if key >= 4 else 2 * choice_a + choice_b
+        choice = choice_a + choice_b if tied else 2 * choice_a + choice_b
         _, first, theta = np.unique(choice, return_index=True, return_inverse=True)
         self.pairs = Pairs(lay_a.shapes[self.ia], lay_b.shapes[ib], theta)
         # link b's pair columns in the joint weights, each theta's two columns
@@ -131,7 +128,7 @@ class _CellPlan:
         least double included) past the largest double, or whose log leaves
         1e-12 of ``ln mean_a + ln mean_b``.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):   # refused sets' terms and means
+        with np.errstate(all="ignore"):     # refused sets' terms (past doubles too) and means
             terms, scales = _link_terms(self._joint, means.T, kappas.T)
             terms, scales = terms.astype(float), scales.reshape(-1, 4)
             w = terms.take(self.ia, axis=1) * terms.take(self._wb, axis=1)
@@ -143,9 +140,8 @@ class _CellPlan:
         for row, sc, mean_a, mean_b, kappa_a, kappa_b, log_mean, ln_a, ln_b in zip(
                 terms.tolist(), scales.tolist(), *means.tolist(), *kappas.tolist(), log_means,
                 *ln_means):
-            sum_a, sum_b = math.fsum(row[:na]), math.fsum(row[na:])
-            refusal = (_link_refusal(sc[a0] > 0.0 < sc[a1], sum_a, mean_a, kappa_a)
-                       or _link_refusal(sc[b0] > 0.0 < sc[b1], sum_b, mean_b, kappa_b))
+            refusal = (_link_refusal(sc[a0] > 0.0 < sc[a1], row[:na], mean_a, kappa_a)
+                       or _link_refusal(sc[b0] > 0.0 < sc[b1], row[na:], mean_b, kappa_b))
             if refusal is None and log_mean > _LOG_DBL_MAX:
                 refusal = OverflowError("moment of order 1 overflows double precision")
             # written so that NaN fails the check too
@@ -156,25 +152,21 @@ class _CellPlan:
         return w, lth, refusals
 
 
-#: The cached :class:`_CellPlan` of an integer cell and :func:`_plan_key`.
+#: The cached :class:`_CellPlan` of a :func:`_plan_key`.
 _cell_plan = lru_cache(maxsize=1024)(_CellPlan)
 
 
 def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
     """The rule that picks a product's plan, for a parameter set of the
-    integer ``cell``, of floats: a model's, or each one of a batch.
-
-    The key is ``2 zero_a + zero_b + 4 tied``: each link's form, from
-    :func:`~prodfade.mixture._collapsed`, and whether the two links are
-    equal, ``mu > m`` and not collapsed, where unit x boosted and boosted
-    x unit are one scale product.
-    """
+    integer ``cell``, of floats (a model's, or each one of a batch): the key
+    ``(link_a, link_b, tied)`` of the links' layout keys, from
+    :func:`~prodfade.mixture._link_form`, and whether the two links are
+    equal, ``mu > m`` and not collapsed, where unit x boosted and boosted x
+    unit are one scale product."""
     mu_a, m_a, mu_b, m_b = cell
-    zero_a = _collapsed(kappa_a)
-    key = 2 * zero_a + _collapsed(kappa_b)
-    if mu_a == mu_b and m_a == m_b and mu_a > m_a:
-        key += 4 * (mean_a == mean_b and kappa_a == kappa_b and not zero_a)
-    return key
+    link_a, link_b = _link_form(mu_a, m_a, kappa_a), _link_form(mu_b, m_b, kappa_b)
+    return link_a, link_b, (link_a == link_b and mu_a > m_a and not link_a[2]
+                            and mean_a == mean_b and kappa_a == kappa_b)
 
 
 @lru_cache(maxsize=1024)
@@ -182,7 +174,7 @@ def _weighed_model(cell, mean_a, kappa_a, mean_b, kappa_b):
     """A model's plan and one-set :meth:`_CellPlan.weigh` (read-only one-row
     weights and log scale products, and refusal), cached for models that
     revisit sets."""
-    plan = _cell_plan(cell, _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b))
+    plan = _cell_plan(*_plan_key(cell, mean_a, kappa_a, mean_b, kappa_b))
     means, kappas = np.array([[mean_a], [mean_b]]), np.array([[kappa_a], [kappa_b]])
     w, lth, (refusal,) = plan.weigh(means, kappas)
     for arr in w, lth:
@@ -197,27 +189,24 @@ def _cell_rows(cell, sets, rows, size):
     and any further values, a parameter set per column.  A batch of one
     plan (:func:`_plan_key`), a fit round's usual case, is weighed by one
     :meth:`_CellPlan.weigh`, with its checks, and its sets that pass go
-    to one ``rows(plan, w, lth, *further)`` call, giving their (sets x
-    ``size``) values and whether each is valid; a call that raises (a
-    Bessel order past ``MAX_BESSEL_ORDER``) refuses them all.  When
-    every set passes and is valid, that call's values are returned as
-    they are; otherwise they are placed in a zeroed array.  A batch of
-    several plans is split into one such batch per plan, in key order.
-    A fit round of one plan so pays its sets' plan keys, taken on
-    floats, one weigh with its checks and one ``rows`` call: one Bessel
-    climb, to its rows' highest order, and one einsum.  Returns the
-    values, 0.0 where a set is refused, and whether each set was
+    to one ``rows(plan, w, lth, *further)`` call (one Bessel climb and one
+    einsum), giving their (sets x ``size``) values and whether each is
+    valid; a call that raises (a Bessel order past ``MAX_BESSEL_ORDER``)
+    refuses them all.  When every set passes and is valid, that call's
+    values are returned as they are; otherwise they are placed in a zeroed
+    array.  A batch of several plans is split into one such batch per
+    plan, as they first appear; no plan's rows depend on another's.  Returns
+    the values, 0.0 where a set is refused, and whether each set was
     evaluated.
     """
     keys = [_plan_key(cell, *column) for column in zip(*sets[:4].tolist())]
-    distinct = set(keys)
-    if len(distinct) != 1:
+    if not keys or keys.count(keys[0]) < len(keys):
         out, ok = np.zeros((len(keys), size)), np.zeros(len(keys), dtype=bool)
-        for key in sorted(distinct):
+        for key in dict.fromkeys(keys):
             group = [i for i, k in enumerate(keys) if k == key]
             out[group], ok[group] = _cell_rows(cell, sets[:, group], rows, size)
         return out, ok
-    plan = _cell_plan(cell, distinct.pop())
+    plan = _cell_plan(*keys[0])
     w, lth, refusals = plan.weigh(sets[0:4:2], sets[1:4:2])
     passed = [i for i, refusal in enumerate(refusals) if refusal is None]
     if len(passed) < len(keys):
@@ -232,13 +221,6 @@ def _cell_rows(cell, sets, rows, size):
     kept = np.array(passed, dtype=np.intp)[keep]
     out[kept], ok[kept] = values[keep], True
     return out, ok
-
-
-def _clip_unit(raw):
-    """Raw cdf values ``1 - sum`` clipped into [0, 1], in place: by two
-    ufuncs, not ``np.clip``'s Python wrapper; they differ from it only
-    at -0.0, which ``1 - sum`` never is."""
-    return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
 
 def _cdf_rows_at(z):
@@ -301,7 +283,7 @@ class ProductModel:
     """Product of two independent squared kappa-mu shadowed channels.
 
     The pairs and their engine plans come from the cached
-    :class:`_CellPlan` of the links' integer cell, in a fixed order, and
+    :class:`_CellPlan` of the links' forms, in a fixed order, and
     the parameters only weigh them; the fits weigh whole batches of
     parameter sets on the same plans (:func:`_cdf_rows_at`,
     :func:`_envelope_rows_at`).

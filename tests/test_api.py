@@ -116,14 +116,14 @@ def _readers(tree, name):
 
 
 def test_only_the_collapse_rule_reads_the_kappa_zero_tolerance():
-    # Whether a link collapses at kappa near 0 is decided once, in
-    # mixture._collapsed, which models, mixtures and both fits' batches
-    # call; the tolerance is otherwise only defined and exported.
+    # Whether a link collapses at kappa near 0 is decided once, in the
+    # form rule mixture._link_form, which models, mixtures and both fits'
+    # batches call; the tolerance is otherwise only defined and exported.
     reads = []
     for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         reads += [(path.stem, where) for where in _readers(tree, "KAPPA_ZERO_TOL")]
-    assert reads == [("mixture", "_collapsed")]
+    assert reads == [("mixture", "_link_form")]
 
 
 def _module_level(body):
@@ -242,7 +242,8 @@ def test_the_single_link_and_the_product_share_one_rule_each():
     # pdist both call: a raw cdf's range check takes no tolerance, the
     # weight-sum tolerance means the weight sum alone, mixture looks up
     # scipy.special only for GammaMixture.cdf's incomplete gamma, and
-    # pdist's only fsums are weigh's per-link weight sums.
+    # the one fsum is mixture._weight_sum's, which the link refusal and
+    # the moment sums call: pdist sums no weights itself.
     assigned, ranges, readers = [], [], {}
     for path in sorted(Path(prodfade.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -260,7 +261,9 @@ def test_the_single_link_and_the_product_share_one_rule_each():
             if name == "WEIGHT_SUM_TOL" and where} == {"mixture"}
     assert readers["mixture", "WEIGHT_SUM_TOL"] == {"_link_refusal"}
     assert readers["mixture", "special"] == {"cdf"}
-    assert readers["pdist", "fsum"] == {"weigh"}
+    assert readers["mixture", "fsum"] == {"_weight_sum"}
+    assert {stem for (stem, name), where in readers.items() if name == "fsum" and where} == {
+        "mixture"}
 
 
 def _unread_imports(tree):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -364,7 +365,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan((6, 2, 4, 1), 0)     # the key of no collapse and no tie
+    plan = _cell_plan((6, 2, False), (4, 1, False), False)     # no collapse and no tie
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
     w, lth, refusals = plan.weigh(np.array((means_a, means_b)), np.array((kappas_a, kappas_b)))
@@ -395,7 +396,7 @@ def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan((6, 2, 4, 1), 0)
+    plan = _cell_plan((6, 2, False), (4, 1, False), False)
     kappas_a, kappas_b = np.array([1.0, 3.0]), np.array([0.5, 2.0])
     w, lth, refusals = plan.weigh(np.ones((2, 2)), np.array((kappas_a, kappas_b)))
     assert refusals == [None, None]
@@ -432,9 +433,17 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
         thetas.append(model._lth.shape[1])
         assert np.array_equal(rows[i], model.cdf(z))
     assert thetas == [3, 4, 3, 1]
-    plan = _cell_plan((6, 2, 6, 2), 4)     # the tied key
+    plan = _cell_plan((6, 2, False), (6, 2, False), True)     # the tied plan
     for arr in (plan.ia, plan.pairs.shapes_a, plan._tb, plan.pairs.theta, plan.log_gain(1)):
         assert not arr.flags.writeable
+
+
+# Link a's means and kappas, then link b's, of five sets on the cell
+# (6, 2, 6, 2): a plain set, a collapsed one (kappa 0), a tied one (two
+# equal links) and two that the plain set's plan refuses.
+MIXED_SETS = np.array(([1.0, 1.0, 2.0, -1.0, 1e200], [1.0, 0.0, 0.3, 1.0, 1.0],
+                       [1.0, 1.0, 2.0, 1.0, 1e200], [0.5, 2.0, 0.3, 0.5, 0.5]))
+MIXED_SETS.setflags(write=False)
 
 
 def test_mixed_batch_gives_each_set_its_models_bits():
@@ -449,8 +458,7 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     # set gets the refusal, class and message, that it gets weighed alone.
     from prodfade.pdist import _cdf_rows_at, _cell_plan, _plan_key
 
-    sets = np.array(([1.0, 1.0, 2.0, -1.0, 1e200], [1.0, 0.0, 0.3, 1.0, 1.0],
-                     [1.0, 1.0, 2.0, 1.0, 1e200], [0.5, 2.0, 0.3, 0.5, 0.5]))
+    sets = MIXED_SETS
     means_a, kappas_a, means_b, kappas_b = sets
     z = np.geomspace(1e-5, 30.0, 37)
     rows_at = _cdf_rows_at(z)
@@ -470,18 +478,51 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     alone, alone_ok = rows_at((6, 2, 6, 2), sets[:, pick])
     assert alone_ok.tolist() == [True, False, False]
     assert alone.tobytes() == rows[pick].tobytes()
-    keys = np.array([_plan_key((6, 2, 6, 2), *column) for column in sets.T.tolist()])
-    assert keys[3:].tolist() == [keys[0]] * 2 and len(set(keys.tolist())) == 3
+    keys = [_plan_key((6, 2, 6, 2), *column) for column in sets.T.tolist()]
+    plain = ((6, 2, False), (6, 2, False), False)
+    collapsed, tied = ((6, 2, True), (6, 2, False), False), ((6, 2, False), (6, 2, False), True)
+    assert keys == [plain, collapsed, tied, plain, plain]
     refused = []
-    for key in set(keys.tolist()):
-        group = (keys == key).nonzero()[0]
-        plan = _cell_plan((6, 2, 6, 2), key)
+    for key in set(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        plan = _cell_plan(*key)
         _, _, together = plan.weigh(sets[0:4:2, group], sets[1:4:2, group])
-        for i, refusal in zip(group.tolist(), together):
+        for i, refusal in zip(group, together):
             (single,) = plan.weigh(sets[0:4:2, i:i + 1], sets[1:4:2, i:i + 1])[2]
             assert type(refusal) is type(single) and str(refusal) == str(single), i
             refused += [i] if refusal is not None else []
     assert sorted(refused) == [3, 4]
+
+
+def test_a_mixed_round_does_not_depend_on_its_order():
+    # A mixed round splits into plan groups, visited as their plans first
+    # appear: every permutation of the mixed batch's five sets (plain,
+    # collapsed, tied and two refused, three plans), which visits the
+    # groups in every order, permutes its rows and ok, byte for byte.
+    from prodfade.pdist import _cdf_rows_at
+
+    rows_at = _cdf_rows_at(np.geomspace(1e-5, 30.0, 37))
+    rows, ok = rows_at((6, 2, 6, 2), MIXED_SETS)
+    assert ok.tolist() == [True, True, True, False, False]
+    for order in itertools.permutations(range(5)):
+        order = list(order)
+        moved, moved_ok = rows_at((6, 2, 6, 2), MIXED_SETS[:, order])
+        assert moved.tobytes() == rows[order].tobytes(), order
+        assert moved_ok.tolist() == ok[order].tolist(), order
+
+
+def test_a_set_weighed_on_another_forms_plan_is_refused():
+    # Kappa 0 weighed on the uncollapsed plan of a mu > m link: dom 0
+    # gives its dom ** -k terms infinities of both signs, whose weight sum
+    # is NaN, so the set is refused with the weight-sum ValueError, as the
+    # same set at kappa 1e-13 is, and nothing raises.
+    from prodfade.pdist import _cell_plan
+
+    plan = _cell_plan((6, 2, False), (6, 2, False), False)
+    _, _, refusals = plan.weigh(np.ones((2, 2)), np.array([[0.0, 1e-13], [2.0, 2.0]]))
+    for refusal in refusals:
+        assert type(refusal) is ValueError
+        assert str(refusal).startswith("mixture weights must sum to 1 within")
 
 
 def test_one_plan_round_gives_each_set_its_models_bytes():
@@ -493,7 +534,8 @@ def test_one_plan_round_gives_each_set_its_models_bytes():
 
     cell = (1, 2, 2, 1)
     sets = np.array(([1.0, 0.7, 1.3], [0.2, 1.5, 6.0], [1.0, 1.0, 1.0], [0.4, 3.0, 12.0]))
-    assert {_plan_key(cell, *column) for column in sets.T.tolist()} == {0}
+    assert {_plan_key(cell, *column) for column in sets.T.tolist()} == {
+        ((1, 2, False), (2, 1, False), False)}
     z = np.geomspace(1e-4, 30.0, 41)
     rows_at = _cdf_rows_at(z)
     rows, ok = rows_at(cell, sets)

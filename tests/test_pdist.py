@@ -525,8 +525,9 @@ def test_empty_batches_give_empty_rows():
 
 def test_envelope_batch_makes_one_call_per_plan_group(monkeypatch):
     # The batch of test_envelope_batch_gives_each_set_its_models_bits
-    # takes plans [0, 2, 4, 2, 0]: one envelope density call per plan,
-    # carrying every set its weighing keeps (the kappa -1 set is
+    # takes the plans plain, link a collapsed, tied, link a collapsed and
+    # plain: one envelope density call per plan, as the plans first
+    # appear, carrying every set its weighing keeps (the kappa -1 set is
     # refused there), with the rows and flags of the batch unchanged.
     from prodfade import pdist
 
@@ -677,6 +678,33 @@ def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
         assert model.pair_count == terms * len(expand(other))
         assert cdf_ok[i] and np.array_equal(cdf_rows[i], model.cdf(z))
         assert pdf_ok[i] and np.array_equal(pdf_rows[i], EnvelopeModel(model, 1.3).pdf(r))
+
+
+@pytest.mark.parametrize("mu, m, kappa", [(40, 1, 5e-12), (60, 2, 1e-11), (30, 1, 2e-12)])
+def test_weights_past_the_double_range_are_refused(mu, m, kappa):
+    # Just above KAPPA_ZERO_TOL a mu > m link's long-double weights can
+    # pass the largest double: cast, they are infinities of both signs
+    # (or, for (30, 1), finite with a sum far off 1).  The mixture, the
+    # model and a fit's batch all refuse the link with the weight-sum
+    # ValueError, with no warning, and the batch's other set keeps its
+    # model's bytes.
+    from prodfade.pdist import _cdf_rows_at
+
+    link, other = ShadowedParams(1.0, kappa, mu, m), ShadowedParams(1.0, 1.0, 1, 1)
+    z = np.geomspace(1e-3, 10.0, 5)
+    sets = np.array([[1.0, 1.0], [kappa, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mixture weights must sum to 1") as refused:
+            expand(link)
+        with pytest.raises(ValueError) as model_refused:
+            ProductModel(link, other)
+        rows, ok = _cdf_rows_at(z)((mu, m, 1, 1), sets)
+        neighbour = ProductModel(ShadowedParams(1.0, 1.0, mu, m), other).cdf(z)
+    assert str(model_refused.value) == str(refused.value)
+    assert ok.tolist() == [False, True]
+    assert rows[0].tobytes() == np.zeros(z.size).tobytes()
+    assert rows[1].tobytes() == neighbour.tobytes()
 
 
 def test_envelope_past_the_double_range():

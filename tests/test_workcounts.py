@@ -215,11 +215,11 @@ def test_a_fit_round_climbs_once(climbs, rounds, small_fit_data):
     # row per candidate and distinct theta, and the rungs up to the
     # plan's highest Bessel order.  The cell has a mu > m link, so two
     # thetas, and its rows reach order 1.  The fit climbs nowhere else.
-    cell = (1, 2, 2, 1)
+    # The cell is (1, 2, 2, 1), with neither link collapsed.
     cfg = SearchConfig(mu_grid=(1,), m_grid=(2,), mu_hat_grid=(2,), m_hat_grid=(1,), n_starts=3,
                        max_points=30, min_cdf=1e-3, kappa_range=(0.01, 50.0))
     (entry,) = fit_cdf(small_fit_data, cfg).search_trace
-    pairs = prodfade.pdist._cell_plan(cell, 0).pairs
+    pairs = prodfade.pdist._cell_plan((1, 2, False), (2, 1, False), False).pairs
     thetas, rungs = int(pairs.theta.max()) + 1, pairs.cdf.max_order + 1
     assert (thetas, rungs) == (2, 2)
     assert len(rounds) > 20 and sum(rounds) == entry["nfev"]
