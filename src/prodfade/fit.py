@@ -646,7 +646,8 @@ def _search_cells(config, residuals, level_row, norm, level_name, level, tail=No
     take them, a column each (link a's mean power and kappa, link b's,
     and further rows), gives a (candidates x residuals) array of model
     minus data values, and per candidate whether it could be evaluated;
-    both fits weigh a batch on the cell's plan in one engine call.  The
+    both fits weigh a batch on the cell's plan in one engine call, two
+    where a candidate at kappa near 0 collapses a ``mu > m`` link.  The
     candidates' level is row ``level_row`` of ``sets`` (0, link a's mean
     power, or 4, a fifth row), and the other mean powers are 1.  Each
     round's ``sets`` is one copy of the cell's constant column, with

@@ -32,7 +32,10 @@ depend on the integer layout alone, and the :class:`Pairs` layout
 builds each on first use and keeps it, so a fit that revisits an
 integer cell at many ``kappa`` (through the cell's cached plan) plans
 it once; what each call still pays is the kernel math (the ladder's
-``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.
+``K_0``/``K_1`` seeds, the exp-sinh sums of U) and the sum.  The engine
+keeps its last Bessel climb, arguments and rungs: a call from the same
+arguments that needs no higher order, as a pdf after a cdf of one model
+on one grid, climbs no ladder.
 
 Nothing here calls scipy: a plan's log-gamma coefficients are exact
 integer log-factorials (:func:`prodfade.specfun.ln_gamma_ints`), and
@@ -58,7 +61,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .specfun import ln_gamma_ints, log_bessel_k_ladder
+from .specfun import _check_order, ln_gamma_ints, log_bessel_k_ladder
 
 __all__ = ["Pairs", "weighted_pdf_sum", "weighted_cdf_sum", "weighted_mgf_sum"]
 
@@ -68,6 +71,14 @@ _LN2 = math.log(2.0)
 # vectorized block; larger requests are chunked over the evaluation grid
 # to bound peak memory.
 _BLOCK_BUDGET = 2_000_000
+
+# The last climb of _bessel_rows, if of at most _CLIMB_KEPT arguments: its
+# log arguments and its rungs.  The pdf and the cdf of one model on one
+# grid, as ``eval`` and a domain sweep tabulate them, climb from the same
+# arguments; the second takes the first one's rungs, the bits it would
+# compute, for the cost of a comparison.  Replaced whole, never written.
+_CLIMB_KEPT = 2048
+_last_climb = (np.empty((0, 0, 0)), np.empty((0, 0, 0, 0)))
 
 # Merged kernel rows of the pdf and cdf sums.
 # ``np.bincount(merge, weights[source])`` gives the row weights; row
@@ -237,12 +248,29 @@ def _bessel_rows(plan, log_thetas, log_x, shift=False):
     rows' highest order; each rung is kept, and every row then gathers
     its own.  With ``shift``, each row's ``ln theta`` is subtracted
     after the other terms.
+
+    The last climb is kept (``_last_climb``): a call whose log arguments
+    equal its arguments, in their (sets x distinct theta x points) shape
+    and in every value, and whose rows need no higher order, calls no
+    ladder and gathers from its rungs, as a pdf after a cdf on one grid
+    does.  The order is checked first, hit or miss.  The rows returned
+    are new arrays; neither the kept arguments nor the kept rungs are
+    ever written.
     """
+    global _last_climb
     lu = log_x - log_thetas[:, :, None]   # (sets, distinct theta, points)
-    rungs = np.empty((lu.shape[0], plan.max_order + 1) + lu.shape[1:])
-    for nu, lk in log_bessel_k_ladder(np.multiply(lu, 0.5).reshape(-1, log_x.size),
-                                      plan.max_order):
-        rungs[:, nu] = lk.reshape(lu.shape)
+    _check_order(plan.max_order)
+    last_lu, rungs = _last_climb
+    # a fit round's new arguments mostly differ in the first, which is
+    # compared on its own before all of them
+    if not (last_lu.shape == lu.shape and plan.max_order < rungs.shape[1]
+            and (not lu.size or last_lu.flat[0] == lu.flat[0]) and (last_lu == lu).all()):
+        rungs = np.empty((lu.shape[0], plan.max_order + 1) + lu.shape[1:])
+        for nu, lk in log_bessel_k_ladder(np.multiply(lu, 0.5).reshape(-1, log_x.size),
+                                          plan.max_order):
+            rungs[:, nu] = lk.reshape(lu.shape)
+        if lu.size <= _CLIMB_KEPT:
+            _last_climb = (lu, rungs)
     lt = lu.take(plan.theta, axis=1)
     lt *= plan.expo
     lt += plan.log_coef

@@ -50,8 +50,9 @@ __all__ = [
     "sample_single",
 ]
 
-#: Below this, kappa is treated as exactly zero (Nakagami-m limit of the
-#: expansion; the general branch would divide by kappa).
+#: At or below this, a ``mu > m`` link is taken at kappa exactly zero
+#: (Nakagami-m limit of the expansion, whose ``mu > m`` branch divides by
+#: kappa); a ``mu <= m`` link's expansion holds at every kappa, 0 included.
 KAPPA_ZERO_TOL = 1e-12
 
 #: Finite shadowing order used as a stand-in for an unshadowed
@@ -213,14 +214,18 @@ _Layout = namedtuple("_Layout", "coef base_pow dom_pow shapes boosted")
 
 def _link_form(mu, m, kappa):
     """The rule that picks a link's form: its :func:`_link_layout` key ``(mu, m,
-    collapsed)``, collapsed to the single term Gamma(mu, unit) at a float kappa near 0."""
-    return mu, m, kappa <= KAPPA_ZERO_TOL
+    collapsed)``, collapsed to the single term Gamma(mu, unit) only where the
+    expansion needs it, ``mu > m`` at a float kappa near 0.  A ``mu <= m`` link
+    keeps its full layout at every kappa: at kappa 0 its terms but Gamma(mu,
+    unit) weigh exactly 0, and its boosted scale is the unit one."""
+    return mu, m, mu > m and kappa <= KAPPA_ZERO_TOL
 
 
 @lru_cache(maxsize=1024)
 def _link_layout(mu, m, zero):
     """Term layout of a :func:`_link_form` key: the expansion of an integer
-    ``(mu, m)`` link, or, with ``zero``, its collapse.
+    ``(mu, m)`` link, or, with ``zero`` (which the rule sets for ``mu > m``
+    alone), its collapse.
 
     The mu > m table's leading term has an exact zero weight; it is left
     out here, as :func:`expand` would prune it.  The arrays are read-only.
@@ -336,13 +341,22 @@ def _log_sums(w, lt):
     return [t + math.log(v) if v > 0.0 else math.nan for t, v in zip(top.tolist(), sums)]
 
 
-def _moment(log_total, order):
-    """The moment of ``order`` whose :func:`_log_sums` is ``log_total``: raises
-    ``OverflowError`` past the largest double, ``ArithmeticError`` if NaN."""
+def _moment_refusal(log_total, order):
+    """``None`` or the exception that refuses the moment of ``order`` whose
+    :func:`_log_sums` is ``log_total``: ``OverflowError`` past the largest
+    double, ``ArithmeticError`` if NaN (a sum not > 0)."""
     if log_total > _LOG_DBL_MAX:
-        raise OverflowError("moment of order %s overflows double precision" % (order,))
+        return OverflowError("moment of order %s overflows double precision" % (order,))
     if not log_total <= _LOG_DBL_MAX:
-        raise ArithmeticError("moment of order %s is not > 0" % (order,))
+        return ArithmeticError("moment of order %s is not > 0" % (order,))
+    return None
+
+
+def _moment(log_total, order):
+    """The moment of ``order`` whose :func:`_log_sums` is ``log_total``, or the
+    :func:`_moment_refusal` raised."""
+    if (refusal := _moment_refusal(log_total, order)) is not None:
+        raise refusal
     return math.exp(log_total)
 
 

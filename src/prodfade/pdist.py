@@ -38,7 +38,7 @@ from .gammagamma import Pairs, weighted_cdf_sum, weighted_mgf_sum, weighted_pdf_
 from .mixture import (
     _LOG_DBL_MAX, CDF_RANGE_TOL, ShadowedParams, _all_finite, _cdf_in_range, _clip_unit,
     _link_form, _link_layout, _link_refusal, _link_terms, _links_layout, _log_gains, _log_points,
-    _log_sums, _moment, _points, _positive, _worst_cdf, expand, sample_single,
+    _log_sums, _moment, _moment_refusal, _points, _positive, _worst_cdf, expand, sample_single,
 )
 from .specfun import tricomi_u_times_xa
 
@@ -125,8 +125,9 @@ class _CellPlan:
         both links.  One loop over the sets refuses a set as building its
         model would: :func:`_link_refusal` of link a, then of link b, or a
         closed-form mean (:meth:`log_moments` of order 1, a mean below the
-        least double included) past the largest double, or whose log leaves
-        1e-12 of ``ln mean_a + ln mean_b``.
+        least double included) that :func:`~prodfade.mixture._moment_refusal`
+        refuses, past the largest double or a pair sum not > 0, or whose
+        log leaves 1e-12 of ``ln mean_a + ln mean_b``.
         """
         with np.errstate(all="ignore"):     # refused sets' terms (past doubles too) and means
             terms, scales = _link_terms(self._joint, means.T, kappas.T)
@@ -142,9 +143,9 @@ class _CellPlan:
                 *ln_means):
             refusal = (_link_refusal(sc[a0] > 0.0 < sc[a1], row[:na], mean_a, kappa_a)
                        or _link_refusal(sc[b0] > 0.0 < sc[b1], row[na:], mean_b, kappa_b))
-            if refusal is None and log_mean > _LOG_DBL_MAX:
-                refusal = OverflowError("moment of order 1 overflows double precision")
             # written so that NaN fails the check too
+            if refusal is None and not log_mean <= _LOG_DBL_MAX:
+                refusal = _moment_refusal(log_mean, 1)
             elif refusal is None and not abs(log_mean - (ln_a + ln_b)) <= 1e-12:
                 refusal = ArithmeticError("product log mean %.17g deviates from %.17g beyond "
                                           "1e-12" % (log_mean, ln_a + ln_b))
@@ -187,7 +188,9 @@ def _cell_rows(cell, sets, rows, size):
 
     The rows of ``sets`` hold the means and kappas of link a, of link b,
     and any further values, a parameter set per column.  A batch of one
-    plan (:func:`_plan_key`), a fit round's usual case, is weighed by one
+    plan (:func:`_plan_key`), a fit round's usual case (a candidate at
+    kappa 0 keeps a ``mu <= m`` link's plan; only the collapse of a ``mu >
+    m`` link starts another), is weighed by one
     :meth:`_CellPlan.weigh`, with its checks, and its sets that pass go
     to one ``rows(plan, w, lth, *further)`` call (one Bessel climb and one
     einsum), giving their (sets x ``size``) values and whether each is

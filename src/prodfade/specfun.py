@@ -93,13 +93,6 @@ _SEED_BLOCK = 2048
 _LOG_HALF_LIMIT = 700.0
 _EULER_GAMMA = "0.57721566490153286060651209008240243104215933593992"
 
-# A copy of the last climb's log arguments, if at most _SEED_BLOCK, and their
-# seeds.  The pdf and the cdf of one model on one grid, as ``eval`` and a
-# domain sweep tabulate them, climb from the same arguments; the second
-# climb takes the first one's seeds, the bits it would compute, for the
-# cost of a comparison.  Replaced whole, never written in place.
-_last_seeds = (np.empty(0), np.empty((2, 0)))
-
 
 def _check_order(n):
     if not float(n).is_integer():
@@ -264,11 +257,9 @@ def log_bessel_k_ladder(log_half, max_order):
     orders for the cost of the highest one.
 
     Each rung is yielded as a new array of the shape of ``log_half``,
-    which is not written.  A climb from the same log arguments as the
-    one before it, bit for bit, reuses that climb's seeds.  A climb from
-    other arguments, such as each fit round's, pays for the cache a
-    comparison of its first argument and, with at most
-    :data:`_SEED_BLOCK` arguments, a copy of them and of their seeds.
+    which is not written.  The ladder keeps nothing between calls: every
+    climb computes its seeds.  Reuse of a climb is the kernel engine's
+    (:func:`prodfade.gammagamma._bessel_rows`), which owns its arguments.
 
     Parameters
     ----------
@@ -284,17 +275,7 @@ def log_bessel_k_ladder(log_half, max_order):
     if not lo > -math.inf:
         raise ValueError("Bessel log argument ln(x/2) must not be NaN or -inf")
 
-    global _last_seeds
-    last_lh, last_lk = _last_seeds
-    # a fit round's new arguments mostly differ in the first, which is
-    # compared on its own before all of them
-    if (last_lh.shape == lh.shape and (not lh.size or last_lh.flat[0] == lh.flat[0])
-            and (last_lh == lh).all()):
-        lprev, lcur = last_lk.copy()
-    else:
-        lprev, lcur = lk = _log_bessel_k01(lh)
-        if lh.size <= _SEED_BLOCK:
-            _last_seeds = (lh.copy(), lk.copy())
+    lprev, lcur = _log_bessel_k01(lh)
     yield 0, lprev
     if max_order == 0:
         return

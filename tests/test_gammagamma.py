@@ -546,3 +546,128 @@ def test_one_plan_round_gives_each_set_its_models_bytes():
         assert rows[i].tobytes() == model.cdf(z).tobytes()
         alone, alone_ok = rows_at(cell, sets[:, i:i + 1])
         assert alone_ok.tolist() == [True] and alone.tobytes() == rows[i].tobytes()
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """The engine with its kept climb cleared, and ``[max_order, ...]`` of
+    every ladder climb made in the test; ``ladder_calls.clear_climb()``
+    clears the kept climb again."""
+    from prodfade import gammagamma
+
+    class Record(list):
+        def clear_climb(self):
+            monkeypatch.setattr(gammagamma, "_last_climb",
+                                (np.empty((0, 0, 0)), np.empty((0, 0, 0, 0))))
+
+    record = Record()
+    ladder = gammagamma.log_bessel_k_ladder
+
+    def recording(log_half, max_order):
+        record.append(max_order)
+        return ladder(log_half, max_order)
+
+    monkeypatch.setattr(gammagamma, "log_bessel_k_ladder", recording)
+    record.clear_climb()
+    return record
+
+
+ENGINE_MODEL = ((1.0, 2.6, 1, 4), (1.0, 2.6, 1, 4))
+ENGINE_Z = np.geomspace(1e-7, 20.0, 200)
+
+
+def test_a_pdf_after_its_cdf_on_one_grid_climbs_no_ladder(ladder_calls):
+    # The cdf of a model climbs to order 4 and its pdf needs order 3 on the
+    # same arguments: the pdf takes the cdf's rungs and calls no ladder,
+    # with the bytes of a pdf whose engine kept no climb.
+    model = ProductModel(*(ShadowedParams(*p) for p in ENGINE_MODEL))
+    cdf = model.cdf(ENGINE_Z)
+    pdf = model.pdf(ENGINE_Z)
+    assert ladder_calls == [4]
+    ladder_calls.clear_climb()
+    fresh = model.pdf(ENGINE_Z)
+    assert ladder_calls == [4, 3]
+    assert pdf.tobytes() == fresh.tobytes()
+    ladder_calls.clear_climb()
+    assert model.cdf(ENGINE_Z).tobytes() == cdf.tobytes()
+
+
+@pytest.mark.parametrize("changed", [-1, 97])
+def test_a_grid_that_differs_in_one_point_misses_the_kept_climb(ladder_calls, changed):
+    # A grid of the kept climb's shape that differs from its grid in the
+    # last point, or in one interior point only, climbs afresh and gets
+    # the bytes of an engine that kept no climb: the lookup compares every
+    # argument, not only the first.
+    model = ProductModel(*(ShadowedParams(*p) for p in ENGINE_MODEL))
+    z = ENGINE_Z.copy()
+    z[changed] *= 1.25
+    model.cdf(ENGINE_Z)
+    moved = model.pdf(z)
+    assert ladder_calls == [4, 3]
+    ladder_calls.clear_climb()
+    assert moved.tobytes() == model.pdf(z).tobytes()
+
+
+def test_the_same_arguments_in_another_layout_miss_the_kept_climb(ladder_calls):
+    # One set of two thetas, then two sets of one theta each, at the same
+    # log scale products and points: the same flattened arguments in
+    # another (sets x theta) layout, which climbs afresh, with the bytes
+    # of an engine that kept no climb.
+    log_x, log_thetas = np.log(np.geomspace(1e-3, 30.0, 23)), np.array([[0.3, -1.2]])
+    two = Pairs([2, 2], [3, 3], [0, 1])
+    one = Pairs([2], [3], [0])
+    weighted_cdf_sum(np.array([[0.4, 0.6]]), two.shapes_a, two.shapes_b, log_thetas, log_x, two)
+    rows = weighted_cdf_sum(np.ones((2, 1)), one.shapes_a, one.shapes_b, log_thetas.T, log_x,
+                            one)
+    assert ladder_calls == [3, 3]
+    ladder_calls.clear_climb()
+    fresh = weighted_cdf_sum(np.ones((2, 1)), one.shapes_a, one.shapes_b, log_thetas.T, log_x,
+                             one)
+    assert rows.tobytes() == fresh.tobytes()
+
+
+def test_a_hit_that_needs_a_higher_order_climbs(ladder_calls):
+    # The same arguments, then rows of a higher Bessel order: the second
+    # call climbs to its own order, and a third call of the first order
+    # takes that climb's lower rungs, with the bytes of its own climb.
+    log_x, log_thetas = np.log(np.geomspace(1e-3, 30.0, 23)), np.array([[0.3]])
+    low, high = Pairs([1], [2], [0]), Pairs([1], [6], [0])
+    rows = {}
+    for pairs in (low, high, low):
+        rows[pairs] = weighted_cdf_sum(np.ones((1, 1)), pairs.shapes_a, pairs.shapes_b,
+                                       log_thetas, log_x, pairs)
+    assert ladder_calls == [2, 6]
+    ladder_calls.clear_climb()
+    fresh = weighted_cdf_sum(np.ones((1, 1)), low.shapes_a, low.shapes_b, log_thetas, log_x, low)
+    assert ladder_calls == [2, 6, 2]
+    assert rows[low].tobytes() == fresh.tobytes()
+
+
+def test_a_hit_past_a_lowered_order_bound_still_raises(ladder_calls, monkeypatch):
+    # The order is checked before the kept climb is looked up: with
+    # MAX_BESSEL_ORDER lowered below the model's orders, the pdf that the
+    # cdf's climb would serve raises, as the same pdf with no kept climb.
+    from prodfade import specfun
+
+    model = ProductModel(*(ShadowedParams(*p) for p in ENGINE_MODEL))
+    model.cdf(ENGINE_Z)
+    monkeypatch.setattr(specfun, "MAX_BESSEL_ORDER", 2)
+    with pytest.raises(ValueError, match="Bessel order"):
+        model.pdf(ENGINE_Z)
+    assert ladder_calls == [4]
+
+
+def test_writing_into_returned_rows_changes_no_later_call(ladder_calls):
+    # The kernel rows are new arrays: writing into them leaves the kept
+    # arguments and rungs as they were, and the next call, which takes
+    # the kept climb, gives the first call's bytes.
+    from prodfade.gammagamma import _bessel_rows
+
+    pairs = Pairs([2, 3], [4, 1], [0, 1])
+    log_x, log_thetas = np.log(np.geomspace(1e-3, 30.0, 23)), np.array([[0.3, -1.2]])
+    rows = _bessel_rows(pairs.cdf, log_thetas, log_x)
+    kept = rows.tobytes()
+    rows[...] = np.nan
+    again = _bessel_rows(pairs.cdf, log_thetas, log_x)
+    assert len(ladder_calls) == 1
+    assert again.tobytes() == kept

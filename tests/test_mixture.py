@@ -82,12 +82,14 @@ def reference_table(params):
     """The expansion's term table, one term at a time in extended precision.
 
     Returns (weights, shapes, scales) in canonical table order; the mu > m
-    table's leading term has an exact zero weight.
+    table's leading term has an exact zero weight.  A mu > m link at kappa
+    <= KAPPA_ZERO_TOL is the single term Gamma(mu); a mu <= m link takes its
+    table at every kappa.
     """
     gbar = np.longdouble(params.mean_power)
     kap = np.longdouble(params.kappa)
     mu, m = params.mu, params.m
-    if params.kappa <= KAPPA_ZERO_TOL:
+    if mu > m and params.kappa <= KAPPA_ZERO_TOL:
         return np.array([np.longdouble(1.0)]), np.array([mu]), np.array([gbar / mu])
     mk = mu * kap
     base = np.longdouble(m) / (mk + m)
@@ -251,10 +253,21 @@ def test_pdf_at_origin_by_total_shape():
 
 
 def test_tiny_kappa_collapses_to_gamma():
-    mix = expand(ShadowedParams(1.0, KAPPA_ZERO_TOL / 2, 3, 5))
+    # A mu > m link at kappa <= KAPPA_ZERO_TOL is the single term Gamma(mu).
+    # A mu <= m link keeps its full expansion there, whose cdf is within
+    # 1e-12 of Gamma(mu)'s, and at kappa 0 is the one term Gamma(mu).
+    mix = expand(ShadowedParams(1.0, KAPPA_ZERO_TOL / 2, 5, 3))
     assert mix.weights.size == 1
-    assert mix.shapes[0] == 3
-    assert mix.scales[0] == pytest.approx(1.0 / 3.0)
+    assert mix.shapes[0] == 5
+    assert mix.scales[0] == pytest.approx(1.0 / 5.0)
+    full = expand(ShadowedParams(1.0, KAPPA_ZERO_TOL / 2, 3, 5))
+    assert sorted(full.shapes.tolist()) == [3, 4, 5]
+    x = np.geomspace(1e-4, 10.0, 31)
+    gamma3 = special.gammainc(3, 3.0 * x)
+    assert np.max(np.abs(full.cdf(x) - gamma3)) <= 1e-12
+    zero = expand(ShadowedParams(1.0, 0.0, 3, 5))
+    assert (zero.weights.tolist(), zero.shapes.tolist()) == ([1.0], [3])
+    assert zero.scales[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_values_past_the_double_range_take_their_limits():

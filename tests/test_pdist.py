@@ -494,6 +494,35 @@ def test_batches_refuse_exactly_the_sets_whose_models_refuse():
             assert np.array_equal(env_rows[i], EnvelopeModel(model, scales[i]).pdf(r))
 
 
+@pytest.mark.parametrize("link", [(1.0, 1e-9, 2, 1), (1.0, 1e-6, 4, 3)])
+def test_a_product_mean_sum_not_above_zero_is_refused_by_the_moment_rule(link):
+    # Each link is accepted alone, but the product's signed pair weights
+    # cancel to a mean sum not > 0, a NaN log mean: ProductModel(p, p) is
+    # refused by the moment rule, in its words, not as a deviation of the
+    # mean.  A cdf batch that holds the set beside a good one refuses it
+    # alone, and the good row keeps the bytes of its model and of its own
+    # one-set batch.
+    from prodfade.pdist import _cdf_rows_at
+
+    p = ShadowedParams(*link)
+    expand(p)
+    with pytest.raises(ArithmeticError) as refused:
+        ProductModel(p, p)
+    assert type(refused.value) is ArithmeticError
+    assert str(refused.value) == "moment of order 1 is not > 0"
+    mu, m, kappa = link[2], link[3], link[1]
+    cell, z = (mu, m, mu, m), np.geomspace(1e-5, 30.0, 23)
+    sets = np.array([[1.0, 1.0], [kappa, 1.0], [1.0, 1.0], [kappa, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, ok = _cdf_rows_at(z)(cell, sets)
+        alone, _ = _cdf_rows_at(z)(cell, sets[:, 1:])
+    assert ok.tolist() == [False, True]
+    assert rows[0].tobytes() == np.zeros(z.size).tobytes()
+    good = ShadowedParams(1.0, 1.0, mu, m)
+    assert rows[1].tobytes() == ProductModel(good, good).cdf(z).tobytes() == alone[0].tobytes()
+
+
 def test_each_failed_build_raises_its_own_refusal():
     # Builds of one refused parameter set share a cached weighing, but each
     # raises a fresh exception, so a refusal a caller holds keeps its
@@ -564,11 +593,13 @@ def test_batches_of_refused_sets_give_fill_rows(cell):
 
 
 def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
-    # With the Bessel orders capped at 2, the collapsed plan of cell
-    # (1, 4, 1, 4) (both kappas 0, orders <= 1) still evaluates, and the
-    # full plan (cdf orders up to 4, pdf up to 3) raises.  A batch that
-    # mixes the two gives the collapsed sets their models' bits and the
-    # full-plan sets rows of 0.0 and False, and raises nothing.
+    # With the Bessel orders capped at 2, the full plan of cell (5, 2, 1,
+    # 1) (cdf orders up to 1, pdf up to 2) still evaluates, and the plan
+    # that collapses its mu > m link (kappa 0; cdf orders up to 3, pdf up
+    # to 4) raises: the collapse keeps the link's highest shape, mu, alone.
+    # A batch that mixes the two gives the full-plan sets their models'
+    # bits and the collapsed sets rows of 0.0 and False, and raises
+    # nothing.
     from prodfade import specfun
     from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
@@ -578,20 +609,20 @@ def test_a_plan_fault_refuses_its_own_group_alone(monkeypatch):
     z, r = np.geomspace(1e-4, 20.0, 19), np.geomspace(1e-3, 6.0, 17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cdf_rows, cdf_ok = _cdf_rows_at(z)((1, 4, 1, 4),
+        cdf_rows, cdf_ok = _cdf_rows_at(z)((5, 2, 1, 1),
                                            np.array((means, kappas_a, means, kappas_b)))
-        pdf_rows, pdf_ok = _envelope_rows_at(r)((1, 4, 1, 4), np.array((np.ones(4), kappas_a,
+        pdf_rows, pdf_ok = _envelope_rows_at(r)((5, 2, 1, 1), np.array((np.ones(4), kappas_a,
                                                                         np.ones(4), kappas_b,
                                                                         scales)))
-    assert cdf_ok.tolist() == pdf_ok.tolist() == [True, False, True, False]
-    for i in (0, 2):
-        model = make((means[i], kappas_a[i], 1, 4), (means[i], kappas_b[i], 1, 4))
+    assert cdf_ok.tolist() == pdf_ok.tolist() == [False, True, False, True]
+    for i in (1, 3):
+        model = make((means[i], kappas_a[i], 5, 2), (means[i], kappas_b[i], 1, 1))
         assert np.array_equal(cdf_rows[i], model.cdf(z))
-        unit = make((1.0, kappas_a[i], 1, 4), (1.0, kappas_b[i], 1, 4))
+        unit = make((1.0, kappas_a[i], 5, 2), (1.0, kappas_b[i], 1, 1))
         assert np.array_equal(pdf_rows[i], EnvelopeModel(unit, scales[i]).pdf(r))
-    assert (cdf_rows[[1, 3]] == 0.0).all() and (pdf_rows[[1, 3]] == 0.0).all()
+    assert (cdf_rows[[0, 2]] == 0.0).all() and (pdf_rows[[0, 2]] == 0.0).all()
     with pytest.raises(ValueError, match="Bessel order"):
-        make((1.0, 1.0, 1, 4), (1.0, 2.0, 1, 4)).cdf(z)
+        make((1.0, 0.0, 5, 2), (1.0, 0.0, 1, 1)).cdf(z)
 
 
 def test_an_envelope_argument_underflow_gives_its_set_density_zero(monkeypatch):
@@ -646,12 +677,14 @@ def test_envelope_model_refuses_a_bad_constant_at_construction():
 
 @pytest.mark.parametrize("mu, m", [(6, 2), (2, 3)])
 def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
-    # A link at kappa <= KAPPA_ZERO_TOL is the single term Gamma(mu), and
-    # above it the full expansion, for the mixture, the model's plan and
-    # both fits' batches alike; each batch row is its model's, bit for
-    # bit.  Just above the tolerance a mu > m link's signed weights do not
-    # sum to one, so the mixture, the model and the batches all refuse it
-    # (ROADMAP item 1).
+    # A mu > m link at kappa <= KAPPA_ZERO_TOL is the single term
+    # Gamma(mu), and above it the full expansion, for the mixture, the
+    # model's plan and both fits' batches alike; a mu <= m link collapses
+    # on no path, its plan full at every kappa (its mixture at kappa 0
+    # prunes to the one term of nonzero weight).  Each batch row is its
+    # model's, bit for bit.  Just above the tolerance a mu > m link's
+    # signed weights do not sum to one, so the mixture, the model and the
+    # batches all refuse it (ROADMAP item 1).
     from prodfade.mixture import KAPPA_ZERO_TOL
     from prodfade.pdist import _cdf_rows_at, _envelope_rows_at
 
@@ -672,8 +705,9 @@ def test_collapse_boundary_is_one_rule_on_every_path(mu, m):
             assert str(model_refused.value) == str(refused.value)
             assert not cdf_ok[i] and not pdf_ok[i]
             continue
-        terms = len(expand(link))
-        assert (terms == 1) == (kappa <= KAPPA_ZERO_TOL)
+        collapsed = mu > m and kappa <= KAPPA_ZERO_TOL
+        terms = 1 if collapsed else m - mu + 1
+        assert len(expand(link)) == (1 if collapsed or kappa == 0.0 else terms)
         model = ProductModel(link, other)
         assert model.pair_count == terms * len(expand(other))
         assert cdf_ok[i] and np.array_equal(cdf_rows[i], model.cdf(z))

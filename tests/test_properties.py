@@ -142,7 +142,7 @@ def test_envelope_cdf_is_the_power_cdf_transformed(link_a, link_b, envelope_scal
 # 1e-4..20.  Link a is positive ((1, 4), (2, 5)) or signed (mu > m).
 KAPPA_STEP = 1e-9
 CONTINUITY_Z = np.geomspace(1e-4, 20.0, 25)
-CONTINUITY_LINKS = [(1, 4), (2, 5), (6, 2), (3, 1), (4, 1), (12, 1)]
+CONTINUITY_LINKS = [(1, 4), (2, 5), (6, 2), (3, 1), (4, 1), (12, 1), (2, 1)]
 # Signed links refused at small kappa, with the class each raises: their
 # weights miss the sum (ValueError), or the product's log mean leaves
 # ln mean_a + ln mean_b by more than 1e-12 (ArithmeticError).
@@ -151,6 +151,7 @@ CONTINUITY_REFUSED = {
     (3, 1, 1e-6): ValueError, (3, 1, 1e-3): ValueError,
     (4, 1, 1e-6): ValueError, (4, 1, 1e-3): ArithmeticError,
     (12, 1, 1e-6): ValueError, (12, 1, 1e-3): ValueError,
+    (2, 1, 1e-6): ArithmeticError,
 }
 
 

@@ -151,11 +151,12 @@ def test_plan_is_built_once_per_layout_in_a_fit(monkeypatch):
 
 def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
     # The kappa-free layout of a link depends on (mu, m) alone, so the 10
-    # cells visited over links (mu, m) in {1, 2} x {1, 3} build three
+    # cells visited over links (mu, m) in {1, 2} x {1, 3} build four
     # uncollapsed layouts, once each, one of them (2, 1) of the signed
-    # mu > m form.  The (1, 1) link is held at kappa = 0, whose collapsed
-    # layout is not one of them.  The candidates only weigh the cells'
-    # plans: the fit builds one model, its winner's, and no mixture.
+    # mu > m form.  The (1, 1) link, held at kappa = 0, is one of them: a
+    # mu <= m link is not collapsed at kappa 0.  The candidates only weigh
+    # the cells' plans: the fit builds one model, its winner's, and no
+    # mixture.
     gen = ProductModel(SP(1.0, 2.0, 1, 3), SP(1.0, 2.0, 1, 3))
     emp = empirical_from_samples(gen.sample(np.random.default_rng(7), 5000))
     cfg = SearchConfig(mu_grid=(1, 2), m_grid=(1, 3), n_starts=1, max_points=40,
@@ -184,7 +185,9 @@ def test_link_layout_is_built_once_per_integer_pair_in_a_fit(monkeypatch):
     res = fit_cdf(emp, cfg)
     assert len(res.search_trace) == 10
     assert sum(t["nfev"] for t in res.search_trace) >= 50 * 3
-    assert sorted((mu, m) for mu, m, zero in built if not zero) == [(1, 3), (2, 1), (2, 3)]
+    assert sorted((mu, m) for mu, m, zero in built if not zero) == [(1, 1), (1, 3), (2, 1),
+                                                                    (2, 3)]
+    assert all(mu > m for mu, m, zero in built if zero)
     assert len(models) == 1
     assert expand.cache_info().misses <= 2
 
@@ -207,6 +210,46 @@ def test_a_cell_makes_one_cdf_engine_call_per_round(monkeypatch, rounds):
     (entry,) = fit_cdf(emp, cfg).search_trace
     assert calls == rounds
     assert sum(calls) == entry["nfev"] > 2 * len(calls)
+
+
+def test_a_round_with_a_candidate_at_kappa_0_makes_one_engine_call(monkeypatch, rounds,
+                                                                    small_fit_data):
+    # On a cell of two mu <= m links, kappa_range (0, 50) clips candidates
+    # to kappa 0, where such a link keeps its full layout: every round is
+    # one plan group and one cdf engine call.  Under a rule that collapsed
+    # them too, some rounds split into two calls, and the trace, every
+    # field, is the same.
+    from prodfade.mixture import KAPPA_ZERO_TOL
+
+    cfg = _small_config(mu_grid=(1,), m_grid=(2,))
+    calls, kappas = [], []
+    engine, plan_key = gammagamma.weighted_cdf_sum, prodfade.pdist._plan_key
+
+    def counting(weights, *args):
+        calls.append(len(weights))
+        return engine(weights, *args)
+
+    def recording(cell, mean_a, kappa_a, mean_b, kappa_b):
+        kappas.extend((kappa_a, kappa_b))
+        return plan_key(cell, mean_a, kappa_a, mean_b, kappa_b)
+
+    monkeypatch.setattr(prodfade.pdist, "weighted_cdf_sum", counting)
+    monkeypatch.setattr(prodfade.pdist, "_plan_key", recording)
+    trace = fit_cdf(small_fit_data, cfg).search_trace
+    assert 0.0 in kappas and len(rounds) > 20
+    assert calls == rounds
+    first = len(calls)
+    monkeypatch.setattr(prodfade.pdist, "_link_form",
+                        lambda mu, m, kappa: (mu, m, kappa <= KAPPA_ZERO_TOL))
+    for cache in (prodfade.pdist._cell_plan, prodfade.pdist._weighed_model):
+        cache.cache_clear()
+    try:
+        old = fit_cdf(small_fit_data, cfg).search_trace
+    finally:
+        for cache in (prodfade.pdist._cell_plan, prodfade.pdist._weighed_model):
+            cache.cache_clear()
+    assert len(calls[first:]) > len(rounds[first:])
+    assert old == trace
 
 
 def test_a_fit_round_climbs_once(climbs, rounds, small_fit_data):
