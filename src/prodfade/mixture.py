@@ -50,9 +50,8 @@ __all__ = [
     "sample_single",
 ]
 
-#: At or below this, a ``mu > m`` link is taken at kappa exactly zero
-#: (Nakagami-m limit of the expansion, whose ``mu > m`` branch divides by
-#: kappa); a ``mu <= m`` link's expansion holds at every kappa, 0 included.
+#: At or below this, a ``mu > m`` link, whose expansion divides by kappa,
+#: takes its Nakagami limit Gamma(mu), the ``(mu, mu)`` layout.
 KAPPA_ZERO_TOL = 1e-12
 
 #: Finite shadowing order used as a stand-in for an unshadowed
@@ -213,26 +212,23 @@ _Layout = namedtuple("_Layout", "coef base_pow dom_pow shapes boosted")
 
 
 def _link_form(mu, m, kappa):
-    """The rule that picks a link's form: its :func:`_link_layout` key ``(mu, m,
-    collapsed)``, collapsed to the single term Gamma(mu, unit) only where the
-    expansion needs it, ``mu > m`` at a float kappa near 0.  A ``mu <= m`` link
-    keeps its full layout at every kappa: at kappa 0 its terms but Gamma(mu,
-    unit) weigh exactly 0, and its boosted scale is the unit one."""
-    return mu, m, mu > m and kappa <= KAPPA_ZERO_TOL
+    """The rule that picks a link's form: its :func:`_link_layout` key, the
+    integer pair ``(mu, m)``, or ``(mu, mu)`` for a ``mu > m`` link at a float
+    kappa near 0, where its expansion divides by kappa: that layout is the
+    single term Gamma(mu) at every kappa, the link's Nakagami limit.  A ``mu
+    <= m`` link keeps its layout at every kappa: at kappa 0 its terms but
+    Gamma(mu, unit) weigh exactly 0, and its boosted scale is the unit one."""
+    return (mu, mu) if mu > m and kappa <= KAPPA_ZERO_TOL else (mu, m)
 
 
 @lru_cache(maxsize=1024)
-def _link_layout(mu, m, zero):
-    """Term layout of a :func:`_link_form` key: the expansion of an integer
-    ``(mu, m)`` link, or, with ``zero`` (which the rule sets for ``mu > m``
-    alone), its collapse.
+def _link_layout(mu, m):
+    """Term layout of the expansion of an integer ``(mu, m)`` link.
 
     The mu > m table's leading term has an exact zero weight; it is left
     out here, as :func:`expand` would prune it.  The arrays are read-only.
     """
-    if zero:
-        rows = [(1, 0, 0, mu, False)]
-    elif mu <= m:
+    if mu <= m:
         rows = [(math.comb(m - mu, i), i, m - mu - i, m - i, True)
                 for i in range(m - mu + 1)]
     else:
@@ -253,28 +249,25 @@ def _link_layout(mu, m, zero):
 def _links_layout(links):
     """The layout of one :func:`_link_terms` call over ``links``, :func:`_link_form`
     keys: their :func:`_link_layout` coefficients and powers side by side, each
-    term's link, each link's ``mu`` and ``m`` (long double), and the forms if any is zero."""
+    term's link, and each link's ``mu`` and ``m`` (long double)."""
     layouts = [_link_layout(*link) for link in links]
-    mu, m, zero = (np.array(v) for v in zip(*links))
+    mu, m = np.array(links, dtype=np.longdouble).T
     return (*(np.concatenate([lay[i] for lay in layouts]) for i in range(3)),
-            np.repeat(np.arange(len(links)), [lay.shapes.size for lay in layouts]),
-            mu.astype(np.longdouble), m.astype(np.longdouble), zero if zero.any() else None)
+            np.repeat(np.arange(len(links)), [lay.shapes.size for lay in layouts]), mu, m)
 
 
 def _link_terms(links, mean_power, kappa):
     """Weights and scales of the links of a :func:`_links_layout`.
 
     ``mean_power`` and ``kappa`` are arrays of one shape whose last axis
-    runs over the links; a collapsed link is taken at ``kappa = 0``.
-    Returns the long-double weights, the last axis over the links' terms
-    in layout order, and the double ``(unit, boosted)`` scales, with an
-    axis of two more; a term's scale is ``scales[..., link, boosted]``.
+    runs over the links.  Returns the long-double weights, the last axis
+    over the links' terms in layout order, and the double ``(unit,
+    boosted)`` scales, with an axis of two more; a term's scale is
+    ``scales[..., link, boosted]``.
     """
-    coef, base_pow, dom_pow, link, mu, m, zero = links
+    coef, base_pow, dom_pow, link, mu, m = links
     gbar = np.asarray(mean_power, dtype=np.longdouble)
     kap = np.asarray(kappa, dtype=np.longdouble)
-    if zero is not None:
-        kap = np.where(zero, np.longdouble(0.0), kap)
     mk = mu * kap
     total = mk + m
     base = m / total                    # m / (mu kappa + m)
@@ -478,9 +471,9 @@ def expand(params):
     """Finite Gamma-mixture of a squared kappa-mu shadowed channel.
 
     Forms the weights in extended precision from the cached kappa-free
-    layout of the link's ``(mu, m)`` (:func:`_link_terms`), drops exact
-    zero weights, orders by descending |weight| and rounds to double
-    once.  Finished mixtures are cached per parameter set; a product
+    layout of the link's form (:func:`_link_form`, :func:`_link_terms`),
+    drops exact zero weights, orders by descending |weight| and rounds to
+    double once.  Finished mixtures are cached per parameter set; a product
     model builds its own lazily, and the fits build none.
 
     Parameters

@@ -13,11 +13,11 @@ sum is the cancellation indicator exposed as ``abs_weight_sum``.
 
 The pairs depend on the two links' forms alone.  One rule,
 :func:`_plan_key`, picks a parameter set's plan, for a model and for each
-set of a batch alike: the links' layout keys, from the one form rule
-:func:`~prodfade.mixture._link_form`, and whether they are tied.  Each key
-has a cached plan (:class:`_CellPlan`) of the pairs' layout, which keeps
-the engine's row plans (:class:`~prodfade.gammagamma.Pairs`), and each
-scale product's columns.
+set of a batch alike: the links' layout keys, integer pairs from the one
+form rule :func:`~prodfade.mixture._link_form`, and whether they are tied.
+Each key has a cached plan (:class:`_CellPlan`) of the pairs' layout,
+which keeps the engine's row plans (:class:`~prodfade.gammagamma.Pairs`),
+and each scale product's columns.
 Parameter sets only re-weigh it, by one call of the long-double weight
 formula for both links and one loop of checks (:meth:`_CellPlan.weigh`),
 so a :class:`ProductModel` builds no mixture.  Both fits weigh each
@@ -49,8 +49,8 @@ class _CellPlan:
     """Kappa-free plan of the products of two links' forms.
 
     One plan per :func:`_plan_key` ``(link_a, link_b, tied)``: each link's
-    layout key ``(mu, m, collapsed)`` (:func:`~prodfade.mixture._link_form`)
-    and the tie.  Pair ``p`` is term ``p // n_b`` of link a and ``p % n_b``
+    layout key ``(mu, m)`` (:func:`~prodfade.mixture._link_form`) and the
+    tie.  Pair ``p`` is term ``p // n_b`` of link a and ``p % n_b``
     of link b, each link's terms in layout order, or reversed where ``mu >
     m``.  ``pairs``, the layout (:class:`~prodfade.gammagamma.Pairs`), holds
     the pairs' shapes and builds and keeps the engine's row plans.  Pairs of
@@ -68,7 +68,7 @@ class _CellPlan:
         # weights fall in magnitude (strictly at small kappa): the signed
         # sums then add dominant terms first, as the mixtures' order did
         term_a, term_b = (np.arange(lay.shapes.size)[::-1 if mu > m else 1]
-                          for (mu, m, _), lay in ((link_a, lay_a), (link_b, lay_b)))
+                          for (mu, m), lay in ((link_a, lay_a), (link_b, lay_b)))
         self.ia = np.repeat(term_a, term_b.size)
         ib = np.tile(term_b, term_a.size)
         choice_a, choice_b = lay_a.boosted[self.ia], lay_b.boosted[ib]
@@ -162,11 +162,11 @@ def _plan_key(cell, mean_a, kappa_a, mean_b, kappa_b):
     integer ``cell``, of floats (a model's, or each one of a batch): the key
     ``(link_a, link_b, tied)`` of the links' layout keys, from
     :func:`~prodfade.mixture._link_form`, and whether the two links are
-    equal, ``mu > m`` and not collapsed, where unit x boosted and boosted x
+    equal and of a ``mu > m`` layout, where unit x boosted and boosted x
     unit are one scale product."""
     mu_a, m_a, mu_b, m_b = cell
     link_a, link_b = _link_form(mu_a, m_a, kappa_a), _link_form(mu_b, m_b, kappa_b)
-    return link_a, link_b, (link_a == link_b and mu_a > m_a and not link_a[2]
+    return link_a, link_b, (link_a == link_b and link_a[0] > link_a[1]
                             and mean_a == mean_b and kappa_a == kappa_b)
 
 

@@ -135,7 +135,11 @@ class WpcConfig:
         """Beamformed beacon-to-node power statistic.
 
         N unit-variance antenna elements give mean power N; the sum of
-        their noncentral powers is exactly kappa-mu with mu = N.
+        their noncentral powers is kappa-mu with mu = N.  This builds the
+        kappa-mu shadowed link of shadowing order ``m_proxy`` instead, a
+        finite stand-in for that unshadowed (m -> infinity) law: at the
+        default order, ``wpc_outage`` with a Rayleigh data hop is 2.5-4.8%
+        off the exact law from 60 to 110 dB (ROADMAP item 16).
         """
         return ShadowedParams(
             float(self.pb_antennas), self.rician_k, self.pb_antennas, self.m_proxy
@@ -241,10 +245,11 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
     """Outage under the Nakagami approximation of both hops.
 
     The beamformed beacon link becomes Gamma with shape
-    ``nakagami_shape(K) * N`` and mean N; the data link keeps its own
-    Nakagami reduction (Rayleigh stays shape 1, a Rician K-factor maps
-    through ``nakagami_shape``).  Real shapes are kept exact via
-    quadrature -- see ``NAKAGAMI_COMPARATOR_METHOD``.
+    ``nakagami_shape(K) * N`` and mean N, and the data link, by the same
+    moment match, Gamma with shape ``nakagami_shape(kappa) * mu`` and mean
+    1 (Rayleigh stays shape 1, and kappa 0 gives shape ``mu``).  Real
+    shapes are kept exact via quadrature -- see
+    ``NAKAGAMI_COMPARATOR_METHOD``.
     """
     if p_over_n0 is None:
         p_over_n0 = cfg.tx_power_over_noise
@@ -255,11 +260,7 @@ def nakagami_wpc_outage(cfg, p_over_n0=None):
     scale_a = float(n) / shape_a  # mean N
 
     sd = cfg.s_d_model
-    if sd.kappa == 0.0:
-        shape_b = float(sd.mu)
-    else:
-        # unshadowed reduction of a LOS data link
-        shape_b = nakagami_shape(sd.kappa)
+    shape_b = sd.mu * nakagami_shape(sd.kappa)
     scale_b = 1.0 / shape_b
 
     log_z = math.log(cfg.threshold_scale()) - np.log(p)

@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import pkgutil
 import re
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -338,6 +339,28 @@ def test_declared_scipy_floor_covers_least_squares_workers():
     (floor,) = [re.fullmatch(r"scipy>=(\d+)\.(\d+)(?:\.\d+)?", req.replace(" ", ""))
                 for req in project["dependencies"] if req.lower().startswith("scipy")]
     assert floor is not None and tuple(map(int, floor.groups())) >= (1, 16)
+
+
+@pytest.mark.parametrize("extra_line, marker, code", [
+    ("", "", 0),                        # the table as it is: the test passes
+    ("misspelt_key = 1\n", "", 4),      # an unknown key is a usage error
+    ("", "@pytest.mark.slwo\n", 2),     # an unregistered marker fails collection
+], ids=["plain", "misspelt_key", "unregistered_marker"])
+def test_pytest_config_refuses_unknown_keys_and_markers(tmp_path, extra_line, marker, code):
+    # pytest runs a one-test project under a copy of the repo's ini table:
+    # strictness must be real, not a warning (pytest 9 ignores the
+    # --strict-config and --strict-markers flags in addopts).
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    table = text[text.index("[tool.pytest.ini_options]"):]
+    end = re.search(r"^\[", table[1:], re.M)       # the next table, if any
+    table = table if end is None else table[:end.start() + 1]
+    (tmp_path / "pyproject.toml").write_text(table + extra_line)
+    (tmp_path / "test_one.py").write_text("import pytest\n\n\n%sdef test_one():\n    pass\n"
+                                          % marker)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "test_one.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == code, run.stdout + run.stderr
 
 
 def test_benchmark_tracer_patches_every_entry_point():

@@ -365,7 +365,7 @@ def test_batched_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan((6, 2, False), (4, 1, False), False)     # no collapse and no tie
+    plan = _cell_plan((6, 2), (4, 1), False)     # no collapse and no tie
     means_a, kappas_a = np.array([1.0, 2.5, 0.3, 1.0]), np.array([1.0, 0.2, 7.0, 3.0])
     means_b, kappas_b = np.ones(4), np.array([0.5, 2.0, 0.05, 30.0])
     w, lth, refusals = plan.weigh(np.array((means_a, means_b)), np.array((kappas_a, kappas_b)))
@@ -396,7 +396,7 @@ def test_batched_mgf_sets_give_the_bits_of_single_calls(monkeypatch, budget):
 
     if budget is not None:
         monkeypatch.setattr("prodfade.gammagamma._BLOCK_BUDGET", budget)
-    plan = _cell_plan((6, 2, False), (4, 1, False), False)
+    plan = _cell_plan((6, 2), (4, 1), False)
     kappas_a, kappas_b = np.array([1.0, 3.0]), np.array([0.5, 2.0])
     w, lth, refusals = plan.weigh(np.ones((2, 2)), np.array((kappas_a, kappas_b)))
     assert refusals == [None, None]
@@ -433,7 +433,7 @@ def test_tied_sets_share_a_theta_and_give_their_models_bits():
         thetas.append(model._lth.shape[1])
         assert np.array_equal(rows[i], model.cdf(z))
     assert thetas == [3, 4, 3, 1]
-    plan = _cell_plan((6, 2, False), (6, 2, False), True)     # the tied plan
+    plan = _cell_plan((6, 2), (6, 2), True)     # the tied plan
     for arr in (plan.ia, plan.pairs.shapes_a, plan._tb, plan.pairs.theta, plan.log_gain(1)):
         assert not arr.flags.writeable
 
@@ -479,8 +479,8 @@ def test_mixed_batch_gives_each_set_its_models_bits():
     assert alone_ok.tolist() == [True, False, False]
     assert alone.tobytes() == rows[pick].tobytes()
     keys = [_plan_key((6, 2, 6, 2), *column) for column in sets.T.tolist()]
-    plain = ((6, 2, False), (6, 2, False), False)
-    collapsed, tied = ((6, 2, True), (6, 2, False), False), ((6, 2, False), (6, 2, False), True)
+    plain = ((6, 2), (6, 2), False)
+    collapsed, tied = ((6, 6), (6, 2), False), ((6, 2), (6, 2), True)
     assert keys == [plain, collapsed, tied, plain, plain]
     refused = []
     for key in set(keys):
@@ -518,7 +518,7 @@ def test_a_set_weighed_on_another_forms_plan_is_refused():
     # same set at kappa 1e-13 is, and nothing raises.
     from prodfade.pdist import _cell_plan
 
-    plan = _cell_plan((6, 2, False), (6, 2, False), False)
+    plan = _cell_plan((6, 2), (6, 2), False)
     _, _, refusals = plan.weigh(np.ones((2, 2)), np.array([[0.0, 1e-13], [2.0, 2.0]]))
     for refusal in refusals:
         assert type(refusal) is ValueError
@@ -535,7 +535,7 @@ def test_one_plan_round_gives_each_set_its_models_bytes():
     cell = (1, 2, 2, 1)
     sets = np.array(([1.0, 0.7, 1.3], [0.2, 1.5, 6.0], [1.0, 1.0, 1.0], [0.4, 3.0, 12.0]))
     assert {_plan_key(cell, *column) for column in sets.T.tolist()} == {
-        ((1, 2, False), (2, 1, False), False)}
+        ((1, 2), (2, 1), False)}
     z = np.geomspace(1e-4, 30.0, 41)
     rows_at = _cdf_rows_at(z)
     rows, ok = rows_at(cell, sets)

@@ -270,6 +270,32 @@ def test_tiny_kappa_collapses_to_gamma():
     assert zero.scales[0] == pytest.approx(1.0 / 3.0)
 
 
+def test_the_form_rule_gives_an_integer_pair_and_collapses_to_the_mu_mu_layout():
+    # A link's form is the integer pair (mu, m) of its layout, or (mu, mu)
+    # for a mu > m link at kappa <= KAPPA_ZERO_TOL: the Nakagami limit
+    # Gamma(mu) is the (mu, mu) layout, whose expansion the collapsed link
+    # gets bit for bit at every mean power.
+    from prodfade.mixture import _link_form
+
+    kappas = [0.0, 5e-324, 1e-13, KAPPA_ZERO_TOL, float(np.nextafter(KAPPA_ZERO_TOL, 1.0)), 0.1]
+    for mu in range(1, 9):
+        for m in range(1, 9):
+            for kappa in kappas:
+                form = _link_form(mu, m, kappa)
+                assert type(form) is tuple and [type(v) for v in form] == [int, int]
+                collapsed = mu > m and kappa <= KAPPA_ZERO_TOL
+                assert form == ((mu, mu) if collapsed else (mu, m)), (mu, m, kappa)
+                if not collapsed:
+                    continue
+                for mean in (1.0, 5e-300, 3e250):
+                    got = expand(ShadowedParams(mean, kappa, mu, m))
+                    want = expand(ShadowedParams(mean, kappa, mu, mu))
+                    assert got.shapes.tolist() == [mu]
+                    for a, b in ((got.weights, want.weights), (got.shapes, want.shapes),
+                                 (got.scales, want.scales)):
+                        assert np.array_equal(a, b), (mu, m, kappa, mean)
+
+
 def test_values_past_the_double_range_take_their_limits():
     # x / scale overflows at x = 1e308 for scales below 1; there the
     # density is 0 and the distribution function 1, with no warning.  The

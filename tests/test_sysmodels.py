@@ -10,6 +10,7 @@ from prodfade.sysmodels import (
     NAKAGAMI_COMPARATOR_METHOD,
     BackscatterConfig,
     WpcConfig,
+    _gamma_product_cdf_at_logs,
     backscatter_model,
     backscatter_power_cdf,
     backscatter_sweep,
@@ -130,6 +131,31 @@ def test_nakagami_comparator_diverges_with_los():
     exact = wpc_outage(cfg, p)
     nak = nakagami_wpc_outage(cfg, p)
     assert exact / nak > 2.0
+
+
+def test_nakagami_comparator_keeps_the_data_links_mu():
+    # The data link's Nakagami shape is mu * nakagami_shape(kappa), the
+    # moment match of the beacon link, so a mu = 3 link's comparator does
+    # not jump when kappa leaves 0.  Links of mu = 1 or kappa = 0 keep
+    # the shape 1, nakagami_shape(kappa) or mu that they had before, bit
+    # for bit.
+    p = np.array([1e5, 1e6, 1e7])
+
+    def outage(s_d_model):
+        return nakagami_wpc_outage(paper_cfg(s_d_model=s_d_model), p)
+
+    np.testing.assert_allclose(outage(ShadowedParams(1.0, 1e-9, 3, 8)),
+                               outage(ShadowedParams(1.0, 0.0, 3, 8)), rtol=0.0, atol=1e-12)
+    cfg = paper_cfg()
+    shape_a = nakagami_shape(cfg.rician_k) * cfg.pb_antennas
+    log_z = math.log(cfg.threshold_scale()) - np.log(p)
+    for s_d_model, shape_b in ((ShadowedParams.rayleigh(), 1.0),
+                               (ShadowedParams.rician(PAPER_K), nakagami_shape(PAPER_K)),
+                               (ShadowedParams(1.0, 0.3, 1, 2), nakagami_shape(0.3)),
+                               (ShadowedParams.nakagami(3), 3.0)):
+        expected = _gamma_product_cdf_at_logs(shape_a, cfg.pb_antennas / shape_a, shape_b,
+                                              1.0 / shape_b, log_z)
+        assert np.array_equal(outage(s_d_model), expected), s_d_model
 
 
 def test_s_d_model_resolution():
